@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import conv, core, parse, pretty
 from .delta import enumerate_mono
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, ENCODING
 from .elab import Config, elaborate_signature
 from .prelude import initial_signature
 from .sstgen import GenPlan, LevelCapExceeded, gen_segal_scaffold, gen_spine, gen_sst
@@ -95,6 +95,22 @@ def _resolve(path: str, include: list[str]) -> Optional[Path]:
     return None
 
 
+def _read_source(path: Path) -> tuple[str, Optional[Diagnostic]]:
+    """Decode an input file as UTF-8.  A file that is not valid UTF-8 is
+    decoded with replacement characters and comes with an ENCODING
+    diagnostic at the first bad byte."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        at = len(data[:exc.start].decode("utf-8"))
+        diag = Diagnostic(
+            ENCODING, (at, at + 1),
+            f"input is not valid UTF-8 (byte 0x{data[exc.start]:02x} at offset {exc.start})",
+        )
+        return data.decode("utf-8", errors="replace"), diag
+
+
 def _cmd_check(args, config: Config) -> int:
     sig = initial_signature(config)
     failures = 0
@@ -104,7 +120,11 @@ def _cmd_check(args, config: Config) -> int:
         if path is None:
             print(f"tt2: cannot read {name!r}", file=sys.stderr)
             return 2
-        source = path.read_text(encoding="utf-8")
+        source, bad_bytes = _read_source(path)
+        if bad_bytes is not None:
+            _emit_diagnostic(bad_bytes, source, name, config)
+            failures += 1
+            continue
         try:
             decls = parse.parse_file(source)
         except Diagnostic as diag:
@@ -135,7 +155,10 @@ def _cmd_eval(args, config: Config) -> int:
     if path is None:
         print(f"tt2: cannot read {args.file!r}", file=sys.stderr)
         return 2
-    source = path.read_text(encoding="utf-8")
+    source, bad_bytes = _read_source(path)
+    if bad_bytes is not None:
+        _emit_diagnostic(bad_bytes, source, args.file, config)
+        return 1
     sig = initial_signature(config)
     try:
         decls = parse.parse_file(source)
@@ -201,7 +224,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             collapse_fibrant_universes=args.collapse_fibrant_universes,
             json_diagnostics=args.json_diagnostics,
             color=_color_enabled(),
-            include_paths=tuple(args.include),
         )
     except ValueError as exc:
         print(f"tt2: {exc}", file=sys.stderr)

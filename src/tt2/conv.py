@@ -3,15 +3,19 @@ and definitional equality.
 
 Evaluation unfolds every defined constant, so only variables, postulates
 and axioms survive as neutral heads; observable behaviour is that of an
-always-unfolding kernel.  Conversion is type-directed at the top (needed
-for the unit eta rule) and falls back to untyped structural comparison
-inside neutral spines.
+always-unfolding kernel.  A neutral value is a head and a spine of
+eliminations and carries no type: eliminating a neutral only extends its
+spine.  Conversion is type-directed at the top (needed for the unit eta
+rule) and falls back to untyped structural comparison inside neutral
+spines; when eta inside spines needs the spine's types, they are to be
+recomputed on demand from the head's type (a variable's from the context,
+a constant's from the signature).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from . import core
 from .core import (
@@ -200,11 +204,10 @@ Frame = Union[FApp, FFst, FSnd, FNatElim, FSumElim, FEmptyElim, FJ]
 class VNeutral(Value):
     head: Head
     spine: tuple[Frame, ...]
-    ty: Optional[Value] = None  # annotation, propagated when known
 
 
-def fresh(level: int, ty: Optional[Value] = None) -> VNeutral:
-    return VNeutral(VarHead(level), (), ty)
+def fresh(level: int) -> VNeutral:
+    return VNeutral(VarHead(level), ())
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +229,7 @@ def apply_value(sig: Signature, fn: Value, arg: Value) -> Value:
     if isinstance(fn, VLam):
         return fn.body.apply(sig, arg)
     if isinstance(fn, VNeutral):
-        ty = None
-        if isinstance(fn.ty, VPi):
-            ty = fn.ty.cod.apply(sig, arg)
-        return VNeutral(fn.head, fn.spine + (FApp(arg),), ty)
+        return VNeutral(fn.head, fn.spine + (FApp(arg),))
     raise InternalError(f"application of non-function value {type(fn).__name__}")
 
 
@@ -237,8 +237,7 @@ def do_fst(sig: Signature, v: Value) -> Value:
     if isinstance(v, VPair):
         return v.fst
     if isinstance(v, VNeutral):
-        ty = v.ty.fst if isinstance(v.ty, VSigma) else None
-        return VNeutral(v.head, v.spine + (FFst(),), ty)
+        return VNeutral(v.head, v.spine + (FFst(),))
     raise InternalError("fst of non-pair value")
 
 
@@ -246,10 +245,7 @@ def do_snd(sig: Signature, v: Value) -> Value:
     if isinstance(v, VPair):
         return v.snd
     if isinstance(v, VNeutral):
-        ty = None
-        if isinstance(v.ty, VSigma):
-            ty = v.ty.snd.apply(sig, do_fst(sig, v))
-        return VNeutral(v.head, v.spine + (FSnd(),), ty)
+        return VNeutral(v.head, v.spine + (FSnd(),))
     raise InternalError("snd of non-pair value")
 
 
@@ -260,11 +256,7 @@ def do_natelim(sig, layer, motive: Closure, zcase: Value, scase: Closure, scrut:
         rec = do_natelim(sig, layer, motive, zcase, scase, scrut.pred)
         return scase.apply(sig, scrut.pred, rec)
     if isinstance(scrut, VNeutral):
-        return VNeutral(
-            scrut.head,
-            scrut.spine + (FNatElim(layer, motive, zcase, scase),),
-            motive.apply(sig, scrut),
-        )
+        return VNeutral(scrut.head, scrut.spine + (FNatElim(layer, motive, zcase, scase),))
     raise InternalError("natural-number eliminator on non-numeral value")
 
 
@@ -274,21 +266,13 @@ def do_sumelim(sig, layer, motive: Closure, lcase: Closure, rcase: Closure, scru
     if isinstance(scrut, VInr):
         return rcase.apply(sig, scrut.arg)
     if isinstance(scrut, VNeutral):
-        return VNeutral(
-            scrut.head,
-            scrut.spine + (FSumElim(layer, motive, lcase, rcase),),
-            motive.apply(sig, scrut),
-        )
+        return VNeutral(scrut.head, scrut.spine + (FSumElim(layer, motive, lcase, rcase),))
     raise InternalError("sum eliminator on non-injection value")
 
 
 def do_emptyelim(sig, layer, motive: Closure, scrut: Value) -> Value:
     if isinstance(scrut, VNeutral):
-        return VNeutral(
-            scrut.head,
-            scrut.spine + (FEmptyElim(layer, motive),),
-            motive.apply(sig, scrut),
-        )
+        return VNeutral(scrut.head, scrut.spine + (FEmptyElim(layer, motive),))
     raise InternalError("empty eliminator on a closed value")
 
 
@@ -296,11 +280,7 @@ def do_j(sig, layer, motive: Closure, base: Value, lhs: Value, rhs: Value, proof
     if isinstance(proof, VRefl):
         return base
     if isinstance(proof, VNeutral):
-        return VNeutral(
-            proof.head,
-            proof.spine + (FJ(layer, motive, base, lhs, rhs),),
-            motive.apply(sig, rhs, proof),
-        )
+        return VNeutral(proof.head, proof.spine + (FJ(layer, motive, base, lhs, rhs),))
     raise InternalError("equality eliminator on non-refl value")
 
 
@@ -315,7 +295,7 @@ def evaluate(sig: Signature, env: tuple[Value, ...], t: Term) -> Value:
             if entry is None:
                 raise InternalError(f"unknown constant {name!r}")
             if entry.body is None:
-                return VNeutral(ConstHead(name), (), const_type_value(sig, name))
+                return VNeutral(ConstHead(name), ())
             cached = sig.body_values.get(name)
             if cached is None:
                 cached = evaluate(sig, (), entry.body)
@@ -425,7 +405,7 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
             return Inr(layer, quote(sig, depth, arg))
         case VEmpty(layer):
             return Empty(layer)
-        case VNeutral(head, spine, _):
+        case VNeutral(head, spine):
             if isinstance(head, VarHead):
                 if head.level >= depth:
                     raise InternalError(f"variable level {head.level} escapes depth {depth}")
@@ -468,10 +448,8 @@ def _quote_frame(sig: Signature, depth: int, acc: Term, frame: Frame) -> Term:
 
 def nf(sig: Signature, ctx: Context, t: Term) -> Term:
     """Beta-delta normal form of a well-typed term in the given telescope."""
-    env: list[Value] = []
-    for i, (_, ty_core) in enumerate(ctx.telescope):
-        env.append(fresh(i, evaluate(sig, tuple(env), ty_core)))
-    return quote(sig, len(ctx), evaluate(sig, tuple(env), t))
+    env = tuple(fresh(i) for i in range(len(ctx)))
+    return quote(sig, len(ctx), evaluate(sig, env, t))
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +460,7 @@ def convert(sig: Signature, depth: int, a: Value, b: Value, ty: Value) -> bool:
     """Type-directed definitional equality of two values of type ``ty``."""
     match ty:
         case VPi(dom, cod):
-            var = fresh(depth, dom)
+            var = fresh(depth)
             return convert(
                 sig, depth + 1,
                 apply_value(sig, a, var), apply_value(sig, b, var),
@@ -524,7 +502,7 @@ def convert_type(sig: Signature, depth: int, a: Value, b: Value) -> bool:
         case (VPi(d1, c1), VPi(d2, c2)) | (VSigma(d1, c1), VSigma(d2, c2)):
             if type(a) is not type(b) or not convert_type(sig, depth, d1, d2):
                 return False
-            var = fresh(depth, d1)
+            var = fresh(depth)
             return convert_type(sig, depth + 1, c1.apply(sig, var), c2.apply(sig, var))
         case (VUnit(), VUnit()):
             return True
@@ -543,7 +521,7 @@ def convert_type(sig: Signature, depth: int, a: Value, b: Value) -> bool:
                 and convert_type(sig, depth, x1, x2)
                 and convert_type(sig, depth, y1, y2)
             )
-        case (VNeutral(_, _, _), VNeutral(_, _, _)):
+        case (VNeutral(), VNeutral()):
             return _convert_spine(sig, depth, a, b)
     return False
 
@@ -633,7 +611,7 @@ def _convert_untyped(sig: Signature, depth: int, a: Value, b: Value) -> bool:
                 and _convert_untyped(sig, depth, t1, t2)
                 and _convert_untyped(sig, depth, x1, x2)
             )
-        case (VNeutral(_, _, _), VNeutral(_, _, _)):
+        case (VNeutral(), VNeutral()):
             return _convert_spine(sig, depth, a, b)
     if _is_type_value(a) and _is_type_value(b):
         return convert_type(sig, depth, a, b)

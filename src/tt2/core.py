@@ -27,15 +27,6 @@ FIB = Layer.FIB
 STRICT = Layer.STRICT
 
 
-def validate_level(level: int, universe_count: int) -> int:
-    """Universe levels live in [0, universe_count); no silent wraparound."""
-    if not 0 <= level < universe_count:
-        raise InternalError(
-            f"universe level {level} out of range [0, {universe_count})"
-        )
-    return level
-
-
 @dataclass(frozen=True)
 class Sort:
     layer: Layer
@@ -289,16 +280,29 @@ def instantiate2(body: Term, first: Term, second: Term) -> Term:
 
 
 def is_scope_closed(t: Term, depth: int = 0) -> bool:
-    """Every bound index is below the binder depth at its occurrence."""
-    if isinstance(t, Var):
-        return t.index < depth
-    return all(
-        is_scope_closed(getattr(t, name), depth + off) for name, off in t.SUB
-    )
+    """Every bound index is below the binder depth at its occurrence.
+
+    Walks an explicit stack, so the nesting depth of ``t`` is not bounded
+    by the interpreter's recursion limit."""
+    stack = [(t, depth)]
+    while stack:
+        t, depth = stack.pop()
+        if isinstance(t, Var):
+            if t.index >= depth:
+                return False
+        else:
+            stack.extend((getattr(t, name), depth + off) for name, off in t.SUB)
+    return True
 
 
 def term_size(t: Term) -> int:
-    return 1 + sum(term_size(getattr(t, name)) for name, _ in t.SUB)
+    size = 0
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        size += 1
+        stack.extend(getattr(t, name) for name, _ in t.SUB)
+    return size
 
 
 class DeclKind(Enum):
@@ -341,9 +345,6 @@ class Signature:
         if entry.body is not None and not is_scope_closed(entry.body):
             raise InternalError(f"open body in signature entry {entry.name!r}")
         self.entries[entry.name] = entry
-
-    def names(self) -> list[str]:
-        return list(self.entries)
 
 
 @dataclass(frozen=True)

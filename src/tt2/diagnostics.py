@@ -19,6 +19,7 @@ DUPLICATE = "DUPLICATE"
 SYNTAX = "SYNTAX"
 ILLEGAL_CHAR = "ILLEGAL_CHAR"
 LEVEL_CAP = "LEVEL_CAP"
+ENCODING = "ENCODING"
 
 
 @dataclass

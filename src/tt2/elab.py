@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import conv, core, parse, pretty
 from .conv import (
-    Closure, VEmpty, VId, VNat, VNeutral, VPi, VRefl, VSigma, VSuc, VSum,
+    Closure, VEmpty, VId, VNat, VPi, VRefl, VSigma, VSuc, VSum,
     VUniv, VUnit, VZero, VInl, VInr, Value, evaluate,
 )
 from .core import (
@@ -35,7 +35,6 @@ class Config:
     collapse_fibrant_universes: bool = False
     json_diagnostics: bool = False
     color: bool = False
-    include_paths: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.universes < 1:
@@ -53,7 +52,7 @@ class Ctx:
         return len(self.env)
 
     def extend(self, name: Optional[str], ty: Value) -> "Ctx":
-        var = conv.fresh(self.depth, ty)
+        var = conv.fresh(self.depth)
         return Ctx(self.names + (name,), self.types + (ty,), self.env + (var,))
 
     def lookup(self, name: str) -> Optional[tuple[int, Value]]:
@@ -114,34 +113,6 @@ class Elaborator:
                 f"count {self.config.universes}",
             )
         return Sort(sort.layer, sort.level + 1)
-
-    def sort_of(self, depth: int, ty: Value, span: Span = (0, 0)) -> Sort:
-        """Sort of a semantic type; neutral types read their sort off the
-        universe annotation."""
-        match ty:
-            case VUniv(s):
-                return self._successor_sort(s, span)
-            case VPi(dom, cod) | VSigma(dom, cod):
-                s1 = self.sort_of(depth, dom, span)
-                var = conv.fresh(depth, dom)
-                s2 = self.sort_of(depth + 1, cod.apply(self.sig, var), span)
-                return self.join(s1, s2)
-            case VUnit():
-                return Sort(FIB, 0)
-            case VId(layer, t, _, _):
-                inner = self.sort_of(depth, t, span)
-                return Sort(layer, inner.level)
-            case VNat(layer) | VEmpty(layer):
-                return Sort(layer, 0)
-            case VSum(layer, left, right):
-                sl = self.sort_of(depth, left, span)
-                sr = self.sort_of(depth, right, span)
-                return Sort(layer, max(sl.level, sr.level))
-            case VNeutral(_, _, anno):
-                if isinstance(anno, VUniv):
-                    return anno.sort
-                raise Diagnostic(NOT_A_TYPE, span, "not a type: unannotated neutral value")
-        raise Diagnostic(NOT_A_TYPE, span, "not a type")
 
     def ensure_type(self, ctx: Ctx, raw: parse.Raw) -> tuple[Term, Sort]:
         tm, ty = self.infer(ctx, raw)

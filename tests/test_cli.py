@@ -63,6 +63,22 @@ def test_json_diagnostics_shape():
     assert isinstance(diag["span"], list) and len(diag["span"]) == 2
 
 
+def test_non_utf8_input_is_a_coded_diagnostic(tmp_path):
+    src = tmp_path / "bad_bytes.tt"
+    src.write_bytes(b"\xff\xfe def")
+    for argv in (("check", str(src)), ("eval", str(src), "--term", "a")):
+        result = run_cli(*argv)
+        assert result.returncode == 1
+        assert "error[ENCODING]" in result.stderr
+        assert "Traceback" not in result.stderr
+        result = run_cli("--json-diagnostics", *argv)
+        assert result.returncode == 1
+        payloads = [json.loads(line) for line in result.stderr.splitlines()
+                    if line.startswith("{")]
+        assert [p["code"] for p in payloads] == ["ENCODING"]
+        assert payloads[0]["span"] == [0, 1]
+
+
 def test_diagnostic_format_is_file_line_col():
     result = run_cli("check", "stdlib/negative/unbound.tt")
     assert result.returncode == 1

@@ -2,8 +2,12 @@
 idempotence, eta laws, conversion as an equivalence relation, and the
 inertness of the built-in axioms."""
 
+import cProfile
+import pstats
+
 import pytest
 
+from conftest import REPO_ROOT
 from smallstep_oracle import normalize
 from termgen import TermGen
 
@@ -14,6 +18,7 @@ from tt2.core import (
 )
 from tt2.elab import Ctx, Elaborator, elaborate_signature
 from tt2.prelude import initial_signature
+from tt2.sstgen import GenPlan, gen_segal_scaffold
 
 EMPTY = Signature()
 
@@ -194,3 +199,20 @@ def test_nf_matches_printed_surface(base_sig, config):
     )
     printed = pretty.pretty(conv.nf(base_sig, Context(), term), base_sig)
     assert printed == "suc (suc zero)"
+
+
+def test_segal5_evaluation_work_is_bounded(config):
+    # Eliminating a neutral only extends its spine; computing its type
+    # there too made this elaboration evaluate about 180 000 times.
+    # Call counts are deterministic, unlike wall time.
+    equiv = (REPO_ROOT / "stdlib" / "equiv.tt").read_text(encoding="utf-8")
+    sig, diags = elaborate_signature(parse.parse_file(equiv), initial_signature(config), config)
+    assert not diags
+    decls = parse.parse_file(gen_segal_scaffold(GenPlan(5, emit=frozenset({"segal"}))))
+    profile = cProfile.Profile()
+    sig, diags = profile.runcall(elaborate_signature, decls, sig, config)
+    assert not diags
+    code = conv.evaluate.__code__
+    key = (code.co_filename, code.co_firstlineno, code.co_name)
+    calls = pstats.Stats(profile).stats[key][1]
+    assert calls < 40_000

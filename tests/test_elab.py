@@ -74,8 +74,8 @@ def test_unbound_and_hole(elab):
 
 def test_sort_of_rules(elab):
     def sort_of(src):
-        core_ty, _ = elab.ensure_type(Ctx(), parse.parse_term(src))
-        return elab.sort_of(0, conv.evaluate(elab.sig, (), core_ty))
+        _, sort = elab.ensure_type(Ctx(), parse.parse_term(src))
+        return sort
 
     assert sort_of("(x : Nat) -> Nat") == Sort(FIB, 0)
     assert sort_of("(x : Nat) -> NatS") == Sort(STRICT, 0)

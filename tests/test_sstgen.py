@@ -80,6 +80,12 @@ def test_sst_binder_counts_match_oracle(config, n):
         assert expected == 2 ** (k + 1) - 2
 
 
+def test_sst_level8_above_the_cap_rechecks(config):
+    # one huge nested Pi/Sigma type; scope checking must not hit the
+    # interpreter's recursion limit on it
+    assert recheck(config, gen_sst(GenPlan(8, cap=8))) == []
+
+
 def test_matching_telescope_level3_shape():
     entries = telescope_entries(3)
     assert len(entries) == 14
