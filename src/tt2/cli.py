@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import conv, core, parse, pretty
 from .delta import enumerate_mono
-from .diagnostics import Diagnostic, ENCODING
+from .diagnostics import DEPTH, Diagnostic, ENCODING
 from .elab import Config, elaborate_signature
 from .prelude import initial_signature
 from .sstgen import GenPlan, LevelCapExceeded, gen_segal_scaffold, gen_spine, gen_sst
@@ -177,8 +177,14 @@ def _cmd_eval(args, config: Config) -> int:
     if entry.body is None:
         print(f"tt2: {args.term!r} is a postulate and has no body", file=sys.stderr)
         return 1
-    normal = conv.nf(sig, core.Context(), entry.body)
-    print(pretty.pretty(normal, sig))
+    try:
+        text = pretty.pretty(conv.nf(sig, core.Context(), entry.body), sig)
+    except RecursionError:
+        span = next((d.span for d in decls if d.name == args.term), (0, 0))
+        diag = Diagnostic(DEPTH, span, f"the normal form of {args.term!r} nests too deeply to compute")
+        _emit_diagnostic(diag, source, args.file, config)
+        return 1
+    print(text)
     return 0
 
 

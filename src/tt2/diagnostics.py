@@ -18,8 +18,8 @@ HOLE = "HOLE"
 DUPLICATE = "DUPLICATE"
 SYNTAX = "SYNTAX"
 ILLEGAL_CHAR = "ILLEGAL_CHAR"
-LEVEL_CAP = "LEVEL_CAP"
 ENCODING = "ENCODING"
+DEPTH = "DEPTH"
 
 
 @dataclass

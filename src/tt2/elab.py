@@ -24,7 +24,7 @@ from .core import (
     sort_leq,
 )
 from .diagnostics import (
-    CANNOT_INFER, Diagnostic, DUPLICATE, FIBRANCY, HOLE, LEVEL,
+    CANNOT_INFER, DEPTH, Diagnostic, DUPLICATE, FIBRANCY, HOLE, LEVEL,
     NOT_A_TYPE, SORT_MISMATCH, Span, TYPE_MISMATCH, UNBOUND,
 )
 
@@ -493,4 +493,8 @@ def elaborate_signature(
             sig.add(SigEntry(decl.name, ty_core, body_core, kind))
         except Diagnostic as diag:
             diagnostics.append(diag)
+        except RecursionError:
+            diagnostics.append(Diagnostic(
+                DEPTH, decl.span, f"{decl.name!r} nests too deeply to check",
+            ))
     return sig, diagnostics

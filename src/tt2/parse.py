@@ -1,11 +1,23 @@
-"""Lexer and recursive-descent parser for the surface language.
+"""Lexer and precedence-climbing parser for the surface language.
+
+The lexer is one compiled regular expression: each match skips whitespace
+and ``--`` comments and then takes one token, named by the group that
+matched.  Nested ``{- -}`` comments are skipped by a depth-counting scan.
 
 Precedence, loosest to tightest: lambda bodies extend right, then ``->``
 (right associative), then the pair former ``×`` (right associative), then
-application (left associative), then atoms.  Built-in eliminators parse as
-saturated primaries: ``J`` takes five atomic arguments, ``natelim`` four,
-and so on, so partial application of a built-in is a parse-time arity
-decision rather than a typing one.
+application (left associative), then atoms.  The parser climbs these
+levels in one loop over an explicit stack of unfinished constructs:
+lambda binders, binder groups, left operands of ``->`` and ``×``,
+parentheses, applications and built-ins still short of arguments.  An
+operator closes the frames of tighter levels, and the end of a term closes
+all of its frames, so nesting depth costs list entries, not Python calls.
+
+Built-ins are the rows of ``_FORMERS``: keyword, raw class, layer and the
+number of atomic arguments.  They parse as saturated primaries (``J``
+takes five atoms, ``natelim`` four), so partial application of a built-in
+is a parse-time arity decision rather than a typing one.  The same table
+gives ``KEYWORDS`` and ``_ATOM_STARTERS``.
 """
 
 from __future__ import annotations
@@ -193,107 +205,138 @@ class RawDecl:
 
 
 # ---------------------------------------------------------------------------
+# Built-in formers
+
+# keyword: (raw class, layer or None where the layers share it, atomic arguments)
+_FORMERS: dict[str, tuple[type, Optional[Layer], int]] = {
+    "Unit": (RUnit, None, 0), "star": (RStar, None, 0), "zero": (RZero, None, 0),
+    "Nat": (RNat, FIB, 0), "NatS": (RNat, STRICT, 0),
+    "Empty": (REmpty, FIB, 0), "EmptyS": (REmpty, STRICT, 0),
+    "suc": (RSuc, None, 1), "fst": (RFst, None, 1), "snd": (RSnd, None, 1),
+    "inl": (RInl, None, 1), "inr": (RInr, None, 1),
+    "Sum": (RSum, FIB, 2), "SumS": (RSum, STRICT, 2),
+    "refl": (RRefl, FIB, 2), "reflS": (RRefl, STRICT, 2),
+    "exfalso": (REmptyElim, FIB, 2), "exfalsoS": (REmptyElim, STRICT, 2),
+    "Id": (RId, FIB, 3), "Eq": (RId, STRICT, 3),
+    "natelim": (RNatElim, FIB, 4), "natelimS": (RNatElim, STRICT, 4),
+    "sumelim": (RSumElim, FIB, 4), "sumelimS": (RSumElim, STRICT, 4),
+    "J": (RJ, FIB, 5), "JS": (RJ, STRICT, 5),
+}
+KEYWORDS = {"def", "postulate", *_FORMERS}
+_ATOM_STARTERS = {"IDENT", "UNIV", "LPAREN", "UNDERSCORE", *_FORMERS}
+_BINDERS = {"IDENT", "UNDERSCORE"}
+
+
+# ---------------------------------------------------------------------------
 # Lexer
 
-KEYWORDS = {
-    "def", "postulate",
-    "Unit", "star",
-    "Nat", "NatS", "zero", "suc", "natelim", "natelimS",
-    "Sum", "SumS", "inl", "inr", "sumelim", "sumelimS",
-    "Empty", "EmptyS", "exfalso", "exfalsoS",
-    "Id", "Eq", "refl", "reflS", "J", "JS",
-    "fst", "snd",
-}
+# Whitespace and line comments before a token.  A comment runs up to and
+# including its newline, so where no token follows, giving skipped text
+# back cannot turn part of a comment into a token.
+_SKIP = r"(?:[ \t\r\n]|--[^\n]*(?:\n|\Z))*"
+_TOKEN = re.compile(_SKIP + r"""(?:
+    (?P<BLOCK>\{-) | (?P<ASSIGN>:=) | (?P<ARROW>->)
+  | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,) | (?P<COLON>:) | (?P<DOT>\.)
+  | (?P<LAMBDA>[\\λ]) | (?P<TIMES>×) | (?P<UNDERSCORE>_)
+  | (?P<UNIV>U(?P<strict>S?)(?P<level>[0-9]+)(?![A-Za-z0-9_']))
+  | (?P<WORD>[A-Za-z][A-Za-z0-9_']*)
+  | (?P<EOF>\Z))""", re.VERBOSE)
+_NESTING = re.compile(r"\{-|-\}")
 
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
-_UNIV = re.compile(r"^U(S?)([0-9]+)$")
 
-
-@dataclass(frozen=True)
 class Token:
-    kind: str
-    text: str
-    span: Span
+    """A token: its kind (a punctuation name, a keyword, ``IDENT``,
+    ``UNIV`` or ``EOF``), its text and its span.  The ``value`` of a
+    ``UNIV`` token is its (layer, level)."""
+
+    __slots__ = ("kind", "text", "span", "value")
+
+    def __init__(self, kind: str, text: str, span: Span, value: Optional[tuple[Layer, int]] = None):
+        self.kind = kind
+        self.text = text
+        self.span = span
+        self.value = value
+
+    def __repr__(self) -> str:
+        return f"Token({self.kind!r}, {self.text!r}, {self.span!r})"
 
 
 def lex(source: str) -> list[Token]:
     """Tokenize; comments (`--` line, `{- -}` nested block) and whitespace
     are skipped.  Raises a Diagnostic on characters outside the grammar."""
     tokens: list[Token] = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if source.startswith("--", i):
-            nl = source.find("\n", i)
-            i = n if nl < 0 else nl + 1
-            continue
-        if source.startswith("{-", i):
-            depth, j = 1, i + 2
-            while j < n and depth:
-                if source.startswith("{-", j):
-                    depth, j = depth + 1, j + 2
-                elif source.startswith("-}", j):
-                    depth, j = depth - 1, j + 2
-                else:
-                    j += 1
-            if depth:
-                raise Diagnostic(SYNTAX, (i, n), "unterminated block comment")
-            i = j
-            continue
-        if source.startswith(":=", i):
-            tokens.append(Token("ASSIGN", ":=", (i, i + 2)))
-            i += 2
-            continue
-        if source.startswith("->", i):
-            tokens.append(Token("ARROW", "->", (i, i + 2)))
-            i += 2
-            continue
-        simple = {
-            "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ":": "COLON",
-            ".": "DOT", "\\": "LAMBDA", "λ": "LAMBDA", "×": "TIMES",
-        }
-        if c in simple:
-            tokens.append(Token(simple[c], c, (i, i + 1)))
-            i += 1
-            continue
-        if c == "_":
-            tokens.append(Token("UNDERSCORE", "_", (i, i + 1)))
-            i += 1
-            continue
-        m = _IDENT.match(source, i)
-        if m:
-            text = m.group(0)
-            span = (i, m.end())
-            if text in KEYWORDS:
-                tokens.append(Token(text, text, span))
-            elif _UNIV.match(text):
-                tokens.append(Token("UNIV", text, span))
-            else:
-                tokens.append(Token("IDENT", text, span))
-            i = m.end()
-            continue
-        raise Diagnostic(ILLEGAL_CHAR, (i, i + 1), f"illegal character {c!r}")
-    tokens.append(Token("EOF", "", (n, n)))
-    return tokens
+    i = 0
+    while True:
+        m = _TOKEN.match(source, i)
+        if m is None:
+            i = re.compile(_SKIP).match(source, i).end()
+            raise Diagnostic(ILLEGAL_CHAR, (i, i + 1), f"illegal character {source[i]!r}")
+        kind = m.lastgroup
+        start, i = m.span(kind)
+        if kind == "WORD":
+            text = source[start:i]
+            tokens.append(Token(text if text in KEYWORDS else "IDENT", text, (start, i)))
+        elif kind == "UNIV":
+            layer = STRICT if m.group("strict") else FIB
+            tokens.append(Token(kind, source[start:i], (start, i), (layer, int(m.group("level")))))
+        elif kind == "BLOCK":
+            depth = 1
+            while depth:
+                mark = _NESTING.search(source, i)
+                if mark is None:
+                    raise Diagnostic(SYNTAX, (start, len(source)), "unterminated block comment")
+                depth += 1 if mark.group() == "{-" else -1
+                i = mark.end()
+        else:
+            tokens.append(Token(kind, source[start:i], (start, i)))
+            if kind == "EOF":
+                return tokens
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
-_SATURATED_UNARY = {"suc": RSuc, "fst": RFst, "snd": RSnd, "inl": RInl, "inr": RInr}
-_LAYERED_NULLARY = {
-    "Nat": (RNat, FIB), "NatS": (RNat, STRICT),
-    "Empty": (REmpty, FIB), "EmptyS": (REmpty, STRICT),
-}
-_ATOM_STARTERS = {
-    "IDENT", "UNIV", "LPAREN", "UNDERSCORE", "Unit", "star", "zero",
-} | set(_SATURATED_UNARY) | set(_LAYERED_NULLARY) | {
-    "Sum", "SumS", "refl", "reflS", "Id", "Eq", "exfalso", "exfalsoS",
-    "natelim", "natelimS", "sumelim", "sumelimS", "J", "JS",
-}
+# Stack frames are (_PAREN, its token, terms before the last comma), (_GROUP,
+# names, earlier groups), (_BUILTIN, its token, arguments so far), (_APP,
+# function, None), (_LAM, its token, names), (_PI_GROUPS or _SIGMA_GROUPS,
+# groups, None) and (_ARROW or _TIMES, left operand, None).  Openers (from
+# _LAM on) end with their term; sigma-level ones also end at ``->``.
+_ROOT, _PAREN, _GROUP, _BUILTIN, _APP = range(5)
+_LAM, _PI_GROUPS, _ARROW, _SIGMA_GROUPS, _TIMES = range(5, 10)
+# What the term loop does next: start an operand, read an atom, or use one.
+_START, _ATOM, _DONE = range(3)
+
+
+def _fail(tok: Token, expected: str) -> Diagnostic:
+    found = repr(tok.text) if tok.text else "end of input"
+    return Diagnostic(SYNTAX, tok.span, f"expected {expected}, found {found}")
+
+
+def _group_colon(toks: list[Token], pos: int) -> int:
+    """The index of the ``:`` of a binder group opening at ``pos``, or 0."""
+    if toks[pos].kind != "LPAREN":
+        return 0
+    j = pos + 1
+    while toks[j].kind in _BINDERS:
+        j += 1
+    return j if j > pos + 1 and toks[j].kind == "COLON" else 0
+
+
+def _close(frame: tuple, body: Raw) -> Raw:
+    """Finish an opener frame with the term that follows it."""
+    tag, head, names = frame
+    if tag == _ARROW:
+        return RPi((head.span[0], body.span[1]), None, head, body)
+    if tag == _TIMES:
+        return RSigma((head.span[0], body.span[1]), None, head, body)
+    if tag == _LAM:
+        for name in reversed(names):
+            body = RLam((head.span[0], body.span[1]), name, body)
+        return body
+    former = RPi if tag == _PI_GROUPS else RSigma
+    for name, ty in reversed(head):
+        body = former((ty.span[0], body.span[1]), None if name == "_" else name, ty, body)
+    return body
 
 
 class _Parser:
@@ -301,27 +344,15 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> Token:
-        tok = self.peek()
-        self.pos += 1
-        return tok
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def expect(self, kind: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise Diagnostic(
-                SYNTAX, tok.span,
-                f"expected {kind}, found {tok.text!r}" if tok.text else f"expected {kind}, found end of input",
-            )
-        return self.next()
-
-    def fail(self, expected: str) -> Diagnostic:
-        tok = self.peek()
-        found = repr(tok.text) if tok.text else "end of input"
-        return Diagnostic(SYNTAX, tok.span, f"expected {expected}, found {found}")
+            raise _fail(tok, kind)
+        self.pos += 1
+        return tok
 
     # -- declarations -------------------------------------------------------
 
@@ -334,197 +365,164 @@ class _Parser:
     def parse_decl(self) -> RawDecl:
         tok = self.peek()
         if tok.kind not in ("def", "postulate"):
-            raise self.fail("'def' or 'postulate'")
-        self.next()
+            raise _fail(tok, "'def' or 'postulate'")
+        self.pos += 1
         name = self.expect("IDENT")
         telescope = []
         while self.peek().kind == "LPAREN":
-            for bname, ty in self.parse_binder_group():
-                telescope.append((bname, ty))
+            telescope.extend(self.parse_binder_group())
         self.expect("COLON")
-        result = self.parse_term()
+        result = self.term()
         body = None
         if tok.kind == "def":
             self.expect("ASSIGN")
-            body = self.parse_term()
+            body = self.term()
         end = self.tokens[self.pos - 1].span[1]
         return RawDecl(tok.kind, name.text, tuple(telescope), result, body, (tok.span[0], end))
 
     def parse_binder_group(self) -> list[tuple[str, Raw]]:
         self.expect("LPAREN")
         names = []
-        while self.peek().kind in ("IDENT", "UNDERSCORE"):
-            names.append(self.next().text)
+        while self.peek().kind in _BINDERS:
+            names.append(self.peek().text)
+            self.pos += 1
         if not names:
-            raise self.fail("binder name")
+            raise _fail(self.peek(), "binder name")
         self.expect("COLON")
-        ty = self.parse_term()
+        ty = self.term()
         self.expect("RPAREN")
         return [(name, ty) for name in names]
 
     # -- terms --------------------------------------------------------------
 
-    def parse_term(self) -> Raw:
-        if self.peek().kind == "LAMBDA":
-            return self.parse_lambda()
-        return self.parse_pi()
+    def term(self) -> Raw:
+        """Parse one term and stop at the first token that cannot extend it.
 
-    def parse_lambda(self) -> Raw:
-        start = self.expect("LAMBDA")
-        names = []
-        while self.peek().kind in ("IDENT", "UNDERSCORE"):
-            names.append(self.next().text)
-        if not names:
-            raise self.fail("lambda binder")
-        self.expect("DOT")
-        body = self.parse_term()
-        for name in reversed(names):
-            body = RLam((start.span[0], body.span[1]), name, body)
-        return body
-
-    def parse_pi(self) -> Raw:
-        left = self.parse_sigma()
-        if self.peek().kind == "ARROW":
-            self.next()
-            cod = self.parse_pi()
-            return RPi((left.span[0], cod.span[1]), None, left, cod)
-        return left
-
-    def _at_binder_group(self) -> bool:
-        if self.peek().kind != "LPAREN":
-            return False
-        i = 1
-        while self.peek(i).kind in ("IDENT", "UNDERSCORE"):
-            i += 1
-        return i > 1 and self.peek(i).kind == "COLON"
-
-    def parse_sigma(self) -> Raw:
-        if self._at_binder_group():
-            groups: list[tuple[str, Raw]] = []
-            while self._at_binder_group():
-                groups.extend(self.parse_binder_group())
-            tok = self.peek()
-            if tok.kind == "ARROW":
-                self.next()
-                cod = self.parse_pi()
-                for name, ty in reversed(groups):
-                    binder = None if name == "_" else name
-                    cod = RPi((ty.span[0], cod.span[1]), binder, ty, cod)
-                return cod
-            if tok.kind == "TIMES":
-                self.next()
-                snd = self.parse_sigma()
-                for name, ty in reversed(groups):
-                    binder = None if name == "_" else name
-                    snd = RSigma((ty.span[0], snd.span[1]), binder, ty, snd)
-                return snd
-            raise self.fail("'->' or '×' after binder")
-        left = self.parse_app()
-        if self.peek().kind == "TIMES":
-            self.next()
-            snd = self.parse_sigma()
-            return RSigma((left.span[0], snd.span[1]), None, left, snd)
-        return left
-
-    def parse_app(self) -> Raw:
-        fn = self.parse_atom()
-        while self.peek().kind in _ATOM_STARTERS:
-            arg = self.parse_atom()
-            fn = RApp((fn.span[0], arg.span[1]), fn, arg)
-        return fn
-
-    def _atoms(self, count: int, what: str) -> list[Raw]:
-        args = []
-        for _ in range(count):
-            if self.peek().kind not in _ATOM_STARTERS:
-                raise self.fail(f"argument of {what}")
-            args.append(self.parse_atom())
-        return args
-
-    def parse_atom(self) -> Raw:
-        tok = self.peek()
-        kind = tok.kind
-        if kind == "IDENT":
-            self.next()
-            return RVar(tok.span, tok.text)
-        if kind == "UNIV":
-            self.next()
-            m = _UNIV.match(tok.text)
-            assert m
-            layer = STRICT if m.group(1) else FIB
-            return RUniv(tok.span, layer, int(m.group(2)))
-        if kind == "UNDERSCORE":
-            self.next()
-            return RHole(tok.span)
-        if kind == "Unit":
-            self.next()
-            return RUnit(tok.span)
-        if kind == "star":
-            self.next()
-            return RStar(tok.span)
-        if kind == "zero":
-            self.next()
-            return RZero(tok.span)
-        if kind in _LAYERED_NULLARY:
-            self.next()
-            ctor, layer = _LAYERED_NULLARY[kind]
-            return ctor(tok.span, layer)
-        if kind in _SATURATED_UNARY:
-            self.next()
-            (arg,) = self._atoms(1, kind)
-            return _SATURATED_UNARY[kind]((tok.span[0], arg.span[1]), arg)
-        if kind in ("Sum", "SumS"):
-            self.next()
-            left, right = self._atoms(2, kind)
-            return RSum((tok.span[0], right.span[1]), FIB if kind == "Sum" else STRICT, left, right)
-        if kind in ("refl", "reflS"):
-            self.next()
-            ty, arg = self._atoms(2, kind)
-            return RRefl((tok.span[0], arg.span[1]), FIB if kind == "refl" else STRICT, ty, arg)
-        if kind in ("Id", "Eq"):
-            self.next()
-            ty, lhs, rhs = self._atoms(3, kind)
-            return RId((tok.span[0], rhs.span[1]), FIB if kind == "Id" else STRICT, ty, lhs, rhs)
-        if kind in ("exfalso", "exfalsoS"):
-            self.next()
-            motive, scrut = self._atoms(2, kind)
-            return REmptyElim((tok.span[0], scrut.span[1]), FIB if kind == "exfalso" else STRICT, motive, scrut)
-        if kind in ("natelim", "natelimS"):
-            self.next()
-            motive, zcase, scase, scrut = self._atoms(4, kind)
-            layer = FIB if kind == "natelim" else STRICT
-            return RNatElim((tok.span[0], scrut.span[1]), layer, motive, zcase, scase, scrut)
-        if kind in ("sumelim", "sumelimS"):
-            self.next()
-            motive, lcase, rcase, scrut = self._atoms(4, kind)
-            layer = FIB if kind == "sumelim" else STRICT
-            return RSumElim((tok.span[0], scrut.span[1]), layer, motive, lcase, rcase, scrut)
-        if kind in ("J", "JS"):
-            self.next()
-            motive, base, lhs, rhs, proof = self._atoms(5, kind)
-            layer = FIB if kind == "J" else STRICT
-            return RJ((tok.span[0], proof.span[1]), layer, motive, base, lhs, rhs, proof)
-        if kind == "LPAREN":
-            self.next()
-            inner = self.parse_term()
-            if self.peek().kind == "COMMA":
-                parts = [inner]
-                while self.peek().kind == "COMMA":
-                    self.next()
-                    parts.append(self.parse_term())
-                close = self.expect("RPAREN")
-                pair = parts[-1]
-                for part in reversed(parts[:-1]):
-                    pair = RPair((tok.span[0], close.span[1]), part, pair)
-                return pair
-            self.expect("RPAREN")
-            return inner
-        raise self.fail("a term")
+        One loop over an explicit stack: a frame is pushed for each
+        construct still waiting for a subterm and popped when that subterm
+        ends, so no nesting costs a Python call."""
+        toks = self.tokens
+        pos = self.pos
+        stack: list[tuple] = [(_ROOT, None, None)]
+        state, lam_ok = _START, True  # lambdas start only terms, not operands
+        while True:
+            if state == _START:
+                tok = toks[pos]
+                if tok.kind == "LAMBDA" and lam_ok:
+                    pos += 1
+                    names = []
+                    while toks[pos].kind in _BINDERS:
+                        names.append(toks[pos].text)
+                        pos += 1
+                    if not names:
+                        raise _fail(toks[pos], "lambda binder")
+                    if toks[pos].kind != "DOT":
+                        raise _fail(toks[pos], "DOT")
+                    pos += 1
+                    stack.append((_LAM, tok, names))
+                    continue
+                colon = _group_colon(toks, pos)
+                if colon:
+                    stack.append((_GROUP, [t.text for t in toks[pos + 1:colon]], []))
+                    pos, lam_ok = colon + 1, True
+                    continue
+                state = _ATOM
+            if state == _ATOM:
+                tok = toks[pos]
+                kind = tok.kind
+                pos += 1
+                if kind == "IDENT":
+                    val = RVar(tok.span, tok.text)
+                elif kind == "LPAREN":
+                    stack.append((_PAREN, tok, []))
+                    state, lam_ok = _START, True
+                    continue
+                elif kind in _FORMERS:
+                    cls, layer, arity = _FORMERS[kind]
+                    if arity:
+                        stack.append((_BUILTIN, tok, []))
+                        if toks[pos].kind not in _ATOM_STARTERS:
+                            raise _fail(toks[pos], f"argument of {kind}")
+                        continue
+                    val = cls(tok.span) if layer is None else cls(tok.span, layer)
+                elif kind == "UNIV":
+                    val = RUniv(tok.span, *tok.value)
+                elif kind == "UNDERSCORE":
+                    val = RHole(tok.span)
+                else:
+                    raise _fail(tok, "a term")
+                state = _DONE
+            # An atom has ended: it is a built-in's argument, an argument in
+            # an application, or the head of an application.
+            tag, head, args = stack[-1]
+            if tag == _BUILTIN:
+                args.append(val)
+                cls, layer, arity = _FORMERS[head.kind]
+                if len(args) < arity:
+                    if toks[pos].kind not in _ATOM_STARTERS:
+                        raise _fail(toks[pos], f"argument of {head.kind}")
+                    state = _ATOM
+                    continue
+                stack.pop()
+                span = (head.span[0], val.span[1])
+                val = cls(span, *args) if layer is None else cls(span, layer, *args)
+                continue
+            if tag == _APP:
+                stack.pop()
+                val = RApp((head.span[0], val.span[1]), head, val)
+            kind = toks[pos].kind
+            if kind in _ATOM_STARTERS:
+                stack.append((_APP, val, None))
+                state = _ATOM
+                continue
+            # The application has ended: it is an operand of ``×`` or ``->``.
+            if kind == "TIMES" or kind == "ARROW":
+                if kind == "ARROW":
+                    while stack[-1][0] >= _SIGMA_GROUPS:
+                        val = _close(stack.pop(), val)
+                stack.append((_TIMES if kind == "TIMES" else _ARROW, val, None))
+                pos += 1
+                state, lam_ok = _START, False
+                continue
+            # The term has ended: close its openers, then the frame it is in.
+            while stack[-1][0] >= _LAM:
+                val = _close(stack.pop(), val)
+            tag, head, parts = stack.pop()
+            if tag == _ROOT:
+                self.pos = pos
+                return val
+            if tag == _PAREN and kind == "COMMA":
+                parts.append(val)
+                stack.append((tag, head, parts))
+                pos += 1
+                state, lam_ok = _START, True
+                continue
+            close = toks[pos]
+            if kind != "RPAREN":
+                raise _fail(close, "RPAREN")
+            pos += 1
+            if tag == _PAREN:
+                for part in reversed(parts):
+                    val = RPair((head.span[0], close.span[1]), part, val)
+                continue
+            # A binder group: more groups may follow, then ``->`` or ``×``.
+            parts.extend((name, val) for name in head)
+            colon = _group_colon(toks, pos)
+            if colon:
+                stack.append((_GROUP, [t.text for t in toks[pos + 1:colon]], parts))
+                pos, state, lam_ok = colon + 1, _START, True
+                continue
+            kind = toks[pos].kind
+            if kind != "ARROW" and kind != "TIMES":
+                raise _fail(toks[pos], "'->' or '×' after binder")
+            stack.append((_PI_GROUPS if kind == "ARROW" else _SIGMA_GROUPS, parts, None))
+            pos += 1
+            state, lam_ok = _START, False
 
 
 def parse_term(source: str) -> Raw:
     parser = _Parser(lex(source))
-    term = parser.parse_term()
+    term = parser.term()
     parser.expect("EOF")
     return term
 

@@ -20,15 +20,34 @@ def _wrap(text: str, needed: bool) -> str:
     return f"({text})" if needed else text
 
 
-def _occurs(t: Term, index: int) -> bool:
-    if isinstance(t, core.Var):
-        return t.index == index
-    return any(_occurs(getattr(t, name), index + off) for name, off in t.SUB)
+def _dependent_binders(t: Term) -> set[int]:
+    """The ids of the Π and Σ nodes in ``t`` whose bound variable occurs in
+    their codomain or second component, found in one walk of ``t``."""
+    found: set[int] = set()
+    # owners[k] binds the k-th variable in scope, outermost first; None
+    # stands for a binder other than a Π or Σ.  A node's walk entry keeps
+    # the scope length of its parent and the binders it adds to it.
+    owners: list = []
+    stack = [(t, 0, None, 0)]
+    while stack:
+        t, outer, owner, count = stack.pop()
+        del owners[outer:]
+        owners.extend((owner,) * count)
+        if isinstance(t, core.Var):
+            if t.index < len(owners) and owners[-1 - t.index] is not None:
+                found.add(id(owners[-1 - t.index]))
+            continue
+        binder = t if isinstance(t, (core.Pi, core.Sigma)) else None
+        scope = len(owners)
+        for name, off in t.SUB:
+            stack.append((getattr(t, name), scope, binder if off else None, off))
+    return found
 
 
 class _CorePrinter:
-    def __init__(self, avoid: set[str]):
+    def __init__(self, avoid: set[str], dependent: set[int]):
         self.avoid = avoid
+        self.dependent = dependent
         self.counter = 0
 
     def fresh_name(self) -> str:
@@ -49,7 +68,7 @@ class _CorePrinter:
             case core.Univ(sort):
                 return str(sort)
             case core.Pi(dom, cod):
-                if _occurs(cod, 0):
+                if id(t) in self.dependent:
                     x = self.fresh_name()
                     body = self.show(cod, names + (x,), TERM)
                     out = f"({x} : {self.show(dom, names, TERM)}) -> {body}"
@@ -64,7 +83,7 @@ class _CorePrinter:
                 out = f"{self.show(fn, names, APP)} {self.show(arg, names, ATOM)}"
                 return _wrap(out, prec > APP)
             case core.Sigma(fst, snd):
-                if _occurs(snd, 0):
+                if id(t) in self.dependent:
                     x = self.fresh_name()
                     body = self.show(snd, names + (x,), SIGMA)
                     out = f"({x} : {self.show(fst, names, TERM)}) × {body}"
@@ -149,7 +168,7 @@ def pretty(t: Term, sig: Optional[Signature] = None,
     signature-level names."""
     avoid = set(sig.entries) if sig is not None else set()
     avoid.update(names)
-    return _CorePrinter(avoid).show(t, names, TERM)
+    return _CorePrinter(avoid, _dependent_binders(t)).show(t, names, TERM)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,36 @@ def test_non_utf8_input_is_a_coded_diagnostic(tmp_path):
         assert payloads[0]["span"] == [0, 1]
 
 
+def test_too_deep_input_is_a_coded_diagnostic(tmp_path):
+    src = tmp_path / "deep.tt"
+    src.write_text("def n : Nat := " + "suc (" * 5000 + "zero" + ")" * 5000 + "\n")
+    result = run_cli("check", str(src))
+    assert result.returncode == 1
+    assert "error[DEPTH]" in result.stderr
+    assert "Traceback" not in result.stderr
+    result = run_cli("--json-diagnostics", "check", str(src))
+    assert result.returncode == 1
+    payloads = [json.loads(line) for line in result.stderr.splitlines()
+                if line.startswith("{")]
+    assert [p["code"] for p in payloads] == ["DEPTH"]
+    assert payloads[0]["span"][0] == 0
+
+
+def test_eval_of_a_long_definition_chain_never_crashes(tmp_path):
+    src = tmp_path / "chain.tt"
+    lines = ["def n0 : Nat := zero"]
+    lines += [f"def n{i} : Nat := suc n{i - 1}" for i in range(1, 1201)]
+    src.write_text("\n".join(lines) + "\n")
+    for flags in ((), ("--json-diagnostics",)):
+        result = run_cli(*flags, "eval", str(src), "--term", "n1200")
+        assert "Traceback" not in result.stderr
+        if result.returncode == 0:
+            assert result.stdout == "suc (" * 1199 + "suc zero" + ")" * 1199 + "\n"
+        else:
+            assert result.returncode == 1
+            assert "DEPTH" in result.stderr
+
+
 def test_diagnostic_format_is_file_line_col():
     result = run_cli("check", "stdlib/negative/unbound.tt")
     assert result.returncode == 1

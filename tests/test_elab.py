@@ -4,7 +4,8 @@ print-reparse-recheck stability of elaborated cores."""
 
 import pytest
 
-from tt2 import conv, parse, pretty
+from termgen import TermGen
+from tt2 import conv, core, parse, pretty
 from tt2.core import FIB, Lam, Nat, Pi, Sort, STRICT, Star, Univ, Var, Zero
 from tt2.diagnostics import Diagnostic
 from tt2.elab import Config, Ctx, Elaborator, elaborate_signature
@@ -228,6 +229,37 @@ def test_elaboration_is_deterministic(config, manifest):
         return "\n".join(lines)
 
     assert one_round() == one_round()
+
+
+def _occurs(t, index):
+    """Whether variable ``index`` occurs in ``t``: the printer's reference."""
+    if isinstance(t, Var):
+        return t.index == index
+    return any(_occurs(getattr(t, name), index + off) for name, off in t.SUB)
+
+
+def test_printer_binder_choice_matches_naive_occurrence(config, manifest):
+    sig = initial_signature(config)
+    for entry in manifest.accept_entries():
+        sig, diags = elaborate_signature(parse.parse_file(manifest.source(entry)), sig, config)
+        assert not diags
+    terms = [t for e in sig.entries.values() for t in (e.ty, e.body) if t is not None]
+    gen = TermGen(11)
+    for _ in range(200):
+        terms.extend(gen.sample(40))
+    checked = dependent = 0
+    for term in terms:
+        found = pretty._dependent_binders(term)
+        stack = [term]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, (core.Pi, core.Sigma)):
+                body = t.cod if isinstance(t, core.Pi) else t.snd
+                assert (id(t) in found) == _occurs(body, 0)
+                checked += 1
+                dependent += id(t) in found
+            stack.extend(getattr(t, name) for name, _ in t.SUB)
+    assert checked > dependent > 100
 
 
 def test_printed_core_rechecks_to_identical_core(config, manifest):

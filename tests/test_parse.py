@@ -1,13 +1,17 @@
 """Surface syntax: token streams, grammar shape, totality on noise, and
 the printer fixed point over the corpus."""
 
+import cProfile
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tt2 import parse
 from tt2.diagnostics import Diagnostic
+from tt2.elab import elaborate_signature
 from tt2.parse import lex, parse_file, parse_term
+from tt2.prelude import prelude_source
 from tt2.pretty import pretty_raw_file
 
 
@@ -150,3 +154,63 @@ def test_print_parse_print_fixed_point_on_corpus(manifest):
         printed = pretty_raw_file(parse_file(source))
         reprinted = pretty_raw_file(parse_file(printed))
         assert printed == reprinted, f"printer not a fixed point on {entry.path}"
+
+
+_PIECES = [
+    "def", "postulate", "x", "f'", "a_1", "U0", "US2", "U", "U0x", "Nat", "NatS",
+    "suc", "zero", "J", "natelim", "Sum", "refl", "Eq", "fst", "star", "Unit",
+    "(", ")", ",", ":", ":=", "->", "×", "\\", "λ", ".", "_",
+    " ", "\n", "\t", "\r", "-- c\n", "--", "{-", "-}", "{- c -}",
+]
+_JUNK = ["@", "#", "é", "{", "}", "-", "\x0b", "\x00", "\ufffd", "λx"]
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES + _JUNK), max_size=40).map("".join))
+def test_front_end_is_total(source):
+    try:
+        tokens = lex(source)
+    except Diagnostic as diag:
+        assert diag.code in ("SYNTAX", "ILLEGAL_CHAR")
+    else:
+        assert tokens[-1].kind == "EOF" and tokens[-1].span == (len(source), len(source))
+        for tok in tokens[:-1]:
+            assert source[tok.span[0]:tok.span[1]] == tok.text != ""
+        for before, after in zip(tokens, tokens[1:]):
+            assert before.span[1] <= after.span[0] and before.span[0] < after.span[0]
+    try:
+        decls = parse_file(source)
+    except Diagnostic as diag:
+        assert diag.code in ("SYNTAX", "ILLEGAL_CHAR")
+    else:
+        assert all(isinstance(d, parse.RawDecl) for d in decls)
+
+
+def test_parse_work_per_token_is_bounded(config):
+    # Call counts are deterministic, unlike wall time.  The recursive-descent
+    # parser and per-character lexer made 24.1 calls per prelude token.
+    # getstats() counts per code object; pstats would merge the generated
+    # __init__ of every dataclass into one entry and drop the other counts.
+    source = prelude_source(config)
+    profile = cProfile.Profile()
+    profile.runcall(parse_file, source)
+    calls = sum(entry.callcount for entry in profile.getstats())
+    assert calls <= 10 * len(lex(source))
+
+
+def test_nesting_depth_costs_no_recursion():
+    depth = 20_000
+    t = parse_term("(" * depth + "x" + ")" * depth)
+    assert isinstance(t, parse.RVar) and t.span == (depth, depth + 1)
+    t = parse_term("suc " * depth + "zero")
+    assert isinstance(t, parse.RSuc) and t.span == (0, 4 * depth + 4)
+    t = parse_term("A -> " * depth + "A")
+    assert isinstance(t, parse.RPi) and t.span[1] == 5 * depth + 1
+    t = parse_term("\\x. (y : A) × (" * depth + "x" + ")" * depth)
+    assert isinstance(t, parse.RLam) and isinstance(t.body, parse.RSigma)
+
+
+def test_150_nested_successors_check(config, base_sig):
+    source = "def n : Nat := " + "suc (" * 150 + "zero" + ")" * 150
+    _, diags = elaborate_signature(parse_file(source), base_sig, config)
+    assert not diags
