@@ -291,7 +291,8 @@ def is_scope_closed(t: Term, depth: int = 0) -> bool:
             if t.index >= depth:
                 return False
         else:
-            stack.extend((getattr(t, name), depth + off) for name, off in t.SUB)
+            for name, off in t.SUB:
+                stack.append((getattr(t, name), depth + off))
     return True
 
 

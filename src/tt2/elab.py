@@ -47,19 +47,17 @@ class Ctx:
     types: tuple[Value, ...] = ()
     env: tuple[Value, ...] = ()
 
-    @property
-    def depth(self) -> int:
-        return len(self.env)
-
     def extend(self, name: Optional[str], ty: Value) -> "Ctx":
-        var = conv.fresh(self.depth)
+        var = conv.fresh(len(self.env))
         return Ctx(self.names + (name,), self.types + (ty,), self.env + (var,))
 
     def lookup(self, name: str) -> Optional[tuple[int, Value]]:
-        for i in range(len(self.names) - 1, -1, -1):
-            if self.names[i] == name:
-                return len(self.names) - 1 - i, self.types[i]
-        return None
+        """The de Bruijn index and type of the innermost binder of ``name``."""
+        try:
+            index = self.names[::-1].index(name)
+        except ValueError:
+            return None
+        return index, self.types[~index]
 
 
 _FIBRANT_ELIMS = {"J", "natelim", "sumelim", "exfalso"}
@@ -89,12 +87,9 @@ class Elaborator:
     def join(self, a: Sort, b: Sort) -> Sort:
         return sort_join(a, b, self.config.collapse_fibrant_universes)
 
-    def eval(self, ctx: Ctx, t: Term) -> Value:
-        return evaluate(self.sig, ctx.env, t)
-
     def _show(self, ctx: Ctx, v: Value) -> str:
         names = tuple(n if n is not None else "_" for n in ctx.names)
-        return pretty.pretty(conv.quote(self.sig, ctx.depth, v), self.sig, names)
+        return pretty.pretty(conv.quote(self.sig, len(ctx.env), v), self.sig, names)
 
     def _universe_sort(self, layer: Layer, level: int, span: Span) -> Sort:
         if not 0 <= level < self.config.universes:
@@ -139,123 +134,126 @@ class Elaborator:
     # -- inference ----------------------------------------------------------
 
     def infer(self, ctx: Ctx, raw: parse.Raw) -> tuple[Term, Value]:
-        match raw:
-            case parse.RVar(span, name):
-                hit = ctx.lookup(name)
-                if hit is not None:
-                    index, ty = hit
-                    return core.Var(index), ty
-                entry = self.sig.lookup(name)
-                if entry is not None:
-                    return core.Const(name), conv.const_type_value(self.sig, name)
-                raise Diagnostic(UNBOUND, span, f"unbound name {name!r}")
-            case parse.RUniv(span, layer, level):
-                sort = self._universe_sort(layer, level, span)
-                return core.Univ(sort), VUniv(self._successor_sort(sort, span))
-            case parse.RPi(_, binder, dom, cod):
-                dom_core, s1 = self.ensure_type(ctx, dom)
-                inner = ctx.extend(binder, self.eval(ctx, dom_core))
-                cod_core, s2 = self.ensure_type(inner, cod)
-                return core.Pi(dom_core, cod_core), VUniv(self.join(s1, s2))
-            case parse.RSigma(_, binder, fst, snd):
-                fst_core, s1 = self.ensure_type(ctx, fst)
-                inner = ctx.extend(binder, self.eval(ctx, fst_core))
-                snd_core, s2 = self.ensure_type(inner, snd)
-                return core.Sigma(fst_core, snd_core), VUniv(self.join(s1, s2))
-            case parse.RLam(span, _, _):
-                raise Diagnostic(CANNOT_INFER, span, "cannot infer the type of a bare lambda")
-            case parse.RPair(span, _, _):
-                raise Diagnostic(CANNOT_INFER, span, "cannot infer the type of a bare pair")
-            case parse.RApp(span, fn, arg):
-                fn_core, fn_ty = self.infer(ctx, fn)
-                if not isinstance(fn_ty, VPi):
-                    raise Diagnostic(
-                        TYPE_MISMATCH, span,
-                        f"expected a function, but this has type {self._show(ctx, fn_ty)}",
-                    )
-                arg_core = self.check(ctx, arg, fn_ty.dom)
-                result = fn_ty.cod.apply(self.sig, self.eval(ctx, arg_core))
-                return core.App(fn_core, arg_core), result
-            case parse.RFst(span, pair):
-                pair_core, pair_ty = self.infer(ctx, pair)
-                if not isinstance(pair_ty, VSigma):
-                    raise Diagnostic(
-                        TYPE_MISMATCH, span,
-                        f"expected a pair, but this has type {self._show(ctx, pair_ty)}",
-                    )
-                return core.Fst(pair_core), pair_ty.fst
-            case parse.RSnd(span, pair):
-                pair_core, pair_ty = self.infer(ctx, pair)
-                if not isinstance(pair_ty, VSigma):
-                    raise Diagnostic(
-                        TYPE_MISMATCH, span,
-                        f"expected a pair, but this has type {self._show(ctx, pair_ty)}",
-                    )
-                fst_v = conv.do_fst(self.sig, self.eval(ctx, pair_core))
-                return core.Snd(pair_core), pair_ty.snd.apply(self.sig, fst_v)
-            case parse.RUnit(_):
-                return core.Unit(), VUniv(Sort(FIB, 0))
-            case parse.RStar(_):
-                return core.Star(), VUnit()
-            case parse.RNat(span, layer):
-                return core.Nat(layer), VUniv(self._universe_sort(layer, 0, span))
-            case parse.REmpty(span, layer):
-                return core.Empty(layer), VUniv(self._universe_sort(layer, 0, span))
-            case parse.RZero(span) | parse.RSuc(span, _):
+        cls = raw.__class__
+        if cls is parse.RVar:
+            name = raw.name
+            hit = ctx.lookup(name)
+            if hit is not None:
+                index, ty = hit
+                return core.Var(index), ty
+            if self.sig.lookup(name) is not None:
+                return core.Const(name), conv.const_type_value(self.sig, name)
+            raise Diagnostic(UNBOUND, raw.span, f"unbound name {name!r}")
+        if cls is parse.RApp:
+            fn_core, fn_ty = self.infer(ctx, raw.fn)
+            if fn_ty.__class__ is not VPi:
                 raise Diagnostic(
-                    CANNOT_INFER, span,
-                    "cannot infer the layer of a bare numeral; check it against "
-                    "Nat or NatS",
+                    TYPE_MISMATCH, raw.span,
+                    f"expected a function, but this has type {self._show(ctx, fn_ty)}",
                 )
-            case parse.RInl(span, _) | parse.RInr(span, _):
+            arg_core = self.check(ctx, raw.arg, fn_ty.dom)
+            result = fn_ty.cod.apply(self.sig, evaluate(self.sig, ctx.env, arg_core))
+            return core.App(fn_core, arg_core), result
+        if cls is parse.RPi:
+            dom_core, s1 = self.ensure_type(ctx, raw.dom)
+            inner = ctx.extend(raw.binder, evaluate(self.sig, ctx.env, dom_core))
+            cod_core, s2 = self.ensure_type(inner, raw.cod)
+            return core.Pi(dom_core, cod_core), VUniv(self.join(s1, s2))
+        if cls is parse.RSigma:
+            fst_core, s1 = self.ensure_type(ctx, raw.fst)
+            inner = ctx.extend(raw.binder, evaluate(self.sig, ctx.env, fst_core))
+            snd_core, s2 = self.ensure_type(inner, raw.snd)
+            return core.Sigma(fst_core, snd_core), VUniv(self.join(s1, s2))
+        if cls is parse.RId:
+            layer = raw.layer
+            ty_core, s = self.ensure_type(ctx, raw.ty)
+            if layer is FIB and s.layer is not FIB:
                 raise Diagnostic(
-                    CANNOT_INFER, span,
-                    "cannot infer the type of a bare injection",
+                    SORT_MISMATCH, raw.span,
+                    f"fibrant equality requires a fibrant type, got sort {s}",
                 )
-            case parse.RSum(span, layer, left, right):
-                left_core, sl = self.ensure_type(ctx, left)
-                right_core, sr = self.ensure_type(ctx, right)
-                if layer is FIB and (sl.layer is not FIB or sr.layer is not FIB):
-                    bad = sl if sl.layer is not FIB else sr
-                    raise Diagnostic(
-                        SORT_MISMATCH, span,
-                        f"fibrant sums need fibrant summands, got sort {bad}",
-                    )
-                sort = Sort(layer, max(sl.level, sr.level))
-                return core.Sum(layer, left_core, right_core), VUniv(sort)
-            case parse.RId(span, layer, ty, lhs, rhs):
-                ty_core, s = self.ensure_type(ctx, ty)
-                if layer is FIB and s.layer is not FIB:
-                    raise Diagnostic(
-                        SORT_MISMATCH, span,
-                        f"fibrant equality requires a fibrant type, got sort {s}",
-                    )
-                ty_v = self.eval(ctx, ty_core)
-                lhs_core = self.check(ctx, lhs, ty_v)
-                rhs_core = self.check(ctx, rhs, ty_v)
-                return core.Id(layer, ty_core, lhs_core, rhs_core), VUniv(Sort(layer, s.level))
-            case parse.RRefl(span, layer, ty, arg):
-                ty_core, s = self.ensure_type(ctx, ty)
-                if layer is FIB and s.layer is not FIB:
-                    raise Diagnostic(
-                        SORT_MISMATCH, span,
-                        f"fibrant equality requires a fibrant type, got sort {s}",
-                    )
-                ty_v = self.eval(ctx, ty_core)
-                arg_core = self.check(ctx, arg, ty_v)
-                arg_v = self.eval(ctx, arg_core)
-                return core.Refl(layer, ty_core, arg_core), VId(layer, ty_v, arg_v, arg_v)
-            case parse.RJ(span, layer, motive, base, lhs, rhs, proof):
-                return self._infer_j(ctx, raw)
-            case parse.RNatElim(_, _, _, _, _, _):
-                return self._infer_natelim(ctx, raw)
-            case parse.RSumElim(_, _, _, _, _, _):
-                return self._infer_sumelim(ctx, raw)
-            case parse.REmptyElim(_, _, _, _):
-                return self._infer_emptyelim(ctx, raw)
-            case parse.RHole(span):
-                raise Diagnostic(HOLE, span, "holes are not supported; write the term explicitly")
-        raise core.InternalError(f"infer: unhandled raw {type(raw).__name__}")
+            ty_v = evaluate(self.sig, ctx.env, ty_core)
+            lhs_core = self.check(ctx, raw.lhs, ty_v)
+            rhs_core = self.check(ctx, raw.rhs, ty_v)
+            return core.Id(layer, ty_core, lhs_core, rhs_core), VUniv(Sort(layer, s.level))
+        if cls is parse.RUniv:
+            sort = self._universe_sort(raw.layer, raw.level, raw.span)
+            return core.Univ(sort), VUniv(self._successor_sort(sort, raw.span))
+        if cls is parse.RSnd:
+            pair_core, pair_ty = self.infer(ctx, raw.arg)
+            if pair_ty.__class__ is not VSigma:
+                raise Diagnostic(
+                    TYPE_MISMATCH, raw.span,
+                    f"expected a pair, but this has type {self._show(ctx, pair_ty)}",
+                )
+            fst_v = conv.do_fst(self.sig, evaluate(self.sig, ctx.env, pair_core))
+            return core.Snd(pair_core), pair_ty.snd.apply(self.sig, fst_v)
+        if cls is parse.RRefl:
+            layer = raw.layer
+            ty_core, s = self.ensure_type(ctx, raw.ty)
+            if layer is FIB and s.layer is not FIB:
+                raise Diagnostic(
+                    SORT_MISMATCH, raw.span,
+                    f"fibrant equality requires a fibrant type, got sort {s}",
+                )
+            ty_v = evaluate(self.sig, ctx.env, ty_core)
+            arg_core = self.check(ctx, raw.arg, ty_v)
+            arg_v = evaluate(self.sig, ctx.env, arg_core)
+            return core.Refl(layer, ty_core, arg_core), VId(layer, ty_v, arg_v, arg_v)
+        if cls is parse.RFst:
+            pair_core, pair_ty = self.infer(ctx, raw.arg)
+            if pair_ty.__class__ is not VSigma:
+                raise Diagnostic(
+                    TYPE_MISMATCH, raw.span,
+                    f"expected a pair, but this has type {self._show(ctx, pair_ty)}",
+                )
+            return core.Fst(pair_core), pair_ty.fst
+        if cls is parse.RJ:
+            return self._infer_j(ctx, raw)
+        if cls is parse.RNat:
+            return core.Nat(raw.layer), VUniv(self._universe_sort(raw.layer, 0, raw.span))
+        if cls is parse.RUnit:
+            return core.Unit(), VUniv(Sort(FIB, 0))
+        if cls is parse.RStar:
+            return core.Star(), VUnit()
+        if cls is parse.RSum:
+            layer = raw.layer
+            left_core, sl = self.ensure_type(ctx, raw.left)
+            right_core, sr = self.ensure_type(ctx, raw.right)
+            if layer is FIB and (sl.layer is not FIB or sr.layer is not FIB):
+                bad = sl if sl.layer is not FIB else sr
+                raise Diagnostic(
+                    SORT_MISMATCH, raw.span,
+                    f"fibrant sums need fibrant summands, got sort {bad}",
+                )
+            sort = Sort(layer, max(sl.level, sr.level))
+            return core.Sum(layer, left_core, right_core), VUniv(sort)
+        if cls is parse.RNatElim:
+            return self._infer_natelim(ctx, raw)
+        if cls is parse.RSumElim:
+            return self._infer_sumelim(ctx, raw)
+        if cls is parse.REmptyElim:
+            return self._infer_emptyelim(ctx, raw)
+        if cls is parse.REmpty:
+            return core.Empty(raw.layer), VUniv(self._universe_sort(raw.layer, 0, raw.span))
+        if cls is parse.RZero or cls is parse.RSuc:
+            raise Diagnostic(
+                CANNOT_INFER, raw.span,
+                "cannot infer the layer of a bare numeral; check it against "
+                "Nat or NatS",
+            )
+        if cls is parse.RInl or cls is parse.RInr:
+            raise Diagnostic(
+                CANNOT_INFER, raw.span,
+                "cannot infer the type of a bare injection",
+            )
+        if cls is parse.RLam:
+            raise Diagnostic(CANNOT_INFER, raw.span, "cannot infer the type of a bare lambda")
+        if cls is parse.RPair:
+            raise Diagnostic(CANNOT_INFER, raw.span, "cannot infer the type of a bare pair")
+        if cls is parse.RHole:
+            raise Diagnostic(HOLE, raw.span, "holes are not supported; write the term explicitly")
+        raise core.InternalError(f"infer: unhandled raw {cls.__name__}")
 
     def _infer_j(self, ctx: Ctx, raw: parse.RJ) -> tuple[Term, Value]:
         kw = "J" if raw.layer is FIB else "JS"
@@ -269,15 +267,15 @@ class Elaborator:
             )
         ty_v = proof_ty.ty
         lhs_core = self.check(ctx, raw.lhs, ty_v)
-        lhs_v = self.eval(ctx, lhs_core)
-        if not conv.convert(self.sig, ctx.depth, lhs_v, proof_ty.lhs, ty_v):
+        lhs_v = evaluate(self.sig, ctx.env, lhs_core)
+        if not conv.convert(self.sig, len(ctx.env), lhs_v, proof_ty.lhs, ty_v):
             raise Diagnostic(
                 TYPE_MISMATCH, raw.lhs.span,
                 f"{kw}: stated left endpoint does not match the proof's endpoint",
             )
         rhs_core = self.check(ctx, raw.rhs, ty_v)
-        rhs_v = self.eval(ctx, rhs_core)
-        if not conv.convert(self.sig, ctx.depth, rhs_v, proof_ty.rhs, ty_v):
+        rhs_v = evaluate(self.sig, ctx.env, rhs_core)
+        if not conv.convert(self.sig, len(ctx.env), rhs_v, proof_ty.rhs, ty_v):
             raise Diagnostic(
                 TYPE_MISMATCH, raw.rhs.span,
                 f"{kw}: stated right endpoint does not match the proof's endpoint",
@@ -298,7 +296,7 @@ class Elaborator:
         refl_v = VRefl(raw.layer, ty_v, lhs_v)
         base_expected = motive_cl.apply(self.sig, lhs_v, refl_v)
         base_core = self.check(ctx, raw.base, base_expected)
-        proof_v = self.eval(ctx, proof_core)
+        proof_v = evaluate(self.sig, ctx.env, proof_core)
         result = motive_cl.apply(self.sig, rhs_v, proof_v)
         term = core.J(raw.layer, motive_core, base_core, lhs_core, rhs_core, proof_core)
         return term, result
@@ -322,7 +320,7 @@ class Elaborator:
         )
         scase_expected = motive_cl.apply(self.sig, VSuc(raw.layer, pred_var))
         scase_core = self.check(step2, sbody, scase_expected)
-        scrut_v = self.eval(ctx, scrut_core)
+        scrut_v = evaluate(self.sig, ctx.env, scrut_core)
         result = motive_cl.apply(self.sig, scrut_v)
         term = core.NatElim(raw.layer, motive_core, zcase_core, scase_core, scrut_core)
         return term, result
@@ -355,7 +353,7 @@ class Elaborator:
         rcase_core = self.check(
             rctx, rbody, motive_cl.apply(self.sig, VInr(raw.layer, rvar))
         )
-        scrut_v = self.eval(ctx, scrut_core)
+        scrut_v = evaluate(self.sig, ctx.env, scrut_core)
         term = core.SumElim(raw.layer, motive_core, lcase_core, rcase_core, scrut_core)
         return term, motive_cl.apply(self.sig, scrut_v)
 
@@ -369,74 +367,65 @@ class Elaborator:
             raise Diagnostic(NOT_A_TYPE, mbody.span, f"the motive of {kw} must produce a type")
         check_elim(kw, raw.layer, motive_ty.sort, raw.motive.span)
         motive_cl = Closure(ctx.env, motive_core)
-        scrut_v = self.eval(ctx, scrut_core)
+        scrut_v = evaluate(self.sig, ctx.env, scrut_core)
         term = core.EmptyElim(raw.layer, motive_core, scrut_core)
         return term, motive_cl.apply(self.sig, scrut_v)
 
     # -- checking -----------------------------------------------------------
 
     def check(self, ctx: Ctx, raw: parse.Raw, expected: Value) -> Term:
-        match raw:
-            case parse.RLam(span, binder, body):
-                if not isinstance(expected, VPi):
-                    raise Diagnostic(
-                        TYPE_MISMATCH, span,
-                        f"lambda checked against non-function type "
-                        f"{self._show(ctx, expected)}",
-                    )
-                inner = ctx.extend(None if binder == "_" else binder, expected.dom)
-                var = inner.env[-1]
-                body_core = self.check(inner, body, expected.cod.apply(self.sig, var))
-                return core.Lam(body_core)
-            case parse.RPair(span, fst, snd):
-                if not isinstance(expected, VSigma):
-                    raise Diagnostic(
-                        TYPE_MISMATCH, span,
-                        f"pair checked against non-pair type {self._show(ctx, expected)}",
-                    )
-                fst_core = self.check(ctx, fst, expected.fst)
-                fst_v = self.eval(ctx, fst_core)
-                snd_core = self.check(ctx, snd, expected.snd.apply(self.sig, fst_v))
-                return core.Pair(fst_core, snd_core)
-            case parse.RZero(span):
-                if isinstance(expected, VNat):
-                    return core.Zero(expected.layer)
+        cls = raw.__class__
+        if cls is parse.RLam:
+            if expected.__class__ is not VPi:
                 raise Diagnostic(
-                    TYPE_MISMATCH, span,
+                    TYPE_MISMATCH, raw.span,
+                    f"lambda checked against non-function type "
+                    f"{self._show(ctx, expected)}",
+                )
+            binder = raw.binder
+            inner = ctx.extend(None if binder == "_" else binder, expected.dom)
+            var = inner.env[-1]
+            body_core = self.check(inner, raw.body, expected.cod.apply(self.sig, var))
+            return core.Lam(body_core)
+        if cls is parse.RPair:
+            if expected.__class__ is not VSigma:
+                raise Diagnostic(
+                    TYPE_MISMATCH, raw.span,
+                    f"pair checked against non-pair type {self._show(ctx, expected)}",
+                )
+            fst_core = self.check(ctx, raw.fst, expected.fst)
+            fst_v = evaluate(self.sig, ctx.env, fst_core)
+            snd_core = self.check(ctx, raw.snd, expected.snd.apply(self.sig, fst_v))
+            return core.Pair(fst_core, snd_core)
+        if cls is parse.RSuc or cls is parse.RZero:
+            if expected.__class__ is not VNat:
+                raise Diagnostic(
+                    TYPE_MISMATCH, raw.span,
                     f"numeral checked against {self._show(ctx, expected)}",
                 )
-            case parse.RSuc(span, pred):
-                if isinstance(expected, VNat):
-                    return core.Suc(expected.layer, self.check(ctx, pred, expected))
+            if cls is parse.RZero:
+                return core.Zero(expected.layer)
+            return core.Suc(expected.layer, self.check(ctx, raw.pred, expected))
+        if cls is parse.RInl or cls is parse.RInr:
+            if expected.__class__ is not VSum:
                 raise Diagnostic(
-                    TYPE_MISMATCH, span,
-                    f"numeral checked against {self._show(ctx, expected)}",
-                )
-            case parse.RInl(span, arg):
-                if isinstance(expected, VSum):
-                    return core.Inl(expected.layer, self.check(ctx, arg, expected.left))
-                raise Diagnostic(
-                    TYPE_MISMATCH, span,
+                    TYPE_MISMATCH, raw.span,
                     f"injection checked against {self._show(ctx, expected)}",
                 )
-            case parse.RInr(span, arg):
-                if isinstance(expected, VSum):
-                    return core.Inr(expected.layer, self.check(ctx, arg, expected.right))
-                raise Diagnostic(
-                    TYPE_MISMATCH, span,
-                    f"injection checked against {self._show(ctx, expected)}",
-                )
-            case parse.RHole(span):
-                raise Diagnostic(HOLE, span, "holes are not supported; write the term explicitly")
+            if cls is parse.RInl:
+                return core.Inl(expected.layer, self.check(ctx, raw.arg, expected.left))
+            return core.Inr(expected.layer, self.check(ctx, raw.arg, expected.right))
+        if cls is parse.RHole:
+            raise Diagnostic(HOLE, raw.span, "holes are not supported; write the term explicitly")
         term, got = self.infer(ctx, raw)
-        if isinstance(got, VUniv) and isinstance(expected, VUniv):
+        if got.__class__ is VUniv and expected.__class__ is VUniv:
             if self.subsume(got.sort, expected.sort):
                 return term
             raise Diagnostic(
                 SORT_MISMATCH, raw.span,
                 f"universe {got.sort} is not contained in {expected.sort}",
             )
-        if conv.convert_type(self.sig, ctx.depth, got, expected):
+        if got is expected or conv.convert_type(self.sig, len(ctx.env), got, expected):
             return term
         raise Diagnostic(
             TYPE_MISMATCH, raw.span,

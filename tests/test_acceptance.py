@@ -2,12 +2,10 @@
 with its measured numbers.  Run with ``pytest -s tests/test_acceptance.py``
 to see the lines as they go by."""
 
-import subprocess
-import sys
 import time
 
-from conftest import REPO_ROOT
 from smallstep_oracle import normalize
+from test_cli import run_cli
 from termgen import TermGen
 
 from tt2 import conv, parse
@@ -19,15 +17,6 @@ from tt2.delta import (
 from tt2.elab import elaborate_signature
 from tt2.prelude import initial_signature
 from tt2.sstgen import GenPlan, gen_sst
-
-
-def run_cli(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "tt2", *argv],
-        capture_output=True, text=True, cwd=REPO_ROOT,
-        env={"PATH": "/usr/bin:/bin", "TT2_COLOR": "0",
-             "PYTHONPATH": str(REPO_ROOT / "src")},
-    )
 
 
 def test_acceptance_1_corpus_checks(manifest):

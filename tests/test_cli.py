@@ -14,7 +14,8 @@ def run_cli(*argv, cwd=REPO_ROOT):
         [sys.executable, "-m", "tt2", *argv],
         capture_output=True, text=True, cwd=cwd,
         env={"PATH": "/usr/bin:/bin", "TT2_COLOR": "0",
-             "PYTHONPATH": str(REPO_ROOT / "src")},
+             "PYTHONPATH": str(REPO_ROOT / "src"),
+             "PYTHONDONTWRITEBYTECODE": "1"},
     )
 
 
@@ -107,6 +108,18 @@ def test_eval_of_a_long_definition_chain_never_crashes(tmp_path):
         else:
             assert result.returncode == 1
             assert "DEPTH" in result.stderr
+
+
+def test_eval_of_deeply_nested_successors_prints_the_normal_form(tmp_path):
+    # Elaboration, evaluation, read-back and printing each recurse once per
+    # nesting level; 900 levels stay under the default recursion limit
+    # only if none of them spends a second frame per level.
+    depth = 900
+    src = tmp_path / "deep.tt"
+    src.write_text("def n : Nat := " + "suc (" * depth + "zero" + ")" * depth + "\n")
+    result = run_cli("eval", str(src), "--term", "n")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "suc (" * (depth - 1) + "suc zero" + ")" * (depth - 1) + "\n"
 
 
 def test_diagnostic_format_is_file_line_col():

@@ -3,7 +3,6 @@ idempotence, eta laws, conversion as an equivalence relation, and the
 inertness of the built-in axioms."""
 
 import cProfile
-import pstats
 
 import pytest
 
@@ -18,7 +17,7 @@ from tt2.core import (
 )
 from tt2.elab import Ctx, Elaborator, elaborate_signature
 from tt2.prelude import initial_signature
-from tt2.sstgen import GenPlan, gen_segal_scaffold
+from tt2.sstgen import GenPlan, gen_segal_scaffold, gen_sst
 
 EMPTY = Signature()
 
@@ -134,10 +133,29 @@ def test_eta_positive_cases(config, lhs, rhs, ty):
 
 
 def test_convert_is_reflexive_on_random_terms(sample_terms):
+    # Two evaluations of one term share no value object, so conversion has
+    # to walk them instead of stopping at ``a is b``.
     for term, ty in sample_terms:
-        v = conv.evaluate(EMPTY, (), term)
+        a = conv.evaluate(EMPTY, (), term)
+        b = conv.evaluate(EMPTY, (), term)
         ty_v = conv.evaluate(EMPTY, (), ty)
-        assert conv.convert(EMPTY, 0, v, v, ty_v)
+        assert conv.convert(EMPTY, 0, a, b, ty_v)
+
+
+def test_convert_is_reflexive_on_corpus_signature(config, manifest):
+    sig = initial_signature(config)
+    for entry in manifest.accept_entries():
+        sig, diags = elaborate_signature(parse.parse_file(manifest.source(entry)), sig, config)
+        assert not diags
+    for name, entry in sig.entries.items():
+        # Dropping the unfolding cache makes the second evaluation build
+        # every value again, unfolded constants included.
+        sig.body_values.clear()
+        a = conv.evaluate(sig, (), entry.ty)
+        sig.body_values.clear()
+        b = conv.evaluate(sig, (), entry.ty)
+        assert a is not b
+        assert conv.convert_type(sig, 0, a, b), name
 
 
 def test_convert_symmetric_transitive_on_corpus(sample_terms):
@@ -212,7 +230,21 @@ def test_segal5_evaluation_work_is_bounded(config):
     profile = cProfile.Profile()
     sig, diags = profile.runcall(elaborate_signature, decls, sig, config)
     assert not diags
-    code = conv.evaluate.__code__
-    key = (code.co_filename, code.co_firstlineno, code.co_name)
-    calls = pstats.Stats(profile).stats[key][1]
-    assert calls < 40_000
+    assert _calls(profile, conv.evaluate) < 40_000
+
+
+def test_sst6_conversion_work_is_bounded(config):
+    # A variable's value is shared by reference, so most spine arguments
+    # compared here are one object on both sides; conversion stops at
+    # ``a is b`` instead of walking them (about 2 500 calls without that).
+    decls = parse.parse_file(gen_sst(GenPlan(6)))
+    profile = cProfile.Profile()
+    _, diags = profile.runcall(elaborate_signature, decls, initial_signature(config), config)
+    assert not diags
+    assert _calls(profile, conv._convert_spine) < 1_000
+
+
+def _calls(profile, fn):
+    # Keyed by code object: pstats keys (file, line, name) collide for the
+    # methods dataclasses generates.
+    return sum(e.callcount for e in profile.getstats() if e.code is fn.__code__)

@@ -53,6 +53,8 @@ def test_infer_fibrant_equality_of_universes(elab):
 
 def test_check_lambda_and_pair(elab):
     assert check(elab, "\\x. x", "Nat -> Nat") == Lam(Var(0))
+    # a name resolves to its innermost binder
+    assert check(elab, "\\x x. x", "Nat -> Unit -> Unit") == Lam(Lam(Var(0)))
     core_pair = check(elab, "(zero , star)", "(n : Nat) × Unit")
     assert core_pair.fst == Zero(FIB)
 
