@@ -17,30 +17,30 @@ Two rules keep the walkers cheap:
   built, and environments hand out a variable's value by reference, so
   the two sides of a comparison are often one object.  Conversion is
   reflexive on every value form, so ``a is b`` implies convertible and the
-  conversions return at once.
+  conversions return at once.  The code keeps this rule: values, frames
+  and closures are ``Node`` records not declared frozen (see ``core``),
+  so building one stores its slots directly.
 - Walkers dispatch on the exact class of the node (``cls is VPi``), with
   the most frequent classes first, and cost one Python frame per nesting
-  level.  That holds for ``evaluate``, ``quote`` and the conversions here
-  and for ``infer`` and ``check`` in ``elab``; a second frame per level
-  (a table of per-class functions, say) would halve the nesting depth
-  that fits under the recursion limit.
+  level.  That holds for ``evaluate``, ``quote`` and the conversions here,
+  for ``infer`` and ``check`` in ``elab`` and for the core printer in
+  ``pretty``; a second frame per level (a table of per-class functions,
+  say) would halve the nesting depth that fits under the recursion limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from . import core
 from .core import (
     App, Const, Context, Empty, EmptyElim, Fst, Id, InternalError, J,
-    Lam, Layer, Nat, NatElim, Pair, Pi, Refl, Signature, Snd, Sort,
+    Lam, Layer, Nat, NatElim, Node, Pair, Pi, Refl, Signature, Snd, Sort,
     Star, Suc, Sum, SumElim, Inl, Inr, Term, Unit, Univ, Var, Zero,
 )
 
 
-@dataclass(slots=True)
-class Closure:
+class Closure(Node):
     """A core body (binding one or two variables) paired with its
     captured environment."""
 
@@ -54,50 +54,41 @@ class Closure:
         return evaluate(sig, self.env + args, self.body)
 
 
-@dataclass(slots=True)
-class Value:
+class Value(Node):
     pass
 
 
-@dataclass(slots=True)
 class VUniv(Value):
     sort: Sort
 
 
-@dataclass(slots=True)
 class VPi(Value):
     dom: Value
     cod: Closure
 
 
-@dataclass(slots=True)
 class VLam(Value):
     body: Closure
 
 
-@dataclass(slots=True)
 class VSigma(Value):
     fst: Value
     snd: Closure
 
 
-@dataclass(slots=True)
 class VPair(Value):
     fst: Value
     snd: Value
 
 
-@dataclass(slots=True)
 class VUnit(Value):
     pass
 
 
-@dataclass(slots=True)
 class VStar(Value):
     pass
 
 
-@dataclass(slots=True)
 class VId(Value):
     layer: Layer
     ty: Value
@@ -105,105 +96,88 @@ class VId(Value):
     rhs: Value
 
 
-@dataclass(slots=True)
 class VRefl(Value):
     layer: Layer
     ty: Value
     arg: Value
 
 
-@dataclass(slots=True)
 class VNat(Value):
     layer: Layer
 
 
-@dataclass(slots=True)
 class VZero(Value):
     layer: Layer
 
 
-@dataclass(slots=True)
 class VSuc(Value):
     layer: Layer
     pred: Value
 
 
-@dataclass(slots=True)
 class VSum(Value):
     layer: Layer
     left: Value
     right: Value
 
 
-@dataclass(slots=True)
 class VInl(Value):
     layer: Layer
     arg: Value
 
 
-@dataclass(slots=True)
 class VInr(Value):
     layer: Layer
     arg: Value
 
 
-@dataclass(slots=True)
 class VEmpty(Value):
     layer: Layer
 
 
-@dataclass(frozen=True, slots=True)
-class VarHead:
+class VarHead(Node, frozen=True):
     level: int
 
 
-@dataclass(frozen=True, slots=True)
-class ConstHead:
+class ConstHead(Node, frozen=True):
     name: str
 
 
 Head = Union[VarHead, ConstHead]
 
 
-@dataclass(slots=True)
-class FApp:
+class FApp(Node):
     arg: Value
 
 
-@dataclass(slots=True)
-class FFst:
+class FFst(Node):
     pass
 
 
-@dataclass(slots=True)
-class FSnd:
+class FSnd(Node):
     pass
 
 
-@dataclass(slots=True)
-class FNatElim:
+class FNatElim(Node):
     layer: Layer
     motive: Closure
     zcase: Value
     scase: Closure
 
 
-@dataclass(slots=True)
-class FSumElim:
+class FSumElim(Node):
     layer: Layer
     motive: Closure
     lcase: Closure
     rcase: Closure
 
 
-@dataclass(slots=True)
-class FEmptyElim:
+class FEmptyElim(Node):
     layer: Layer
     motive: Closure
 
 
-@dataclass(slots=True)
-class FJ:
+class FJ(Node):
     layer: Layer
     motive: Closure
     base: Value
@@ -214,7 +188,6 @@ class FJ:
 Frame = Union[FApp, FFst, FSnd, FNatElim, FSumElim, FEmptyElim, FJ]
 
 
-@dataclass(slots=True)
 class VNeutral(Value):
     head: Head
     spine: tuple[Frame, ...]

@@ -7,9 +7,10 @@ self-contained and carry the error code they must fail with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
+
+from .core import Node
 
 # Top-level declaration counts for the accept files, cross-checked by the
 # corpus tests after elaboration.
@@ -29,8 +30,7 @@ EXPECTED_DEFINITIONS = {
 }
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(Node, frozen=True):
     path: str
     outcome: str  # "accept" | "reject"
     code: Optional[str]
@@ -41,8 +41,7 @@ class CorpusEntry:
         return self.outcome == "accept"
 
 
-@dataclass(frozen=True)
-class CorpusManifest:
+class CorpusManifest(Node, frozen=True):
     root: Path
     entries: tuple[CorpusEntry, ...]
 

@@ -8,17 +8,17 @@ is a strictly increasing list of k+1 values below n+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+
+from .core import Node
 
 
 class DomainMismatch(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class MonoMap:
+class MonoMap(Node, frozen=True):
     dom: int
     cod: int
     images: tuple[int, ...]
@@ -84,8 +84,7 @@ def recompose(dom: int, cod: int, faces: list[int]) -> MonoMap:
     return acc
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Node, frozen=True):
     """A face of the n-simplex boundary, named by its vertex set."""
 
     vertices: tuple[int, ...]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .core import Node
 
 
 Span = tuple[int, int]
@@ -22,19 +22,14 @@ ENCODING = "ENCODING"
 DEPTH = "DEPTH"
 
 
-@dataclass
-class Diagnostic(Exception):
+class Diagnostic(Node, Exception):
     code: str
     span: Span
     message: str
-    notes: list[str] = field(default_factory=list)
 
     def render(self, source: str, filename: str = "<input>") -> str:
         line, col = offset_to_line_col(source, self.span[0])
-        out = f"{filename}:{line}:{col}: error[{self.code}]: {self.message}"
-        for note in self.notes:
-            out += f"\n  note: {note}"
-        return out
+        return f"{filename}:{line}:{col}: error[{self.code}]: {self.message}"
 
     def to_json(self) -> dict:
         return {"code": self.code, "span": list(self.span), "message": self.message}

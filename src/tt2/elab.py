@@ -11,7 +11,6 @@ large-eliminate into the fibrant universes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import conv, core, parse, pretty
@@ -20,8 +19,8 @@ from .conv import (
     VUniv, VUnit, VZero, VInl, VInr, Value, evaluate,
 )
 from .core import (
-    DeclKind, FIB, Layer, SigEntry, Signature, Sort, Term, sort_join,
-    sort_leq,
+    DeclKind, FIB, Layer, Node, SigEntry, Signature, Sort, Term,
+    sort_join, sort_leq,
 )
 from .diagnostics import (
     CANNOT_INFER, DEPTH, Diagnostic, DUPLICATE, FIBRANCY, HOLE, LEVEL,
@@ -29,8 +28,7 @@ from .diagnostics import (
 )
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(Node, frozen=True):
     universes: int = 3
     collapse_fibrant_universes: bool = False
     json_diagnostics: bool = False
@@ -41,8 +39,7 @@ class Config:
             raise ValueError("at least one universe level is required")
 
 
-@dataclass(frozen=True)
-class Ctx:
+class Ctx(Node, frozen=True):
     names: tuple[Optional[str], ...] = ()
     types: tuple[Value, ...] = ()
     env: tuple[Value, ...] = ()

@@ -23,10 +23,9 @@ gives ``KEYWORDS`` and ``_ATOM_STARTERS``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import FIB, STRICT, Layer
+from .core import FIB, STRICT, Layer, Node
 from .diagnostics import Diagnostic, ILLEGAL_CHAR, SYNTAX, Span
 
 
@@ -34,90 +33,74 @@ from .diagnostics import Diagnostic, ILLEGAL_CHAR, SYNTAX, Span
 # Raw terms
 
 
-@dataclass(frozen=True)
-class Raw:
-    span: Span = field(compare=False)
+class Raw(Node, frozen=True, uncompared=("span",)):
+    span: Span
 
 
-@dataclass(frozen=True)
 class RVar(Raw):
     name: str
 
 
-@dataclass(frozen=True)
 class RUniv(Raw):
     layer: Layer
     level: int
 
 
-@dataclass(frozen=True)
 class RPi(Raw):
     binder: Optional[str]
     dom: Raw
     cod: Raw
 
 
-@dataclass(frozen=True)
 class RSigma(Raw):
     binder: Optional[str]
     fst: Raw
     snd: Raw
 
 
-@dataclass(frozen=True)
 class RLam(Raw):
     binder: str
     body: Raw
 
 
-@dataclass(frozen=True)
 class RApp(Raw):
     fn: Raw
     arg: Raw
 
 
-@dataclass(frozen=True)
 class RPair(Raw):
     fst: Raw
     snd: Raw
 
 
-@dataclass(frozen=True)
 class RFst(Raw):
     arg: Raw
 
 
-@dataclass(frozen=True)
 class RSnd(Raw):
     arg: Raw
 
 
-@dataclass(frozen=True)
 class RUnit(Raw):
     pass
 
 
-@dataclass(frozen=True)
 class RStar(Raw):
     pass
 
 
-@dataclass(frozen=True)
 class RNat(Raw):
     layer: Layer
 
 
-@dataclass(frozen=True)
 class RZero(Raw):
     pass
 
 
-@dataclass(frozen=True)
 class RSuc(Raw):
     pred: Raw
 
 
-@dataclass(frozen=True)
 class RNatElim(Raw):
     layer: Layer
     motive: Raw
@@ -126,24 +109,20 @@ class RNatElim(Raw):
     scrut: Raw
 
 
-@dataclass(frozen=True)
 class RSum(Raw):
     layer: Layer
     left: Raw
     right: Raw
 
 
-@dataclass(frozen=True)
 class RInl(Raw):
     arg: Raw
 
 
-@dataclass(frozen=True)
 class RInr(Raw):
     arg: Raw
 
 
-@dataclass(frozen=True)
 class RSumElim(Raw):
     layer: Layer
     motive: Raw
@@ -152,19 +131,16 @@ class RSumElim(Raw):
     scrut: Raw
 
 
-@dataclass(frozen=True)
 class REmpty(Raw):
     layer: Layer
 
 
-@dataclass(frozen=True)
 class REmptyElim(Raw):
     layer: Layer
     motive: Raw
     scrut: Raw
 
 
-@dataclass(frozen=True)
 class RId(Raw):
     layer: Layer
     ty: Raw
@@ -172,14 +148,12 @@ class RId(Raw):
     rhs: Raw
 
 
-@dataclass(frozen=True)
 class RRefl(Raw):
     layer: Layer
     ty: Raw
     arg: Raw
 
 
-@dataclass(frozen=True)
 class RJ(Raw):
     layer: Layer
     motive: Raw
@@ -189,13 +163,11 @@ class RJ(Raw):
     proof: Raw
 
 
-@dataclass(frozen=True)
 class RHole(Raw):
     pass
 
 
-@dataclass(frozen=True)
-class RawDecl:
+class RawDecl(Node, frozen=True):
     kind: str  # "def" | "postulate"
     name: str
     telescope: tuple[tuple[str, Raw], ...]

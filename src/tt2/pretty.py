@@ -33,11 +33,12 @@ def _dependent_binders(t: Term) -> set[int]:
         t, outer, owner, count = stack.pop()
         del owners[outer:]
         owners.extend((owner,) * count)
-        if isinstance(t, core.Var):
+        cls = t.__class__
+        if cls is core.Var:
             if t.index < len(owners) and owners[-1 - t.index] is not None:
                 found.add(id(owners[-1 - t.index]))
             continue
-        binder = t if isinstance(t, (core.Pi, core.Sigma)) else None
+        binder = t if cls is core.Pi or cls is core.Sigma else None
         scope = len(owners)
         for name, off in t.SUB:
             stack.append((getattr(t, name), scope, binder if off else None, off))
@@ -58,101 +59,101 @@ class _CorePrinter:
                 return name
 
     def show(self, t: Term, names: tuple[str, ...], prec: int) -> str:
-        match t:
-            case core.Var(index):
-                if index >= len(names):
-                    return f"?v{index - len(names)}"
-                return names[len(names) - 1 - index]
-            case core.Const(name):
-                return name
-            case core.Univ(sort):
-                return str(sort)
-            case core.Pi(dom, cod):
-                if id(t) in self.dependent:
-                    x = self.fresh_name()
-                    body = self.show(cod, names + (x,), TERM)
-                    out = f"({x} : {self.show(dom, names, TERM)}) -> {body}"
-                else:
-                    out = f"{self.show(dom, names, SIGMA)} -> {self.show(cod, names + ('_',), TERM)}"
-                return _wrap(out, prec > TERM)
-            case core.Lam(body):
+        cls = t.__class__
+        if cls is core.Var:
+            if t.index >= len(names):
+                return f"?v{t.index - len(names)}"
+            return names[len(names) - 1 - t.index]
+        if cls is core.Const:
+            return t.name
+        if cls is core.Univ:
+            return str(t.sort)
+        if cls is core.Pi:
+            if id(t) in self.dependent:
                 x = self.fresh_name()
-                out = f"\\{x}. {self.show(body, names + (x,), TERM)}"
-                return _wrap(out, prec > TERM)
-            case core.App(fn, arg):
-                out = f"{self.show(fn, names, APP)} {self.show(arg, names, ATOM)}"
-                return _wrap(out, prec > APP)
-            case core.Sigma(fst, snd):
-                if id(t) in self.dependent:
-                    x = self.fresh_name()
-                    body = self.show(snd, names + (x,), SIGMA)
-                    out = f"({x} : {self.show(fst, names, TERM)}) × {body}"
-                else:
-                    out = f"{self.show(fst, names, APP)} × {self.show(snd, names + ('_',), SIGMA)}"
-                return _wrap(out, prec > SIGMA)
-            case core.Pair(fst, snd):
-                return f"({self.show(fst, names, TERM)} , {self.show(snd, names, TERM)})"
-            case core.Fst(pair):
-                return _wrap(f"fst {self.show(pair, names, ATOM)}", prec > APP)
-            case core.Snd(pair):
-                return _wrap(f"snd {self.show(pair, names, ATOM)}", prec > APP)
-            case core.Unit():
-                return "Unit"
-            case core.Star():
-                return "star"
-            case core.Id(layer, ty, lhs, rhs):
-                kw = "Id" if layer is FIB else "Eq"
-                out = f"{kw} {self.show(ty, names, ATOM)} {self.show(lhs, names, ATOM)} {self.show(rhs, names, ATOM)}"
-                return _wrap(out, prec > APP)
-            case core.Refl(layer, ty, arg):
-                kw = "refl" if layer is FIB else "reflS"
-                out = f"{kw} {self.show(ty, names, ATOM)} {self.show(arg, names, ATOM)}"
-                return _wrap(out, prec > APP)
-            case core.J(layer, motive, base, lhs, rhs, proof):
-                kw = "J" if layer is FIB else "JS"
-                m = self._binder(motive, names, 2)
-                parts = [
-                    kw, m,
-                    self.show(base, names, ATOM), self.show(lhs, names, ATOM),
-                    self.show(rhs, names, ATOM), self.show(proof, names, ATOM),
-                ]
-                return _wrap(" ".join(parts), prec > APP)
-            case core.Nat(layer):
-                return "Nat" if layer is FIB else "NatS"
-            case core.Zero(_):
-                return "zero"
-            case core.Suc(_, pred):
-                return _wrap(f"suc {self.show(pred, names, ATOM)}", prec > APP)
-            case core.NatElim(layer, motive, zcase, scase, scrut):
-                kw = "natelim" if layer is FIB else "natelimS"
-                parts = [
-                    kw, self._binder(motive, names, 1),
-                    self.show(zcase, names, ATOM), self._binder(scase, names, 2),
-                    self.show(scrut, names, ATOM),
-                ]
-                return _wrap(" ".join(parts), prec > APP)
-            case core.Sum(layer, left, right):
-                kw = "Sum" if layer is FIB else "SumS"
-                out = f"{kw} {self.show(left, names, ATOM)} {self.show(right, names, ATOM)}"
-                return _wrap(out, prec > APP)
-            case core.Inl(_, arg):
-                return _wrap(f"inl {self.show(arg, names, ATOM)}", prec > APP)
-            case core.Inr(_, arg):
-                return _wrap(f"inr {self.show(arg, names, ATOM)}", prec > APP)
-            case core.SumElim(layer, motive, lcase, rcase, scrut):
-                kw = "sumelim" if layer is FIB else "sumelimS"
-                parts = [
-                    kw, self._binder(motive, names, 1),
-                    self._binder(lcase, names, 1), self._binder(rcase, names, 1),
-                    self.show(scrut, names, ATOM),
-                ]
-                return _wrap(" ".join(parts), prec > APP)
-            case core.Empty(layer):
-                return "Empty" if layer is FIB else "EmptyS"
-            case core.EmptyElim(layer, motive, scrut):
-                kw = "exfalso" if layer is FIB else "exfalsoS"
-                parts = [kw, self._binder(motive, names, 1), self.show(scrut, names, ATOM)]
-                return _wrap(" ".join(parts), prec > APP)
+                body = self.show(t.cod, names + (x,), TERM)
+                out = f"({x} : {self.show(t.dom, names, TERM)}) -> {body}"
+            else:
+                out = f"{self.show(t.dom, names, SIGMA)} -> {self.show(t.cod, names + ('_',), TERM)}"
+            return _wrap(out, prec > TERM)
+        if cls is core.Lam:
+            x = self.fresh_name()
+            out = f"\\{x}. {self.show(t.body, names + (x,), TERM)}"
+            return _wrap(out, prec > TERM)
+        if cls is core.App:
+            out = f"{self.show(t.fn, names, APP)} {self.show(t.arg, names, ATOM)}"
+            return _wrap(out, prec > APP)
+        if cls is core.Sigma:
+            if id(t) in self.dependent:
+                x = self.fresh_name()
+                body = self.show(t.snd, names + (x,), SIGMA)
+                out = f"({x} : {self.show(t.fst, names, TERM)}) × {body}"
+            else:
+                out = f"{self.show(t.fst, names, APP)} × {self.show(t.snd, names + ('_',), SIGMA)}"
+            return _wrap(out, prec > SIGMA)
+        if cls is core.Pair:
+            return f"({self.show(t.fst, names, TERM)} , {self.show(t.snd, names, TERM)})"
+        if cls is core.Fst:
+            return _wrap(f"fst {self.show(t.pair, names, ATOM)}", prec > APP)
+        if cls is core.Snd:
+            return _wrap(f"snd {self.show(t.pair, names, ATOM)}", prec > APP)
+        if cls is core.Unit:
+            return "Unit"
+        if cls is core.Star:
+            return "star"
+        if cls is core.Id:
+            kw = "Id" if t.layer is FIB else "Eq"
+            out = f"{kw} {self.show(t.ty, names, ATOM)} {self.show(t.lhs, names, ATOM)} {self.show(t.rhs, names, ATOM)}"
+            return _wrap(out, prec > APP)
+        if cls is core.Refl:
+            kw = "refl" if t.layer is FIB else "reflS"
+            out = f"{kw} {self.show(t.ty, names, ATOM)} {self.show(t.arg, names, ATOM)}"
+            return _wrap(out, prec > APP)
+        if cls is core.J:
+            kw = "J" if t.layer is FIB else "JS"
+            m = self._binder(t.motive, names, 2)
+            parts = [
+                kw, m,
+                self.show(t.base, names, ATOM), self.show(t.lhs, names, ATOM),
+                self.show(t.rhs, names, ATOM), self.show(t.proof, names, ATOM),
+            ]
+            return _wrap(" ".join(parts), prec > APP)
+        if cls is core.Nat:
+            return "Nat" if t.layer is FIB else "NatS"
+        if cls is core.Zero:
+            return "zero"
+        if cls is core.Suc:
+            return _wrap(f"suc {self.show(t.pred, names, ATOM)}", prec > APP)
+        if cls is core.NatElim:
+            kw = "natelim" if t.layer is FIB else "natelimS"
+            parts = [
+                kw, self._binder(t.motive, names, 1),
+                self.show(t.zcase, names, ATOM), self._binder(t.scase, names, 2),
+                self.show(t.scrut, names, ATOM),
+            ]
+            return _wrap(" ".join(parts), prec > APP)
+        if cls is core.Sum:
+            kw = "Sum" if t.layer is FIB else "SumS"
+            out = f"{kw} {self.show(t.left, names, ATOM)} {self.show(t.right, names, ATOM)}"
+            return _wrap(out, prec > APP)
+        if cls is core.Inl:
+            return _wrap(f"inl {self.show(t.arg, names, ATOM)}", prec > APP)
+        if cls is core.Inr:
+            return _wrap(f"inr {self.show(t.arg, names, ATOM)}", prec > APP)
+        if cls is core.SumElim:
+            kw = "sumelim" if t.layer is FIB else "sumelimS"
+            parts = [
+                kw, self._binder(t.motive, names, 1),
+                self._binder(t.lcase, names, 1), self._binder(t.rcase, names, 1),
+                self.show(t.scrut, names, ATOM),
+            ]
+            return _wrap(" ".join(parts), prec > APP)
+        if cls is core.Empty:
+            return "Empty" if t.layer is FIB else "EmptyS"
+        if cls is core.EmptyElim:
+            kw = "exfalso" if t.layer is FIB else "exfalsoS"
+            parts = [kw, self._binder(t.motive, names, 1), self.show(t.scrut, names, ATOM)]
+            return _wrap(" ".join(parts), prec > APP)
         raise core.InternalError(f"pretty: unhandled term {type(t).__name__}")
 
     def _binder(self, body: Term, names: tuple[str, ...], arity: int) -> str:

@@ -11,9 +11,10 @@ output is byte-identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Optional
 
 from . import parse
+from .core import Node
 from .delta import Cell, boundary_cells
 
 
@@ -21,8 +22,7 @@ class LevelCapExceeded(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GenPlan:
+class GenPlan(Node, frozen=True):
     levels: int
     emit: frozenset[str] = frozenset({"sst"})
     names: str = ""
@@ -51,17 +51,19 @@ def cell_name(cell: Cell) -> str:
     return "x" + "".join(str(v) for v in cell.vertices)
 
 
-def _cell_type(cell: Cell, family: str) -> str:
+def _cell_type(cell: Cell, family: str, faces: list[list[Cell]]) -> str:
     """Type of a boundary cell: its level family applied to the binders of
     its own faces, in canonical order."""
-    args = [cell_name(cell.subcell(w.vertices)) for w in boundary_cells(cell.dim)]
+    args = [cell_name(cell.subcell(w.vertices)) for w in faces[cell.dim]]
     head = f"{family}{cell.dim}"
     return head if not args else head + " " + " ".join(args)
 
 
-def telescope_entries(n: int, family: str = "X") -> list[tuple[str, str]]:
-    """(binder name, type text) for the matching telescope at level n."""
-    return [(cell_name(c), _cell_type(c, family)) for c in boundary_cells(n)]
+def telescope_entries(n: int, family: str = "X", faces: Optional[list] = None) -> list[tuple[str, str]]:
+    """(binder name, type text) for the matching telescope at level n, where
+    ``faces[d]`` is ``boundary_cells(d)`` for d <= n (one list per file)."""
+    faces = [boundary_cells(d) for d in range(n + 1)] if faces is None else faces
+    return [(cell_name(c), _cell_type(c, family, faces)) for c in faces[n]]
 
 
 def gen_matching_telescope(n: int, family: str = "X") -> list[tuple[str, parse.Raw]]:
@@ -70,12 +72,12 @@ def gen_matching_telescope(n: int, family: str = "X") -> list[tuple[str, parse.R
     return [(name, parse.parse_term(ty)) for name, ty in telescope_entries(n, family)]
 
 
-def _family_type(k: int, universe: int, family: str = "X") -> str:
+def _family_type(k: int, universe: int, family: str, faces: list[list[Cell]]) -> str:
     """Type text of the level-k family over its matching telescope."""
     target = f"U{universe}"
     if k == 0:
         return target
-    entries = telescope_entries(k, family)
+    entries = telescope_entries(k, family, faces)
     later_args: list[set[str]] = []
     seen: set[str] = set()
     for _, ty in reversed(entries):
@@ -108,7 +110,8 @@ def gen_sst(plan: GenPlan) -> str:
     header = f"-- tt2 gen sst --levels {n}"
     if u:
         header += f" --universe {u}"
-    families = [(f"{p}X{k}", _family_type(k, u, f"{p}X")) for k in range(n)]
+    faces = [boundary_cells(d) for d in range(n)]
+    families = [(f"{p}X{k}", _family_type(k, u, f"{p}X", faces)) for k in range(n)]
     body = _sigma(families) if families else "Unit"
     lines = [header, f"def {p}SST{n} : US{u + 1} := {body}"]
     return "\n".join(lines) + "\n"
@@ -150,7 +153,7 @@ def gen_spine(plan: GenPlan) -> str:
     lines = [
         header,
         f"postulate {p}X0 : U{u}",
-        f"postulate {p}X1 : {_family_type(1, u, f'{p}X')}",
+        f"postulate {p}X1 : {_family_type(1, u, f'{p}X', [boundary_cells(0), boundary_cells(1)])}",
         f"def {p}Spine{n} : U{u} := {_sigma(_spine_components(n, p))}",
     ]
     if plan.literal_spine:
@@ -172,10 +175,11 @@ def gen_segal_scaffold(plan: GenPlan) -> str:
         )
     header = f"-- tt2 gen segal --levels {n}"
     lines = [header]
+    faces = [boundary_cells(d) for d in range(n + 1)]
     for k in range(n + 1):
-        lines.append(f"postulate {p}X{k} : {_family_type(k, 0, f'{p}X')}")
+        lines.append(f"postulate {p}X{k} : {_family_type(k, 0, f'{p}X', faces)}")
 
-    tot = telescope_entries(n, f"{p}X")
+    tot = telescope_entries(n, f"{p}X", faces)
     filler_args = " ".join(name for name, _ in tot)
     tot = tot + [(f"t{n}", f"{p}X{n} {filler_args}")]
     lines.append(f"def {p}Tot{n} : U0 := {_sigma(tot)}")

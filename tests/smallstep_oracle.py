@@ -9,12 +9,11 @@ kernel's always-unfold contract.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from tt2.core import (
     App, Const, Fst, Inl, Inr, J, Lam, NatElim, Pair, Refl, Signature, Snd,
-    Suc, SumElim, Term, Zero, instantiate2, subst,
+    Suc, SumElim, Term, Zero, instantiate2, replace, subst,
 )
 
 

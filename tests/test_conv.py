@@ -245,6 +245,5 @@ def test_sst6_conversion_work_is_bounded(config):
 
 
 def _calls(profile, fn):
-    # Keyed by code object: pstats keys (file, line, name) collide for the
-    # methods dataclasses generates.
+    # Keyed by the function's code object rather than its pstats name.
     return sum(e.callcount for e in profile.getstats() if e.code is fn.__code__)

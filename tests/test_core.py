@@ -1,15 +1,25 @@
 """Core syntax: shift/subst examples, their algebraic laws on random
-scope-closed terms, and the subsort partial order."""
+scope-closed terms, the subsort partial order, and the semantics of the
+``Node`` record classes."""
 
+import cProfile
+import pstats
 import random
+import subprocess
+import sys
 
 import pytest
 
+from conftest import REPO_ROOT
+from tt2 import conv, parse
 from tt2.core import (
-    App, Const, FIB, Lam, Nat, Pair, Pi, Sigma, Sort, Star, STRICT, Suc,
-    Term, Unit, Var, Zero, is_scope_closed, shift, sort_join, sort_leq,
-    subst, term_size,
+    App, Const, Context, FIB, Lam, Nat, Pair, Pi, Sigma, Sort, Star, STRICT,
+    Sum, Suc, Term, Unit, Var, Zero, is_scope_closed, replace, shift,
+    sort_join, sort_leq, subst, term_size,
 )
+from tt2.delta import Cell, MonoMap
+from tt2.elab import Config
+from tt2.sstgen import GenPlan
 
 
 def test_shift_examples():
@@ -111,3 +121,156 @@ def test_expected_subsort_relations():
     assert sort_leq(Sort(FIB, 0), Sort(STRICT, 2))
     assert not sort_leq(Sort(FIB, 2), Sort(STRICT, 0))
     assert sort_leq(Sort(FIB, 2), Sort(STRICT, 0), collapse=True)
+
+
+# ---------------------------------------------------------------------------
+# Records
+
+
+def test_records_construct_by_position_keyword_and_default():
+    body = Var(0)
+    assert conv.Closure((), body).arity == 1
+    assert conv.Closure((), body, 2).arity == 2
+    assert conv.Closure(arity=2, body=body, env=()).arity == 2
+    assert Context().telescope == ()
+    assert Context().extend("x", Nat(FIB)).telescope == (("x", Nat(FIB)),)
+    config = Config(universes=4)
+    assert (config.universes, config.collapse_fibrant_universes, config.color) == (4, False, False)
+    assert Pi.__match_args__ == ("dom", "cod")
+    assert parse.RVar.__match_args__ == ("span", "name")
+    with pytest.raises(TypeError):
+        Pi(Var(0))
+    with pytest.raises(TypeError):
+        Var(0, index=1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Config(universes=0),
+    lambda: GenPlan(-1),
+    lambda: GenPlan(3, emit=frozenset({"nope"})),
+    lambda: Cell(()),
+    lambda: Cell((2, 1)),
+    lambda: MonoMap(1, 2, (0,)),
+    lambda: MonoMap(1, 2, (1, 0)),
+])
+def test_post_init_validates(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_raw_equality_ignores_spans():
+    a, b = parse.RVar((0, 1), "x"), parse.RVar((7, 8), "x")
+    assert a == b and hash(a) == hash(b)
+    assert a != parse.RVar((0, 1), "y")
+    assert parse.parse_term("f (x)") == parse.parse_term("f  x")
+    # declarations compare their spans
+    assert parse.RawDecl("def", "d", (), a, None, (0, 1)) != parse.RawDecl("def", "d", (), a, None, (0, 2))
+
+
+def test_term_equality_and_hash():
+    t = Pi(Var(0), Sum(FIB, Unit(), Nat(STRICT)))
+    u = Pi(Var(0), Sum(FIB, Unit(), Nat(STRICT)))
+    assert t == u and t is not u and hash(t) == hash(u)
+    assert len({t, u, Sigma(Var(0), Sum(FIB, Unit(), Nat(STRICT)))}) == 2
+    assert Pi(Var(0), Unit()) != Sigma(Var(0), Unit())
+    assert Unit() == Unit() and Unit() != Star()
+    assert Nat(FIB) != Nat(STRICT)
+    assert t != (Var(0), Sum(FIB, Unit(), Nat(STRICT)))
+    assert Sort(FIB, 1) == Sort(FIB, 1) and len({Sort(FIB, 1), Sort(FIB, 1)}) == 1
+    assert conv.VarHead(3) == conv.VarHead(3) and hash(conv.ConstHead("c")) == hash(conv.ConstHead("c"))
+
+
+def test_values_compare_but_do_not_hash():
+    assert conv.VSuc(FIB, conv.VZero(FIB)) == conv.VSuc(FIB, conv.VZero(FIB))
+    assert conv.VZero(FIB) != conv.VZero(STRICT)
+    with pytest.raises(TypeError):
+        hash(conv.VNat(FIB))
+
+
+@pytest.mark.parametrize("node, field", [
+    (Pi(Var(0), Unit()), "dom"),
+    (Var(0), "index"),
+    (Unit(), "index"),
+    (parse.RVar((0, 1), "x"), "span"),
+    (Sort(FIB, 0), "level"),
+    (Context(), "telescope"),
+])
+def test_frozen_fields_cannot_change(node, field):
+    with pytest.raises(AttributeError):
+        setattr(node, field, 1)
+    with pytest.raises(AttributeError):
+        delattr(node, field)
+
+
+def test_unfrozen_records_assign_only_their_fields():
+    neutral = conv.fresh(0)
+    neutral.spine = (conv.FFst(),)
+    assert neutral.spine == (conv.FFst(),)
+    with pytest.raises(AttributeError):
+        neutral.extra = 1
+
+
+def test_match_patterns_bind_fields_in_order():
+    def shape(ty):
+        match ty:
+            case Unit():
+                return "unit"
+            case Nat(layer):
+                return f"nat {layer.name}"
+            case Sum(layer, left, right):
+                return f"sum {layer.name} {shape(left)} {shape(right)}"
+            case Sigma(fst, snd):
+                return f"sigma {shape(fst)} {shape(snd)}"
+            case Pi(dom, cod):
+                return f"pi {shape(dom)} {shape(cod)}"
+        return "other"
+
+    assert shape(Pi(Sum(STRICT, Unit(), Nat(FIB)), Sigma(Unit(), Var(0)))) == (
+        "pi sum STRICT unit nat FIB sigma unit other"
+    )
+
+
+def test_repr_names_every_field():
+    assert repr(Pi(Var(0), Nat(FIB))) == (
+        "Pi(dom=Var(index=0), cod=Nat(layer=<Layer.FIB: 'fibrant'>))"
+    )
+    assert repr(Unit()) == "Unit()"
+    assert repr(parse.RVar((0, 1), "x")) == "RVar(span=(0, 1), name='x')"
+    assert repr(Context()) == "Context(telescope=())"
+
+
+def test_replace_changes_named_fields():
+    t = Suc(FIB, Zero(FIB))
+    assert replace(t, pred=Var(0)) == Suc(FIB, Var(0))
+    assert replace(t) == t and replace(t) is not t
+    with pytest.raises(TypeError):
+        replace(t, nope=1)
+    with pytest.raises(ValueError):
+        replace(Config(), universes=0)
+
+
+def test_generated_methods_are_profiled_per_class():
+    # pstats keys are (file, line, name): each class's generated __init__
+    # has its own key, in the defining module.
+    profile = cProfile.Profile()
+    profile.enable()
+    for _ in range(100):
+        parse.RVar((0, 1), "x")
+    for _ in range(7):
+        parse.RHole((0, 1))
+    profile.disable()
+    inits = {key: entry[1] for key, entry in pstats.Stats(profile).stats.items()
+             if key[2] == "__init__"}
+    assert sorted(inits.values()) == [7, 100]
+    assert {key[0] for key in inits} == {parse.__file__}
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tt2.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(REPO_ROOT / "src")],
+        capture_output=True, text=True, env={"PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -118,7 +118,8 @@ def test_every_node_carries_a_span():
 
     def walk(node):
         assert 0 <= node.span[0] <= node.span[1] <= len(src)
-        for field in vars(node).values():
+        for name in node.__match_args__:
+            field = getattr(node, name)
             if isinstance(field, parse.Raw):
                 walk(field)
 
@@ -189,8 +190,7 @@ def test_front_end_is_total(source):
 def test_parse_work_per_token_is_bounded(config):
     # Call counts are deterministic, unlike wall time.  The recursive-descent
     # parser and per-character lexer made 24.1 calls per prelude token.
-    # getstats() counts per code object; pstats would merge the generated
-    # __init__ of every dataclass into one entry and drop the other counts.
+    # getstats() counts per code object, so it needs no unique pstats keys.
     source = prelude_source(config)
     profile = cProfile.Profile()
     profile.runcall(parse_file, source)

@@ -1,11 +1,12 @@
 """Generator fidelity: binder counts against the combinatorial oracle,
 kernel re-checking of every emitted file, spine shapes, and determinism."""
 
+import cProfile
 import re
 
 import pytest
 
-from tt2 import parse
+from tt2 import delta, parse
 from tt2.delta import binomial, boundary_cells
 from tt2.elab import elaborate_signature
 from tt2.prelude import initial_signature
@@ -198,3 +199,15 @@ def test_generated_identifiers_are_introduced_before_use():
         for w in boundary_cells(cell.dim):
             assert cell_name(cell.subcell(w.vertices)) in seen
         seen.add(cell_name(cell))
+
+
+def test_each_dimension_faces_are_enumerated_once_per_file():
+    # SST 1..7 used to enumerate boundary cells once per cell: 459 calls
+    # for 7 distinct dimensions.
+    for gen, plan, most in [(gen_sst, GenPlan(7, cap=7), 7),
+                            (gen_segal_scaffold, GenPlan(5), 6)]:
+        profile = cProfile.Profile()
+        profile.runcall(gen, plan)
+        calls = sum(e.callcount for e in profile.getstats()
+                    if e.code is delta.boundary_cells.__code__)
+        assert 0 < calls <= most
