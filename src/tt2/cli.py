@@ -17,11 +17,9 @@ from pathlib import Path
 from typing import Optional
 
 from . import conv, core, parse, pretty
-from .delta import enumerate_mono
 from .diagnostics import DEPTH, Diagnostic, ENCODING
 from .elab import Config, elaborate_signature
 from .prelude import initial_signature
-from .sstgen import GenPlan, LevelCapExceeded, gen_segal_scaffold, gen_spine, gen_sst
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,7 +74,7 @@ def _color_enabled() -> bool:
 
 def _emit_diagnostic(diag: Diagnostic, source: str, filename: str, config: Config) -> None:
     if config.json_diagnostics:
-        print(json.dumps(diag.to_json()), file=sys.stderr)
+        print(json.dumps(diag.to_json(source, filename)), file=sys.stderr)
         return
     text = diag.render(source, filename)
     if config.color:
@@ -189,6 +187,8 @@ def _cmd_eval(args, config: Config) -> int:
 
 
 def _cmd_gen(args) -> int:
+    # imported here so that check and eval do not load the generator
+    from .sstgen import GenPlan, LevelCapExceeded, gen_segal_scaffold, gen_spine, gen_sst
     emit = frozenset({args.target})
     try:
         plan = GenPlan(
@@ -215,6 +215,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_delta(args) -> int:
+    from .delta import enumerate_mono
     k, n = args.faces
     for mono in enumerate_mono(k, n):
         print(mono)

@@ -5,24 +5,24 @@ Evaluation unfolds every defined constant, so only variables, postulates
 and axioms survive as neutral heads; observable behaviour is that of an
 always-unfolding kernel.  A neutral value is a head and a spine of
 eliminations and carries no type: eliminating a neutral only extends its
-spine.  Conversion is type-directed at the top (needed for the unit eta
-rule) and falls back to untyped structural comparison inside neutral
-spines; when eta inside spines needs the spine's types, they are to be
-recomputed on demand from the head's type (a variable's from the context,
-a constant's from the signature).
+spine.  Conversion is one function, ``convert``, directed by the type
+where the type is known, so eta holds for Π, Σ and ``Unit`` at every
+position.  Inside a neutral spine, ``_convert_spine`` compares frames
+without types and works out a frame's type from the head's (a variable's
+from the context, a constant's from the signature) only when that fails.
 
 Two rules keep the walkers cheap:
 
 - Values are immutable and shared.  Nothing changes a value after it is
   built, and environments hand out a variable's value by reference, so
   the two sides of a comparison are often one object.  Conversion is
-  reflexive on every value form, so ``a is b`` implies convertible and the
-  conversions return at once.  The code keeps this rule: values, frames
+  reflexive on every value form, so ``a is b`` implies convertible and
+  conversion returns at once.  The code keeps this rule: values, frames
   and closures are ``Node`` records not declared frozen (see ``core``),
   so building one stores its slots directly.
 - Walkers dispatch on the exact class of the node (``cls is VPi``), with
   the most frequent classes first, and cost one Python frame per nesting
-  level.  That holds for ``evaluate``, ``quote`` and the conversions here,
+  level.  That holds for ``evaluate``, ``quote`` and conversion here,
   for ``infer`` and ``check`` in ``elab`` and for the core printer in
   ``pretty``; a second frame per level (a table of per-class functions,
   say) would halve the nesting depth that fits under the recursion limit.
@@ -30,7 +30,7 @@ Two rules keep the walkers cheap:
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 from . import core
 from .core import (
@@ -191,6 +191,10 @@ Frame = Union[FApp, FFst, FSnd, FNatElim, FSumElim, FEmptyElim, FJ]
 class VNeutral(Value):
     head: Head
     spine: tuple[Frame, ...]
+
+
+# The type of each variable in scope, by level; None where it is not known.
+Types = tuple[Optional[Value], ...]
 
 
 def fresh(level: int) -> VNeutral:
@@ -470,179 +474,170 @@ def nf(sig: Signature, ctx: Context, t: Term) -> Term:
 # Conversion
 
 
-def convert(sig: Signature, depth: int, a: Value, b: Value, ty: Value) -> bool:
-    """Type-directed definitional equality of two values of type ``ty``."""
+def convert(sig: Signature, types: Types, a: Value, b: Value, ty: Optional[Value]) -> Optional[bool]:
+    """Definitional equality of ``a`` and ``b``, values of the type value
+    ``ty``, under variables of the given ``types``.  Where ``ty`` is None
+    the values' classes direct the comparison.  None instead of False: they
+    differ only where a variable's type was needed and not known."""
     if a is b:
         return True
-    cls = ty.__class__
-    if cls is VPi:
-        var = fresh(depth)
-        return convert(
-            sig, depth + 1,
-            apply_value(sig, a, var), apply_value(sig, b, var),
-            ty.cod.apply(sig, var),
-        )
-    if cls is VUniv:
-        return convert_type(sig, depth, a, b)
-    if cls is VSigma:
-        fa = do_fst(sig, a)
-        if not convert(sig, depth, fa, do_fst(sig, b), ty.fst):
-            return False
-        return convert(sig, depth, do_snd(sig, a), do_snd(sig, b), ty.snd.apply(sig, fa))
-    if cls is VId:
-        if a.__class__ is VRefl and b.__class__ is VRefl:
+    if ty is not None:
+        cls = ty.__class__
+        if cls is VPi:
+            var = fresh(len(types))
+            return convert(sig, types + (ty.dom,), apply_value(sig, a, var),
+                           apply_value(sig, b, var), ty.cod.apply(sig, var))
+        if cls is VSigma:
+            fa = do_fst(sig, a)
+            return convert(sig, types, fa, do_fst(sig, b), ty.fst) and convert(
+                sig, types, do_snd(sig, a), do_snd(sig, b), ty.snd.apply(sig, fa))
+        if cls is VUnit:
             return True
-        return _convert_neutral_pair(sig, depth, a, b)
-    if cls is VUnit:
-        return True
-    if cls is VSum:
-        ca = a.__class__
-        if ca is b.__class__ and (ca is VInl or ca is VInr):
-            return convert(sig, depth, a.arg, b.arg, ty.left if ca is VInl else ty.right)
-        return _convert_neutral_pair(sig, depth, a, b)
-    if cls is VEmpty:
-        return _convert_neutral_pair(sig, depth, a, b)
-    # neutral types and naturals
-    return _convert_untyped(sig, depth, a, b)
+        if cls is VId:
+            if a.__class__ is VRefl and b.__class__ is VRefl:
+                return True
+        elif cls is VSum:
+            ca = a.__class__
+            if ca is b.__class__ and (ca is VInl or ca is VInr):
+                return convert(sig, types, a.arg, b.arg, ty.left if ca is VInl else ty.right)
+    ca, cb = a.__class__, b.__class__
+    if ca is cb:
+        if ca is VNeutral:
+            return _convert_spine(sig, types, a, b)
+        if ca is VPi:
+            var = fresh(len(types))
+            return convert(sig, types, a.dom, b.dom, None) and convert(
+                sig, types + (a.dom,), a.cod.apply(sig, var), b.cod.apply(sig, var), None)
+        if ca is VSigma:
+            var = fresh(len(types))
+            return convert(sig, types, a.fst, b.fst, None) and convert(
+                sig, types + (a.fst,), a.snd.apply(sig, var), b.snd.apply(sig, var), None)
+        if ca is VId:
+            return a.layer is b.layer and convert(sig, types, a.ty, b.ty, None) and convert(
+                sig, types, a.lhs, b.lhs, a.ty) and convert(sig, types, a.rhs, b.rhs, a.ty)
+        if ca is VUniv:
+            return a.sort == b.sort
+        if ca is VNat or ca is VEmpty or ca is VZero:
+            return a.layer is b.layer
+        if ca is VUnit or ca is VStar:
+            return True
+        if ca is VSum:
+            return a.layer is b.layer and convert(sig, types, a.left, b.left, None) and convert(
+                sig, types, a.right, b.right, None)
+        if ca is VSuc:
+            return a.layer is b.layer and convert(sig, types, a.pred, b.pred, None)
+        if ca is VInl or ca is VInr:
+            return a.layer is b.layer and convert(sig, types, a.arg, b.arg, None)
+        if ca is VRefl:
+            return a.layer is b.layer and convert(sig, types, a.ty, b.ty, None) and convert(
+                sig, types, a.arg, b.arg, None)
+    # eta for functions and pairs, a neutral on at most one side
+    if (ca is VLam or ca is VNeutral) and (cb is VLam or cb is VNeutral):
+        var = fresh(len(types))
+        return convert(sig, types + (None,), apply_value(sig, a, var), apply_value(sig, b, var), None)
+    if (ca is VPair or ca is VNeutral) and (cb is VPair or cb is VNeutral):
+        return convert(sig, types, do_fst(sig, a), do_fst(sig, b), None) and convert(
+            sig, types, do_snd(sig, a), do_snd(sig, b), None)
+    # eta for Unit: both sides have one type, and star makes it Unit
+    return ca is VStar or cb is VStar
 
 
-def convert_type(sig: Signature, depth: int, a: Value, b: Value) -> bool:
-    """Definitional equality of two type values (no subsorting here)."""
-    if a is b:
-        return True
-    cls = a.__class__
-    if cls is not b.__class__:
-        return False
-    if cls is VNeutral:
-        return _convert_spine(sig, depth, a, b)
-    if cls is VPi:
-        if not convert_type(sig, depth, a.dom, b.dom):
-            return False
-        var = fresh(depth)
-        return convert_type(sig, depth + 1, a.cod.apply(sig, var), b.cod.apply(sig, var))
-    if cls is VSigma:
-        if not convert_type(sig, depth, a.fst, b.fst):
-            return False
-        var = fresh(depth)
-        return convert_type(sig, depth + 1, a.snd.apply(sig, var), b.snd.apply(sig, var))
-    if cls is VId:
-        return (
-            a.layer is b.layer
-            and convert_type(sig, depth, a.ty, b.ty)
-            and convert(sig, depth, a.lhs, b.lhs, a.ty)
-            and convert(sig, depth, a.rhs, b.rhs, a.ty)
-        )
-    if cls is VUniv:
-        return a.sort == b.sort
-    if cls is VNat or cls is VEmpty:
-        return a.layer is b.layer
-    if cls is VUnit:
-        return True
-    if cls is VSum:
-        return (
-            a.layer is b.layer
-            and convert_type(sig, depth, a.left, b.left)
-            and convert_type(sig, depth, a.right, b.right)
-        )
-    return False
+def _convert_spine(sig: Signature, types: Types, a: VNeutral, b: VNeutral) -> Optional[bool]:
+    """Two neutrals convert when their heads are equal and their frames
+    convert one by one, or else when eta makes all values of their type equal.
 
-
-def _convert_neutral_pair(sig, depth, a, b) -> bool:
-    if a.__class__ is VNeutral and b.__class__ is VNeutral:
-        return _convert_spine(sig, depth, a, b)
-    return False
-
-
-def _convert_spine(sig: Signature, depth: int, a: VNeutral, b: VNeutral) -> bool:
-    if (a.head is not b.head and a.head != b.head) or len(a.spine) != len(b.spine):
-        return False
-    for fa, fb in zip(a.spine, b.spine):
+    Frames are compared without types.  A frame that fails only for want of
+    a variable's type is compared again at its own type, worked out from the
+    head's; on the first pass ``ty`` is None, and so is ``ty and …``.  For
+    neutrals that still differ, two distinct variables of their type convert
+    exactly when eta makes its values equal (``Unit``, and Π and Σ into it)."""
+    spine = a.spine
+    depth = len(types)
+    ok = (a.head is b.head or a.head == b.head) and len(spine) == len(b.spine)
+    for i in range(len(spine) if ok else 0):
+        fa, fb = spine[i], b.spine[i]
         if fa is fb:
             continue
         cls = fa.__class__
         if cls is not fb.__class__:
-            return False
+            ok = False
+            break
         if cls is FApp:
-            if fa.arg is not fb.arg and not _convert_untyped(sig, depth, fa.arg, fb.arg):
-                return False
+            if fa.arg is fb.arg:
+                continue
         elif cls is FFst or cls is FSnd:
-            pass
-        elif cls is FNatElim:
-            if (
-                fa.layer is not fb.layer
-                or not _convert_closures(sig, depth, fa.motive, fb.motive)
-                or not _convert_untyped(sig, depth, fa.zcase, fb.zcase)
-                or not _convert_closures(sig, depth, fa.scase, fb.scase)
-            ):
-                return False
+            continue
+        elif fa.layer is not fb.layer:
+            ok = False
+            break
+        ty = None
+        while True:
+            if cls is FApp:
+                ok = convert(sig, types, fa.arg, fb.arg, ty and ty.dom)
+            elif cls is FNatElim:
+                m, n, ih = fa.motive, fresh(depth), fresh(depth + 1)
+                ok = (
+                    convert(sig, types + (ty,), m.apply(sig, n), fb.motive.apply(sig, n), None)
+                    and convert(sig, types, fa.zcase, fb.zcase, ty and m.apply(sig, VZero(ty.layer)))
+                    and convert(sig, types + (ty, ty and m.apply(sig, n)), fa.scase.apply(sig, n, ih),
+                                fb.scase.apply(sig, n, ih), ty and m.apply(sig, VSuc(ty.layer, n)))
+                )
+            elif cls is FJ:
+                m, y, q, dom = fa.motive, fresh(depth), fresh(depth + 1), ty and ty.ty
+                ok = (
+                    convert(sig, types + (dom, ty and VId(ty.layer, dom, fa.lhs, y)),
+                            m.apply(sig, y, q), fb.motive.apply(sig, y, q), None)
+                    and convert(sig, types, fa.base, fb.base,
+                                ty and m.apply(sig, fa.lhs, VRefl(ty.layer, dom, fa.lhs)))
+                    and convert(sig, types, fa.lhs, fb.lhs, dom)
+                    and convert(sig, types, fa.rhs, fb.rhs, dom)
+                )
+            elif cls is FSumElim:
+                m, x = fa.motive, fresh(depth)
+                ok = (
+                    convert(sig, types + (ty,), m.apply(sig, x), fb.motive.apply(sig, x), None)
+                    and convert(sig, types + (ty and ty.left,), fa.lcase.apply(sig, x),
+                                fb.lcase.apply(sig, x), ty and m.apply(sig, VInl(ty.layer, x)))
+                    and convert(sig, types + (ty and ty.right,), fa.rcase.apply(sig, x),
+                                fb.rcase.apply(sig, x), ty and m.apply(sig, VInr(ty.layer, x)))
+                )
+            else:
+                x = fresh(depth)
+                ok = convert(sig, types + (ty,), fa.motive.apply(sig, x), fb.motive.apply(sig, x), None)
+            # With a variable of unknown type in scope, the frame whose untyped
+            # pass bound it compares again with types, this frame included.
+            if ok is not None or ty is not None or None in types:
+                break
+            ty = _spine_type(sig, types, a, i)
+        if not ok:
+            break
+    if ok:
+        return True
+    ty = _spine_type(sig, types, a, len(spine))
+    if ty.__class__ not in (VUnit, VPi, VSigma):
+        return None if ty is None else ok
+    return convert(sig, types + (ty, ty), fresh(depth), fresh(depth + 1), ty) or ok
+
+
+def _spine_type(sig: Signature, types: Types, a: VNeutral, n: int) -> Optional[Value]:
+    """The type of ``a``'s head eliminated by the first ``n`` frames of its
+    spine, or None if the head is a variable of unknown type."""
+    head = a.head
+    ty = types[head.level] if head.__class__ is VarHead else const_type_value(sig, head.name)
+    if ty is None:
+        return None
+    spine = a.spine
+    for i in range(n):
+        frame = spine[i]
+        cls = frame.__class__
+        if cls is FApp:
+            ty = ty.cod.apply(sig, frame.arg)
+        elif cls is FFst:
+            ty = ty.fst
+        elif cls is FSnd:
+            ty = ty.snd.apply(sig, VNeutral(head, spine[:i] + (FFst(),)))
         elif cls is FJ:
-            if (
-                fa.layer is not fb.layer
-                or not _convert_closures(sig, depth, fa.motive, fb.motive)
-                or not _convert_untyped(sig, depth, fa.base, fb.base)
-                or not _convert_untyped(sig, depth, fa.lhs, fb.lhs)
-                or not _convert_untyped(sig, depth, fa.rhs, fb.rhs)
-            ):
-                return False
-        elif cls is FSumElim:
-            if (
-                fa.layer is not fb.layer
-                or not _convert_closures(sig, depth, fa.motive, fb.motive)
-                or not _convert_closures(sig, depth, fa.lcase, fb.lcase)
-                or not _convert_closures(sig, depth, fa.rcase, fb.rcase)
-            ):
-                return False
-        elif cls is FEmptyElim:
-            if fa.layer is not fb.layer or not _convert_closures(sig, depth, fa.motive, fb.motive):
-                return False
-    return True
-
-
-def _convert_closures(sig: Signature, depth: int, c1: Closure, c2: Closure) -> bool:
-    if c1.arity != c2.arity:
-        return False
-    args = tuple(fresh(depth + i) for i in range(c1.arity))
-    return _convert_untyped(
-        sig, depth + c1.arity, c1.apply(sig, *args), c2.apply(sig, *args)
-    )
-
-
-def _convert_untyped(sig: Signature, depth: int, a: Value, b: Value) -> bool:
-    """Structural comparison used inside spines, where no type directs the
-    comparison; eta for functions and pairs still applies."""
-    if a is b:
-        return True
-    ca, cb = a.__class__, b.__class__
-    if ca is VNeutral and cb is VNeutral:
-        return _convert_spine(sig, depth, a, b)
-    if ca is VLam or cb is VLam:
-        if (ca is not VLam and ca is not VNeutral) or (cb is not VLam and cb is not VNeutral):
-            return False
-        var = fresh(depth)
-        return _convert_untyped(
-            sig, depth + 1, apply_value(sig, a, var), apply_value(sig, b, var)
-        )
-    if ca is VPair or cb is VPair:
-        if (ca is not VPair and ca is not VNeutral) or (cb is not VPair and cb is not VNeutral):
-            return False
-        return _convert_untyped(
-            sig, depth, do_fst(sig, a), do_fst(sig, b)
-        ) and _convert_untyped(sig, depth, do_snd(sig, a), do_snd(sig, b))
-    if ca is not cb:
-        return False
-    if ca is VStar:
-        return True
-    if ca is VZero:
-        return a.layer is b.layer
-    if ca is VSuc:
-        return a.layer is b.layer and _convert_untyped(sig, depth, a.pred, b.pred)
-    if ca is VInl or ca is VInr:
-        return a.layer is b.layer and _convert_untyped(sig, depth, a.arg, b.arg)
-    if ca is VRefl:
-        return (
-            a.layer is b.layer
-            and _convert_untyped(sig, depth, a.ty, b.ty)
-            and _convert_untyped(sig, depth, a.arg, b.arg)
-        )
-    # what remains are type values of one class
-    return convert_type(sig, depth, a, b)
+            ty = frame.motive.apply(sig, frame.rhs, VNeutral(head, spine[:i]))
+        else:
+            ty = frame.motive.apply(sig, VNeutral(head, spine[:i]))
+    return ty

@@ -31,8 +31,10 @@ class Diagnostic(Node, Exception):
         line, col = offset_to_line_col(source, self.span[0])
         return f"{filename}:{line}:{col}: error[{self.code}]: {self.message}"
 
-    def to_json(self) -> dict:
-        return {"code": self.code, "span": list(self.span), "message": self.message}
+    def to_json(self, source: str, filename: str = "<input>") -> dict:
+        line, col = offset_to_line_col(source, self.span[0])
+        return {"code": self.code, "span": list(self.span), "message": self.message,
+                "file": filename, "line": line, "col": col}
 
 
 def offset_to_line_col(source: str, offset: int) -> tuple[int, int]:

@@ -265,14 +265,14 @@ class Elaborator:
         ty_v = proof_ty.ty
         lhs_core = self.check(ctx, raw.lhs, ty_v)
         lhs_v = evaluate(self.sig, ctx.env, lhs_core)
-        if not conv.convert(self.sig, len(ctx.env), lhs_v, proof_ty.lhs, ty_v):
+        if not conv.convert(self.sig, ctx.types, lhs_v, proof_ty.lhs, ty_v):
             raise Diagnostic(
                 TYPE_MISMATCH, raw.lhs.span,
                 f"{kw}: stated left endpoint does not match the proof's endpoint",
             )
         rhs_core = self.check(ctx, raw.rhs, ty_v)
         rhs_v = evaluate(self.sig, ctx.env, rhs_core)
-        if not conv.convert(self.sig, len(ctx.env), rhs_v, proof_ty.rhs, ty_v):
+        if not conv.convert(self.sig, ctx.types, rhs_v, proof_ty.rhs, ty_v):
             raise Diagnostic(
                 TYPE_MISMATCH, raw.rhs.span,
                 f"{kw}: stated right endpoint does not match the proof's endpoint",
@@ -422,7 +422,7 @@ class Elaborator:
                 SORT_MISMATCH, raw.span,
                 f"universe {got.sort} is not contained in {expected.sort}",
             )
-        if got is expected or conv.convert_type(self.sig, len(ctx.env), got, expected):
+        if got is expected or conv.convert(self.sig, ctx.types, got, expected, None):
             return term
         raise Diagnostic(
             TYPE_MISMATCH, raw.span,

@@ -121,3 +121,104 @@ class TermGen:
         motive = shift(shift(ty))
         base = self._term(ty, env, budget // 2)
         return J(FIB, motive, base, point, point, Refl(FIB, eq_ty, point))
+
+
+# ---------------------------------------------------------------------------
+# Pairs of inhabitants that differ up to eta
+
+
+def eta_instance(rng: random.Random) -> tuple[Term, Term, Term]:
+    """A closed type ``T`` over ``Unit``, ``Nat``, Σ and Π, and two closed
+    inhabitants of ``T``.
+
+    Under its binders each inhabitant holds neutral terms: variables
+    eliminated by application, projections and ``natelim``.  The two
+    inhabitants follow one shape but draw independently where eta makes
+    the choice invisible: ``star`` or a neutral of type ``Unit``, a neutral
+    or its eta-expansion.  So they are often equal only up to eta, at any
+    position, spine arguments and eliminator cases included.  Numerals
+    draw independently now and then, which makes some pairs unequal.
+    """
+    ty = _eta_type(rng, 3)
+    t, u = _eta_pair(rng, ty, (), 4)
+    return ty, t, u
+
+
+def _eta_type(rng: random.Random, depth: int) -> Term:
+    """A closed non-dependent type, so a codomain or second component
+    needs no shifting under its binder (nor does a ``natelim`` motive)."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.4:
+        return rng.choice([Unit(), Nat(FIB)])
+    if roll < 0.7:
+        return Pi(_eta_type(rng, depth - 1), _eta_type(rng, depth - 1))
+    return Sigma(_eta_type(rng, depth - 1), _eta_type(rng, depth - 1))
+
+
+def _eta_pair(rng, ty: Term, env: tuple[Term, ...], fuel: int) -> tuple[Term, Term]:
+    """Two inhabitants of the closed type ``ty`` under variables of the
+    closed types ``env`` (innermost last)."""
+    if fuel > 0 and env and rng.random() < 0.4:
+        index = rng.randrange(len(env))
+        pair = _eliminate(rng, Var(index), Var(index), env[~index], ty, env, fuel - 1)
+        if pair is not None:
+            return _eta_expand(rng, pair[0], ty), _eta_expand(rng, pair[1], ty)
+    if isinstance(ty, Unit):
+        return _unit(rng, env, fuel), _unit(rng, env, fuel)
+    if isinstance(ty, Nat):
+        t = _numeral(rng)
+        return t, (_numeral(rng) if rng.random() < 0.15 else t)
+    if isinstance(ty, Sigma):
+        a, b = _eta_pair(rng, ty.fst, env, fuel - 1)
+        c, d = _eta_pair(rng, ty.snd, env, fuel - 1)
+        return Pair(a, c), Pair(b, d)
+    a, b = _eta_pair(rng, ty.cod, env + (ty.dom,), fuel - 1)
+    return Lam(a), Lam(b)
+
+
+def _unit(rng, env: tuple[Term, ...], fuel: int) -> Term:
+    if fuel > 0 and env and rng.random() < 0.7:
+        index = rng.randrange(len(env))
+        pair = _eliminate(rng, Var(index), Var(index), env[~index], Unit(), env, fuel - 1)
+        if pair is not None:
+            return pair[0]
+    return Star()
+
+
+def _numeral(rng) -> Term:
+    out: Term = Zero(FIB)
+    for _ in range(rng.randrange(2)):
+        out = Suc(FIB, out)
+    return out
+
+
+def _eliminate(rng, t: Term, u: Term, have: Term, want: Term, env, fuel: int):
+    """Eliminate the neutrals ``t`` and ``u`` of type ``have`` down to type
+    ``want``, or None if no elimination reaches it."""
+    if have == want and rng.random() < 0.7:
+        return t, u
+    if isinstance(have, Nat):
+        z1, z2 = _eta_pair(rng, want, env, fuel - 1)
+        s1, s2 = _eta_pair(rng, want, env + (Nat(FIB), want), fuel - 1)
+        return NatElim(FIB, want, z1, s1, t), NatElim(FIB, want, z2, s2, u)
+    if isinstance(have, Pi) and fuel > 0:
+        a, b = _eta_pair(rng, have.dom, env, fuel - 1)
+        return _eliminate(rng, App(t, a), App(u, b), have.cod, want, env, fuel - 1)
+    if isinstance(have, Sigma):
+        if rng.random() < 0.5:
+            return _eliminate(rng, Fst(t), Fst(u), have.fst, want, env, fuel)
+        return _eliminate(rng, Snd(t), Snd(u), have.snd, want, env, fuel)
+    return (t, u) if have == want else None
+
+
+def _eta_expand(rng, t: Term, ty: Term) -> Term:
+    """``t`` or, at random, an eta-expansion of it at ``ty``."""
+    if rng.random() < 0.5:
+        return t
+    if isinstance(ty, Unit):
+        return Star()
+    if isinstance(ty, Sigma):
+        return Pair(_eta_expand(rng, Fst(t), ty.fst), _eta_expand(rng, Snd(t), ty.snd))
+    if isinstance(ty, Pi):
+        return Lam(_eta_expand(rng, App(shift(t), Var(0)), ty.cod))
+    return t

@@ -123,7 +123,7 @@ def test_acceptance_5_nbe_correctness(config):
     for lhs, rhs, ty in pairs:
         a, ty_v = _value(eta_sig, config, lhs, ty)
         b, _ = _value(eta_sig, config, rhs, ty)
-        assert conv.convert(eta_sig, 0, a, b, ty_v), (lhs, rhs, ty)
+        assert conv.convert(eta_sig, (), a, b, ty_v), (lhs, rhs, ty)
     print(f"\nACCEPTANCE 5 PASS: nf agrees with the small-step oracle on "
           f"{len(samples)} seeded terms (size <= 30), nf idempotent, "
           f"{len(pairs)} eta pairs convert")

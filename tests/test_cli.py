@@ -7,6 +7,9 @@ import subprocess
 import sys
 
 from conftest import REPO_ROOT
+from test_conv import SPINE_ETA_SOURCE
+
+from tt2.diagnostics import offset_to_line_col
 
 
 def run_cli(*argv, cwd=REPO_ROOT):
@@ -59,9 +62,26 @@ def test_json_diagnostics_shape():
                 if line.startswith("{")]
     assert len(payloads) == 1
     diag = payloads[0]
-    assert set(diag) == {"code", "span", "message"}
+    assert set(diag) == {"code", "span", "message", "file", "line", "col"}
     assert diag["code"] == "SORT_MISMATCH"
     assert isinstance(diag["span"], list) and len(diag["span"]) == 2
+    assert diag["file"] == "stdlib/negative/u0_in_u0.tt"
+    source = (REPO_ROOT / diag["file"]).read_text(encoding="utf-8")
+    assert (diag["line"], diag["col"]) == offset_to_line_col(source, diag["span"][0])
+    # one check of two files: each diagnostic names its own file
+    files = ["stdlib/negative/u0_in_u0.tt", "stdlib/negative/unbound.tt"]
+    result = run_cli("--json-diagnostics", "check", *files)
+    assert result.returncode == 1
+    payloads = [json.loads(line) for line in result.stderr.splitlines()
+                if line.startswith("{")]
+    assert [p["file"] for p in payloads] == files
+
+
+def test_unit_eta_inside_neutral_spines_checks(tmp_path):
+    path = tmp_path / "spine_eta.tt"
+    path.write_text(SPINE_ETA_SOURCE, encoding="utf-8")
+    result = run_cli("check", str(path))
+    assert result.returncode == 0, result.stderr
 
 
 def test_non_utf8_input_is_a_coded_diagnostic(tmp_path):

@@ -1,19 +1,21 @@
 """Normalization by evaluation against the independent small-step oracle,
-idempotence, eta laws, conversion as an equivalence relation, and the
-inertness of the built-in axioms."""
+idempotence, eta laws (inside neutral spines too, against eta-long normal
+forms), conversion as an equivalence relation, and the inertness of the
+built-in axioms."""
 
 import cProfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import REPO_ROOT
 from smallstep_oracle import normalize
-from termgen import TermGen
+from termgen import TermGen, eta_instance
 
 from tt2 import conv, parse, pretty
 from tt2.core import (
-    App, Const, Context, FIB, Lam, Nat, NatElim, Pair, Fst, Signature,
-    Star, STRICT, Suc, Var, Zero,
+    App, Const, Context, DeclKind, FIB, Lam, Nat, NatElim, Pair, Pi, Fst,
+    SigEntry, Sigma, Signature, Snd, Star, STRICT, Suc, Unit, Var, Zero, shift,
 )
 from tt2.elab import Ctx, Elaborator, elaborate_signature
 from tt2.prelude import initial_signature
@@ -129,7 +131,7 @@ def test_eta_positive_cases(config, lhs, rhs, ty):
     sig = _eta_fixture(config)
     a, ty_v = _value(sig, config, lhs, ty)
     b, _ = _value(sig, config, rhs, ty)
-    assert conv.convert(sig, 0, a, b, ty_v)
+    assert conv.convert(sig, (), a, b, ty_v)
 
 
 def test_convert_is_reflexive_on_random_terms(sample_terms):
@@ -139,7 +141,7 @@ def test_convert_is_reflexive_on_random_terms(sample_terms):
         a = conv.evaluate(EMPTY, (), term)
         b = conv.evaluate(EMPTY, (), term)
         ty_v = conv.evaluate(EMPTY, (), ty)
-        assert conv.convert(EMPTY, 0, a, b, ty_v)
+        assert conv.convert(EMPTY, (), a, b, ty_v)
 
 
 def test_convert_is_reflexive_on_corpus_signature(config, manifest):
@@ -155,7 +157,7 @@ def test_convert_is_reflexive_on_corpus_signature(config, manifest):
         sig.body_values.clear()
         b = conv.evaluate(sig, (), entry.ty)
         assert a is not b
-        assert conv.convert_type(sig, 0, a, b), name
+        assert conv.convert(sig, (), a, b, None), name
 
 
 def test_convert_symmetric_transitive_on_corpus(sample_terms):
@@ -169,21 +171,162 @@ def test_convert_symmetric_transitive_on_corpus(sample_terms):
         values = [conv.evaluate(EMPTY, (), t) for t in terms[:6]]
         for i, a in enumerate(values):
             for j, b in enumerate(values):
-                ab = conv.convert(EMPTY, 0, a, b, ty_v)
-                ba = conv.convert(EMPTY, 0, b, a, ty_v)
+                ab = conv.convert(EMPTY, (), a, b, ty_v)
+                ba = conv.convert(EMPTY, (), b, a, ty_v)
                 assert ab == ba  # symmetry
                 if not ab:
                     continue
                 for c in values:
-                    if conv.convert(EMPTY, 0, b, c, ty_v):
-                        assert conv.convert(EMPTY, 0, a, c, ty_v)  # transitivity
+                    if conv.convert(EMPTY, (), b, c, ty_v):
+                        assert conv.convert(EMPTY, (), a, c, ty_v)  # transitivity
                         checked += 1
     assert checked > 0
 
 
+# Each definition checks only if eta for Unit holds inside a neutral spine:
+# in an application argument, nested, between neutrals of a type with one
+# value, and in a case of an eliminator frame.
+SPINE_ETA_SOURCE = """
+postulate A : U0
+postulate f : Unit -> Nat
+postulate g : A × Unit -> Nat
+postulate g' : Unit × A -> Nat
+postulate h : (Nat -> Unit) -> Nat
+postulate u : Unit -> Unit
+postulate m : Nat -> Nat
+postulate n : Unit -> Nat
+postulate k : Nat -> Unit
+postulate k2 : Nat -> Nat -> Unit
+def argument (x : Unit) : Id Nat (f x) (f star) := refl Nat (f x)
+def pairArgument (p : A × Unit) : Id Nat (g p) (g (fst p , star)) := refl Nat (g p)
+def pairArgumentFirst (p : Unit × A) : Id Nat (g' p) (g' (star , snd p)) := refl Nat (g' p)
+def functionArgument (j : Nat -> Unit) : Id Nat (h j) (h (\\i. star)) := refl Nat (h j)
+def nested (x : Unit) : Id Nat (f (u x)) (f (u star)) := refl Nat (f (u x))
+def nestedBelowNat (x : Unit) : Id Nat (m (n x)) (m (n star)) := refl Nat (m (n x))
+def differentHeads (x y : Unit) : Id Nat (f x) (f y) := refl Nat (f x)
+def unitValuedArgument : Id Nat (f (k zero)) (f (k (suc zero))) := refl Nat (f (k zero))
+def functionIntoUnit : Id Nat (h (k2 zero)) (h (k2 (suc zero))) := refl Nat (h (k2 zero))
+def natelimZeroCase (i : Nat) (x : Unit) :
+  Id Nat (fst (natelim (\\_. Nat × Unit) (zero , x) (\\_ r. r) i))
+         (fst (natelim (\\_. Nat × Unit) (zero , star) (\\_ r. r) i)) :=
+  refl Nat (fst (natelim (\\_. Nat × Unit) (zero , x) (\\_ r. r) i))
+"""
+
+
+def test_unit_eta_holds_inside_neutral_spines(config):
+    decls = parse.parse_file(SPINE_ETA_SOURCE)
+    _, diags = elaborate_signature(decls, initial_signature(config), config)
+    assert [(d.code, d.message) for d in diags] == []
+
+
+def test_spine_arguments_that_differ_stay_unequal(config):
+    src = """
+postulate f : Nat -> Nat
+def t : Id Nat (f zero) (f (suc zero)) := refl Nat (f zero)
+"""
+    _, diags = elaborate_signature(parse.parse_file(src), initial_signature(config), config)
+    assert [d.code for d in diags] == ["TYPE_MISMATCH"]
+
+
+def _eta_long(t, ty, env):
+    """The eta-long form at the closed type ``ty`` of the beta-normal term
+    ``t``, whose free variables have the closed types ``env`` (innermost
+    last); ``star`` at ``Unit``."""
+    if isinstance(ty, Unit):
+        return Star()
+    if isinstance(ty, Sigma):
+        a, b = (t.fst, t.snd) if isinstance(t, Pair) else (Fst(t), Snd(t))
+        return Pair(_eta_long(a, ty.fst, env), _eta_long(b, ty.snd, env))
+    if isinstance(ty, Pi):
+        body = t.body if isinstance(t, Lam) else App(shift(t), Var(0))
+        return Lam(_eta_long(body, ty.cod, env + (ty.dom,)))
+    if isinstance(t, Zero):
+        return t
+    if isinstance(t, Suc):
+        return Suc(t.layer, _eta_long(t.pred, ty, env))
+    return _eta_long_neutral(t, env)[0]
+
+
+def _eta_long_neutral(t, env):
+    """A neutral term with its arguments and cases eta-long, and its type."""
+    if isinstance(t, Var):
+        return t, env[~t.index]
+    if isinstance(t, App):
+        fn, fn_ty = _eta_long_neutral(t.fn, env)
+        return App(fn, _eta_long(t.arg, fn_ty.dom, env)), fn_ty.cod
+    if isinstance(t, (Fst, Snd)):
+        pair, pair_ty = _eta_long_neutral(t.pair, env)
+        return (Fst(pair), pair_ty.fst) if isinstance(t, Fst) else (Snd(pair), pair_ty.snd)
+    scrut, _ = _eta_long_neutral(t.scrut, env)
+    motive = t.motive  # closed, as the generator builds it
+    zcase = _eta_long(t.zcase, motive, env)
+    scase = _eta_long(t.scase, motive, env + (Nat(FIB), motive))
+    return NatElim(t.layer, motive, zcase, scase, scrut), motive
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_spine_conversion_agrees_with_eta_long_normal_forms(rng):
+    # The types are closed and non-dependent, so they need no shifting.
+    ty, t, u = eta_instance(rng)
+    sig = Signature()
+    sig.add(SigEntry("f", Pi(ty, Nat(FIB)), None, DeclKind.POSTULATE))
+    ft = conv.evaluate(sig, (), App(Const("f"), t))
+    fu = conv.evaluate(sig, (), App(Const("f"), u))
+    expected = _eta_long(normalize(EMPTY, t), ty, ()) == _eta_long(normalize(EMPTY, u), ty, ())
+    assert conv.convert(sig, (), ft, fu, conv.VNat(FIB)) == expected
+
+
+def _nested_comparisons(k):
+    """Files that compare terms nested ``k`` deep, each with the diagnostic
+    codes it gives."""
+    ok, ok_eta = "zero", "zero"
+    bad, bad_other = "zero", "suc zero"
+    partial, partial_other = "k zero", "k (suc zero)"
+    # the leaf needs the types of variables bound by an untyped comparison
+    leaf, leaf_other = "n (g1 x)", "n (g2 x)"
+    for i in range(k):
+        ok, ok_eta = f"f ({ok} , x)", f"f ({ok_eta} , star)"
+        bad, bad_other = f"h (\\y{i}. {bad})", f"h (\\y{i}. {bad_other})"
+        partial, partial_other = f"q ({partial})", f"q ({partial_other})"
+        leaf, leaf_other = f"F (g ({leaf}))", f"F (g ({leaf_other}))"
+    lam, lam_other = f"\\g n g1 g2. {leaf}", f"\\g n g1 g2. {leaf_other}"
+    return [
+        ("postulate f : Nat × Unit -> Nat\n"
+         f"def t (x : Unit) : Id Nat ({ok}) ({ok_eta}) := refl Nat ({ok})", []),
+        ("postulate h : (Nat -> Nat) -> Nat\n"
+         f"def t : Id Nat ({bad}) ({bad_other}) := refl Nat ({bad})", ["TYPE_MISMATCH"]),
+        # unequal neutrals of a function type, nested as arguments
+        ("postulate q : (Nat -> Nat) -> Nat -> Nat\npostulate k : Nat -> Nat -> Nat\n"
+         f"def t : Id (Nat -> Nat) ({partial}) ({partial_other}) := refl (Nat -> Nat) ({partial})",
+         ["TYPE_MISMATCH"]),
+        ("postulate F : Nat -> Nat\n"
+         "postulate H : ((Nat -> Nat) -> (Unit -> Nat) -> (Unit -> Unit) -> (Unit -> Unit) -> Nat) -> Nat\n"
+         f"def t (x : Unit) : Id Nat (H ({lam})) (H ({lam_other})) := refl Nat (H ({lam}))", []),
+    ]
+
+
+def test_nested_conversion_work_is_linear(config):
+    # A frame is compared again with types only after a failure that types
+    # can mend, and unequal neutrals are told apart without comparing their
+    # frames again, so doubling the nesting doubles the work; otherwise each
+    # of these grows 2x per level.
+    calls = {}
+    for k in (6, 12):
+        for index, (src, codes) in enumerate(_nested_comparisons(k)):
+            profile = cProfile.Profile()
+            _, diags = profile.runcall(
+                elaborate_signature, parse.parse_file(src), initial_signature(config), config
+            )
+            assert [d.code for d in diags] == codes
+            calls[index, k] = _calls(profile, conv.convert)
+    for index in range(4):
+        assert calls[index, 12] < 2.5 * calls[index, 6], calls
+
+
 def test_distinct_layer_types_do_not_convert():
-    assert not conv.convert_type(EMPTY, 0, conv.VNat(FIB), conv.VNat(STRICT))
-    assert not conv.convert_type(EMPTY, 0, conv.VEmpty(FIB), conv.VEmpty(STRICT))
+    assert not conv.convert(EMPTY, (), conv.VNat(FIB), conv.VNat(STRICT), None)
+    assert not conv.convert(EMPTY, (), conv.VEmpty(FIB), conv.VEmpty(STRICT), None)
 
 
 def test_axioms_are_inert(base_sig):
@@ -231,6 +374,8 @@ def test_segal5_evaluation_work_is_bounded(config):
     sig, diags = profile.runcall(elaborate_signature, decls, sig, config)
     assert not diags
     assert _calls(profile, conv.evaluate) < 40_000
+    # no comparison fails untyped, so no spine is typed
+    assert _calls(profile, conv._spine_type) == 0
 
 
 def test_sst6_conversion_work_is_bounded(config):
@@ -242,6 +387,7 @@ def test_sst6_conversion_work_is_bounded(config):
     _, diags = profile.runcall(elaborate_signature, decls, initial_signature(config), config)
     assert not diags
     assert _calls(profile, conv._convert_spine) < 1_000
+    assert _calls(profile, conv._spine_type) == 0
 
 
 def _calls(profile, fn):

@@ -265,12 +265,21 @@ def test_generated_methods_are_profiled_per_class():
     assert {key[0] for key in inits} == {parse.__file__}
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+def _modules_loaded_by_importing_the_cli(names):
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import tt2.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            f"print(sorted({set(names)!r} & set(sys.modules)))")
     result = subprocess.run(
         [sys.executable, "-S", "-c", code, str(REPO_ROOT / "src")],
         capture_output=True, text=True, env={"PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    assert _modules_loaded_by_importing_the_cli({"dataclasses", "inspect"}) == "[]"
+
+
+def test_importing_the_cli_loads_no_generator():
+    # only ``tt2 gen`` and ``tt2 delta`` need them
+    assert _modules_loaded_by_importing_the_cli({"tt2.sstgen", "tt2.delta"}) == "[]"

@@ -307,6 +307,6 @@ def test_subject_soundness_on_inferable_bodies(config, manifest):
             assert diag.code == "CANNOT_INFER"
             continue
         declared = conv.evaluate(sig, (), entry.ty)
-        assert conv.convert_type(sig, 0, got, declared), entry.name
+        assert conv.convert(sig, (), got, declared, None), entry.name
         sampled += 1
     assert sampled >= 5

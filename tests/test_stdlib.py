@@ -77,15 +77,15 @@ def test_fin_computes(corpus_sig, config):
         return conv.evaluate(corpus_sig, (), term)
 
     # FinS zero is EmptyS; FinS (suc n) is SumS Unit (FinS n)
-    assert conv.convert_type(corpus_sig, 0, v("FinS zero"), v("EmptyS"))
-    assert conv.convert_type(
-        corpus_sig, 0, v("FinS (suc zero)"), v("SumS Unit EmptyS")
+    assert conv.convert(corpus_sig, (), v("FinS zero"), v("EmptyS"), None)
+    assert conv.convert(
+        corpus_sig, (), v("FinS (suc zero)"), v("SumS Unit EmptyS"), None
     )
-    assert conv.convert_type(
-        corpus_sig, 0, v("FinS (suc (suc zero))"), v("SumS Unit (SumS Unit EmptyS)")
+    assert conv.convert(
+        corpus_sig, (), v("FinS (suc (suc zero))"), v("SumS Unit (SumS Unit EmptyS)"), None
     )
-    assert conv.convert_type(corpus_sig, 0, v("FinF zero"), v("Empty"))
-    assert conv.convert_type(corpus_sig, 0, v("FinF (suc zero)"), v("Sum Unit Empty"))
+    assert conv.convert(corpus_sig, (), v("FinF zero"), v("Empty"), None)
+    assert conv.convert(corpus_sig, (), v("FinF (suc zero)"), v("Sum Unit Empty"), None)
 
 
 def test_addition_normalizes_in_corpus(corpus_sig, config):
@@ -102,7 +102,7 @@ def test_cocylinder_factorization_is_definitional(corpus_sig, config):
     lhs = elab.check(Ctx(), parse.parse_term("\\a. ccProj (ccInto a)"), ty_v)
     lhs_v = conv.evaluate(corpus_sig, (), lhs)
     f_v = conv.evaluate(corpus_sig, (), Const("ccf"))
-    assert conv.convert(corpus_sig, 0, lhs_v, f_v, ty_v)
+    assert conv.convert(corpus_sig, (), lhs_v, f_v, ty_v)
 
 
 def test_flagship_witnesses_present(corpus_sig):
