@@ -393,6 +393,9 @@ class Signature:
 
     Immutable once elaboration finishes; the value caches are monotone
     memo tables for evaluation and do not affect observable behaviour.
+    The built-in axioms (``prelude``) are declared eagerly, with
+    ``body`` ``None``, but each one's ``ty`` is elaborated and checked
+    on its first read and then kept: a monotone memo like the caches.
     """
 
     def __init__(self) -> None:

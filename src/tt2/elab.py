@@ -402,7 +402,15 @@ class Elaborator:
                 )
             if cls is parse.RZero:
                 return core.Zero(expected.layer)
-            return core.Suc(expected.layer, self.check(ctx, raw.pred, expected))
+            # Walk a chain of successors in a loop and build the core chain
+            # from the inside out, so its length costs no stack.
+            count = 0
+            while raw.__class__ is parse.RSuc:
+                raw, count = raw.pred, count + 1
+            term = self.check(ctx, raw, expected)
+            for _ in range(count):
+                term = core.Suc(expected.layer, term)
+            return term
         if cls is parse.RInl or cls is parse.RInr:
             if expected.__class__ is not VSum:
                 raise Diagnostic(

@@ -1,4 +1,4 @@
-"""Built-in axioms, stated in surface syntax and elaborated at start-up.
+"""Built-in axioms, stated in surface syntax and elaborated on first use.
 
 The strict fragment gets uniqueness of identity proofs and function
 extensionality; each fibrant universe that can be quantified over gets a
@@ -8,11 +8,20 @@ the coercion map.  All three are inert: none carries a computation rule.
 Quantifying over a universe needs the next level up, so in a hierarchy of
 L levels the axioms live at level L-2 and the top universe has no
 univalence axiom of its own.
+
+Every fresh signature declares all the axioms at once, in this order and
+with kind ``AXIOM``, so their names are taken and counted from the start.
+An axiom's statement is parsed and elaborated (into a signature of its
+own, through ``Signature.add``) only when its ``ty`` is first read, and
+kept: like the signature's value caches, the type is a monotone memo.
+Most files name no axiom, and the univalence statements are by far the
+largest part of the prelude.
 """
 
 from __future__ import annotations
 
-from .core import DeclKind, InternalError, Signature
+from .core import DeclKind, InternalError, Signature, Term
+from .diagnostics import DEPTH
 from .elab import Config, elaborate_signature
 from .parse import parse_file
 
@@ -43,37 +52,67 @@ def _ua_axiom(i: int) -> str:
     return f"postulate ua{i} : (A : U{i}) -> (B : U{i}) -> {stmt}"
 
 
-def prelude_source(config: Config) -> str:
-    """Surface text of the built-in axioms for the configured hierarchy."""
+def _axioms(config: Config) -> list[tuple[str, str]]:
+    """Name and surface declaration of each built-in axiom, in order."""
     top = config.universes - 2
     if top < 0:
-        return ""
-    lines = [
-        "postulate uip : "
-        f"(A : US{top}) -> (a : A) -> (b : A) -> (p : Eq A a b) -> "
-        "(q : Eq A a b) -> Eq (Eq A a b) p q",
-        "postulate funextS : "
-        f"(A : US{top}) -> (B : A -> US{top}) -> (f : (x : A) -> B x) -> "
-        "(g : (x : A) -> B x) -> ((x : A) -> Eq (B x) (f x) (g x)) -> "
-        "Eq ((x : A) -> B x) f g",
+        return []
+    axioms = [
+        ("uip", "postulate uip : "
+         f"(A : US{top}) -> (a : A) -> (b : A) -> (p : Eq A a b) -> "
+         "(q : Eq A a b) -> Eq (Eq A a b) p q"),
+        ("funextS", "postulate funextS : "
+         f"(A : US{top}) -> (B : A -> US{top}) -> (f : (x : A) -> B x) -> "
+         "(g : (x : A) -> B x) -> ((x : A) -> Eq (B x) (f x) (g x)) -> "
+         "Eq ((x : A) -> B x) f g"),
     ]
     for i in range(config.universes - 1):
-        lines.append(_ua_axiom(i))
-    return "\n".join(lines) + "\n"
+        axioms.append((f"ua{i}", _ua_axiom(i)))
+    return axioms
+
+
+def prelude_source(config: Config) -> str:
+    """Surface text of the built-in axioms for the configured hierarchy."""
+    return "".join(source + "\n" for _, source in _axioms(config))
+
+
+class _Axiom:
+    """A signature entry whose type is elaborated when first read."""
+
+    __slots__ = ("name", "_source", "_config", "_ty")
+    body = None
+    kind = DeclKind.AXIOM
+
+    def __init__(self, name: str, source: str, config: Config) -> None:
+        self.name = name
+        self._source = source
+        self._config = config
+        self._ty = None
+
+    @property
+    def ty(self) -> Term:
+        if self._ty is None:
+            sig, diagnostics = elaborate_signature(
+                parse_file(self._source), config=self._config,
+                kind_override=DeclKind.AXIOM,
+            )
+            if any(d.code == DEPTH for d in diagnostics):
+                # The first read came too deep in the stack; the reader's
+                # declaration gets the DEPTH diagnostic, and the next read
+                # tries again.
+                raise RecursionError(diagnostics[0].message)
+            if diagnostics:
+                raise InternalError(
+                    "the built-in axioms failed to elaborate: "
+                    + "; ".join(d.message for d in diagnostics)
+                )
+            self._ty = sig.entries[self.name].ty
+        return self._ty
 
 
 def initial_signature(config: Config = Config()) -> Signature:
     """A fresh signature containing exactly the built-in axioms."""
-    source = prelude_source(config)
-    if not source:
-        return Signature()
-    decls = parse_file(source)
-    sig, diagnostics = elaborate_signature(
-        decls, config=config, kind_override=DeclKind.AXIOM
-    )
-    if diagnostics:
-        raise InternalError(
-            "the built-in axioms failed to elaborate: "
-            + "; ".join(d.message for d in diagnostics)
-        )
+    sig = Signature()
+    for name, source in _axioms(config):
+        sig.entries[name] = _Axiom(name, source, config)
     return sig

@@ -123,7 +123,12 @@ class _CorePrinter:
         if cls is core.Zero:
             return "zero"
         if cls is core.Suc:
-            return _wrap(f"suc {self.show(t.pred, names, ATOM)}", prec > APP)
+            # A numeral is printed in a loop, as the elaborator checks it.
+            count = 0
+            while t.__class__ is core.Suc:
+                t, count = t.pred, count + 1
+            out = "suc (" * (count - 1) + f"suc {self.show(t, names, ATOM)}" + ")" * (count - 1)
+            return _wrap(out, prec > APP)
         if cls is core.NatElim:
             kw = "natelim" if t.layer is FIB else "natelimS"
             parts = [

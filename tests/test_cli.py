@@ -9,7 +9,12 @@ import sys
 from conftest import REPO_ROOT
 from test_conv import SPINE_ETA_SOURCE
 
+from tt2 import parse, pretty
+from tt2.core import DeclKind
+from tt2.corpus import corpus
 from tt2.diagnostics import offset_to_line_col
+from tt2.elab import Config, elaborate_signature
+from tt2.prelude import prelude_source
 
 
 def run_cli(*argv, cwd=REPO_ROOT):
@@ -102,7 +107,7 @@ def test_non_utf8_input_is_a_coded_diagnostic(tmp_path):
 
 def test_too_deep_input_is_a_coded_diagnostic(tmp_path):
     src = tmp_path / "deep.tt"
-    src.write_text("def n : Nat := " + "suc (" * 5000 + "zero" + ")" * 5000 + "\n")
+    src.write_text("def T : U1 := " + "U0 -> " * 5000 + "U0\n")
     result = run_cli("check", str(src))
     assert result.returncode == 1
     assert "error[DEPTH]" in result.stderr
@@ -113,6 +118,24 @@ def test_too_deep_input_is_a_coded_diagnostic(tmp_path):
                 if line.startswith("{")]
     assert [p["code"] for p in payloads] == ["DEPTH"]
     assert payloads[0]["span"][0] == 0
+
+
+def test_check_of_2000_nested_successors_passes(tmp_path):
+    # Checking and printing walk a numeral in a loop; evaluating it still
+    # recurses once per level, so eval ends in a coded DEPTH diagnostic.
+    depth = 2000
+    src = tmp_path / "deep.tt"
+    src.write_text("def n : Nat := " + "suc (" * depth + "zero" + ")" * depth + "\n")
+    result = run_cli("check", str(src))
+    assert result.returncode == 0, result.stderr
+    result = run_cli("check", str(src), "--dump-core")
+    assert result.returncode == 0, result.stderr
+    numeral = "suc (" * (depth - 1) + "suc zero" + ")" * (depth - 1)
+    assert result.stdout.splitlines()[-1] == f"def n : Nat := {numeral}"
+    result = run_cli("eval", str(src), "--term", "n")
+    assert result.returncode == 1
+    assert "error[DEPTH]" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_eval_of_a_long_definition_chain_never_crashes(tmp_path):
@@ -224,6 +247,30 @@ def test_dump_core_is_byte_identical_across_runs():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert "def FinS" in first.stdout
+
+
+def test_dump_core_prints_the_axioms_as_eager_elaboration():
+    # The axioms are elaborated on first read; the dump reads them all and
+    # must print what elaborating the prelude text up front gives.
+    config = Config()
+    manifest = corpus(REPO_ROOT / "stdlib")
+    sig, diags = elaborate_signature(
+        parse.parse_file(prelude_source(config)), config=config,
+        kind_override=DeclKind.AXIOM,
+    )
+    names = list(sig.entries)
+    for entry in manifest.accept_entries():
+        sig, more = elaborate_signature(parse.parse_file(manifest.source(entry)), sig, config)
+        diags += more
+    assert not diags
+    axioms = [f"axiom {name} : {pretty.pretty(sig.entries[name].ty, sig)}" for name in names]
+    files = [f"stdlib/{e.path}" for e in manifest.accept_entries()]
+    result = run_cli("check", *files, "--dump-core")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[:len(axioms)] == axioms
+    result = run_cli("check", *files)
+    assert result.returncode == 0, result.stderr
+    assert f"tt2: checked {len(sig.entries)} signature entries" in result.stderr
 
 
 def test_universes_flag_extends_hierarchy(tmp_path):
