@@ -113,6 +113,7 @@ def _cmd_check(args, config: Config) -> int:
     sig = initial_signature(config)
     failures = 0
     postulates = 0
+    origins = {}  # declaration name -> (source, file name, span), for --dump-core
     for name in args.files:
         path = _resolve(name, args.include)
         if path is None:
@@ -130,6 +131,8 @@ def _cmd_check(args, config: Config) -> int:
             failures += 1
             continue
         postulates += sum(1 for d in decls if d.kind == "postulate")
+        for d in decls:
+            origins.setdefault(d.name, (source, name, d.span))
         sig, diagnostics = elaborate_signature(decls, sig, config)
         for diag in diagnostics:
             _emit_diagnostic(diag, source, name, config)
@@ -139,9 +142,16 @@ def _cmd_check(args, config: Config) -> int:
         print(f"tt2: {postulates} postulate(s) admitted", file=sys.stderr)
     if args.dump_core:
         for entry in sig.entries.values():
-            head = f"{entry.kind.value} {entry.name} : {pretty.pretty(entry.ty, sig)}"
-            if entry.body is not None:
-                head += f" := {pretty.pretty(entry.body, sig)}"
+            try:
+                head = f"{entry.kind.value} {entry.name} : {pretty.pretty(entry.ty, sig)}"
+                if entry.body is not None:
+                    head += f" := {pretty.pretty(entry.body, sig)}"
+            except RecursionError:
+                source, name, span = origins.get(entry.name, ("", "<prelude>", (0, 0)))
+                diag = Diagnostic(DEPTH, span, f"{entry.name!r} nests too deeply to print")
+                _emit_diagnostic(diag, source, name, config)
+                failures += 1
+                continue
             print(head)
     else:
         print(f"tt2: checked {checked} signature entries", file=sys.stderr)

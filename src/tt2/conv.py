@@ -21,11 +21,18 @@ Two rules keep the walkers cheap:
   and closures are ``Node`` records not declared frozen (see ``core``),
   so building one stores its slots directly.
 - Walkers dispatch on the exact class of the node (``cls is VPi``), with
-  the most frequent classes first, and cost one Python frame per nesting
-  level.  That holds for ``evaluate``, ``quote`` and conversion here,
-  for ``infer`` and ``check`` in ``elab`` and for the core printer in
-  ``pretty``; a second frame per level (a table of per-class functions,
-  say) would halve the nesting depth that fits under the recursion limit.
+  the most frequent classes first.  The width of a construct is walked in
+  a loop and only genuine nesting recurses, at one Python frame per
+  level: an application chain ``f a1 … an`` evaluates its head once and
+  builds one spine, a numeral is evaluated, read back and eliminated in a
+  loop, and conversion continues into a Π codomain, a Σ second component
+  or any other last comparison without a call.  In ``elab``, ``infer``
+  walks application chains and Π/Σ telescopes and ``check`` walks λ
+  chains the same way, and so does the core printer in ``pretty``.
+  Generated files are wide rather than deep, so their size costs no
+  stack; a second frame per nesting level (a table of per-class
+  functions, say) would halve the nesting depth that fits under the
+  recursion limit.
 """
 
 from __future__ import annotations
@@ -244,15 +251,21 @@ def do_snd(sig: Signature, v: Value) -> Value:
 
 
 def do_natelim(sig, layer, motive: Closure, zcase: Value, scase: Closure, scrut: Value) -> Value:
+    # A numeral is eliminated in a loop, up from its innermost predecessor.
+    preds = []
+    while scrut.__class__ is VSuc:
+        preds.append(scrut.pred)
+        scrut = scrut.pred
     cls = scrut.__class__
     if cls is VZero:
-        return zcase
-    if cls is VSuc:
-        rec = do_natelim(sig, layer, motive, zcase, scase, scrut.pred)
-        return scase.apply(sig, scrut.pred, rec)
-    if cls is VNeutral:
-        return VNeutral(scrut.head, scrut.spine + (FNatElim(layer, motive, zcase, scase),))
-    raise InternalError("natural-number eliminator on non-numeral value")
+        acc = zcase
+    elif cls is VNeutral:
+        acc = VNeutral(scrut.head, scrut.spine + (FNatElim(layer, motive, zcase, scase),))
+    else:
+        raise InternalError("natural-number eliminator on non-numeral value")
+    for pred in reversed(preds):
+        acc = scase.apply(sig, pred, acc)
+    return acc
 
 
 def do_sumelim(sig, layer, motive: Closure, lcase: Closure, rcase: Closure, scrut: Value) -> Value:
@@ -291,12 +304,41 @@ def evaluate(sig: Signature, env: tuple[Value, ...], t: Term) -> Value:
                 f"unbound index {t.index} in environment of {len(env)}"
             ) from None
     if cls is App:
-        fn = evaluate(sig, env, t.fn)
-        arg = evaluate(sig, env, t.arg)
-        if fn.__class__ is VNeutral:
-            # apply_value's first case, inlined: most applications are stuck
-            return VNeutral(fn.head, fn.spine + (FApp(arg),))
-        return apply_value(sig, fn, arg)
+        # A bound variable as argument is read from env without a call; an
+        # unbound one goes to the Var case above, which reports it.
+        fn, arg = t.fn, t.arg
+        if fn.__class__ is not App:
+            fn = evaluate(sig, env, fn)
+            if arg.__class__ is Var and arg.index < len(env):
+                arg = env[~arg.index]
+            else:
+                arg = evaluate(sig, env, arg)
+            if fn.__class__ is VNeutral:
+                # apply_value's first case, inlined: most applications are stuck
+                return VNeutral(fn.head, fn.spine + (FApp(arg),))
+            return apply_value(sig, fn, arg)
+        # A chain f a1 … an: evaluate the head once, then the arguments left
+        # to right.  A stuck head takes every remaining argument into its
+        # spine at once, instead of copying the spine once per argument.
+        args = [arg]
+        while fn.__class__ is App:
+            args.append(fn.arg)
+            fn = fn.fn
+        fn = evaluate(sig, env, fn)
+        depth = len(env)
+        frames = []
+        for arg in reversed(args):
+            if arg.__class__ is Var and arg.index < depth:
+                arg = env[~arg.index]
+            else:
+                arg = evaluate(sig, env, arg)
+            if fn.__class__ is VNeutral:
+                frames.append(FApp(arg))
+            else:
+                fn = apply_value(sig, fn, arg)
+        if frames:
+            return VNeutral(fn.head, fn.spine + tuple(frames))
+        return fn
     if cls is Pi:
         return VPi(evaluate(sig, env, t.dom), Closure(env, t.cod))
     if cls is Const:
@@ -336,7 +378,14 @@ def evaluate(sig: Signature, env: tuple[Value, ...], t: Term) -> Value:
     if cls is Nat:
         return VNat(t.layer)
     if cls is Suc:
-        return VSuc(t.layer, evaluate(sig, env, t.pred))
+        # A numeral is walked in a loop, as the elaborator checks it.
+        layer, count = t.layer, 0
+        while t.__class__ is Suc and t.layer is layer:
+            t, count = t.pred, count + 1
+        v = evaluate(sig, env, t)
+        for _ in range(count):
+            v = VSuc(layer, v)
+        return v
     if cls is Zero:
         return VZero(t.layer)
     if cls is NatElim:
@@ -407,7 +456,13 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
     if cls is VPair:
         return Pair(quote(sig, depth, v.fst), quote(sig, depth, v.snd))
     if cls is VSuc:
-        return Suc(v.layer, quote(sig, depth, v.pred))
+        layer, count = v.layer, 0
+        while v.__class__ is VSuc and v.layer is layer:
+            v, count = v.pred, count + 1
+        t = quote(sig, depth, v)
+        for _ in range(count):
+            t = Suc(layer, t)
+        return t
     if cls is VZero:
         return Zero(v.layer)
     if cls is VNat:
@@ -478,68 +533,102 @@ def convert(sig: Signature, types: Types, a: Value, b: Value, ty: Optional[Value
     """Definitional equality of ``a`` and ``b``, values of the type value
     ``ty``, under variables of the given ``types``.  Where ``ty`` is None
     the values' classes direct the comparison.  None instead of False: they
-    differ only where a variable's type was needed and not known."""
-    if a is b:
-        return True
-    if ty is not None:
-        cls = ty.__class__
-        if cls is VPi:
-            var = fresh(len(types))
-            return convert(sig, types + (ty.dom,), apply_value(sig, a, var),
-                           apply_value(sig, b, var), ty.cod.apply(sig, var))
-        if cls is VSigma:
-            fa = do_fst(sig, a)
-            return convert(sig, types, fa, do_fst(sig, b), ty.fst) and convert(
-                sig, types, do_snd(sig, a), do_snd(sig, b), ty.snd.apply(sig, fa))
-        if cls is VUnit:
-            return True
-        if cls is VId:
-            if a.__class__ is VRefl and b.__class__ is VRefl:
+    differ only where a variable's type was needed and not known.
+
+    The last comparison of each case (a Π codomain, a Σ second component,
+    an argument of a former) is the next round of the loop, not a call."""
+    while a is not b:
+        if ty is not None:
+            cls = ty.__class__
+            if cls is VPi:
+                var = fresh(len(types))
+                types, a, b, ty = (types + (ty.dom,), apply_value(sig, a, var),
+                                   apply_value(sig, b, var), ty.cod.apply(sig, var))
+                continue
+            if cls is VSigma:
+                fa = do_fst(sig, a)
+                ok = convert(sig, types, fa, do_fst(sig, b), ty.fst)
+                if not ok:
+                    return ok
+                a, b, ty = do_snd(sig, a), do_snd(sig, b), ty.snd.apply(sig, fa)
+                continue
+            if cls is VUnit:
                 return True
-        elif cls is VSum:
-            ca = a.__class__
-            if ca is b.__class__ and (ca is VInl or ca is VInr):
-                return convert(sig, types, a.arg, b.arg, ty.left if ca is VInl else ty.right)
-    ca, cb = a.__class__, b.__class__
-    if ca is cb:
-        if ca is VNeutral:
-            return _convert_spine(sig, types, a, b)
-        if ca is VPi:
+            if cls is VId:
+                if a.__class__ is VRefl and b.__class__ is VRefl:
+                    return True
+            elif cls is VSum:
+                ca = a.__class__
+                if ca is b.__class__ and (ca is VInl or ca is VInr):
+                    a, b, ty = a.arg, b.arg, ty.left if ca is VInl else ty.right
+                    continue
+        ca, cb = a.__class__, b.__class__
+        if ca is cb:
+            if ca is VNeutral:
+                return _convert_spine(sig, types, a, b)
+            if ca is VPi:
+                ok = convert(sig, types, a.dom, b.dom, None)
+                if not ok:
+                    return ok
+                var = fresh(len(types))
+                types, a, b, ty = types + (a.dom,), a.cod.apply(sig, var), b.cod.apply(sig, var), None
+                continue
+            if ca is VSigma:
+                ok = convert(sig, types, a.fst, b.fst, None)
+                if not ok:
+                    return ok
+                var = fresh(len(types))
+                types, a, b, ty = types + (a.fst,), a.snd.apply(sig, var), b.snd.apply(sig, var), None
+                continue
+            if ca is VId:
+                ok = a.layer is b.layer and convert(sig, types, a.ty, b.ty, None) and convert(
+                    sig, types, a.lhs, b.lhs, a.ty)
+                if not ok:
+                    return ok
+                a, b, ty = a.rhs, b.rhs, a.ty
+                continue
+            if ca is VUniv:
+                return a.sort == b.sort
+            if ca is VNat or ca is VEmpty or ca is VZero:
+                return a.layer is b.layer
+            if ca is VUnit or ca is VStar:
+                return True
+            if ca is VSum:
+                ok = a.layer is b.layer and convert(sig, types, a.left, b.left, None)
+                if not ok:
+                    return ok
+                a, b, ty = a.right, b.right, None
+                continue
+            if ca is VSuc:
+                if a.layer is not b.layer:
+                    return False
+                a, b, ty = a.pred, b.pred, None
+                continue
+            if ca is VInl or ca is VInr:
+                if a.layer is not b.layer:
+                    return False
+                a, b, ty = a.arg, b.arg, None
+                continue
+            if ca is VRefl:
+                ok = a.layer is b.layer and convert(sig, types, a.ty, b.ty, None)
+                if not ok:
+                    return ok
+                a, b, ty = a.arg, b.arg, None
+                continue
+        # eta for functions and pairs, a neutral on at most one side
+        if (ca is VLam or ca is VNeutral) and (cb is VLam or cb is VNeutral):
             var = fresh(len(types))
-            return convert(sig, types, a.dom, b.dom, None) and convert(
-                sig, types + (a.dom,), a.cod.apply(sig, var), b.cod.apply(sig, var), None)
-        if ca is VSigma:
-            var = fresh(len(types))
-            return convert(sig, types, a.fst, b.fst, None) and convert(
-                sig, types + (a.fst,), a.snd.apply(sig, var), b.snd.apply(sig, var), None)
-        if ca is VId:
-            return a.layer is b.layer and convert(sig, types, a.ty, b.ty, None) and convert(
-                sig, types, a.lhs, b.lhs, a.ty) and convert(sig, types, a.rhs, b.rhs, a.ty)
-        if ca is VUniv:
-            return a.sort == b.sort
-        if ca is VNat or ca is VEmpty or ca is VZero:
-            return a.layer is b.layer
-        if ca is VUnit or ca is VStar:
-            return True
-        if ca is VSum:
-            return a.layer is b.layer and convert(sig, types, a.left, b.left, None) and convert(
-                sig, types, a.right, b.right, None)
-        if ca is VSuc:
-            return a.layer is b.layer and convert(sig, types, a.pred, b.pred, None)
-        if ca is VInl or ca is VInr:
-            return a.layer is b.layer and convert(sig, types, a.arg, b.arg, None)
-        if ca is VRefl:
-            return a.layer is b.layer and convert(sig, types, a.ty, b.ty, None) and convert(
-                sig, types, a.arg, b.arg, None)
-    # eta for functions and pairs, a neutral on at most one side
-    if (ca is VLam or ca is VNeutral) and (cb is VLam or cb is VNeutral):
-        var = fresh(len(types))
-        return convert(sig, types + (None,), apply_value(sig, a, var), apply_value(sig, b, var), None)
-    if (ca is VPair or ca is VNeutral) and (cb is VPair or cb is VNeutral):
-        return convert(sig, types, do_fst(sig, a), do_fst(sig, b), None) and convert(
-            sig, types, do_snd(sig, a), do_snd(sig, b), None)
-    # eta for Unit: both sides have one type, and star makes it Unit
-    return ca is VStar or cb is VStar
+            types, a, b, ty = types + (None,), apply_value(sig, a, var), apply_value(sig, b, var), None
+            continue
+        if (ca is VPair or ca is VNeutral) and (cb is VPair or cb is VNeutral):
+            ok = convert(sig, types, do_fst(sig, a), do_fst(sig, b), None)
+            if not ok:
+                return ok
+            a, b, ty = do_snd(sig, a), do_snd(sig, b), None
+            continue
+        # eta for Unit: both sides have one type, and star makes it Unit
+        return ca is VStar or cb is VStar
+    return True
 
 
 def _convert_spine(sig: Signature, types: Types, a: VNeutral, b: VNeutral) -> Optional[bool]:

@@ -40,18 +40,20 @@ class Config(Node, frozen=True):
 
 
 class Ctx(Node, frozen=True):
+    # innermost binder first, so that a name's position is its de Bruijn index
     names: tuple[Optional[str], ...] = ()
+    # by level, outermost first, as conversion and evaluation index them
     types: tuple[Value, ...] = ()
     env: tuple[Value, ...] = ()
 
     def extend(self, name: Optional[str], ty: Value) -> "Ctx":
         var = conv.fresh(len(self.env))
-        return Ctx(self.names + (name,), self.types + (ty,), self.env + (var,))
+        return Ctx((name,) + self.names, self.types + (ty,), self.env + (var,))
 
     def lookup(self, name: str) -> Optional[tuple[int, Value]]:
         """The de Bruijn index and type of the innermost binder of ``name``."""
         try:
-            index = self.names[::-1].index(name)
+            index = self.names.index(name)
         except ValueError:
             return None
         return index, self.types[~index]
@@ -85,7 +87,7 @@ class Elaborator:
         return sort_join(a, b, self.config.collapse_fibrant_universes)
 
     def _show(self, ctx: Ctx, v: Value) -> str:
-        names = tuple(n if n is not None else "_" for n in ctx.names)
+        names = tuple(n if n is not None else "_" for n in reversed(ctx.names))
         return pretty.pretty(conv.quote(self.sig, len(ctx.env), v), self.sig, names)
 
     def _universe_sort(self, layer: Layer, level: int, span: Span) -> Sort:
@@ -142,25 +144,41 @@ class Elaborator:
                 return core.Const(name), conv.const_type_value(self.sig, name)
             raise Diagnostic(UNBOUND, raw.span, f"unbound name {name!r}")
         if cls is parse.RApp:
-            fn_core, fn_ty = self.infer(ctx, raw.fn)
-            if fn_ty.__class__ is not VPi:
-                raise Diagnostic(
-                    TYPE_MISMATCH, raw.span,
-                    f"expected a function, but this has type {self._show(ctx, fn_ty)}",
-                )
-            arg_core = self.check(ctx, raw.arg, fn_ty.dom)
-            result = fn_ty.cod.apply(self.sig, evaluate(self.sig, ctx.env, arg_core))
-            return core.App(fn_core, arg_core), result
-        if cls is parse.RPi:
-            dom_core, s1 = self.ensure_type(ctx, raw.dom)
-            inner = ctx.extend(raw.binder, evaluate(self.sig, ctx.env, dom_core))
-            cod_core, s2 = self.ensure_type(inner, raw.cod)
-            return core.Pi(dom_core, cod_core), VUniv(self.join(s1, s2))
-        if cls is parse.RSigma:
-            fst_core, s1 = self.ensure_type(ctx, raw.fst)
-            inner = ctx.extend(raw.binder, evaluate(self.sig, ctx.env, fst_core))
-            snd_core, s2 = self.ensure_type(inner, raw.snd)
-            return core.Sigma(fst_core, snd_core), VUniv(self.join(s1, s2))
+            # An application chain f a1 … an: infer the head once, then check
+            # and instantiate the arguments in a loop.
+            apps = [raw]
+            fn = raw.fn
+            while fn.__class__ is parse.RApp:
+                apps.append(fn)
+                fn = fn.fn
+            term, ty = self.infer(ctx, fn)
+            for app in reversed(apps):
+                if ty.__class__ is not VPi:
+                    raise Diagnostic(
+                        TYPE_MISMATCH, app.span,
+                        f"expected a function, but this has type {self._show(ctx, ty)}",
+                    )
+                arg_core = self.check(ctx, app.arg, ty.dom)
+                ty = ty.cod.apply(self.sig, evaluate(self.sig, ctx.env, arg_core))
+                term = core.App(term, arg_core)
+            return term, ty
+        if cls is parse.RPi or cls is parse.RSigma:
+            # A right-nested telescope of Π and Σ binders: extend the context
+            # binder by binder, then build the term and its sort inside out.
+            binders = []
+            inner = ctx
+            while cls is parse.RPi or cls is parse.RSigma:
+                is_pi = cls is parse.RPi
+                dom_core, sort = self.ensure_type(inner, raw.dom if is_pi else raw.fst)
+                binders.append((is_pi, dom_core, sort))
+                inner = inner.extend(raw.binder, evaluate(self.sig, inner.env, dom_core))
+                raw = raw.cod if is_pi else raw.snd
+                cls = raw.__class__
+            term, sort = self.ensure_type(inner, raw)
+            for is_pi, dom_core, dom_sort in reversed(binders):
+                term = core.Pi(dom_core, term) if is_pi else core.Sigma(dom_core, term)
+                sort = self.join(dom_sort, sort)
+            return term, VUniv(sort)
         if cls is parse.RId:
             layer = raw.layer
             ty_core, s = self.ensure_type(ctx, raw.ty)
@@ -373,17 +391,23 @@ class Elaborator:
     def check(self, ctx: Ctx, raw: parse.Raw, expected: Value) -> Term:
         cls = raw.__class__
         if cls is parse.RLam:
-            if expected.__class__ is not VPi:
-                raise Diagnostic(
-                    TYPE_MISMATCH, raw.span,
-                    f"lambda checked against non-function type "
-                    f"{self._show(ctx, expected)}",
-                )
-            binder = raw.binder
-            inner = ctx.extend(None if binder == "_" else binder, expected.dom)
-            var = inner.env[-1]
-            body_core = self.check(inner, raw.body, expected.cod.apply(self.sig, var))
-            return core.Lam(body_core)
+            # A chain of lambdas is checked in a loop against the Π telescope.
+            count = 0
+            while raw.__class__ is parse.RLam:
+                if expected.__class__ is not VPi:
+                    raise Diagnostic(
+                        TYPE_MISMATCH, raw.span,
+                        f"lambda checked against non-function type "
+                        f"{self._show(ctx, expected)}",
+                    )
+                binder = raw.binder
+                ctx = ctx.extend(None if binder == "_" else binder, expected.dom)
+                expected = expected.cod.apply(self.sig, ctx.env[-1])
+                raw, count = raw.body, count + 1
+            term = self.check(ctx, raw, expected)
+            for _ in range(count):
+                term = core.Lam(term)
+            return term
         if cls is parse.RPair:
             if expected.__class__ is not VSigma:
                 raise Diagnostic(

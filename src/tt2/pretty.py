@@ -68,29 +68,46 @@ class _CorePrinter:
             return t.name
         if cls is core.Univ:
             return str(t.sort)
-        if cls is core.Pi:
-            if id(t) in self.dependent:
-                x = self.fresh_name()
-                body = self.show(t.cod, names + (x,), TERM)
-                out = f"({x} : {self.show(t.dom, names, TERM)}) -> {body}"
-            else:
-                out = f"{self.show(t.dom, names, SIGMA)} -> {self.show(t.cod, names + ('_',), TERM)}"
-            return _wrap(out, prec > TERM)
+        if cls is core.Pi or cls is core.Sigma:
+            # A right-nested chain of one former is printed in a loop.  Fresh
+            # names come in the order that printing by recursion gave them: a
+            # dependent binder's domain after everything to its right.
+            pi = cls is core.Pi
+            parts, pending = [], []
+            while t.__class__ is cls:
+                dom, cod = (t.dom, t.cod) if pi else (t.fst, t.snd)
+                if id(t) in self.dependent:
+                    x = self.fresh_name()
+                    pending.append((len(parts), x, dom, names))
+                    parts.append(None)
+                    names += (x,)
+                else:
+                    parts.append(self.show(dom, names, SIGMA if pi else APP))
+                    names += ("_",)
+                t = cod
+            parts.append(self.show(t, names, TERM if pi else SIGMA))
+            for i, x, dom, outer in reversed(pending):
+                parts[i] = f"({x} : {self.show(dom, outer, TERM)})"
+            return _wrap((" -> " if pi else " × ").join(parts), prec > (TERM if pi else SIGMA))
         if cls is core.Lam:
-            x = self.fresh_name()
-            out = f"\\{x}. {self.show(t.body, names + (x,), TERM)}"
-            return _wrap(out, prec > TERM)
-        if cls is core.App:
-            out = f"{self.show(t.fn, names, APP)} {self.show(t.arg, names, ATOM)}"
-            return _wrap(out, prec > APP)
-        if cls is core.Sigma:
-            if id(t) in self.dependent:
+            # A chain of lambdas is printed in a loop, as it is checked.
+            out = []
+            while t.__class__ is core.Lam:
                 x = self.fresh_name()
-                body = self.show(t.snd, names + (x,), SIGMA)
-                out = f"({x} : {self.show(t.fst, names, TERM)}) × {body}"
-            else:
-                out = f"{self.show(t.fst, names, APP)} × {self.show(t.snd, names + ('_',), SIGMA)}"
-            return _wrap(out, prec > SIGMA)
+                out.append(f"\\{x}. ")
+                names, t = names + (x,), t.body
+            out.append(self.show(t, names, TERM))
+            return _wrap("".join(out), prec > TERM)
+        if cls is core.App:
+            # An application chain is printed in a loop, head first.
+            args = []
+            while t.__class__ is core.App:
+                args.append(t.arg)
+                t = t.fn
+            out = [self.show(t, names, APP)]
+            for arg in reversed(args):
+                out.append(self.show(arg, names, ATOM))
+            return _wrap(" ".join(out), prec > APP)
         if cls is core.Pair:
             return f"({self.show(t.fst, names, TERM)} , {self.show(t.snd, names, TERM)})"
         if cls is core.Fst:

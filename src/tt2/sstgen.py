@@ -28,7 +28,7 @@ class GenPlan(Node, frozen=True):
     names: str = ""
     universe: int = 0
     literal_spine: bool = False
-    cap: int = 6
+    cap: int = 8
 
     def __post_init__(self) -> None:
         if self.levels < 0:

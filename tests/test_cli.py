@@ -6,10 +6,11 @@ import json
 import subprocess
 import sys
 
+import pytest
 from conftest import REPO_ROOT
 from test_conv import SPINE_ETA_SOURCE
 
-from tt2 import parse, pretty
+from tt2 import cli, parse, pretty
 from tt2.core import DeclKind
 from tt2.corpus import corpus
 from tt2.diagnostics import offset_to_line_col
@@ -106,8 +107,10 @@ def test_non_utf8_input_is_a_coded_diagnostic(tmp_path):
 
 
 def test_too_deep_input_is_a_coded_diagnostic(tmp_path):
+    # 5000 left-nested domains ((…(U0 -> U0) -> U0)…) -> U0: genuine
+    # nesting, which recurses, unlike a right-nested chain of arrows.
     src = tmp_path / "deep.tt"
-    src.write_text("def T : U1 := " + "U0 -> " * 5000 + "U0\n")
+    src.write_text("def T : U1 := " + "(" * 4999 + "U0 -> U0" + ") -> U0" * 4999 + "\n")
     result = run_cli("check", str(src))
     assert result.returncode == 1
     assert "error[DEPTH]" in result.stderr
@@ -121,8 +124,7 @@ def test_too_deep_input_is_a_coded_diagnostic(tmp_path):
 
 
 def test_check_of_2000_nested_successors_passes(tmp_path):
-    # Checking and printing walk a numeral in a loop; evaluating it still
-    # recurses once per level, so eval ends in a coded DEPTH diagnostic.
+    # Checking, evaluation, read-back and printing walk a numeral in a loop.
     depth = 2000
     src = tmp_path / "deep.tt"
     src.write_text("def n : Nat := " + "suc (" * depth + "zero" + ")" * depth + "\n")
@@ -133,9 +135,56 @@ def test_check_of_2000_nested_successors_passes(tmp_path):
     numeral = "suc (" * (depth - 1) + "suc zero" + ")" * (depth - 1)
     assert result.stdout.splitlines()[-1] == f"def n : Nat := {numeral}"
     result = run_cli("eval", str(src), "--term", "n")
-    assert result.returncode == 1
-    assert "error[DEPTH]" in result.stderr
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == numeral + "\n"
+
+
+def _arrows(count):
+    return "U0 -> " * count + "U0"
+
+
+# Inputs that are wide, not deep: each is one long chain, which the kernel
+# and the printer walk in a loop, so they check at the default recursion
+# limit however long the chain.
+WIDE_INPUTS = {
+    "600 arrows": f"def T : U1 := {_arrows(600)}\n",
+    "600-binder lambda": (
+        "postulate f : U0 -> U0\n"
+        f"def k : {_arrows(601)} := \\" + " ".join(f"x{i}" for i in range(600)) + ". f\n"
+    ),
+    "600 arguments": f"postulate P : {_arrows(600)}\ndef q : U0 := P" + " Unit" * 600 + "\n",
+    # the two copies of the domain are compared, codomain by codomain
+    "1200-arrow domain": (
+        f"postulate P : ({_arrows(1200)}) -> U0\n"
+        f"def q (f : {_arrows(1200)}) : U0 := P f\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WIDE_INPUTS)
+def test_wide_input_checks_and_dumps(tmp_path, name):
+    src = tmp_path / "wide.tt"
+    src.write_text(WIDE_INPUTS[name])
+    result = run_cli("check", str(src))
+    assert result.returncode == 0, result.stderr
+    result = run_cli("check", str(src), "--dump-core")
+    assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stderr
+    if name == "600 arrows":
+        assert result.stdout.splitlines()[-1] == f"def T : U1 := {_arrows(600)}"
+
+
+def test_dump_that_nests_too_deeply_is_a_coded_diagnostic(monkeypatch, capsys):
+    def too_deep(*args):
+        raise RecursionError
+
+    monkeypatch.setattr(pretty, "pretty", too_deep)
+    monkeypatch.chdir(REPO_ROOT)
+    assert cli.main(["--json-diagnostics", "check", "stdlib/basics.tt", "--dump-core"]) == 1
+    payloads = [json.loads(line) for line in capsys.readouterr().err.splitlines()
+                if line.startswith("{")]
+    assert payloads and {p["code"] for p in payloads} == {"DEPTH"}
+    assert {p["file"] for p in payloads} == {"<prelude>", "stdlib/basics.tt"}
 
 
 def test_eval_of_a_long_definition_chain_never_crashes(tmp_path):
@@ -154,9 +203,6 @@ def test_eval_of_a_long_definition_chain_never_crashes(tmp_path):
 
 
 def test_eval_of_deeply_nested_successors_prints_the_normal_form(tmp_path):
-    # Elaboration, evaluation, read-back and printing each recurse once per
-    # nesting level; 900 levels stay under the default recursion limit
-    # only if none of them spends a second frame per level.
     depth = 900
     src = tmp_path / "deep.tt"
     src.write_text("def n : Nat := " + "suc (" * depth + "zero" + ")" * depth + "\n")
@@ -191,6 +237,15 @@ def test_gen_to_stdout_only():
     assert result.returncode == 0
     assert "def Spine2" in result.stdout
     assert result.stderr == ""
+
+
+@pytest.mark.parametrize("target, preamble", [("sst", []), ("segal", ["stdlib/equiv.tt"])])
+def test_gen_at_the_top_level_rechecks(tmp_path, target, preamble):
+    out = tmp_path / f"{target}8.tt"
+    result = run_cli("gen", target, "--levels", "8", "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    result = run_cli("check", *preamble, str(out))
+    assert result.returncode == 0, result.stderr
 
 
 def test_gen_level_cap_fails_cleanly():

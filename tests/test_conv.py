@@ -14,7 +14,7 @@ from termgen import TermGen, eta_instance
 
 from tt2 import conv, parse, pretty
 from tt2.core import (
-    App, Const, Context, DeclKind, FIB, Lam, Nat, NatElim, Pair, Pi, Fst,
+    App, Const, Context, DeclKind, FIB, InternalError, Lam, Nat, NatElim, Pair, Pi, Fst,
     SigEntry, Sigma, Signature, Snd, Star, STRICT, Suc, Unit, Var, Zero, shift,
 )
 from tt2.elab import Ctx, Elaborator, elaborate_signature
@@ -34,6 +34,52 @@ def test_eval_examples():
     elim = NatElim(FIB, Nat(FIB), Zero(FIB), Suc(FIB, Var(0)), Suc(FIB, Zero(FIB)))
     assert nf0(elim) == Suc(FIB, Zero(FIB))
     assert nf0(Fst(Pair(Star(), Zero(FIB)))) == Star()
+
+
+def test_application_chain_evaluates_as_nested_applications():
+    sig = Signature()
+    for name in ("f", "a", "b", "c"):
+        sig.add(SigEntry(name, Unit(), None, DeclKind.POSTULATE))
+    f, a, b, c = (Const(name) for name in "fabc")
+    # (\x y. f y x) a b c: two arguments are substituted, then the head is
+    # stuck and takes the third into its spine
+    swap = Lam(Lam(App(App(f, Var(0)), Var(1))))
+    value = conv.evaluate(sig, (), App(App(App(swap, a), b), c))
+    args = [conv.evaluate(sig, (), t) for t in (b, a, c)]
+    assert value == conv.VNeutral(conv.ConstHead("f"), tuple(conv.FApp(v) for v in args))
+    env = (conv.fresh(0),)
+    assert conv.evaluate(sig, env, App(App(f, Var(0)), Var(0))).spine == (conv.FApp(env[0]),) * 2
+    for term in (App(App(f, a), Var(1)), App(f, Var(1))):
+        with pytest.raises(InternalError, match="unbound index 1"):
+            conv.evaluate(sig, env, term)
+
+
+def test_long_numerals_evaluate_and_eliminate_in_a_loop():
+    # 3000 levels, three times the default recursion limit; == on terms
+    # recurses, so the results are counted instead
+    def count(t):
+        n = 0
+        while t.__class__ is Suc:
+            t, n = t.pred, n + 1
+        return n if t == Zero(FIB) else None
+
+    numeral = Zero(FIB)
+    for _ in range(3000):
+        numeral = Suc(FIB, numeral)
+    assert count(nf0(numeral)) == 3000
+    double = NatElim(FIB, Nat(FIB), Zero(FIB), Suc(FIB, Suc(FIB, Var(0))), numeral)
+    assert count(nf0(double)) == 6000
+
+
+def test_sst7_evaluation_work_is_bounded(config):
+    # An application chain evaluates its head once and its spine in one
+    # tuple, and a variable argument is read without a call; evaluating
+    # each application of a chain separately took 33 179 calls here.
+    decls = parse.parse_file(gen_sst(GenPlan(7)))
+    profile = cProfile.Profile()
+    _, diags = profile.runcall(elaborate_signature, decls, initial_signature(config), config)
+    assert not diags
+    assert _calls(profile, conv.evaluate) < 10_000
 
 
 def test_js_computes_on_refls(base_sig, config):

@@ -5,6 +5,7 @@ import cProfile
 import re
 
 import pytest
+from conftest import REPO_ROOT
 
 from tt2 import delta, parse
 from tt2.delta import binomial, boundary_cells
@@ -87,6 +88,16 @@ def test_sst_level8_above_the_cap_rechecks(config):
     assert recheck(config, gen_sst(GenPlan(8, cap=8))) == []
 
 
+def test_sst9_and_segal8_check_at_the_default_recursion_limit(config):
+    # X8 alone is one Π-telescope of 510 binders: at two frames per binder
+    # it would not fit under the default limit of 1000, so the telescope
+    # must be walked in a loop.
+    assert recheck(config, gen_sst(GenPlan(9, cap=9))) == []
+    equiv = (REPO_ROOT / "stdlib" / "equiv.tt").read_text(encoding="utf-8")
+    assert recheck(config, gen_segal_scaffold(GenPlan(8, emit=frozenset({"segal"}))),
+                   preamble=equiv) == []
+
+
 def test_matching_telescope_level3_shape():
     entries = telescope_entries(3)
     assert len(entries) == 14
@@ -160,8 +171,9 @@ def test_segal_requires_two_levels():
 
 def test_level_cap():
     with pytest.raises(LevelCapExceeded):
-        GenPlan(7)
-    GenPlan(7, cap=8)  # raising the cap is allowed
+        GenPlan(9)
+    GenPlan(8)
+    GenPlan(9, cap=9)  # raising the cap is allowed
 
 
 def test_prefix_is_applied(config):
