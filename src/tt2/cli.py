@@ -183,7 +183,8 @@ def _cmd_eval(args, config: Config) -> int:
         print(f"tt2: no definition named {args.term!r}", file=sys.stderr)
         return 1
     if entry.body is None:
-        print(f"tt2: {args.term!r} is a postulate and has no body", file=sys.stderr)
+        what = "an axiom" if entry.kind is core.DeclKind.AXIOM else "a postulate"
+        print(f"tt2: {args.term!r} is {what} and has no body", file=sys.stderr)
         return 1
     try:
         text = pretty.pretty(conv.nf(sig, core.Context(), entry.body), sig)

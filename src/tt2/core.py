@@ -24,8 +24,7 @@ which made ``Pi(v, v)`` 1.6 times and nested ``==`` 1.55 times as slow
 - ``==`` holds for nodes of one class with equal fields, each compared
   with an identity test first, at one Python frame per nesting level; it
   skips the fields named in ``uncompared=(...)``.
-- ``repr`` is ``Pi(dom=Var(index=0), cod=...)``; ``replace`` copies a
-  node with some fields changed.
+- ``repr`` is ``Pi(dom=Var(index=0), cod=...)``.
 - Hot code tests ``t.__class__ is Var``: the metaclass makes ``isinstance``
   and ``match`` class patterns that miss about twice as slow.
 """
@@ -105,13 +104,6 @@ class Node(metaclass=_NodeType):
     def __repr__(self) -> str:
         fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self.__match_args__])
         return f"{self.__class__.__qualname__}({fields})"
-
-
-def replace(node: Node, **changes) -> Node:
-    """A copy of ``node`` with the named fields changed."""
-    for name in node.__match_args__:
-        changes.setdefault(name, getattr(node, name))
-    return node.__class__(**changes)
 
 
 class Layer(Enum):
@@ -310,44 +302,6 @@ class EmptyElim(Term):
     SUB = (("motive", 1), ("scrut", 0))
 
 
-def _map_subterms(t: Term, f) -> Term:
-    """Rebuild ``t`` with f(subterm, extra_binders) applied to each subterm."""
-    if not t.SUB:
-        return t
-    changes = {name: f(getattr(t, name), off) for name, off in t.SUB}
-    return replace(t, **changes)
-
-
-def shift(t: Term, cutoff: int = 0, amount: int = 1) -> Term:
-    """Move free indices >= cutoff by amount; bound structure unchanged."""
-    if t.__class__ is Var:
-        if t.index >= cutoff:
-            moved = t.index + amount
-            if moved < 0:
-                raise InternalError(f"shift underflow: Var({t.index}) by {amount}")
-            return Var(moved)
-        return t
-    return _map_subterms(t, lambda sub, off: shift(sub, cutoff + off, amount))
-
-
-def subst(t: Term, index: int, s: Term) -> Term:
-    """Capture-avoiding substitution of s for Var(index); indices above drop."""
-    if t.__class__ is Var:
-        if t.index == index:
-            return s
-        if t.index > index:
-            return Var(t.index - 1)
-        return t
-    return _map_subterms(
-        t, lambda sub, off: subst(sub, index + off, shift(s, 0, off) if off else s)
-    )
-
-
-def instantiate2(body: Term, first: Term, second: Term) -> Term:
-    """Fill a 2-binder body; ``first`` is the outer binder, ``second`` inner."""
-    return subst(subst(body, 0, shift(second, 0, 1)), 0, first)
-
-
 def is_scope_closed(t: Term, depth: int = 0) -> bool:
     """Every bound index is below the binder depth at its occurrence.
 
@@ -363,16 +317,6 @@ def is_scope_closed(t: Term, depth: int = 0) -> bool:
             for name, off in t.SUB:
                 stack.append((getattr(t, name), depth + off))
     return True
-
-
-def term_size(t: Term) -> int:
-    size = 0
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        size += 1
-        stack.extend(getattr(t, name) for name, _ in t.SUB)
-    return size
 
 
 class DeclKind(Enum):

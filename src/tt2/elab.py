@@ -59,20 +59,6 @@ class Ctx(Node, frozen=True):
         return index, self.types[~index]
 
 
-_FIBRANT_ELIMS = {"J", "natelim", "sumelim", "exfalso"}
-
-
-def check_elim(kind: str, layer: Layer, motive_sort: Sort, span: Span) -> None:
-    """Fibrant eliminators may only target fibrant motives; strict
-    eliminators are unrestricted."""
-    if layer is FIB and motive_sort.layer is not FIB:
-        raise Diagnostic(
-            FIBRANCY, span,
-            f"the fibrant eliminator {kind} cannot target a strict motive "
-            f"(motive lands in {motive_sort})",
-        )
-
-
 class Elaborator:
     def __init__(self, sig: Signature, config: Config = Config()):
         self.sig = sig
@@ -117,18 +103,39 @@ class Elaborator:
             f"expected a type, but this has type {self._show(ctx, ty)}",
         )
 
-    def _peel_lambdas(self, raw: parse.Raw, arity: int, what: str) -> tuple[list[str], parse.Raw]:
-        names = []
+    def _bind(self, ctx: Ctx, raw: parse.Raw, what: str, *types) -> tuple[Ctx, parse.Raw]:
+        """Bind the names of the λs written at the head of ``raw``, one per
+        entry of ``types``, and return the extended context and the body.
+        An entry is a type value, or a function from the variable bound just
+        before it to one."""
         body = raw
-        for _ in range(arity):
-            if not isinstance(body, parse.RLam):
+        for _ in types:
+            if body.__class__ is not parse.RLam:
                 raise Diagnostic(
                     CANNOT_INFER, raw.span,
-                    f"the {what} must be written as a {arity}-argument lambda",
+                    f"the {what} must be written as a {len(types)}-argument lambda",
                 )
-            names.append(body.binder)
             body = body.body
-        return names, body
+        for ty in types:
+            ctx = ctx.extend(raw.binder, ty(ctx.env[-1]) if callable(ty) else ty)
+            raw = raw.body
+        return ctx, raw
+
+    def _motive(self, ctx: Ctx, raw: parse.Raw, kw: str, *types) -> Closure:
+        """The motive of the eliminator ``raw``, bound over ``types`` as in
+        ``_bind``.  It must produce a type; fibrant eliminators may only
+        target fibrant motives, strict ones are unrestricted."""
+        inner, body = self._bind(ctx, raw.motive, f"motive of {kw}", *types)
+        motive_core, motive_ty = self.infer(inner, body)
+        if motive_ty.__class__ is not VUniv:
+            raise Diagnostic(NOT_A_TYPE, body.span, f"the motive of {kw} must produce a type")
+        if raw.layer is FIB and motive_ty.sort.layer is not FIB:
+            raise Diagnostic(
+                FIBRANCY, raw.motive.span,
+                f"the fibrant eliminator {kw} cannot target a strict motive "
+                f"(motive lands in {motive_ty.sort})",
+            )
+        return Closure(ctx.env, motive_core, len(types))
 
     # -- inference ----------------------------------------------------------
 
@@ -271,7 +278,7 @@ class Elaborator:
         raise core.InternalError(f"infer: unhandled raw {cls.__name__}")
 
     def _infer_j(self, ctx: Ctx, raw: parse.RJ) -> tuple[Term, Value]:
-        kw = "J" if raw.layer is FIB else "JS"
+        kw = parse.SPELLING[core.J, raw.layer]
         proof_core, proof_ty = self.infer(ctx, raw.proof)
         if not isinstance(proof_ty, VId) or proof_ty.layer is not raw.layer:
             eq = "fibrant" if raw.layer is FIB else "strict"
@@ -295,53 +302,34 @@ class Elaborator:
                 TYPE_MISMATCH, raw.rhs.span,
                 f"{kw}: stated right endpoint does not match the proof's endpoint",
             )
-        (bname, pname), mbody = self._peel_lambdas(raw.motive, 2, f"motive of {kw}")
-        inner = ctx.extend(None if bname == "_" else bname, ty_v)
-        endpoint = inner.env[-1]
-        proof_var_ty = VId(raw.layer, ty_v, lhs_v, endpoint)
-        inner2 = inner.extend(None if pname == "_" else pname, proof_var_ty)
-        motive_core, motive_ty = self.infer(inner2, mbody)
-        if not isinstance(motive_ty, VUniv):
-            raise Diagnostic(
-                NOT_A_TYPE, mbody.span,
-                f"the motive of {kw} must produce a type",
-            )
-        check_elim(kw, raw.layer, motive_ty.sort, raw.motive.span)
-        motive_cl = Closure(ctx.env, motive_core, 2)
+        motive = self._motive(
+            ctx, raw, kw, ty_v, lambda end: VId(raw.layer, ty_v, lhs_v, end)
+        )
         refl_v = VRefl(raw.layer, ty_v, lhs_v)
-        base_expected = motive_cl.apply(self.sig, lhs_v, refl_v)
-        base_core = self.check(ctx, raw.base, base_expected)
+        base_core = self.check(ctx, raw.base, motive.apply(self.sig, lhs_v, refl_v))
         proof_v = evaluate(self.sig, ctx.env, proof_core)
-        result = motive_cl.apply(self.sig, rhs_v, proof_v)
-        term = core.J(raw.layer, motive_core, base_core, lhs_core, rhs_core, proof_core)
+        result = motive.apply(self.sig, rhs_v, proof_v)
+        term = core.J(raw.layer, motive.body, base_core, lhs_core, rhs_core, proof_core)
         return term, result
 
     def _infer_natelim(self, ctx: Ctx, raw: parse.RNatElim) -> tuple[Term, Value]:
-        kw = "natelim" if raw.layer is FIB else "natelimS"
-        scrut_core = self.check(ctx, raw.scrut, VNat(raw.layer))
-        (mname,), mbody = self._peel_lambdas(raw.motive, 1, f"motive of {kw}")
-        inner = ctx.extend(None if mname == "_" else mname, VNat(raw.layer))
-        motive_core, motive_ty = self.infer(inner, mbody)
-        if not isinstance(motive_ty, VUniv):
-            raise Diagnostic(NOT_A_TYPE, mbody.span, f"the motive of {kw} must produce a type")
-        check_elim(kw, raw.layer, motive_ty.sort, raw.motive.span)
-        motive_cl = Closure(ctx.env, motive_core)
-        zcase_core = self.check(ctx, raw.zcase, motive_cl.apply(self.sig, VZero(raw.layer)))
-        (pname, ihname), sbody = self._peel_lambdas(raw.scase, 2, f"step case of {kw}")
-        step1 = ctx.extend(None if pname == "_" else pname, VNat(raw.layer))
-        pred_var = step1.env[-1]
-        step2 = step1.extend(
-            None if ihname == "_" else ihname, motive_cl.apply(self.sig, pred_var)
+        kw = parse.SPELLING[core.NatElim, raw.layer]
+        nat = VNat(raw.layer)
+        scrut_core = self.check(ctx, raw.scrut, nat)
+        motive = self._motive(ctx, raw, kw, nat)
+        zcase_core = self.check(ctx, raw.zcase, motive.apply(self.sig, VZero(raw.layer)))
+        step, sbody = self._bind(
+            ctx, raw.scase, f"step case of {kw}", nat, lambda pred: motive.apply(self.sig, pred)
         )
-        scase_expected = motive_cl.apply(self.sig, VSuc(raw.layer, pred_var))
-        scase_core = self.check(step2, sbody, scase_expected)
+        scase_expected = motive.apply(self.sig, VSuc(raw.layer, step.env[-2]))
+        scase_core = self.check(step, sbody, scase_expected)
         scrut_v = evaluate(self.sig, ctx.env, scrut_core)
-        result = motive_cl.apply(self.sig, scrut_v)
-        term = core.NatElim(raw.layer, motive_core, zcase_core, scase_core, scrut_core)
+        result = motive.apply(self.sig, scrut_v)
+        term = core.NatElim(raw.layer, motive.body, zcase_core, scase_core, scrut_core)
         return term, result
 
     def _infer_sumelim(self, ctx: Ctx, raw: parse.RSumElim) -> tuple[Term, Value]:
-        kw = "sumelim" if raw.layer is FIB else "sumelimS"
+        kw = parse.SPELLING[core.SumElim, raw.layer]
         scrut_core, scrut_ty = self.infer(ctx, raw.scrut)
         if not isinstance(scrut_ty, VSum) or scrut_ty.layer is not raw.layer:
             raise Diagnostic(
@@ -349,42 +337,27 @@ class Elaborator:
                 f"{kw} expects a {'fibrant' if raw.layer is FIB else 'strict'} sum, "
                 f"but this has type {self._show(ctx, scrut_ty)}",
             )
-        (mname,), mbody = self._peel_lambdas(raw.motive, 1, f"motive of {kw}")
-        inner = ctx.extend(None if mname == "_" else mname, scrut_ty)
-        motive_core, motive_ty = self.infer(inner, mbody)
-        if not isinstance(motive_ty, VUniv):
-            raise Diagnostic(NOT_A_TYPE, mbody.span, f"the motive of {kw} must produce a type")
-        check_elim(kw, raw.layer, motive_ty.sort, raw.motive.span)
-        motive_cl = Closure(ctx.env, motive_core)
-        (lname,), lbody = self._peel_lambdas(raw.lcase, 1, f"left case of {kw}")
-        lctx = ctx.extend(None if lname == "_" else lname, scrut_ty.left)
-        lvar = lctx.env[-1]
+        motive = self._motive(ctx, raw, kw, scrut_ty)
+        lctx, lbody = self._bind(ctx, raw.lcase, f"left case of {kw}", scrut_ty.left)
         lcase_core = self.check(
-            lctx, lbody, motive_cl.apply(self.sig, VInl(raw.layer, lvar))
+            lctx, lbody, motive.apply(self.sig, VInl(raw.layer, lctx.env[-1]))
         )
-        (rname,), rbody = self._peel_lambdas(raw.rcase, 1, f"right case of {kw}")
-        rctx = ctx.extend(None if rname == "_" else rname, scrut_ty.right)
-        rvar = rctx.env[-1]
+        rctx, rbody = self._bind(ctx, raw.rcase, f"right case of {kw}", scrut_ty.right)
         rcase_core = self.check(
-            rctx, rbody, motive_cl.apply(self.sig, VInr(raw.layer, rvar))
+            rctx, rbody, motive.apply(self.sig, VInr(raw.layer, rctx.env[-1]))
         )
         scrut_v = evaluate(self.sig, ctx.env, scrut_core)
-        term = core.SumElim(raw.layer, motive_core, lcase_core, rcase_core, scrut_core)
-        return term, motive_cl.apply(self.sig, scrut_v)
+        term = core.SumElim(raw.layer, motive.body, lcase_core, rcase_core, scrut_core)
+        return term, motive.apply(self.sig, scrut_v)
 
     def _infer_emptyelim(self, ctx: Ctx, raw: parse.REmptyElim) -> tuple[Term, Value]:
-        kw = "exfalso" if raw.layer is FIB else "exfalsoS"
-        scrut_core = self.check(ctx, raw.scrut, VEmpty(raw.layer))
-        (mname,), mbody = self._peel_lambdas(raw.motive, 1, f"motive of {kw}")
-        inner = ctx.extend(None if mname == "_" else mname, VEmpty(raw.layer))
-        motive_core, motive_ty = self.infer(inner, mbody)
-        if not isinstance(motive_ty, VUniv):
-            raise Diagnostic(NOT_A_TYPE, mbody.span, f"the motive of {kw} must produce a type")
-        check_elim(kw, raw.layer, motive_ty.sort, raw.motive.span)
-        motive_cl = Closure(ctx.env, motive_core)
+        kw = parse.SPELLING[core.EmptyElim, raw.layer]
+        empty = VEmpty(raw.layer)
+        scrut_core = self.check(ctx, raw.scrut, empty)
+        motive = self._motive(ctx, raw, kw, empty)
         scrut_v = evaluate(self.sig, ctx.env, scrut_core)
-        term = core.EmptyElim(raw.layer, motive_core, scrut_core)
-        return term, motive_cl.apply(self.sig, scrut_v)
+        term = core.EmptyElim(raw.layer, motive.body, scrut_core)
+        return term, motive.apply(self.sig, scrut_v)
 
     # -- checking -----------------------------------------------------------
 
@@ -400,8 +373,7 @@ class Elaborator:
                         f"lambda checked against non-function type "
                         f"{self._show(ctx, expected)}",
                     )
-                binder = raw.binder
-                ctx = ctx.extend(None if binder == "_" else binder, expected.dom)
+                ctx = ctx.extend(raw.binder, expected.dom)
                 expected = expected.cod.apply(self.sig, ctx.env[-1])
                 raw, count = raw.body, count + 1
             term = self.check(ctx, raw, expected)

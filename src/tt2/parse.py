@@ -13,11 +13,13 @@ parentheses, applications and built-ins still short of arguments.  An
 operator closes the frames of tighter levels, and the end of a term closes
 all of its frames, so nesting depth costs list entries, not Python calls.
 
-Built-ins are the rows of ``_FORMERS``: keyword, raw class, layer and the
-number of atomic arguments.  They parse as saturated primaries (``J``
-takes five atoms, ``natelim`` four), so partial application of a built-in
-is a parse-time arity decision rather than a typing one.  The same table
-gives ``KEYWORDS`` and ``_ATOM_STARTERS``.
+Built-ins are the rows of ``_FORMERS``: keyword, raw class, core class,
+layer and the number of atomic arguments.  They parse as saturated
+primaries (``J`` takes five atoms, ``natelim`` four), so partial
+application of a built-in is a parse-time arity decision rather than a
+typing one.  The same table gives the lexer's ``KEYWORDS``, the parser's
+``_ATOM_STARTERS``, and ``SPELLING``, from which the core printer and the
+elaborator's messages take each built-in's keyword.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
+from . import core
 from .core import FIB, STRICT, Layer, Node
 from .diagnostics import Diagnostic, ILLEGAL_CHAR, SYNTAX, Span
 
@@ -179,21 +182,29 @@ class RawDecl(Node, frozen=True):
 # ---------------------------------------------------------------------------
 # Built-in formers
 
-# keyword: (raw class, layer or None where the layers share it, atomic arguments)
-_FORMERS: dict[str, tuple[type, Optional[Layer], int]] = {
-    "Unit": (RUnit, None, 0), "star": (RStar, None, 0), "zero": (RZero, None, 0),
-    "Nat": (RNat, FIB, 0), "NatS": (RNat, STRICT, 0),
-    "Empty": (REmpty, FIB, 0), "EmptyS": (REmpty, STRICT, 0),
-    "suc": (RSuc, None, 1), "fst": (RFst, None, 1), "snd": (RSnd, None, 1),
-    "inl": (RInl, None, 1), "inr": (RInr, None, 1),
-    "Sum": (RSum, FIB, 2), "SumS": (RSum, STRICT, 2),
-    "refl": (RRefl, FIB, 2), "reflS": (RRefl, STRICT, 2),
-    "exfalso": (REmptyElim, FIB, 2), "exfalsoS": (REmptyElim, STRICT, 2),
-    "Id": (RId, FIB, 3), "Eq": (RId, STRICT, 3),
-    "natelim": (RNatElim, FIB, 4), "natelimS": (RNatElim, STRICT, 4),
-    "sumelim": (RSumElim, FIB, 4), "sumelimS": (RSumElim, STRICT, 4),
-    "J": (RJ, FIB, 5), "JS": (RJ, STRICT, 5),
+# keyword: (raw class, core class, layer or None where the layers share it,
+# atomic arguments)
+_FORMERS: dict[str, tuple[type, type, Optional[Layer], int]] = {
+    "Unit": (RUnit, core.Unit, None, 0), "star": (RStar, core.Star, None, 0),
+    "zero": (RZero, core.Zero, None, 0), "suc": (RSuc, core.Suc, None, 1),
+    "fst": (RFst, core.Fst, None, 1), "snd": (RSnd, core.Snd, None, 1),
+    "inl": (RInl, core.Inl, None, 1), "inr": (RInr, core.Inr, None, 1),
+    "Nat": (RNat, core.Nat, FIB, 0), "NatS": (RNat, core.Nat, STRICT, 0),
+    "Empty": (REmpty, core.Empty, FIB, 0), "EmptyS": (REmpty, core.Empty, STRICT, 0),
+    "Sum": (RSum, core.Sum, FIB, 2), "SumS": (RSum, core.Sum, STRICT, 2),
+    "refl": (RRefl, core.Refl, FIB, 2), "reflS": (RRefl, core.Refl, STRICT, 2),
+    "exfalso": (REmptyElim, core.EmptyElim, FIB, 2),
+    "exfalsoS": (REmptyElim, core.EmptyElim, STRICT, 2),
+    "Id": (RId, core.Id, FIB, 3), "Eq": (RId, core.Id, STRICT, 3),
+    "natelim": (RNatElim, core.NatElim, FIB, 4),
+    "natelimS": (RNatElim, core.NatElim, STRICT, 4),
+    "sumelim": (RSumElim, core.SumElim, FIB, 4),
+    "sumelimS": (RSumElim, core.SumElim, STRICT, 4),
+    "J": (RJ, core.J, FIB, 5), "JS": (RJ, core.J, STRICT, 5),
 }
+# The keyword of a built-in, keyed by (core class, layer or None where the
+# layers share it).
+SPELLING = {(row[1], row[2]): kw for kw, row in _FORMERS.items()}
 KEYWORDS = {"def", "postulate", *_FORMERS}
 _ATOM_STARTERS = {"IDENT", "UNIV", "LPAREN", "UNDERSCORE", *_FORMERS}
 _BINDERS = {"IDENT", "UNDERSCORE"}
@@ -410,7 +421,7 @@ class _Parser:
                     state, lam_ok = _START, True
                     continue
                 elif kind in _FORMERS:
-                    cls, layer, arity = _FORMERS[kind]
+                    cls, _, layer, arity = _FORMERS[kind]
                     if arity:
                         stack.append((_BUILTIN, tok, []))
                         if toks[pos].kind not in _ATOM_STARTERS:
@@ -429,7 +440,7 @@ class _Parser:
             tag, head, args = stack[-1]
             if tag == _BUILTIN:
                 args.append(val)
-                cls, layer, arity = _FORMERS[head.kind]
+                cls, _, layer, arity = _FORMERS[head.kind]
                 if len(args) < arity:
                     if toks[pos].kind not in _ATOM_STARTERS:
                         raise _fail(toks[pos], f"argument of {head.kind}")

@@ -11,9 +11,9 @@ output is byte-identical across runs.
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
-from . import parse
 from .core import Node
 from .delta import Cell, boundary_cells
 
@@ -35,6 +35,10 @@ class GenPlan(Node, frozen=True):
             raise ValueError("levels must be non-negative")
         if self.universe < 0:
             raise ValueError("universe index must be non-negative")
+        # an identifier as docs/surface.md defines one, so that every
+        # generated name is one too
+        if self.names and not re.fullmatch(r"[A-Za-z][A-Za-z0-9_']*", self.names):
+            raise ValueError(f"prefix {self.names!r} is not an identifier")
         if self.levels > self.cap:
             raise LevelCapExceeded(
                 f"level {self.levels} exceeds the cap {self.cap}; generated "
@@ -64,12 +68,6 @@ def telescope_entries(n: int, family: str = "X", faces: Optional[list] = None) -
     ``faces[d]`` is ``boundary_cells(d)`` for d <= n (one list per file)."""
     faces = [boundary_cells(d) for d in range(n + 1)] if faces is None else faces
     return [(cell_name(c), _cell_type(c, family, faces)) for c in faces[n]]
-
-
-def gen_matching_telescope(n: int, family: str = "X") -> list[tuple[str, parse.Raw]]:
-    """The matching telescope as parsed raw binder types, for callers that
-    want structure rather than text."""
-    return [(name, parse.parse_term(ty)) for name, ty in telescope_entries(n, family)]
 
 
 def _family_type(k: int, universe: int, family: str, faces: list[list[Cell]]) -> str:

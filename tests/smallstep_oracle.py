@@ -2,9 +2,10 @@
 leftmost-outermost small-step reducer over core terms.
 
 This deliberately avoids the evaluator's environments, closures and
-values; it reduces syntax by rewriting, so agreement with the NbE path is
-meaningful evidence.  Definitions unfold as a reduction step, matching the
-kernel's always-unfold contract.
+values; it reduces syntax by rewriting, with its own shifting and
+substitution, so agreement with the NbE path is meaningful evidence.
+Definitions unfold as a reduction step, matching the kernel's
+always-unfold contract.
 """
 
 from __future__ import annotations
@@ -12,9 +13,54 @@ from __future__ import annotations
 from typing import Optional
 
 from tt2.core import (
-    App, Const, Fst, Inl, Inr, J, Lam, NatElim, Pair, Refl, Signature, Snd,
-    Suc, SumElim, Term, Zero, instantiate2, replace, subst,
+    App, Const, Fst, InternalError, Inl, Inr, J, Lam, NatElim, Node, Pair,
+    Refl, Signature, Snd, Suc, SumElim, Term, Var, Zero,
 )
+
+
+def replace(node: Node, **changes) -> Node:
+    """A copy of ``node`` with the named fields changed."""
+    for name in node.__match_args__:
+        changes.setdefault(name, getattr(node, name))
+    return node.__class__(**changes)
+
+
+def _map_subterms(t: Term, f) -> Term:
+    """Rebuild ``t`` with f(subterm, extra_binders) applied to each subterm."""
+    if not t.SUB:
+        return t
+    changes = {name: f(getattr(t, name), off) for name, off in t.SUB}
+    return replace(t, **changes)
+
+
+def shift(t: Term, cutoff: int = 0, amount: int = 1) -> Term:
+    """Move free indices >= cutoff by amount; bound structure unchanged."""
+    if t.__class__ is Var:
+        if t.index >= cutoff:
+            moved = t.index + amount
+            if moved < 0:
+                raise InternalError(f"shift underflow: Var({t.index}) by {amount}")
+            return Var(moved)
+        return t
+    return _map_subterms(t, lambda sub, off: shift(sub, cutoff + off, amount))
+
+
+def subst(t: Term, index: int, s: Term) -> Term:
+    """Capture-avoiding substitution of s for Var(index); indices above drop."""
+    if t.__class__ is Var:
+        if t.index == index:
+            return s
+        if t.index > index:
+            return Var(t.index - 1)
+        return t
+    return _map_subterms(
+        t, lambda sub, off: subst(sub, index + off, shift(s, 0, off) if off else s)
+    )
+
+
+def instantiate2(body: Term, first: Term, second: Term) -> Term:
+    """Fill a 2-binder body; ``first`` is the outer binder, ``second`` inner."""
+    return subst(subst(body, 0, shift(second, 0, 1)), 0, first)
 
 
 def step(sig: Signature, t: Term) -> Optional[Term]:

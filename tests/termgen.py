@@ -11,11 +11,21 @@ from __future__ import annotations
 
 import random
 
+from smallstep_oracle import shift
 from tt2.core import (
     App, FIB, Fst, Inl, Inr, J, Lam, Nat, NatElim, Pair, Pi, Refl, Sigma,
-    Snd, Star, STRICT, Suc, Sum, SumElim, Term, Unit, Var, Zero, shift,
-    term_size,
+    Snd, Star, STRICT, Suc, Sum, SumElim, Term, Unit, Var, Zero,
 )
+
+
+def term_size(t: Term) -> int:
+    size = 0
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        size += 1
+        stack.extend(getattr(t, name) for name, _ in t.SUB)
+    return size
 
 
 def _gen_type(rng: random.Random, depth: int) -> Term:

@@ -248,6 +248,15 @@ def test_gen_at_the_top_level_rechecks(tmp_path, target, preamble):
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.parametrize("prefix", ["9", "a b", "x-", "λ"])
+def test_gen_rejects_a_prefix_that_is_no_identifier(tmp_path, prefix):
+    out = tmp_path / "sst2.tt"
+    result = run_cli("gen", "sst", "--levels", "2", "--prefix", prefix, "--out", str(out))
+    assert result.returncode == 1
+    assert "is not an identifier" in result.stderr
+    assert not out.exists()
+
+
 def test_gen_level_cap_fails_cleanly():
     result = run_cli("gen", "sst", "--levels", "9")
     assert result.returncode == 1
@@ -269,7 +278,13 @@ def test_eval_prints_normal_form():
 def test_eval_of_postulate_fails():
     result = run_cli("eval", "stdlib/cocylinder.tt", "--term", "ccA")
     assert result.returncode == 1
-    assert "postulate" in result.stderr
+    assert "tt2: 'ccA' is a postulate and has no body" in result.stderr
+
+
+def test_eval_of_axiom_fails():
+    result = run_cli("eval", "stdlib/basics.tt", "--term", "ua0")
+    assert result.returncode == 1
+    assert "tt2: 'ua0' is an axiom and has no body" in result.stderr
 
 
 def test_check_multiple_files_share_signature():
@@ -302,6 +317,15 @@ def test_dump_core_is_byte_identical_across_runs():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert "def FinS" in first.stdout
+
+
+def test_dump_core_of_the_accept_corpus_matches_the_golden_file():
+    # tests/golden/accept.dump was written before the printer and the
+    # elaborator took their keywords from the parser's table of built-ins.
+    files = [f"stdlib/{e.path}" for e in corpus(REPO_ROOT / "stdlib").accept_entries()]
+    result = run_cli("check", "--dump-core", *files)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (REPO_ROOT / "tests" / "golden" / "accept.dump").read_text()
 
 
 def test_dump_core_prints_the_axioms_as_eager_elaboration():

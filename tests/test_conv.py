@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import REPO_ROOT
-from smallstep_oracle import normalize
+from smallstep_oracle import normalize, shift
 from termgen import TermGen, eta_instance
 
 from tt2 import conv, parse, pretty
 from tt2.core import (
     App, Const, Context, DeclKind, FIB, InternalError, Lam, Nat, NatElim, Pair, Pi, Fst,
-    SigEntry, Sigma, Signature, Snd, Star, STRICT, Suc, Unit, Var, Zero, shift,
+    SigEntry, Sigma, Signature, Snd, Star, STRICT, Suc, Unit, Var, Zero,
 )
 from tt2.elab import Ctx, Elaborator, elaborate_signature
 from tt2.prelude import initial_signature

@@ -1,6 +1,6 @@
-"""Core syntax: shift/subst examples, their algebraic laws on random
-scope-closed terms, the subsort partial order, and the semantics of the
-``Node`` record classes."""
+"""Core syntax: the small-step oracle's shift/subst examples and their
+algebraic laws on random scope-closed terms, the subsort partial order,
+and the semantics of the ``Node`` record classes."""
 
 import cProfile
 import pstats
@@ -11,11 +11,12 @@ import sys
 import pytest
 
 from conftest import REPO_ROOT
+from smallstep_oracle import replace, shift, subst
+from termgen import term_size
 from tt2 import conv, parse
 from tt2.core import (
     App, Const, Context, FIB, Lam, Nat, Pair, Pi, Sigma, Sort, Star, STRICT,
-    Sum, Suc, Term, Unit, Var, Zero, is_scope_closed, replace, shift,
-    sort_join, sort_leq, subst, term_size,
+    Sum, Suc, Term, Unit, Var, Zero, is_scope_closed, sort_join, sort_leq,
 )
 from tt2.delta import Cell, MonoMap
 from tt2.elab import Config

@@ -1,18 +1,21 @@
-"""Surface syntax: token streams, grammar shape, totality on noise, and
-the printer fixed point over the corpus."""
+"""Surface syntax: token streams, grammar shape, totality on noise, the
+table of built-ins against docs/surface.md, and the printer fixed point
+over the corpus."""
 
 import cProfile
 import random
 
 import pytest
+from conftest import REPO_ROOT
 from hypothesis import given, settings, strategies as st
 
 from tt2 import parse
+from tt2.core import FIB
 from tt2.diagnostics import Diagnostic
 from tt2.elab import elaborate_signature
 from tt2.parse import lex, parse_file, parse_term
 from tt2.prelude import prelude_source
-from tt2.pretty import pretty_raw_file
+from tt2.pretty import APP, ATOM, SIGMA, TERM, _wrap
 
 
 def kinds(source):
@@ -31,6 +34,22 @@ def test_lex_skips_comments():
 def test_lex_unicode_lambda_is_lambda():
     assert kinds("λ") == ["LAMBDA"]
     assert kinds("\\x. x") == ["LAMBDA", "IDENT", "DOT", "IDENT"]
+
+
+def test_surface_doc_lists_the_formers_table():
+    doc = (REPO_ROOT / "docs" / "surface.md").read_text()
+    block = doc.split("keywords:\n\n```\n", 1)[1].split("```", 1)[0]
+    assert sorted(block.split()) == sorted(parse.KEYWORDS)
+    atom = doc.split("atom    ::=", 1)[1].split(";", 1)[0]
+    arities = {}
+    for alternative in atom.split("|"):
+        head, *args = alternative.split()
+        if head.strip('"') in parse._FORMERS:
+            arities[head.strip('"')] = args.count("atom")
+    assert arities == {kw: row[3] for kw, row in parse._FORMERS.items()}
+    for kw, (raw_cls, core_cls, layer, arity) in parse._FORMERS.items():
+        assert len(core_cls.SUB) == arity, kw
+        assert len(raw_cls.__match_args__) == 1 + (layer is not None) + arity, kw
 
 
 def test_lex_illegal_character():
@@ -147,6 +166,49 @@ def test_parser_is_total_on_random_bytes():
             parse_file(source)
         except Diagnostic:
             pass
+
+
+# A printer for raw terms, for the print-parse-print fixed point.  Built-ins
+# print from the parser's table: the keyword, then the fields as atoms.
+_RAW_SPELLING = {(row[0], row[2]): kw for kw, row in parse._FORMERS.items()}
+
+
+def pretty_raw(t: parse.Raw, prec: int = TERM) -> str:
+    cls = t.__class__
+    if cls is parse.RVar:
+        return t.name
+    if cls is parse.RUniv:
+        return f"U{t.level}" if t.layer is FIB else f"US{t.level}"
+    if cls is parse.RPi or cls is parse.RSigma:
+        pi = cls is parse.RPi
+        left, right = (t.dom, t.cod) if pi else (t.fst, t.snd)
+        if t.binder is None:
+            head = pretty_raw(left, SIGMA if pi else APP)
+        else:
+            head = f"({t.binder} : {pretty_raw(left)})"
+        out = f"{head} {'->' if pi else '×'} {pretty_raw(right, TERM if pi else SIGMA)}"
+        return _wrap(out, prec > (TERM if pi else SIGMA))
+    if cls is parse.RLam:
+        return _wrap(f"\\{t.binder}. {pretty_raw(t.body)}", prec > TERM)
+    if cls is parse.RApp:
+        return _wrap(f"{pretty_raw(t.fn, APP)} {pretty_raw(t.arg, ATOM)}", prec > APP)
+    if cls is parse.RPair:
+        return f"({pretty_raw(t.fst)} , {pretty_raw(t.snd)})"
+    if cls is parse.RHole:
+        return "_"
+    kw = _RAW_SPELLING[cls, getattr(t, "layer", None)]
+    args = [pretty_raw(getattr(t, f), ATOM)
+            for f in t.__match_args__ if f not in ("span", "layer")]
+    return _wrap(" ".join([kw, *args]), prec > APP) if args else kw
+
+
+def pretty_raw_file(decls: list[parse.RawDecl]) -> str:
+    lines = []
+    for d in decls:
+        binders = "".join(f" ({name} : {pretty_raw(ty)})" for name, ty in d.telescope)
+        line = f"{d.kind} {d.name}{binders} : {pretty_raw(d.result)}"
+        lines.append(line if d.body is None else f"{line} := {pretty_raw(d.body)}")
+    return "\n".join(lines) + "\n"
 
 
 def test_print_parse_print_fixed_point_on_corpus(manifest):

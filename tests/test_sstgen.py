@@ -12,8 +12,8 @@ from tt2.delta import binomial, boundary_cells
 from tt2.elab import elaborate_signature
 from tt2.prelude import initial_signature
 from tt2.sstgen import (
-    GenPlan, LevelCapExceeded, cell_name, gen_matching_telescope,
-    gen_segal_scaffold, gen_spine, gen_sst, telescope_entries,
+    GenPlan, LevelCapExceeded, cell_name, gen_segal_scaffold, gen_spine,
+    gen_sst, telescope_entries,
 )
 
 EQUIV_SRC = (
@@ -21,6 +21,11 @@ EQUIV_SRC = (
     "\\A B f. ((g : B -> A) × Id (A -> A) (\\x. g (f x)) (\\x. x)) × "
     "((h : B -> A) × Id (B -> B) (\\x. f (h x)) (\\x. x))"
 )
+
+
+def gen_matching_telescope(n: int, family: str = "X") -> list[tuple[str, parse.Raw]]:
+    """The matching telescope as parsed raw binder types."""
+    return [(name, parse.parse_term(ty)) for name, ty in telescope_entries(n, family)]
 
 
 def recheck(config, source, preamble=""):
@@ -180,6 +185,13 @@ def test_prefix_is_applied(config):
     text = gen_sst(GenPlan(2, names="My"))
     assert "def MySST2" in text and "(MyX1 : MyX0 -> MyX0 -> U0)" in text
     assert recheck(config, text) == []
+    assert recheck(config, gen_sst(GenPlan(2, names="a_1'"))) == []
+
+
+@pytest.mark.parametrize("prefix", ["9", "a b", "x-", "λ", "_x", "x\n"])
+def test_prefix_must_be_an_identifier(prefix):
+    with pytest.raises(ValueError, match="not an identifier"):
+        GenPlan(2, names=prefix)
 
 
 def test_universe_retarget():
