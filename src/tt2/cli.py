@@ -227,8 +227,12 @@ def _cmd_gen(args) -> int:
 
 def _cmd_delta(args) -> int:
     from .delta import enumerate_mono
-    k, n = args.faces
-    for mono in enumerate_mono(k, n):
+    try:
+        monos = enumerate_mono(*args.faces)
+    except ValueError as exc:
+        print(f"tt2: {exc}", file=sys.stderr)
+        return 1
+    for mono in monos:
         print(mono)
     return 0
 

@@ -3,7 +3,9 @@ between finite ordinals, their face decompositions, and the boundary-cell
 enumeration that drives matching-object telescopes.
 
 The object ``[n]`` is the ordinal with n+1 elements, so a map [k] -> [n]
-is a strictly increasing list of k+1 values below n+1.
+is a strictly increasing list of k+1 values below n+1.  Such a map is
+fixed by its image, so a boundary cell of the n-simplex is the plain
+vertex tuple that is the image of a proper mono into [n].
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ class DomainMismatch(Exception):
     pass
 
 
+_NEGATIVE_OBJECT = "objects of the semi-simplex category are [n] with n >= 0"
+
+
 class MonoMap(Node, frozen=True):
     dom: int
     cod: int
@@ -25,7 +30,7 @@ class MonoMap(Node, frozen=True):
 
     def __post_init__(self) -> None:
         if self.dom < 0 or self.cod < 0:
-            raise ValueError("objects of the semi-simplex category are [n] with n >= 0")
+            raise ValueError(_NEGATIVE_OBJECT)
         if len(self.images) != self.dom + 1:
             raise ValueError(f"expected {self.dom + 1} images, got {len(self.images)}")
         if any(b <= a for a, b in zip(self.images, self.images[1:])):
@@ -61,7 +66,7 @@ def compose(g: MonoMap, f: MonoMap) -> MonoMap:
 def enumerate_mono(k: int, n: int) -> list[MonoMap]:
     """All strictly monotone [k] -> [n] in lexicographic order of images."""
     if k < 0 or n < 0:
-        return []
+        raise ValueError(_NEGATIVE_OBJECT)
     return [MonoMap(k, n, images) for images in combinations(range(n + 1), k + 1)]
 
 
@@ -84,35 +89,11 @@ def recompose(dom: int, cod: int, faces: list[int]) -> MonoMap:
     return acc
 
 
-class Cell(Node, frozen=True):
-    """A face of the n-simplex boundary, named by its vertex set."""
-
-    vertices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.vertices:
-            raise ValueError("cells have a non-empty vertex set")
-        if any(b <= a for a, b in zip(self.vertices, self.vertices[1:])):
-            raise ValueError(f"vertices not strictly increasing: {self.vertices}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
-
-    def subcell(self, picks: tuple[int, ...]) -> "Cell":
-        """The face of this cell spanned by the given vertex positions."""
-        return Cell(tuple(self.vertices[i] for i in picks))
-
-
-def boundary_cells(n: int) -> list[Cell]:
-    """All proper non-empty faces of the n-simplex, dimension-major and
-    lexicographic within a dimension.  This order fixes the binder order of
-    generated matching telescopes."""
-    cells = []
-    for k in range(n):
-        for verts in combinations(range(n + 1), k + 1):
-            cells.append(Cell(verts))
-    return cells
+def boundary_cells(n: int) -> list[tuple[int, ...]]:
+    """All proper non-empty faces of the n-simplex as vertex tuples,
+    dimension-major and lexicographic within a dimension.  This order fixes
+    the binder order of generated matching telescopes."""
+    return [c for size in range(1, n + 1) for c in combinations(range(n + 1), size)]
 
 
 def binomial(n: int, k: int) -> int:

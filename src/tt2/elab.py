@@ -186,7 +186,7 @@ class Elaborator:
                 term = core.Pi(dom_core, term) if is_pi else core.Sigma(dom_core, term)
                 sort = self.join(dom_sort, sort)
             return term, VUniv(sort)
-        if cls is parse.RId:
+        if cls is parse.RId or cls is parse.RRefl:
             layer = raw.layer
             ty_core, s = self.ensure_type(ctx, raw.ty)
             if layer is FIB and s.layer is not FIB:
@@ -195,41 +195,27 @@ class Elaborator:
                     f"fibrant equality requires a fibrant type, got sort {s}",
                 )
             ty_v = evaluate(self.sig, ctx.env, ty_core)
-            lhs_core = self.check(ctx, raw.lhs, ty_v)
-            rhs_core = self.check(ctx, raw.rhs, ty_v)
-            return core.Id(layer, ty_core, lhs_core, rhs_core), VUniv(Sort(layer, s.level))
-        if cls is parse.RUniv:
-            sort = self._universe_sort(raw.layer, raw.level, raw.span)
-            return core.Univ(sort), VUniv(self._successor_sort(sort, raw.span))
-        if cls is parse.RSnd:
-            pair_core, pair_ty = self.infer(ctx, raw.arg)
-            if pair_ty.__class__ is not VSigma:
-                raise Diagnostic(
-                    TYPE_MISMATCH, raw.span,
-                    f"expected a pair, but this has type {self._show(ctx, pair_ty)}",
-                )
-            fst_v = conv.do_fst(self.sig, evaluate(self.sig, ctx.env, pair_core))
-            return core.Snd(pair_core), pair_ty.snd.apply(self.sig, fst_v)
-        if cls is parse.RRefl:
-            layer = raw.layer
-            ty_core, s = self.ensure_type(ctx, raw.ty)
-            if layer is FIB and s.layer is not FIB:
-                raise Diagnostic(
-                    SORT_MISMATCH, raw.span,
-                    f"fibrant equality requires a fibrant type, got sort {s}",
-                )
-            ty_v = evaluate(self.sig, ctx.env, ty_core)
+            if cls is parse.RId:
+                lhs_core = self.check(ctx, raw.lhs, ty_v)
+                rhs_core = self.check(ctx, raw.rhs, ty_v)
+                return core.Id(layer, ty_core, lhs_core, rhs_core), VUniv(Sort(layer, s.level))
             arg_core = self.check(ctx, raw.arg, ty_v)
             arg_v = evaluate(self.sig, ctx.env, arg_core)
             return core.Refl(layer, ty_core, arg_core), VId(layer, ty_v, arg_v, arg_v)
-        if cls is parse.RFst:
+        if cls is parse.RUniv:
+            sort = self._universe_sort(raw.layer, raw.level, raw.span)
+            return core.Univ(sort), VUniv(self._successor_sort(sort, raw.span))
+        if cls is parse.RSnd or cls is parse.RFst:
             pair_core, pair_ty = self.infer(ctx, raw.arg)
             if pair_ty.__class__ is not VSigma:
                 raise Diagnostic(
                     TYPE_MISMATCH, raw.span,
                     f"expected a pair, but this has type {self._show(ctx, pair_ty)}",
                 )
-            return core.Fst(pair_core), pair_ty.fst
+            if cls is parse.RFst:
+                return core.Fst(pair_core), pair_ty.fst
+            fst_v = conv.do_fst(self.sig, evaluate(self.sig, ctx.env, pair_core))
+            return core.Snd(pair_core), pair_ty.snd.apply(self.sig, fst_v)
         if cls is parse.RJ:
             return self._infer_j(ctx, raw)
         if cls is parse.RNat:

@@ -2,11 +2,11 @@
 the unfolded type of Reedy-fibrant n-truncated semi-simplicial types, spine
 telescopes, and Segal-map scaffolding.
 
-Matching telescopes follow the canonical boundary-cell order (dimension
-first, then lexicographic on vertices).  A binder is named only when a
-later binder refers to it, which keeps the level-1 family literally
-``X0 -> X0 -> U0``.  Generated text is a pure function of the plan, so
-output is byte-identical across runs.
+Matching telescopes bind the boundary cells, vertex tuples, in canonical
+order (dimension first, then lexicographic).  A binder is named only when a
+later binder refers to it, which ``_family_type`` reads off its dimension;
+this keeps the level-1 family literally ``X0 -> X0 -> U0``.  Generated text
+is a pure function of the plan, so output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import re
 from typing import Optional
 
 from .core import Node
-from .delta import Cell, boundary_cells
+from .delta import boundary_cells
 
 
 class LevelCapExceeded(ValueError):
@@ -49,43 +49,36 @@ class GenPlan(Node, frozen=True):
             raise ValueError(f"unknown emission targets: {sorted(unknown)}")
 
 
-def cell_name(cell: Cell) -> str:
-    if cell.dim == 0:
-        return f"a{cell.vertices[0]}"
-    return "x" + "".join(str(v) for v in cell.vertices)
+def cell_name(cell: tuple[int, ...]) -> str:
+    return f"a{cell[0]}" if len(cell) == 1 else "x" + "".join(map(str, cell))
 
 
-def _cell_type(cell: Cell, family: str, faces: list[list[Cell]]) -> str:
-    """Type of a boundary cell: its level family applied to the binders of
-    its own faces, in canonical order."""
-    args = [cell_name(cell.subcell(w.vertices)) for w in faces[cell.dim]]
-    head = f"{family}{cell.dim}"
-    return head if not args else head + " " + " ".join(args)
+def _cell_entry(cell: tuple[int, ...], family: str, faces: list) -> tuple[str, str]:
+    """Binder name and type text of a boundary cell: the family of its
+    dimension applied to the binders of its own faces, in canonical order."""
+    dim = len(cell) - 1
+    args = "".join(" " + cell_name(tuple(cell[i] for i in w)) for w in faces[dim])
+    return cell_name(cell), f"{family}{dim}{args}"
 
 
 def telescope_entries(n: int, family: str = "X", faces: Optional[list] = None) -> list[tuple[str, str]]:
     """(binder name, type text) for the matching telescope at level n, where
     ``faces[d]`` is ``boundary_cells(d)`` for d <= n (one list per file)."""
     faces = [boundary_cells(d) for d in range(n + 1)] if faces is None else faces
-    return [(cell_name(c), _cell_type(c, family, faces)) for c in faces[n]]
+    return [_cell_entry(c, family, faces) for c in faces[n]]
 
 
-def _family_type(k: int, universe: int, family: str, faces: list[list[Cell]]) -> str:
-    """Type text of the level-k family over its matching telescope."""
-    target = f"U{universe}"
-    if k == 0:
-        return target
-    entries = telescope_entries(k, family, faces)
-    later_args: list[set[str]] = []
-    seen: set[str] = set()
-    for _, ty in reversed(entries):
-        later_args.append(set(seen))
-        seen.update(ty.split()[1:])
-    later_args.reverse()
-    parts = []
-    for (name, ty), used in zip(entries, later_args):
-        parts.append(f"({name} : {ty})" if name in used else ty)
-    return " -> ".join(parts + [target])
+def _family_type(k: int, universe: int, family: str, faces: list) -> str:
+    """Type text of the level-k family over its matching telescope.
+
+    A binder is named exactly when a later binder's type mentions it, that
+    is, when its cell has fewer than k vertices.  Adding a vertex of [k]
+    that such a cell lacks gives a proper cell of the next dimension, which
+    comes later and whose type names all its faces.  A cell of dimension
+    k-1 is a face of no cell in the telescope: none has a higher dimension."""
+    parts = [f"({name} : {ty})" if len(cell) < k else ty
+             for cell, (name, ty) in zip(faces[k], telescope_entries(k, family, faces))]
+    return " -> ".join(parts + [f"U{universe}"])
 
 
 def _sigma(components: list[tuple[str, str]]) -> str:
@@ -185,7 +178,7 @@ def gen_segal_scaffold(plan: GenPlan) -> str:
 
     index_of = {name: i for i, (name, _) in enumerate(tot)}
     spine_cells = [f"a{i}" for i in range(n + 1)]
-    spine_cells += [cell_name(Cell((i, i + 1))) for i in range(n)]
+    spine_cells += [cell_name((i, i + 1)) for i in range(n)]
     projections = []
     for name in spine_cells:
         j = index_of[name]

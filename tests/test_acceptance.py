@@ -72,7 +72,7 @@ def test_acceptance_3_sst_generation_fidelity(config):
             node, k = node.snd, k + 1
         assert k == n
     assert len(boundary_cells(3)) == 14
-    assert [sum(1 for c in boundary_cells(3) if c.dim == d) for d in range(3)] == [4, 6, 4]
+    assert [sum(1 for c in boundary_cells(3) if len(c) - 1 == d) for d in range(3)] == [4, 6, 4]
     assert "X1 : X0 -> X0 -> U0" in gen_sst(GenPlan(2))
     elapsed = time.monotonic() - started
     assert elapsed < 5.0

@@ -269,6 +269,19 @@ def test_delta_faces_output():
     assert result.stdout.splitlines() == ["0,1", "0,2", "0,3", "1,2", "1,3", "2,3"]
 
 
+@pytest.mark.parametrize("k, n", [("-1", "3"), ("0", "-2")])
+def test_delta_negative_object_fails_cleanly(k, n):
+    result = run_cli("delta", "--faces", k, n)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "tt2: objects of the semi-simplex category are [n] with n >= 0\n"
+
+
+def test_delta_without_maps_prints_nothing():
+    result = run_cli("delta", "--faces", "3", "1")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+
+
 def test_eval_prints_normal_form():
     result = run_cli("eval", "stdlib/nat_arith.tt", "--term", "four")
     assert result.returncode == 0

@@ -18,7 +18,7 @@ from tt2.core import (
     App, Const, Context, FIB, Lam, Nat, Pair, Pi, Sigma, Sort, Star, STRICT,
     Sum, Suc, Term, Unit, Var, Zero, is_scope_closed, sort_join, sort_leq,
 )
-from tt2.delta import Cell, MonoMap
+from tt2.delta import MonoMap
 from tt2.elab import Config
 from tt2.sstgen import GenPlan
 
@@ -149,10 +149,10 @@ def test_records_construct_by_position_keyword_and_default():
     lambda: Config(universes=0),
     lambda: GenPlan(-1),
     lambda: GenPlan(3, emit=frozenset({"nope"})),
-    lambda: Cell(()),
-    lambda: Cell((2, 1)),
     lambda: MonoMap(1, 2, (0,)),
     lambda: MonoMap(1, 2, (1, 0)),
+    lambda: MonoMap(1, 2, (1, 3)),
+    lambda: GenPlan(1, names="1x"),
 ])
 def test_post_init_validates(build):
     with pytest.raises(ValueError):

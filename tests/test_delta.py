@@ -5,7 +5,7 @@ boundary-cell tallies."""
 import pytest
 
 from tt2.delta import (
-    Cell, DomainMismatch, MonoMap, binomial, boundary_cells, coface,
+    DomainMismatch, MonoMap, binomial, boundary_cells, coface,
     compose, enumerate_mono, face_decompose, identity, recompose,
 )
 
@@ -31,6 +31,12 @@ def test_enumerate_counts_match_binomial():
             assert maps == sorted(maps, key=lambda m: m.images)
             assert len(set(m.images for m in maps)) == len(maps)
     assert enumerate_mono(3, 1) == []
+
+
+@pytest.mark.parametrize("k, n", [(-1, 3), (0, -2), (-1, -1)])
+def test_enumerate_rejects_negative_objects(k, n):
+    with pytest.raises(ValueError, match=r"objects of the semi-simplex category are \[n\] with n >= 0"):
+        enumerate_mono(k, n)
 
 
 def test_enumerate_examples():
@@ -89,30 +95,38 @@ def test_face_decompose_round_trip_exhaustive():
 def test_boundary_cells_counts():
     assert boundary_cells(0) == []
     cells2 = boundary_cells(2)
-    assert [c.dim for c in cells2] == [0, 0, 0, 1, 1, 1]
+    assert [len(c) - 1 for c in cells2] == [0, 0, 0, 1, 1, 1]
     cells3 = boundary_cells(3)
     assert len(cells3) == 14
-    assert [sum(1 for c in cells3 if c.dim == k) for k in range(3)] == [4, 6, 4]
+    assert [sum(1 for c in cells3 if len(c) - 1 == k) for k in range(3)] == [4, 6, 4]
     for n in range(7):
         cells = boundary_cells(n)
         assert len(cells) == 2 ** (n + 1) - 2
         for k in range(n):
-            assert sum(1 for c in cells if c.dim == k) == binomial(n + 1, k + 1)
+            assert sum(1 for c in cells if len(c) - 1 == k) == binomial(n + 1, k + 1)
 
 
 def test_boundary_cells_order_is_dimension_major_lex_minor():
     cells = boundary_cells(3)
-    dims = [c.dim for c in cells]
+    dims = [len(c) - 1 for c in cells]
     assert dims == sorted(dims)
     for k in range(3):
-        group = [c.vertices for c in cells if c.dim == k]
+        group = [c for c in cells if len(c) - 1 == k]
         assert group == sorted(group)
 
 
-def test_cell_subcell():
-    c = Cell((1, 3, 5))
-    assert c.subcell((0, 2)) == Cell((1, 5))
-    assert c.dim == 2
+@pytest.mark.parametrize("n", range(9))
+def test_boundary_cells_are_the_proper_faces_as_vertex_tuples(n):
+    # the invariants a face carries: a non-empty, strictly increasing
+    # vertex tuple inside [n], each proper face once, in the canonical order
+    cells = boundary_cells(n)
+    for c in cells:
+        assert type(c) is tuple and 0 < len(c) <= n
+        assert all(a < b for a, b in zip(c, c[1:]))
+        assert set(c) <= set(range(n + 1))
+    assert len(set(cells)) == len(cells) == 2 ** (n + 1) - 2
+    assert cells == sorted(cells, key=lambda c: (len(c), c))
+    assert cells == [m.images for k in range(n) for m in enumerate_mono(k, n)]
 
 
 def test_coface_validation():

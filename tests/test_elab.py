@@ -135,6 +135,21 @@ def test_fibrant_equality_needs_fibrant_type(elab):
     assert type_str(elab, "Eq Nat zero zero") == "US0"
 
 
+@pytest.mark.parametrize("src, code, span, message", [
+    ("fst n", "TYPE_MISMATCH", (0, 5), "expected a pair, but this has type Nat"),
+    ("snd n", "TYPE_MISMATCH", (0, 5), "expected a pair, but this has type Nat"),
+    ("Id NatS zero zero", "SORT_MISMATCH", (0, 17),
+     "fibrant equality requires a fibrant type, got sort US0"),
+    ("refl NatS zero", "SORT_MISMATCH", (0, 14),
+     "fibrant equality requires a fibrant type, got sort US0"),
+])
+def test_projection_and_equality_diagnostics(elab, src, code, span, message):
+    ctx = Ctx().extend("n", conv.VNat(FIB))
+    with pytest.raises(Diagnostic) as exc:
+        elab.infer(ctx, parse.parse_term(src))
+    assert (exc.value.code, exc.value.span, exc.value.message) == (code, span, message)
+
+
 def test_fibrant_sum_needs_fibrant_summands(elab):
     assert err(infer, elab, "Sum Unit NatS") == "SORT_MISMATCH"
     assert type_str(elab, "SumS Unit Nat") == "US0"

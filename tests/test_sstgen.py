@@ -2,18 +2,19 @@
 kernel re-checking of every emitted file, spine shapes, and determinism."""
 
 import cProfile
+import hashlib
 import re
 
 import pytest
 from conftest import REPO_ROOT
 
-from tt2 import delta, parse
+from tt2 import cli, delta, parse
 from tt2.delta import binomial, boundary_cells
 from tt2.elab import elaborate_signature
 from tt2.prelude import initial_signature
 from tt2.sstgen import (
-    GenPlan, LevelCapExceeded, cell_name, gen_segal_scaffold, gen_spine,
-    gen_sst, telescope_entries,
+    GenPlan, LevelCapExceeded, _family_type, cell_name, gen_segal_scaffold,
+    gen_spine, gen_sst, telescope_entries,
 )
 
 EQUIV_SRC = (
@@ -220,9 +221,45 @@ def test_generated_identifiers_are_introduced_before_use():
         assert decls
     seen = set()
     for cell in boundary_cells(4):
-        for w in boundary_cells(cell.dim):
-            assert cell_name(cell.subcell(w.vertices)) in seen
+        for w in boundary_cells(len(cell) - 1):
+            assert cell_name(tuple(cell[i] for i in w)) in seen
         seen.add(cell_name(cell))
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_binders_named_by_dimension_are_those_a_later_binder_mentions(k):
+    # oracle: scan the type text of the binders after each one
+    faces = [boundary_cells(d) for d in range(k + 1)]
+    entries = telescope_entries(k, "X", faces)
+    mentioned = [
+        any(name in ty.split()[1:] for _, ty in entries[i + 1:])
+        for i, (name, _) in enumerate(entries)
+    ]
+    expected = [f"({name} : {ty})" if used else ty
+                for (name, ty), used in zip(entries, mentioned)]
+    assert _family_type(k, 0, "X", faces) == " -> ".join(expected + ["U0"])
+
+
+def _golden_gen_argv(filename: str) -> list[str]:
+    """The ``tt2 gen`` arguments that produce a file named in
+    tests/golden/gen.sha256."""
+    m = re.fullmatch(r"(sst|spine|segal)(\d+)(_pq_u2|_lit|_pq)?\.tt", filename)
+    target, levels, variant = m.groups()
+    extra = {None: [], "_pq_u2": ["--prefix", "pq_", "--universe", "2"],
+             "_lit": ["--literal-spine"], "_pq": ["--prefix", "pq_"]}[variant]
+    return ["gen", target, "--levels", levels, *extra]
+
+
+def test_generated_files_match_the_golden_hashes(tmp_path):
+    # The hashes were taken from the generator as it stood before faces
+    # became vertex tuples; CI checks the installed script against them too.
+    golden = (REPO_ROOT / "tests" / "golden" / "gen.sha256").read_text().splitlines()
+    assert len(golden) == 44
+    for line in golden:
+        digest, filename = line.split("  ")
+        out = tmp_path / filename
+        assert cli.main([*_golden_gen_argv(filename), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, filename
 
 
 def test_each_dimension_faces_are_enumerated_once_per_file():
