@@ -11,7 +11,7 @@ position.  Inside a neutral spine, ``_convert_spine`` compares frames
 without types and works out a frame's type from the head's (a variable's
 from the context, a constant's from the signature) only when that fails.
 
-Two rules keep the walkers cheap:
+Three rules keep the walkers cheap:
 
 - Values are immutable and shared.  Nothing changes a value after it is
   built, and environments hand out a variable's value by reference, so
@@ -25,14 +25,24 @@ Two rules keep the walkers cheap:
   a loop and only genuine nesting recurses, at one Python frame per
   level: an application chain ``f a1 … an`` evaluates its head once and
   builds one spine, a numeral is evaluated, read back and eliminated in a
-  loop, and conversion continues into a Π codomain, a Σ second component
-  or any other last comparison without a call.  In ``elab``, ``infer``
-  walks application chains and Π/Σ telescopes and ``check`` walks λ
-  chains the same way, and so does the core printer in ``pretty``.
-  Generated files are wide rather than deep, so their size costs no
-  stack; a second frame per nesting level (a table of per-class
+  loop, right-nested pairs are evaluated and read back in a loop, and
+  conversion continues into a Π codomain, a Σ second component or any
+  other last comparison without a call.  In ``elab``, ``infer`` walks
+  application chains and Π/Σ telescopes and ``check`` walks λ chains and
+  right-nested pairs the same way, and so does the core printer in
+  ``pretty``.  Generated files are wide rather than deep, so their size
+  costs no stack; a second frame per nesting level (a table of per-class
   functions, say) would halve the nesting depth that fits under the
   recursion limit.
+- Compare before evaluating.  ``elab`` checks the arguments of an
+  application against the function's Π-telescope as a term, under an
+  environment it extends with each argument's value, and evaluates the
+  rest of the telescope once, where the chain ends.  A domain is only
+  evaluated when ``evaluates_to`` cannot show, without building a value,
+  that it is the type of an argument written as a bound variable: the
+  same variable or postulate head applied to the same argument objects.
+  Its head rule assumes that a constant with no body evaluates to its own
+  bare neutral; values that keep a defined head would need to restate it.
 """
 
 from __future__ import annotations
@@ -370,7 +380,15 @@ def evaluate(sig: Signature, env: tuple[Value, ...], t: Term) -> Value:
             evaluate(sig, env, t.lhs), evaluate(sig, env, t.rhs),
         )
     if cls is Pair:
-        return VPair(evaluate(sig, env, t.fst), evaluate(sig, env, t.snd))
+        # Right-nested pairs are walked in a loop, as the elaborator checks them.
+        fsts = []
+        while t.__class__ is Pair:
+            fsts.append(evaluate(sig, env, t.fst))
+            t = t.snd
+        v = evaluate(sig, env, t)
+        for fst in reversed(fsts):
+            v = VPair(fst, v)
+        return v
     if cls is Refl:
         return VRefl(t.layer, evaluate(sig, env, t.ty), evaluate(sig, env, t.arg))
     if cls is Fst:
@@ -423,6 +441,53 @@ def evaluate(sig: Signature, env: tuple[Value, ...], t: Term) -> Value:
     raise InternalError(f"evaluate: unhandled term {cls.__name__}")
 
 
+def evaluates_to(sig: Signature, env: list[Value], t: Term, v: Value) -> bool:
+    """Whether ``evaluate(sig, tuple(env), t)`` would be a neutral with the
+    head of ``v`` and the very argument objects of its spine, found without
+    building a value.
+
+    It holds only where ``t`` is an application chain of bound variables,
+    possibly with no arguments, whose head is a bound variable holding a
+    spineless neutral or a constant with no body.  False says only that
+    this cheap test does not apply, and the caller then evaluates ``t``.
+    True implies that ``v`` converts with the value of ``t``, since
+    ``convert`` finds two neutrals with equal heads and identical frame
+    arguments equal.
+
+    The constant rule assumes that a constant with no body, a postulate or
+    an axiom, evaluates to the bare neutral of its own name.  Values that
+    keep a defined constant as a head, with its unfolding beside it, break
+    that assumption: under them a defined head would need its own rule."""
+    if v.__class__ is not VNeutral:
+        return False
+    spine = v.spine
+    n = len(spine)
+    depth = len(env)
+    while t.__class__ is App:
+        arg = t.arg
+        n -= 1
+        if n < 0 or arg.__class__ is not Var or arg.index >= depth:
+            return False
+        frame = spine[n]
+        if frame.__class__ is not FApp or frame.arg is not env[~arg.index]:
+            return False
+        t = t.fn
+    if n:
+        return False
+    cls, head = t.__class__, v.head
+    if cls is Var:
+        if t.index >= depth:
+            return False
+        fn = env[~t.index]
+        return (fn.__class__ is VNeutral and not fn.spine
+                and (fn.head is head or fn.head == head))
+    if cls is Const:
+        entry = sig.lookup(t.name)
+        return (head.__class__ is ConstHead and head.name == t.name
+                and entry is not None and entry.body is None)
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Read-back
 
@@ -454,7 +519,14 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
     if cls is VSigma:
         return core.Sigma(quote(sig, depth, v.fst), quote_closure(sig, depth, v.snd))
     if cls is VPair:
-        return Pair(quote(sig, depth, v.fst), quote(sig, depth, v.snd))
+        fsts = []
+        while v.__class__ is VPair:
+            fsts.append(quote(sig, depth, v.fst))
+            v = v.snd
+        t = quote(sig, depth, v)
+        for fst in reversed(fsts):
+            t = Pair(fst, t)
+        return t
     if cls is VSuc:
         layer, count = v.layer, 0
         while v.__class__ is VSuc and v.layer is layer:

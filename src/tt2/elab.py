@@ -137,37 +137,90 @@ class Elaborator:
             )
         return Closure(ctx.env, motive_core, len(types))
 
+    def _infer_name(self, raw: parse.RVar, hit: Optional[tuple[int, Value]]) -> tuple[Term, Value]:
+        """Infer the name ``raw``, given its local binder ``hit`` as
+        ``Ctx.lookup`` found it (None if no binder has that name)."""
+        if hit is not None:
+            index, ty = hit
+            return core.Var(index), ty
+        name = raw.name
+        if self.sig.lookup(name) is not None:
+            return core.Const(name), conv.const_type_value(self.sig, name)
+        raise Diagnostic(UNBOUND, raw.span, f"unbound name {name!r}")
+
+    def _conform(self, ctx: Ctx, raw: parse.Raw, term: Term, got: Value, expected: Value) -> Term:
+        """``term``, elaborated from ``raw`` with type ``got``, where a term
+        of type ``expected`` is wanted: by subsumption of universes, else by
+        conversion."""
+        if got.__class__ is VUniv and expected.__class__ is VUniv:
+            if self.subsume(got.sort, expected.sort):
+                return term
+            raise Diagnostic(
+                SORT_MISMATCH, raw.span,
+                f"universe {got.sort} is not contained in {expected.sort}",
+            )
+        if got is expected or conv.convert(self.sig, ctx.types, got, expected, None):
+            return term
+        raise Diagnostic(
+            TYPE_MISMATCH, raw.span,
+            f"expected {self._show(ctx, expected)}, got {self._show(ctx, got)}",
+        )
+
     # -- inference ----------------------------------------------------------
 
     def infer(self, ctx: Ctx, raw: parse.Raw) -> tuple[Term, Value]:
         cls = raw.__class__
         if cls is parse.RVar:
-            name = raw.name
-            hit = ctx.lookup(name)
-            if hit is not None:
-                index, ty = hit
-                return core.Var(index), ty
-            if self.sig.lookup(name) is not None:
-                return core.Const(name), conv.const_type_value(self.sig, name)
-            raise Diagnostic(UNBOUND, raw.span, f"unbound name {name!r}")
+            return self._infer_name(raw, ctx.lookup(raw.name))
         if cls is parse.RApp:
             # An application chain f a1 … an: infer the head once, then check
-            # and instantiate the arguments in a loop.
+            # the arguments in a loop.  The loop walks a function type's
+            # codomain as a term, a Π-telescope under its closure's
+            # environment extended by each argument's value, rather than
+            # instantiating it binder by binder.  It compares before it
+            # evaluates: an argument written as a bound variable is looked up
+            # once, and when ``conv.evaluates_to`` finds that the domain term
+            # is its type (a variable or postulate head applied to the same
+            # argument objects), the domain is never built.  Otherwise that one
+            # domain is evaluated and the argument checked against it.  The
+            # rest of the telescope is evaluated once, where the walk ends.
             apps = [raw]
             fn = raw.fn
             while fn.__class__ is parse.RApp:
                 apps.append(fn)
                 fn = fn.fn
+            sig = self.sig
             term, ty = self.infer(ctx, fn)
+            env = None  # while walking a telescope term: its environment; ty is the term
             for app in reversed(apps):
-                if ty.__class__ is not VPi:
-                    raise Diagnostic(
-                        TYPE_MISMATCH, app.span,
-                        f"expected a function, but this has type {self._show(ctx, ty)}",
-                    )
-                arg_core = self.check(ctx, app.arg, ty.dom)
-                ty = ty.cod.apply(self.sig, evaluate(self.sig, ctx.env, arg_core))
+                arg = app.arg
+                hit = ctx.lookup(arg.name) if arg.__class__ is parse.RVar else None
+                if env is None:
+                    if ty.__class__ is not VPi:
+                        raise Diagnostic(
+                            TYPE_MISMATCH, app.span,
+                            f"expected a function, but this has type {self._show(ctx, ty)}",
+                        )
+                    dom = ty.dom
+                elif hit is not None and conv.evaluates_to(sig, env, ty.dom, hit[1]):
+                    dom = hit[1]  # converts with the domain; _conform stops at ``is``
+                else:
+                    dom = evaluate(sig, tuple(env), ty.dom)
+                if arg.__class__ is parse.RVar:
+                    arg_core = self._conform(ctx, arg, *self._infer_name(arg, hit), dom)
+                else:
+                    arg_core = self.check(ctx, arg, dom)
+                arg_v = ctx.env[~hit[0]] if hit is not None else evaluate(sig, ctx.env, arg_core)
                 term = core.App(term, arg_core)
+                if env is None:
+                    env, ty = list(ty.cod.env), ty.cod.body
+                else:
+                    ty = ty.cod
+                env.append(arg_v)
+                if ty.__class__ is not core.Pi:
+                    ty, env = evaluate(sig, tuple(env), ty), None
+            if env is not None:
+                ty = evaluate(sig, tuple(env), ty)
             return term, ty
         if cls is parse.RPi or cls is parse.RSigma:
             # A right-nested telescope of Π and Σ binders: extend the context
@@ -367,15 +420,23 @@ class Elaborator:
                 term = core.Lam(term)
             return term
         if cls is parse.RPair:
-            if expected.__class__ is not VSigma:
-                raise Diagnostic(
-                    TYPE_MISMATCH, raw.span,
-                    f"pair checked against non-pair type {self._show(ctx, expected)}",
-                )
-            fst_core = self.check(ctx, raw.fst, expected.fst)
-            fst_v = evaluate(self.sig, ctx.env, fst_core)
-            snd_core = self.check(ctx, raw.snd, expected.snd.apply(self.sig, fst_v))
-            return core.Pair(fst_core, snd_core)
+            # Right-nested pairs are checked in a loop against the Σ
+            # telescope, and the core pairs built from the inside out.
+            fsts = []
+            while raw.__class__ is parse.RPair:
+                if expected.__class__ is not VSigma:
+                    raise Diagnostic(
+                        TYPE_MISMATCH, raw.span,
+                        f"pair checked against non-pair type {self._show(ctx, expected)}",
+                    )
+                fst_core = self.check(ctx, raw.fst, expected.fst)
+                fsts.append(fst_core)
+                expected = expected.snd.apply(self.sig, evaluate(self.sig, ctx.env, fst_core))
+                raw = raw.snd
+            term = self.check(ctx, raw, expected)
+            for fst_core in reversed(fsts):
+                term = core.Pair(fst_core, term)
+            return term
         if cls is parse.RSuc or cls is parse.RZero:
             if expected.__class__ is not VNat:
                 raise Diagnostic(
@@ -405,19 +466,7 @@ class Elaborator:
         if cls is parse.RHole:
             raise Diagnostic(HOLE, raw.span, "holes are not supported; write the term explicitly")
         term, got = self.infer(ctx, raw)
-        if got.__class__ is VUniv and expected.__class__ is VUniv:
-            if self.subsume(got.sort, expected.sort):
-                return term
-            raise Diagnostic(
-                SORT_MISMATCH, raw.span,
-                f"universe {got.sort} is not contained in {expected.sort}",
-            )
-        if got is expected or conv.convert(self.sig, ctx.types, got, expected, None):
-            return term
-        raise Diagnostic(
-            TYPE_MISMATCH, raw.span,
-            f"expected {self._show(ctx, expected)}, got {self._show(ctx, got)}",
-        )
+        return self._conform(ctx, raw, term, got, expected)
 
 
 # ---------------------------------------------------------------------------

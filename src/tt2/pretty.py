@@ -110,7 +110,12 @@ class _CorePrinter:
                 out.append(self.show(arg, names, ATOM))
             return _wrap(" ".join(out), prec > APP)
         if cls is core.Pair:
-            return f"({self.show(t.fst, names, TERM)} , {self.show(t.snd, names, TERM)})"
+            # Right-nested pairs are printed in a loop.
+            out = []
+            while t.__class__ is core.Pair:
+                out.append(f"({self.show(t.fst, names, TERM)} , ")
+                t = t.snd
+            return "".join(out) + self.show(t, names, TERM) + ")" * len(out)
         if cls is core.Suc:
             # A numeral is printed in a loop, as the elaborator checks it.
             count = 0

@@ -139,6 +139,22 @@ def test_check_of_2000_nested_successors_passes(tmp_path):
     assert result.stdout == numeral + "\n"
 
 
+def test_check_of_3000_nested_pairs_passes(tmp_path):
+    # Checking, evaluation, read-back and printing walk right-nested pairs
+    # in a loop.
+    depth = 3000
+    src = tmp_path / "pairs.tt"
+    ty = "(Unit × " * depth + "Unit" + ")" * depth
+    pair = "(star , " * depth + "star" + ")" * depth
+    src.write_text(f"def T : U0 := {ty}\ndef p : T := {pair}\n")
+    result = run_cli("check", str(src), "--dump-core")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == f"def p : T := {pair}"
+    result = run_cli("eval", str(src), "--term", "p")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == pair + "\n"
+
+
 def _arrows(count):
     return "U0 -> " * count + "U0"
 

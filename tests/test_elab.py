@@ -217,6 +217,42 @@ def test_j_endpoint_mismatch_is_reported(base_sig, config):
     assert exc.value.code == "TYPE_MISMATCH"
 
 
+TELESCOPES = """\
+postulate X0 : U0
+postulate X1 : X0 -> X0 -> U0
+def Y : X0 -> X0 -> U0 := X1
+postulate F : (a0 : X0) -> (a1 : X0) -> X1 a0 a1 -> U0
+postulate FY : (a0 : X0) -> (a1 : X0) -> Y a0 a1 -> U0
+postulate G : (P : X0 -> U0) -> (a : X0) -> P a -> U0
+"""
+
+
+# An argument checked against a Π-telescope's domain term: a postulate
+# head (F), a defined head that only evaluation unfolds (FY), and a head
+# variable bound to a neutral with a non-empty spine (G's P := Q a).
+@pytest.mark.parametrize("decl, diagnostics", [
+    ("def t (a0 a1 : X0) (x : X1 a0 a1) : U0 := F a0 a1 x", []),
+    ("def t (a0 a1 : X0) (x : X1 a0 a1) : U0 := FY a0 a1 x", []),
+    ("def t (Q : X0 -> X0 -> U0) (a b : X0) (x : Q a b) : U0 := G (Q a) b x", []),
+    # the spans are those of the last argument
+    ("def t (a0 a1 : X0) (x : X1 a0 a0) : U0 := F a0 a1 x",
+     [("TYPE_MISMATCH", (50, 51), "expected X1 a0 a1, got X1 a0 a0")]),
+    ("def t (a0 a1 : X0) (x : X1 a0 a0) : U0 := FY a0 a1 x",
+     [("TYPE_MISMATCH", (51, 52), "expected X1 a0 a1, got X1 a0 a0")]),
+    ("def t (Q : X0 -> X0 -> U0) (a b : X0) (x : Q b a) : U0 := G (Q a) b x",
+     [("TYPE_MISMATCH", (68, 69), "expected Q a b, got Q b a")]),
+    # a name that no binder holds: a constant, or unbound
+    ("def t (a0 : X0) (x : X1 a0 a0) : U0 := F a0 a0 Y",
+     [("TYPE_MISMATCH", (47, 48), "expected X1 a0 a0, got X0 -> X0 -> U0")]),
+    ("def t (a0 : X0) : U0 := F a0 a0 z", [("UNBOUND", (32, 33), "unbound name 'z'")]),
+])
+def test_telescope_arguments_are_checked_against_domain_terms(base_sig, config, decl, diagnostics):
+    sig, diags = elaborate_signature(parse.parse_file(TELESCOPES), base_sig, config)
+    assert not diags
+    _, diags = elaborate_signature(parse.parse_file(decl), sig, config)
+    assert [(d.code, d.span, d.message) for d in diags] == diagnostics
+
+
 def test_duplicate_names_rejected(base_sig, config):
     src = "def d : U0 := Unit\ndef d : U0 := Unit"
     _, diags = elaborate_signature(parse.parse_file(src), base_sig, config)
