@@ -41,6 +41,8 @@ Three rules keep the walkers cheap:
   evaluated when ``evaluates_to`` cannot show, without building a value,
   that it is the type of an argument written as a bound variable: the
   same variable or postulate head applied to the same argument objects.
+  On such a hit the argument is taken as its variable, with no check
+  against the domain (``Elaborator._conform`` is not called).
   Its head rule assumes that a constant with no body evaluates to its own
   bare neutral; values that keep a defined head would need to restate it.
 """

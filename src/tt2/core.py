@@ -306,10 +306,19 @@ def is_scope_closed(t: Term, depth: int = 0) -> bool:
     """Every bound index is below the binder depth at its occurrence.
 
     Walks an explicit stack, so the nesting depth of ``t`` is not bounded
-    by the interpreter's recursion limit."""
+    by the interpreter's recursion limit.  An application chain is walked
+    in a loop, and a variable argument tested where it is met."""
     stack = [(t, depth)]
     while stack:
         t, depth = stack.pop()
+        while t.__class__ is App:
+            arg = t.arg
+            if arg.__class__ is Var:
+                if arg.index >= depth:
+                    return False
+            else:
+                stack.append((arg, depth))
+            t = t.fn
         if t.__class__ is Var:
             if t.index >= depth:
                 return False

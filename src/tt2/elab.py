@@ -39,24 +39,30 @@ class Config(Node, frozen=True):
             raise ValueError("at least one universe level is required")
 
 
-class Ctx(Node, frozen=True):
-    # innermost binder first, so that a name's position is its de Bruijn index
-    names: tuple[Optional[str], ...] = ()
+class Ctx(Node, frozen=True, uncompared=("levels",)):
     # by level, outermost first, as conversion and evaluation index them
+    names: tuple[Optional[str], ...] = ()
     types: tuple[Value, ...] = ()
     env: tuple[Value, ...] = ()
+    # the level of each name's innermost binder, so that a lookup costs the
+    # same at every depth; ``extend`` copies it and nothing mutates one
+    levels: dict[str, int] = {}
 
     def extend(self, name: Optional[str], ty: Value) -> "Ctx":
-        var = conv.fresh(len(self.env))
-        return Ctx((name,) + self.names, self.types + (ty,), self.env + (var,))
+        level = len(self.env)
+        levels = self.levels
+        if name is not None:
+            levels = levels.copy()
+            levels[name] = level
+        var = conv.fresh(level)
+        return Ctx(self.names + (name,), self.types + (ty,), self.env + (var,), levels)
 
     def lookup(self, name: str) -> Optional[tuple[int, Value]]:
         """The de Bruijn index and type of the innermost binder of ``name``."""
-        try:
-            index = self.names.index(name)
-        except ValueError:
+        level = self.levels.get(name)
+        if level is None:
             return None
-        return index, self.types[~index]
+        return len(self.env) - 1 - level, self.types[level]
 
 
 class Elaborator:
@@ -73,7 +79,7 @@ class Elaborator:
         return sort_join(a, b, self.config.collapse_fibrant_universes)
 
     def _show(self, ctx: Ctx, v: Value) -> str:
-        names = tuple(n if n is not None else "_" for n in reversed(ctx.names))
+        names = tuple(n if n is not None else "_" for n in ctx.names)
         return pretty.pretty(conv.quote(self.sig, len(ctx.env), v), self.sig, names)
 
     def _universe_sort(self, layer: Layer, level: int, span: Span) -> Sort:
@@ -181,7 +187,8 @@ class Elaborator:
             # evaluates: an argument written as a bound variable is looked up
             # once, and when ``conv.evaluates_to`` finds that the domain term
             # is its type (a variable or postulate head applied to the same
-            # argument objects), the domain is never built.  Otherwise that one
+            # argument objects), the domain is never built and the argument
+            # is taken as it is, with no conversion.  Otherwise that one
             # domain is evaluated and the argument checked against it.  The
             # rest of the telescope is evaluated once, where the walk ends.
             apps = [raw]
@@ -203,10 +210,12 @@ class Elaborator:
                         )
                     dom = ty.dom
                 elif hit is not None and conv.evaluates_to(sig, env, ty.dom, hit[1]):
-                    dom = hit[1]  # converts with the domain; _conform stops at ``is``
+                    dom = None  # the variable's type converts with the domain
                 else:
                     dom = evaluate(sig, tuple(env), ty.dom)
-                if arg.__class__ is parse.RVar:
+                if dom is None:
+                    arg_core = core.Var(hit[0])
+                elif arg.__class__ is parse.RVar:
                     arg_core = self._conform(ctx, arg, *self._infer_name(arg, hit), dom)
                 else:
                     arg_core = self.check(ctx, arg, dom)

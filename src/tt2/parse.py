@@ -3,6 +3,7 @@
 The lexer is one compiled regular expression: each match skips whitespace
 and ``--`` comments and then takes one token, named by the group that
 matched.  Nested ``{- -}`` comments are skipped by a depth-counting scan.
+A token is a plain ``(kind, text, span)`` triple, read by position.
 
 Precedence, loosest to tightest: lambda bodies extend right, then ``->``
 (right associative), then the pair former ``×`` (right associative), then
@@ -221,33 +222,22 @@ _TOKEN = re.compile(_SKIP + r"""(?:
     (?P<BLOCK>\{-) | (?P<ASSIGN>:=) | (?P<ARROW>->)
   | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,) | (?P<COLON>:) | (?P<DOT>\.)
   | (?P<LAMBDA>[\\λ]) | (?P<TIMES>×) | (?P<UNDERSCORE>_)
-  | (?P<UNIV>U(?P<strict>S?)(?P<level>[0-9]+)(?![A-Za-z0-9_']))
+  | (?P<UNIV>US?[0-9]+(?![A-Za-z0-9_']))
   | (?P<WORD>[A-Za-z][A-Za-z0-9_']*)
   | (?P<EOF>\Z))""", re.VERBOSE)
 _NESTING = re.compile(r"\{-|-\}")
 
 
-class Token:
-    """A token: its kind (a punctuation name, a keyword, ``IDENT``,
-    ``UNIV`` or ``EOF``), its text and its span.  The ``value`` of a
-    ``UNIV`` token is its (layer, level)."""
-
-    __slots__ = ("kind", "text", "span", "value")
-
-    def __init__(self, kind: str, text: str, span: Span, value: Optional[tuple[Layer, int]] = None):
-        self.kind = kind
-        self.text = text
-        self.span = span
-        self.value = value
-
-    def __repr__(self) -> str:
-        return f"Token({self.kind!r}, {self.text!r}, {self.span!r})"
+# A token: its kind (a punctuation name, a keyword, ``IDENT``, ``UNIV`` or
+# ``EOF``), its text and its span.
+Token = tuple[str, str, Span]
 
 
 def lex(source: str) -> list[Token]:
     """Tokenize; comments (`--` line, `{- -}` nested block) and whitespace
     are skipped.  Raises a Diagnostic on characters outside the grammar."""
     tokens: list[Token] = []
+    append = tokens.append
     i = 0
     while True:
         m = _TOKEN.match(source, i)
@@ -258,10 +248,7 @@ def lex(source: str) -> list[Token]:
         start, i = m.span(kind)
         if kind == "WORD":
             text = source[start:i]
-            tokens.append(Token(text if text in KEYWORDS else "IDENT", text, (start, i)))
-        elif kind == "UNIV":
-            layer = STRICT if m.group("strict") else FIB
-            tokens.append(Token(kind, source[start:i], (start, i), (layer, int(m.group("level")))))
+            append((text if text in KEYWORDS else "IDENT", text, (start, i)))
         elif kind == "BLOCK":
             depth = 1
             while depth:
@@ -271,7 +258,7 @@ def lex(source: str) -> list[Token]:
                 depth += 1 if mark.group() == "{-" else -1
                 i = mark.end()
         else:
-            tokens.append(Token(kind, source[start:i], (start, i)))
+            append((kind, source[start:i], (start, i)))
             if kind == "EOF":
                 return tokens
 
@@ -291,18 +278,19 @@ _START, _ATOM, _DONE = range(3)
 
 
 def _fail(tok: Token, expected: str) -> Diagnostic:
-    found = repr(tok.text) if tok.text else "end of input"
-    return Diagnostic(SYNTAX, tok.span, f"expected {expected}, found {found}")
+    _, text, span = tok
+    found = repr(text) if text else "end of input"
+    return Diagnostic(SYNTAX, span, f"expected {expected}, found {found}")
 
 
 def _group_colon(toks: list[Token], pos: int) -> int:
     """The index of the ``:`` of a binder group opening at ``pos``, or 0."""
-    if toks[pos].kind != "LPAREN":
+    if toks[pos][0] != "LPAREN":
         return 0
     j = pos + 1
-    while toks[j].kind in _BINDERS:
+    while toks[j][0] in _BINDERS:
         j += 1
-    return j if j > pos + 1 and toks[j].kind == "COLON" else 0
+    return j if j > pos + 1 and toks[j][0] == "COLON" else 0
 
 
 def _close(frame: tuple, body: Raw) -> Raw:
@@ -314,7 +302,7 @@ def _close(frame: tuple, body: Raw) -> Raw:
         return RSigma((head.span[0], body.span[1]), None, head, body)
     if tag == _LAM:
         for name in reversed(names):
-            body = RLam((head.span[0], body.span[1]), name, body)
+            body = RLam((head[2][0], body.span[1]), name, body)
         return body
     former = RPi if tag == _PI_GROUPS else RSigma
     for name, ty in reversed(head):
@@ -332,7 +320,7 @@ class _Parser:
 
     def expect(self, kind: str) -> Token:
         tok = self.peek()
-        if tok.kind != kind:
+        if tok[0] != kind:
             raise _fail(tok, kind)
         self.pos += 1
         return tok
@@ -341,33 +329,34 @@ class _Parser:
 
     def parse_file(self) -> list[RawDecl]:
         decls = []
-        while self.peek().kind != "EOF":
+        while self.peek()[0] != "EOF":
             decls.append(self.parse_decl())
         return decls
 
     def parse_decl(self) -> RawDecl:
         tok = self.peek()
-        if tok.kind not in ("def", "postulate"):
+        kind = tok[0]
+        if kind not in ("def", "postulate"):
             raise _fail(tok, "'def' or 'postulate'")
         self.pos += 1
         name = self.expect("IDENT")
         telescope = []
-        while self.peek().kind == "LPAREN":
+        while self.peek()[0] == "LPAREN":
             telescope.extend(self.parse_binder_group())
         self.expect("COLON")
         result = self.term()
         body = None
-        if tok.kind == "def":
+        if kind == "def":
             self.expect("ASSIGN")
             body = self.term()
-        end = self.tokens[self.pos - 1].span[1]
-        return RawDecl(tok.kind, name.text, tuple(telescope), result, body, (tok.span[0], end))
+        end = self.tokens[self.pos - 1][2][1]
+        return RawDecl(kind, name[1], tuple(telescope), result, body, (tok[2][0], end))
 
     def parse_binder_group(self) -> list[tuple[str, Raw]]:
         self.expect("LPAREN")
         names = []
-        while self.peek().kind in _BINDERS:
-            names.append(self.peek().text)
+        while self.peek()[0] in _BINDERS:
+            names.append(self.peek()[1])
             self.pos += 1
         if not names:
             raise _fail(self.peek(), "binder name")
@@ -391,31 +380,31 @@ class _Parser:
         while True:
             if state == _START:
                 tok = toks[pos]
-                if tok.kind == "LAMBDA" and lam_ok:
+                if tok[0] == "LAMBDA" and lam_ok:
                     pos += 1
                     names = []
-                    while toks[pos].kind in _BINDERS:
-                        names.append(toks[pos].text)
+                    while toks[pos][0] in _BINDERS:
+                        names.append(toks[pos][1])
                         pos += 1
                     if not names:
                         raise _fail(toks[pos], "lambda binder")
-                    if toks[pos].kind != "DOT":
+                    if toks[pos][0] != "DOT":
                         raise _fail(toks[pos], "DOT")
                     pos += 1
                     stack.append((_LAM, tok, names))
                     continue
                 colon = _group_colon(toks, pos)
                 if colon:
-                    stack.append((_GROUP, [t.text for t in toks[pos + 1:colon]], []))
+                    stack.append((_GROUP, [t[1] for t in toks[pos + 1:colon]], []))
                     pos, lam_ok = colon + 1, True
                     continue
                 state = _ATOM
             if state == _ATOM:
                 tok = toks[pos]
-                kind = tok.kind
+                kind, text, span = tok
                 pos += 1
                 if kind == "IDENT":
-                    val = RVar(tok.span, tok.text)
+                    val = RVar(span, text)
                 elif kind == "LPAREN":
                     stack.append((_PAREN, tok, []))
                     state, lam_ok = _START, True
@@ -424,14 +413,17 @@ class _Parser:
                     cls, _, layer, arity = _FORMERS[kind]
                     if arity:
                         stack.append((_BUILTIN, tok, []))
-                        if toks[pos].kind not in _ATOM_STARTERS:
+                        if toks[pos][0] not in _ATOM_STARTERS:
                             raise _fail(toks[pos], f"argument of {kind}")
                         continue
-                    val = cls(tok.span) if layer is None else cls(tok.span, layer)
-                elif kind == "UNIV":
-                    val = RUniv(tok.span, *tok.value)
+                    val = cls(span) if layer is None else cls(span, layer)
+                elif kind == "UNIV":  # U<level> or US<level>
+                    if text[1] == "S":
+                        val = RUniv(span, STRICT, int(text[2:]))
+                    else:
+                        val = RUniv(span, FIB, int(text[1:]))
                 elif kind == "UNDERSCORE":
-                    val = RHole(tok.span)
+                    val = RHole(span)
                 else:
                     raise _fail(tok, "a term")
                 state = _DONE
@@ -440,20 +432,20 @@ class _Parser:
             tag, head, args = stack[-1]
             if tag == _BUILTIN:
                 args.append(val)
-                cls, _, layer, arity = _FORMERS[head.kind]
+                cls, _, layer, arity = _FORMERS[head[0]]
                 if len(args) < arity:
-                    if toks[pos].kind not in _ATOM_STARTERS:
-                        raise _fail(toks[pos], f"argument of {head.kind}")
+                    if toks[pos][0] not in _ATOM_STARTERS:
+                        raise _fail(toks[pos], f"argument of {head[0]}")
                     state = _ATOM
                     continue
                 stack.pop()
-                span = (head.span[0], val.span[1])
+                span = (head[2][0], val.span[1])
                 val = cls(span, *args) if layer is None else cls(span, layer, *args)
                 continue
             if tag == _APP:
                 stack.pop()
                 val = RApp((head.span[0], val.span[1]), head, val)
-            kind = toks[pos].kind
+            kind = toks[pos][0]
             if kind in _ATOM_STARTERS:
                 stack.append((_APP, val, None))
                 state = _ATOM
@@ -486,16 +478,16 @@ class _Parser:
             pos += 1
             if tag == _PAREN:
                 for part in reversed(parts):
-                    val = RPair((head.span[0], close.span[1]), part, val)
+                    val = RPair((head[2][0], close[2][1]), part, val)
                 continue
             # A binder group: more groups may follow, then ``->`` or ``×``.
             parts.extend((name, val) for name in head)
             colon = _group_colon(toks, pos)
             if colon:
-                stack.append((_GROUP, [t.text for t in toks[pos + 1:colon]], parts))
+                stack.append((_GROUP, [t[1] for t in toks[pos + 1:colon]], parts))
                 pos, state, lam_ok = colon + 1, _START, True
                 continue
-            kind = toks[pos].kind
+            kind = toks[pos][0]
             if kind != "ARROW" and kind != "TIMES":
                 raise _fail(toks[pos], "'->' or '×' after binder")
             stack.append((_PI_GROUPS if kind == "ARROW" else _SIGMA_GROUPS, parts, None))

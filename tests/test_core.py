@@ -15,8 +15,9 @@ from smallstep_oracle import replace, shift, subst
 from termgen import term_size
 from tt2 import conv, parse
 from tt2.core import (
-    App, Const, Context, FIB, Lam, Nat, Pair, Pi, Sigma, Sort, Star, STRICT,
-    Sum, Suc, Term, Unit, Var, Zero, is_scope_closed, sort_join, sort_leq,
+    App, Const, Context, DeclKind, FIB, InternalError, Lam, Nat, Pair, Pi, SigEntry,
+    Sigma, Signature, Sort, Star, STRICT, Sum, Suc, Term, Unit, Univ, Var, Zero,
+    is_scope_closed, sort_join, sort_leq,
 )
 from tt2.delta import MonoMap
 from tt2.elab import Config
@@ -88,6 +89,20 @@ def test_random_terms_are_scope_closed(random_terms):
     for t in random_terms:
         assert is_scope_closed(t)
         assert term_size(t) >= 1
+
+
+@pytest.mark.parametrize("ty", [
+    App(Const("c"), Var(0)),  # a chain argument
+    App(App(Var(0), Star()), Star()),  # a chain head
+    Pi(Univ(Sort(FIB, 0)), App(App(Const("c"), Var(0)), Var(1))),  # under a binder
+])
+def test_signature_refuses_an_open_variable_in_an_application(ty):
+    sig = Signature()
+    with pytest.raises(InternalError, match="open type"):
+        sig.add(SigEntry("t", ty, None, DeclKind.POSTULATE))
+    closed = Pi(Univ(Sort(FIB, 0)), App(App(Const("c"), Var(0)), Var(0)))
+    sig.add(SigEntry("t", closed, None, DeclKind.POSTULATE))
+    assert sig.lookup("t").ty is closed
 
 
 ALL_SORTS = [Sort(layer, lvl) for layer in (FIB, STRICT) for lvl in range(4)]

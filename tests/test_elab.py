@@ -150,6 +150,18 @@ def test_projection_and_equality_diagnostics(elab, src, code, span, message):
     assert (exc.value.code, exc.value.span, exc.value.message) == (code, span, message)
 
 
+def test_a_name_resolves_to_its_innermost_binder(elab):
+    # the index and the type are the innermost binder's
+    assert check(elab, "\\x x. x", "Nat -> Unit -> Unit") == Lam(Lam(Var(0)))
+    assert err(check, elab, "\\x x. x", "Unit -> Nat -> Unit") == "TYPE_MISMATCH"
+    term, _ = infer(elab, "(x : Nat) -> (x : Nat) -> Id Nat x x")
+    assert term == Pi(Nat(FIB), Pi(Nat(FIB), core.Id(FIB, Nat(FIB), Var(0), Var(0))))
+    assert err(infer, elab, "(x : Nat) -> (x : Unit) -> Id Nat x x") == "TYPE_MISMATCH"
+    ctx = Ctx().extend("x", conv.VNat(FIB)).extend("x", conv.VUnit()).extend(None, conv.VStar())
+    assert ctx.lookup("x") == (1, conv.VUnit()) and ctx.lookup("y") is None
+    assert ctx.extend("y", conv.VNat(FIB)).lookup("x")[0] == 2
+
+
 def test_fibrant_sum_needs_fibrant_summands(elab):
     assert err(infer, elab, "Sum Unit NatS") == "SORT_MISMATCH"
     assert type_str(elab, "SumS Unit Nat") == "US0"

@@ -10,7 +10,7 @@ from conftest import REPO_ROOT
 from hypothesis import given, settings, strategies as st
 
 from tt2 import parse
-from tt2.core import FIB
+from tt2.core import FIB, STRICT
 from tt2.diagnostics import Diagnostic
 from tt2.elab import elaborate_signature
 from tt2.parse import lex, parse_file, parse_term
@@ -19,7 +19,7 @@ from tt2.pretty import APP, ATOM, SIGMA, TERM, _wrap
 
 
 def kinds(source):
-    return [t.kind for t in lex(source)][:-1]  # drop EOF
+    return [kind for kind, _, _ in lex(source)][:-1]  # drop EOF
 
 
 def test_lex_example_def():
@@ -50,6 +50,18 @@ def test_surface_doc_lists_the_formers_table():
     for kw, (raw_cls, core_cls, layer, arity) in parse._FORMERS.items():
         assert len(core_cls.SUB) == arity, kw
         assert len(raw_cls.__match_args__) == 1 + (layer is not None) + arity, kw
+
+
+def test_lex_gives_triples_and_the_parser_reads_universes_from_text():
+    source = "def A : US1 := U12"
+    assert lex(source) == [
+        ("def", "def", (0, 3)), ("IDENT", "A", (4, 5)), ("COLON", ":", (6, 7)),
+        ("UNIV", "US1", (8, 11)), ("ASSIGN", ":=", (12, 14)), ("UNIV", "U12", (15, 18)),
+        ("EOF", "", (18, 18)),
+    ]
+    [decl] = parse_file(source)
+    assert decl.result == parse.RUniv((8, 11), STRICT, 1) and decl.result.span == (8, 11)
+    assert decl.body == parse.RUniv((15, 18), FIB, 12) and decl.body.span == (15, 18)
 
 
 def test_lex_illegal_character():
@@ -236,11 +248,11 @@ def test_front_end_is_total(source):
     except Diagnostic as diag:
         assert diag.code in ("SYNTAX", "ILLEGAL_CHAR")
     else:
-        assert tokens[-1].kind == "EOF" and tokens[-1].span == (len(source), len(source))
-        for tok in tokens[:-1]:
-            assert source[tok.span[0]:tok.span[1]] == tok.text != ""
-        for before, after in zip(tokens, tokens[1:]):
-            assert before.span[1] <= after.span[0] and before.span[0] < after.span[0]
+        assert tokens[-1] == ("EOF", "", (len(source), len(source)))
+        for _, text, (start, end) in tokens[:-1]:
+            assert source[start:end] == text != ""
+        for (_, _, before), (_, _, after) in zip(tokens, tokens[1:]):
+            assert before[1] <= after[0] and before[0] < after[0]
     try:
         decls = parse_file(source)
     except Diagnostic as diag:
