@@ -72,12 +72,12 @@ def _color_enabled() -> bool:
     return sys.stderr.isatty()
 
 
-def _emit_diagnostic(diag: Diagnostic, source: str, filename: str, config: Config) -> None:
-    if config.json_diagnostics:
+def _emit_diagnostic(diag: Diagnostic, source: str, filename: str, args) -> None:
+    if args.json_diagnostics:
         print(json.dumps(diag.to_json(source, filename)), file=sys.stderr)
         return
     text = diag.render(source, filename)
-    if config.color:
+    if _color_enabled():
         text = text.replace(f"error[{diag.code}]", f"\x1b[31merror[{diag.code}]\x1b[0m", 1)
     print(text, file=sys.stderr)
 
@@ -109,35 +109,43 @@ def _read_source(path: Path) -> tuple[str, Optional[Diagnostic]]:
         return data.decode("utf-8", errors="replace"), diag
 
 
+def _load(name: str, sig: core.Signature, args, config: Config) -> Optional[tuple]:
+    """Resolve, decode, parse and elaborate the file ``name`` into ``sig``
+    and print its diagnostics.  Returns the grown signature, the file's
+    declarations (none if it did not parse), its source and the number of
+    diagnostics; or None, after saying so, if the file cannot be read."""
+    path = _resolve(name, args.include)
+    if path is None:
+        print(f"tt2: cannot read {name!r}", file=sys.stderr)
+        return None
+    source, bad_bytes = _read_source(path)
+    decls, diagnostics = [], [bad_bytes]
+    if bad_bytes is None:
+        try:
+            decls = parse.parse_file(source)
+        except Diagnostic as diag:
+            diagnostics = [diag]
+        else:
+            sig, diagnostics = elaborate_signature(decls, sig, config)
+    for diag in diagnostics:
+        _emit_diagnostic(diag, source, name, args)
+    return sig, decls, source, len(diagnostics)
+
+
 def _cmd_check(args, config: Config) -> int:
     sig = initial_signature(config)
     failures = 0
     postulates = 0
     origins = {}  # declaration name -> (source, file name, span), for --dump-core
     for name in args.files:
-        path = _resolve(name, args.include)
-        if path is None:
-            print(f"tt2: cannot read {name!r}", file=sys.stderr)
+        loaded = _load(name, sig, args, config)
+        if loaded is None:
             return 2
-        source, bad_bytes = _read_source(path)
-        if bad_bytes is not None:
-            _emit_diagnostic(bad_bytes, source, name, config)
-            failures += 1
-            continue
-        try:
-            decls = parse.parse_file(source)
-        except Diagnostic as diag:
-            _emit_diagnostic(diag, source, name, config)
-            failures += 1
-            continue
+        sig, decls, source, failed = loaded
+        failures += failed
         postulates += sum(1 for d in decls if d.kind == "postulate")
         for d in decls:
             origins.setdefault(d.name, (source, name, d.span))
-        sig, diagnostics = elaborate_signature(decls, sig, config)
-        for diag in diagnostics:
-            _emit_diagnostic(diag, source, name, config)
-        failures += len(diagnostics)
-    checked = len(sig.entries)
     if postulates:
         print(f"tt2: {postulates} postulate(s) admitted", file=sys.stderr)
     if args.dump_core:
@@ -149,34 +157,21 @@ def _cmd_check(args, config: Config) -> int:
             except RecursionError:
                 source, name, span = origins.get(entry.name, ("", "<prelude>", (0, 0)))
                 diag = Diagnostic(DEPTH, span, f"{entry.name!r} nests too deeply to print")
-                _emit_diagnostic(diag, source, name, config)
+                _emit_diagnostic(diag, source, name, args)
                 failures += 1
                 continue
             print(head)
     else:
-        print(f"tt2: checked {checked} signature entries", file=sys.stderr)
+        print(f"tt2: checked {len(sig.entries)} signature entries", file=sys.stderr)
     return 1 if failures else 0
 
 
 def _cmd_eval(args, config: Config) -> int:
-    path = _resolve(args.file, args.include)
-    if path is None:
-        print(f"tt2: cannot read {args.file!r}", file=sys.stderr)
+    loaded = _load(args.file, initial_signature(config), args, config)
+    if loaded is None:
         return 2
-    source, bad_bytes = _read_source(path)
-    if bad_bytes is not None:
-        _emit_diagnostic(bad_bytes, source, args.file, config)
-        return 1
-    sig = initial_signature(config)
-    try:
-        decls = parse.parse_file(source)
-    except Diagnostic as diag:
-        _emit_diagnostic(diag, source, args.file, config)
-        return 1
-    sig, diagnostics = elaborate_signature(decls, sig, config)
-    for diag in diagnostics:
-        _emit_diagnostic(diag, source, args.file, config)
-    if diagnostics:
+    sig, decls, source, failed = loaded
+    if failed:
         return 1
     entry = sig.lookup(args.term)
     if entry is None:
@@ -191,7 +186,7 @@ def _cmd_eval(args, config: Config) -> int:
     except RecursionError:
         span = next((d.span for d in decls if d.name == args.term), (0, 0))
         diag = Diagnostic(DEPTH, span, f"the normal form of {args.term!r} nests too deeply to compute")
-        _emit_diagnostic(diag, source, args.file, config)
+        _emit_diagnostic(diag, source, args.file, args)
         return 1
     print(text)
     return 0
@@ -199,7 +194,7 @@ def _cmd_eval(args, config: Config) -> int:
 
 def _cmd_gen(args) -> int:
     # imported here so that check and eval do not load the generator
-    from .sstgen import GenPlan, LevelCapExceeded, gen_segal_scaffold, gen_spine, gen_sst
+    from .sstgen import GenPlan, gen_segal_scaffold, gen_spine, gen_sst
     emit = frozenset({args.target})
     try:
         plan = GenPlan(
@@ -215,7 +210,7 @@ def _cmd_gen(args) -> int:
             text = gen_spine(plan)
         else:
             text = gen_segal_scaffold(plan)
-    except (LevelCapExceeded, ValueError) as exc:
+    except ValueError as exc:
         print(f"tt2: {exc}", file=sys.stderr)
         return 1
     if args.out:
@@ -244,8 +239,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         config = Config(
             universes=args.universes,
             collapse_fibrant_universes=args.collapse_fibrant_universes,
-            json_diagnostics=args.json_diagnostics,
-            color=_color_enabled(),
         )
     except ValueError as exc:
         print(f"tt2: {exc}", file=sys.stderr)

@@ -594,9 +594,8 @@ def _quote_frame(sig: Signature, depth: int, acc: Term, frame: Frame) -> Term:
 
 
 def nf(sig: Signature, ctx: Context, t: Term) -> Term:
-    """Beta-delta normal form of a well-typed term in the given telescope."""
-    env = tuple(fresh(i) for i in range(len(ctx)))
-    return quote(sig, len(ctx), evaluate(sig, env, t))
+    """Beta-delta normal form of a term well typed under the binders of ``ctx``."""
+    return quote(sig, len(ctx.env), evaluate(sig, ctx.env, t))
 
 
 # ---------------------------------------------------------------------------

@@ -10,20 +10,21 @@ Every record class of the package derives from ``Node``.  Its class bodies
 read like dataclasses: annotated fields, immutable defaults (shared by all
 instances) and ``ClassVar`` constants.  The annotations become
 ``__slots__`` and ``__match_args__``; ``__init__`` (which ends by calling
-any ``__post_init__``), ``__eq__`` and, if frozen, ``__hash__`` come from
-one ``compile`` per class.  It replaces ``dataclasses``, whose cost every
-run of ``tt2`` paid: with no bytecode cache, decorating the 91 classes that
-``import tt2.cli`` loads took 58-83 ms of its 116-165 ms (as nodes: 14-24
-ms), and frozen dataclasses store fields through ``object.__setattr__``,
-which made ``Pi(v, v)`` 1.6 times and nested ``==`` 1.55 times as slow
-(Python 3.11, 2-core Xeon VM).  The rules:
+any ``__post_init__``) and, if frozen, ``__hash__`` come from one
+``compile`` per class, and ``__eq__`` is one method of ``Node``.  This
+replaces ``dataclasses``, whose cost every run of ``tt2`` paid: with no
+bytecode cache, decorating the 91 classes that ``import tt2.cli`` loads
+took 58-83 ms of its 116-165 ms (as nodes: 14-24 ms), and frozen
+dataclasses store fields through ``object.__setattr__``, which made
+``Pi(v, v)`` 1.6 times as slow (Python 3.11, 2-core Xeon VM).  The rules:
 
 - ``frozen=True`` (inherited) stores fields through the slot descriptors,
   and assigning or deleting one afterwards raises ``AttributeError``.
   Frozen nodes hash; the others do not.
 - ``==`` holds for nodes of one class with equal fields, each compared
-  with an identity test first, at one Python frame per nesting level; it
-  skips the fields named in ``uncompared=(...)``.
+  with an identity test first; it skips the fields that their class
+  names in ``uncompared=(...)``.  It walks nested nodes and tuples along
+  an explicit stack, so nesting costs no Python frames.
 - ``repr`` is ``Pi(dom=Var(index=0), cod=...)``.
 - Hot code tests ``t.__class__ is Var``: the metaclass makes ``isinstance``
   and ``match`` class patterns that miss about twice as slow.
@@ -59,20 +60,16 @@ class _NodeType(type):
         cls = super().__new__(mcls, name, bases, ns)
         cls._defaults = defaults
         cls._frozen = frozen = base._frozen if frozen is None else frozen
-        cls._uncompared = uncompared = base._uncompared + uncompared
         env = {f"_d_{f}": v for f, v in defaults.items()}
         env.update((f"_s_{f}", getattr(cls, f).__set__) for f in fields)
         params = "".join(f", {f}=_d_{f}" if f in defaults else f", {f}" for f in fields)
         body = [f"_s_{f}(self, {f})" if frozen else f"self.{f} = {f}" for f in fields]
         if hasattr(cls, "__post_init__"):
             body.append("self.__post_init__()")
-        compared = [f for f in fields if f not in uncompared]
-        same = " and ".join(f"(self.{f} is other.{f} or self.{f} == other.{f})" for f in compared)
+        compared = cls._compared = base._compared + tuple(f for f in own if f not in uncompared)
         key = "".join(f"self.{f}, " for f in compared)
         source = [
             f"def __init__(self{params}): {'; '.join(body) or 'pass'}",
-            f"def __eq__(self, other): return ({same or 'True'}) "
-            "if other.__class__ is self.__class__ else NotImplemented",
             f"def __hash__(self): return hash(({key}))",
         ]
         if frozen:
@@ -84,7 +81,7 @@ class _NodeType(type):
         # that profiles tell the generated methods of each class apart.
         caller = sys._getframe(1)
         exec(compile("\n".join(source), caller.f_code.co_filename, "exec"), env)
-        for method in ("__init__", "__eq__", "__hash__")[: len(source)]:
+        for method in ("__init__", "__hash__")[: len(source)]:
             fn = env[method]
             fn.__code__ = fn.__code__.replace(co_firstlineno=caller.f_lineno)
             fn.__qualname__ = f"{cls.__qualname__}.{method}"
@@ -99,7 +96,27 @@ class Node(metaclass=_NodeType):
     __match_args__: ClassVar[tuple[str, ...]] = ()
     _defaults: ClassVar[dict[str, object]] = {}
     _frozen: ClassVar[bool] = False
-    _uncompared: ClassVar[tuple[str, ...]] = ()
+    _compared: ClassVar[tuple[str, ...]] = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            cls = a.__class__
+            if cls is tuple and b.__class__ is tuple:
+                if len(a) != len(b):
+                    return False
+                todo.extend(zip(a, b))
+            elif cls.__class__ is _NodeType and b.__class__ is cls:
+                for f in cls._compared:
+                    todo.append((getattr(a, f), getattr(b, f)))
+            elif a != b:
+                return False
+        return True
 
     def __repr__(self) -> str:
         fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self.__match_args__])
@@ -369,13 +386,29 @@ class Signature:
         self.entries[entry.name] = entry
 
 
-class Context(Node, frozen=True):
-    """Local binder telescope; each type is scoped over the prefix."""
+class Context(Node, frozen=True, uncompared=("levels",)):
+    """The binders in scope: each one's written name, type value and
+    value, by level, outermost first, as evaluation and conversion index
+    them.  Values are ``conv``'s, which ``core`` does not import, so the
+    caller of ``extend`` passes the bound variable's value."""
 
-    telescope: tuple[tuple[Optional[str], Term], ...] = ()
+    names: tuple[Optional[str], ...] = ()
+    types: tuple[object, ...] = ()
+    env: tuple[object, ...] = ()
+    # the level of each name's innermost binder, so that a lookup costs the
+    # same at every depth; ``extend`` copies it and nothing mutates one
+    levels: dict[str, int] = {}
 
-    def extend(self, name: Optional[str], ty: Term) -> "Context":
-        return Context(self.telescope + ((name, ty),))
+    def extend(self, name: Optional[str], ty: object, value: object) -> "Context":
+        levels = self.levels
+        if name is not None:
+            levels = levels.copy()
+            levels[name] = len(self.env)
+        return Context(self.names + (name,), self.types + (ty,), self.env + (value,), levels)
 
-    def __len__(self) -> int:
-        return len(self.telescope)
+    def lookup(self, name: str) -> Optional[tuple[int, object]]:
+        """The de Bruijn index and type of the innermost binder of ``name``."""
+        level = self.levels.get(name)
+        if level is None:
+            return None
+        return len(self.env) - 1 - level, self.types[level]

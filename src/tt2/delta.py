@@ -11,7 +11,6 @@ vertex tuple that is the image of a proper mono into [n].
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 
 from .core import Node
 
@@ -94,7 +93,3 @@ def boundary_cells(n: int) -> list[tuple[int, ...]]:
     dimension-major and lexicographic within a dimension.  This order fixes
     the binder order of generated matching telescopes."""
     return [c for size in range(1, n + 1) for c in combinations(range(n + 1), size)]
-
-
-def binomial(n: int, k: int) -> int:
-    return comb(n, k)

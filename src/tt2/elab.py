@@ -19,7 +19,7 @@ from .conv import (
     VUniv, VUnit, VZero, VInl, VInr, Value, evaluate,
 )
 from .core import (
-    DeclKind, FIB, Layer, Node, SigEntry, Signature, Sort, Term,
+    Context, DeclKind, FIB, Layer, Node, SigEntry, Signature, Sort, Term,
     sort_join, sort_leq,
 )
 from .diagnostics import (
@@ -31,38 +31,10 @@ from .diagnostics import (
 class Config(Node, frozen=True):
     universes: int = 3
     collapse_fibrant_universes: bool = False
-    json_diagnostics: bool = False
-    color: bool = False
 
     def __post_init__(self) -> None:
         if self.universes < 1:
             raise ValueError("at least one universe level is required")
-
-
-class Ctx(Node, frozen=True, uncompared=("levels",)):
-    # by level, outermost first, as conversion and evaluation index them
-    names: tuple[Optional[str], ...] = ()
-    types: tuple[Value, ...] = ()
-    env: tuple[Value, ...] = ()
-    # the level of each name's innermost binder, so that a lookup costs the
-    # same at every depth; ``extend`` copies it and nothing mutates one
-    levels: dict[str, int] = {}
-
-    def extend(self, name: Optional[str], ty: Value) -> "Ctx":
-        level = len(self.env)
-        levels = self.levels
-        if name is not None:
-            levels = levels.copy()
-            levels[name] = level
-        var = conv.fresh(level)
-        return Ctx(self.names + (name,), self.types + (ty,), self.env + (var,), levels)
-
-    def lookup(self, name: str) -> Optional[tuple[int, Value]]:
-        """The de Bruijn index and type of the innermost binder of ``name``."""
-        level = self.levels.get(name)
-        if level is None:
-            return None
-        return len(self.env) - 1 - level, self.types[level]
 
 
 class Elaborator:
@@ -78,9 +50,20 @@ class Elaborator:
     def join(self, a: Sort, b: Sort) -> Sort:
         return sort_join(a, b, self.config.collapse_fibrant_universes)
 
-    def _show(self, ctx: Ctx, v: Value) -> str:
-        names = tuple(n if n is not None else "_" for n in ctx.names)
-        return pretty.pretty(conv.quote(self.sig, len(ctx.env), v), self.sig, names)
+    def _show(self, ctx: Context, v: Value) -> str:
+        """``v`` as surface syntax under ``ctx``.  A binder that a later one
+        of the same name shadows is printed under a name taken neither in
+        scope nor in the signature; the innermost keeps its written name."""
+        names = [n if n is not None else "_" for n in ctx.names]
+        taken = set(names)
+        for level, name in enumerate(names):
+            if name != "_" and ctx.levels[name] != level:
+                k = 1
+                while f"{name}{k}" in taken or self.sig.lookup(f"{name}{k}") is not None:
+                    k += 1
+                names[level] = f"{name}{k}"
+                taken.add(names[level])
+        return pretty.pretty(conv.quote(self.sig, len(ctx.env), v), self.sig, tuple(names))
 
     def _universe_sort(self, layer: Layer, level: int, span: Span) -> Sort:
         if not 0 <= level < self.config.universes:
@@ -100,7 +83,7 @@ class Elaborator:
             )
         return Sort(sort.layer, sort.level + 1)
 
-    def ensure_type(self, ctx: Ctx, raw: parse.Raw) -> tuple[Term, Sort]:
+    def ensure_type(self, ctx: Context, raw: parse.Raw) -> tuple[Term, Sort]:
         tm, ty = self.infer(ctx, raw)
         if isinstance(ty, VUniv):
             return tm, ty.sort
@@ -109,7 +92,7 @@ class Elaborator:
             f"expected a type, but this has type {self._show(ctx, ty)}",
         )
 
-    def _bind(self, ctx: Ctx, raw: parse.Raw, what: str, *types) -> tuple[Ctx, parse.Raw]:
+    def _bind(self, ctx: Context, raw: parse.Raw, what: str, *types) -> tuple[Context, parse.Raw]:
         """Bind the names of the λs written at the head of ``raw``, one per
         entry of ``types``, and return the extended context and the body.
         An entry is a type value, or a function from the variable bound just
@@ -123,11 +106,12 @@ class Elaborator:
                 )
             body = body.body
         for ty in types:
-            ctx = ctx.extend(raw.binder, ty(ctx.env[-1]) if callable(ty) else ty)
+            ty = ty(ctx.env[-1]) if callable(ty) else ty
+            ctx = ctx.extend(raw.binder, ty, conv.fresh(len(ctx.env)))
             raw = raw.body
         return ctx, raw
 
-    def _motive(self, ctx: Ctx, raw: parse.Raw, kw: str, *types) -> Closure:
+    def _motive(self, ctx: Context, raw: parse.Raw, kw: str, *types) -> Closure:
         """The motive of the eliminator ``raw``, bound over ``types`` as in
         ``_bind``.  It must produce a type; fibrant eliminators may only
         target fibrant motives, strict ones are unrestricted."""
@@ -145,7 +129,7 @@ class Elaborator:
 
     def _infer_name(self, raw: parse.RVar, hit: Optional[tuple[int, Value]]) -> tuple[Term, Value]:
         """Infer the name ``raw``, given its local binder ``hit`` as
-        ``Ctx.lookup`` found it (None if no binder has that name)."""
+        ``Context.lookup`` found it (None if no binder has that name)."""
         if hit is not None:
             index, ty = hit
             return core.Var(index), ty
@@ -154,7 +138,7 @@ class Elaborator:
             return core.Const(name), conv.const_type_value(self.sig, name)
         raise Diagnostic(UNBOUND, raw.span, f"unbound name {name!r}")
 
-    def _conform(self, ctx: Ctx, raw: parse.Raw, term: Term, got: Value, expected: Value) -> Term:
+    def _conform(self, ctx: Context, raw: parse.Raw, term: Term, got: Value, expected: Value) -> Term:
         """``term``, elaborated from ``raw`` with type ``got``, where a term
         of type ``expected`` is wanted: by subsumption of universes, else by
         conversion."""
@@ -174,7 +158,7 @@ class Elaborator:
 
     # -- inference ----------------------------------------------------------
 
-    def infer(self, ctx: Ctx, raw: parse.Raw) -> tuple[Term, Value]:
+    def infer(self, ctx: Context, raw: parse.Raw) -> tuple[Term, Value]:
         cls = raw.__class__
         if cls is parse.RVar:
             return self._infer_name(raw, ctx.lookup(raw.name))
@@ -240,7 +224,8 @@ class Elaborator:
                 is_pi = cls is parse.RPi
                 dom_core, sort = self.ensure_type(inner, raw.dom if is_pi else raw.fst)
                 binders.append((is_pi, dom_core, sort))
-                inner = inner.extend(raw.binder, evaluate(self.sig, inner.env, dom_core))
+                dom = evaluate(self.sig, inner.env, dom_core)
+                inner = inner.extend(raw.binder, dom, conv.fresh(len(inner.env)))
                 raw = raw.cod if is_pi else raw.snd
                 cls = raw.__class__
             term, sort = self.ensure_type(inner, raw)
@@ -325,7 +310,7 @@ class Elaborator:
             raise Diagnostic(HOLE, raw.span, "holes are not supported; write the term explicitly")
         raise core.InternalError(f"infer: unhandled raw {cls.__name__}")
 
-    def _infer_j(self, ctx: Ctx, raw: parse.RJ) -> tuple[Term, Value]:
+    def _infer_j(self, ctx: Context, raw: parse.RJ) -> tuple[Term, Value]:
         kw = parse.SPELLING[core.J, raw.layer]
         proof_core, proof_ty = self.infer(ctx, raw.proof)
         if not isinstance(proof_ty, VId) or proof_ty.layer is not raw.layer:
@@ -360,7 +345,7 @@ class Elaborator:
         term = core.J(raw.layer, motive.body, base_core, lhs_core, rhs_core, proof_core)
         return term, result
 
-    def _infer_natelim(self, ctx: Ctx, raw: parse.RNatElim) -> tuple[Term, Value]:
+    def _infer_natelim(self, ctx: Context, raw: parse.RNatElim) -> tuple[Term, Value]:
         kw = parse.SPELLING[core.NatElim, raw.layer]
         nat = VNat(raw.layer)
         scrut_core = self.check(ctx, raw.scrut, nat)
@@ -376,7 +361,7 @@ class Elaborator:
         term = core.NatElim(raw.layer, motive.body, zcase_core, scase_core, scrut_core)
         return term, result
 
-    def _infer_sumelim(self, ctx: Ctx, raw: parse.RSumElim) -> tuple[Term, Value]:
+    def _infer_sumelim(self, ctx: Context, raw: parse.RSumElim) -> tuple[Term, Value]:
         kw = parse.SPELLING[core.SumElim, raw.layer]
         scrut_core, scrut_ty = self.infer(ctx, raw.scrut)
         if not isinstance(scrut_ty, VSum) or scrut_ty.layer is not raw.layer:
@@ -398,7 +383,7 @@ class Elaborator:
         term = core.SumElim(raw.layer, motive.body, lcase_core, rcase_core, scrut_core)
         return term, motive.apply(self.sig, scrut_v)
 
-    def _infer_emptyelim(self, ctx: Ctx, raw: parse.REmptyElim) -> tuple[Term, Value]:
+    def _infer_emptyelim(self, ctx: Context, raw: parse.REmptyElim) -> tuple[Term, Value]:
         kw = parse.SPELLING[core.EmptyElim, raw.layer]
         empty = VEmpty(raw.layer)
         scrut_core = self.check(ctx, raw.scrut, empty)
@@ -409,7 +394,7 @@ class Elaborator:
 
     # -- checking -----------------------------------------------------------
 
-    def check(self, ctx: Ctx, raw: parse.Raw, expected: Value) -> Term:
+    def check(self, ctx: Context, raw: parse.Raw, expected: Value) -> Term:
         cls = raw.__class__
         if cls is parse.RLam:
             # A chain of lambdas is checked in a loop against the Π telescope.
@@ -421,7 +406,7 @@ class Elaborator:
                         f"lambda checked against non-function type "
                         f"{self._show(ctx, expected)}",
                     )
-                ctx = ctx.extend(raw.binder, expected.dom)
+                ctx = ctx.extend(raw.binder, expected.dom, conv.fresh(len(ctx.env)))
                 expected = expected.cod.apply(self.sig, ctx.env[-1])
                 raw, count = raw.body, count + 1
             term = self.check(ctx, raw, expected)
@@ -499,7 +484,6 @@ def elaborate_signature(
     decls: list[parse.RawDecl],
     sig: Optional[Signature] = None,
     config: Config = Config(),
-    kind_override: Optional[DeclKind] = None,
 ) -> tuple[Signature, list[Diagnostic]]:
     """Process declarations in order, collecting one diagnostic per failed
     declaration and continuing with the rest."""
@@ -514,16 +498,14 @@ def elaborate_signature(
                     DUPLICATE, decl.span, f"duplicate top-level name {decl.name!r}"
                 )
             ty_raw, body_raw = _decl_to_raw(decl)
-            ty_core, _ = elab.ensure_type(Ctx(), ty_raw)
+            ty_core, _ = elab.ensure_type(Context(), ty_raw)
             body_core = None
             if decl.kind == "def":
                 ty_v = evaluate(sig, (), ty_core)
-                body_core = elab.check(Ctx(), body_raw, ty_v)
+                body_core = elab.check(Context(), body_raw, ty_v)
                 kind = DeclKind.DEFINITION
             else:
                 kind = DeclKind.POSTULATE
-            if kind_override is not None:
-                kind = kind_override
             sig.add(SigEntry(decl.name, ty_core, body_core, kind))
         except Diagnostic as diag:
             diagnostics.append(diag)

@@ -92,10 +92,7 @@ class _Axiom:
     @property
     def ty(self) -> Term:
         if self._ty is None:
-            sig, diagnostics = elaborate_signature(
-                parse_file(self._source), config=self._config,
-                kind_override=DeclKind.AXIOM,
-            )
+            sig, diagnostics = elaborate_signature(parse_file(self._source), config=self._config)
             if any(d.code == DEPTH for d in diagnostics):
                 # The first read came too deep in the stack; the reader's
                 # declaration gets the DEPTH diagnostic, and the next read

@@ -3,6 +3,7 @@ with its measured numbers.  Run with ``pytest -s tests/test_acceptance.py``
 to see the lines as they go by."""
 
 import time
+from math import comb
 
 from smallstep_oracle import normalize
 from test_cli import run_cli
@@ -11,8 +12,7 @@ from termgen import TermGen
 from tt2 import conv, parse
 from tt2.core import Context, Signature
 from tt2.delta import (
-    binomial, boundary_cells, compose, enumerate_mono, face_decompose,
-    recompose,
+    boundary_cells, compose, enumerate_mono, face_decompose, recompose,
 )
 from tt2.elab import elaborate_signature
 from tt2.prelude import initial_signature
@@ -68,7 +68,7 @@ def test_acceptance_3_sst_generation_fidelity(config):
             while isinstance(ty, parse.RPi):
                 binders += 1
                 ty = ty.cod
-            assert binders == sum(binomial(k + 1, j + 1) for j in range(k))
+            assert binders == sum(comb(k + 1, j + 1) for j in range(k))
             node, k = node.snd, k + 1
         assert k == n
     assert len(boundary_cells(3)) == 14
@@ -85,7 +85,7 @@ def test_acceptance_4_delta_oracle():
     started = time.monotonic()
     for n in range(7):
         for k in range(n + 1):
-            assert len(enumerate_mono(k, n)) == binomial(n + 1, k + 1)
+            assert len(enumerate_mono(k, n)) == comb(n + 1, k + 1)
     for cod in range(6):
         for dom in range(cod + 1):
             for f in enumerate_mono(dom, cod):

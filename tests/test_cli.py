@@ -11,7 +11,6 @@ from conftest import REPO_ROOT
 from test_conv import SPINE_ETA_SOURCE
 
 from tt2 import cli, parse, pretty
-from tt2.core import DeclKind
 from tt2.corpus import corpus
 from tt2.diagnostics import offset_to_line_col
 from tt2.elab import Config, elaborate_signature
@@ -238,6 +237,65 @@ def test_diagnostic_format_is_file_line_col():
     assert rest.startswith("error[UNBOUND]")
 
 
+# Inputs for every way ``check`` and ``eval`` can fail to load a file;
+# tests/golden/cli_errors.json holds the exit code, stdout and stderr of
+# each command line run on them, plain and with --json-diagnostics.
+FAILING_INPUTS = {
+    "good.tt": "def a : Nat := zero\npostulate p : Nat\n",
+    "bad_bytes.tt": b"def a : Nat := zero\n\xff\xfe def",
+    "syntax.tt": "def a : Nat := zero\ndef b : Nat :=\n",
+    "type.tt": "def a : Nat := star\ndef b : Unit := zero\n",
+    "deep.tt": "def T : U1 := " + "(" * 4999 + "U0 -> U0" + ") -> U0" * 4999 + "\n",
+}
+
+
+def test_load_failures_print_the_pinned_exit_codes_and_messages(tmp_path):
+    for name, text in FAILING_INPUTS.items():
+        data = text if isinstance(text, bytes) else text.encode()
+        (tmp_path / name).write_bytes(data)
+    golden = json.loads((REPO_ROOT / "tests" / "golden" / "cli_errors.json").read_text())
+    assert len(golden) == 28
+    for case in golden:
+        result = run_cli(*case["argv"], cwd=tmp_path)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            case["returncode"], case["stdout"], case["stderr"]
+        ), case["argv"]
+
+
+@pytest.mark.parametrize("flags, line", [
+    ((), "good.tt:1:1: error[DEPTH]: the normal form of 'a' nests too deeply to compute"),
+    (("--json-diagnostics",), json.dumps({
+        "code": "DEPTH", "span": [0, 19],
+        "message": "the normal form of 'a' nests too deeply to compute",
+        "file": "good.tt", "line": 1, "col": 1,
+    })),
+])
+def test_eval_of_a_normal_form_too_deep_to_print_is_a_coded_diagnostic(
+    tmp_path, monkeypatch, capsys, flags, line
+):
+    def too_deep(*args):
+        raise RecursionError
+
+    (tmp_path / "good.tt").write_text(FAILING_INPUTS["good.tt"])
+    monkeypatch.setattr(pretty, "pretty", too_deep)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("TT2_COLOR", "0")
+    assert cli.main([*flags, "eval", "good.tt", "--term", "a"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line + "\n")
+
+
+def test_diagnostics_are_colored_on_a_terminal_unless_tt2_color_is_0(monkeypatch, capsys):
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.setattr(sys.stderr, "isatty", lambda: True)
+    for setting, colored in (("1", True), ("0", False)):
+        monkeypatch.setenv("TT2_COLOR", setting)
+        assert cli.main(["check", "stdlib/negative/unbound.tt"]) == 1
+        err = capsys.readouterr().err
+        assert ("\x1b[31merror[UNBOUND]\x1b[0m" in err) is colored
+        assert ("error[UNBOUND]" in err) is True
+
+
 def test_gen_writes_file_and_rechecks(tmp_path):
     out = tmp_path / "sst2.tt"
     result = run_cli("gen", "sst", "--levels", "2", "--out", str(out))
@@ -362,10 +420,7 @@ def test_dump_core_prints_the_axioms_as_eager_elaboration():
     # must print what elaborating the prelude text up front gives.
     config = Config()
     manifest = corpus(REPO_ROOT / "stdlib")
-    sig, diags = elaborate_signature(
-        parse.parse_file(prelude_source(config)), config=config,
-        kind_override=DeclKind.AXIOM,
-    )
+    sig, diags = elaborate_signature(parse.parse_file(prelude_source(config)), config=config)
     names = list(sig.entries)
     for entry in manifest.accept_entries():
         sig, more = elaborate_signature(parse.parse_file(manifest.source(entry)), sig, config)

@@ -148,10 +148,14 @@ def test_records_construct_by_position_keyword_and_default():
     assert conv.Closure((), body).arity == 1
     assert conv.Closure((), body, 2).arity == 2
     assert conv.Closure(arity=2, body=body, env=()).arity == 2
-    assert Context().telescope == ()
-    assert Context().extend("x", Nat(FIB)).telescope == (("x", Nat(FIB)),)
+    assert (Context().names, Context().types, Context().env) == ((), (), ())
+    x = conv.fresh(0)
+    ctx = Context().extend("x", conv.VNat(FIB), x)
+    assert (ctx.names, ctx.types, ctx.env, ctx.levels) == (("x",), (conv.VNat(FIB),), (x,), {"x": 0})
+    assert Context().levels == {}
     config = Config(universes=4)
-    assert (config.universes, config.collapse_fibrant_universes, config.color) == (4, False, False)
+    assert Config.__match_args__ == ("universes", "collapse_fibrant_universes")
+    assert (config.universes, config.collapse_fibrant_universes) == (4, False)
     assert Pi.__match_args__ == ("dom", "cod")
     assert parse.RVar.__match_args__ == ("span", "name")
     with pytest.raises(TypeError):
@@ -196,6 +200,30 @@ def test_term_equality_and_hash():
     assert conv.VarHead(3) == conv.VarHead(3) and hash(conv.ConstHead("c")) == hash(conv.ConstHead("c"))
 
 
+def test_equality_of_deep_nodes_needs_no_recursion():
+    # 3000 levels of nesting, directly and through the tuples of a spine,
+    # compared at the default recursion limit.
+    def chain(bottom, depth=3000):
+        t = bottom
+        for _ in range(depth):
+            t = Suc(FIB, t)
+        return t
+
+    assert chain(Zero(FIB)) == chain(Zero(FIB))
+    assert chain(Zero(FIB)) != chain(Zero(STRICT))
+    assert chain(Zero(FIB)) != chain(Zero(FIB), 2999)
+    assert chain(Var(0)) != chain(Zero(FIB))
+
+    def spine(last):
+        v = conv.fresh(0)
+        for _ in range(3000):
+            v = conv.VNeutral(conv.VarHead(0), (conv.FFst(), conv.FApp(v)))
+        return conv.VNeutral(conv.VarHead(0), (conv.FApp(v), conv.FApp(last)))
+
+    assert spine(conv.VStar()) == spine(conv.VStar())
+    assert spine(conv.VStar()) != spine(conv.VUnit())
+
+
 def test_values_compare_but_do_not_hash():
     assert conv.VSuc(FIB, conv.VZero(FIB)) == conv.VSuc(FIB, conv.VZero(FIB))
     assert conv.VZero(FIB) != conv.VZero(STRICT)
@@ -209,7 +237,7 @@ def test_values_compare_but_do_not_hash():
     (Unit(), "index"),
     (parse.RVar((0, 1), "x"), "span"),
     (Sort(FIB, 0), "level"),
-    (Context(), "telescope"),
+    (Context(), "names"),
 ])
 def test_frozen_fields_cannot_change(node, field):
     with pytest.raises(AttributeError):
@@ -252,7 +280,7 @@ def test_repr_names_every_field():
     )
     assert repr(Unit()) == "Unit()"
     assert repr(parse.RVar((0, 1), "x")) == "RVar(span=(0, 1), name='x')"
-    assert repr(Context()) == "Context(telescope=())"
+    assert repr(Context()) == "Context(names=(), types=(), env=(), levels={})"
 
 
 def test_replace_changes_named_fields():

@@ -2,10 +2,12 @@
 counts, exhaustive associativity, face-decomposition round-trips, and
 boundary-cell tallies."""
 
+from math import comb
+
 import pytest
 
 from tt2.delta import (
-    DomainMismatch, MonoMap, binomial, boundary_cells, coface,
+    DomainMismatch, MonoMap, boundary_cells, coface,
     compose, enumerate_mono, face_decompose, identity, recompose,
 )
 
@@ -27,7 +29,7 @@ def test_enumerate_counts_match_binomial():
     for n in range(7):
         for k in range(n + 1):
             maps = enumerate_mono(k, n)
-            assert len(maps) == binomial(n + 1, k + 1)
+            assert len(maps) == comb(n + 1, k + 1)
             assert maps == sorted(maps, key=lambda m: m.images)
             assert len(set(m.images for m in maps)) == len(maps)
     assert enumerate_mono(3, 1) == []
@@ -103,7 +105,7 @@ def test_boundary_cells_counts():
         cells = boundary_cells(n)
         assert len(cells) == 2 ** (n + 1) - 2
         for k in range(n):
-            assert sum(1 for c in cells if len(c) - 1 == k) == binomial(n + 1, k + 1)
+            assert sum(1 for c in cells if len(c) - 1 == k) == comb(n + 1, k + 1)
 
 
 def test_boundary_cells_order_is_dimension_major_lex_minor():

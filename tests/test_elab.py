@@ -6,9 +6,9 @@ import pytest
 
 from termgen import TermGen
 from tt2 import conv, core, parse, pretty
-from tt2.core import FIB, Lam, Nat, Pi, Sort, STRICT, Star, Univ, Var, Zero
+from tt2.core import Context, FIB, Lam, Nat, Pi, Sort, STRICT, Star, Univ, Var, Zero
 from tt2.diagnostics import Diagnostic
-from tt2.elab import Config, Ctx, Elaborator, elaborate_signature
+from tt2.elab import Config, Elaborator, elaborate_signature
 from tt2.prelude import initial_signature
 
 
@@ -18,13 +18,13 @@ def elab(base_sig, config):
 
 
 def infer(elab, src):
-    return elab.infer(Ctx(), parse.parse_term(src))
+    return elab.infer(Context(), parse.parse_term(src))
 
 
 def check(elab, src, ty_src):
-    ty_core, _ = elab.ensure_type(Ctx(), parse.parse_term(ty_src))
+    ty_core, _ = elab.ensure_type(Context(), parse.parse_term(ty_src))
     ty_v = conv.evaluate(elab.sig, (), ty_core)
-    return elab.check(Ctx(), parse.parse_term(src), ty_v)
+    return elab.check(Context(), parse.parse_term(src), ty_v)
 
 
 def type_str(elab, src):
@@ -77,7 +77,7 @@ def test_unbound_and_hole(elab):
 
 def test_sort_of_rules(elab):
     def sort_of(src):
-        _, sort = elab.ensure_type(Ctx(), parse.parse_term(src))
+        _, sort = elab.ensure_type(Context(), parse.parse_term(src))
         return sort
 
     assert sort_of("(x : Nat) -> Nat") == Sort(FIB, 0)
@@ -144,7 +144,7 @@ def test_fibrant_equality_needs_fibrant_type(elab):
      "fibrant equality requires a fibrant type, got sort US0"),
 ])
 def test_projection_and_equality_diagnostics(elab, src, code, span, message):
-    ctx = Ctx().extend("n", conv.VNat(FIB))
+    ctx = Context().extend("n", conv.VNat(FIB), conv.fresh(0))
     with pytest.raises(Diagnostic) as exc:
         elab.infer(ctx, parse.parse_term(src))
     assert (exc.value.code, exc.value.span, exc.value.message) == (code, span, message)
@@ -157,9 +157,25 @@ def test_a_name_resolves_to_its_innermost_binder(elab):
     term, _ = infer(elab, "(x : Nat) -> (x : Nat) -> Id Nat x x")
     assert term == Pi(Nat(FIB), Pi(Nat(FIB), core.Id(FIB, Nat(FIB), Var(0), Var(0))))
     assert err(infer, elab, "(x : Nat) -> (x : Unit) -> Id Nat x x") == "TYPE_MISMATCH"
-    ctx = Ctx().extend("x", conv.VNat(FIB)).extend("x", conv.VUnit()).extend(None, conv.VStar())
+    ctx = Context()
+    for name, ty in (("x", conv.VNat(FIB)), ("x", conv.VUnit()), (None, conv.VStar())):
+        ctx = ctx.extend(name, ty, conv.fresh(len(ctx.env)))
     assert ctx.lookup("x") == (1, conv.VUnit()) and ctx.lookup("y") is None
-    assert ctx.extend("y", conv.VNat(FIB)).lookup("x")[0] == 2
+    assert ctx.extend("y", conv.VNat(FIB), conv.fresh(3)).lookup("x")[0] == 2
+
+
+@pytest.mark.parametrize("src, message", [
+    ("def u (A : U0) (x : A) (A : U0) : A := x", "expected A, got A1"),
+    # the new name is taken neither in scope nor in the signature
+    ("def u (A : U0) (A1 : U0) (x : A) (A : U0) : A := x", "expected A, got A2"),
+    ("postulate A1 : U0\ndef u (A : U0) (x : A) (A : U0) : A := x", "expected A, got A2"),
+    ("def u (A : U0) (x : A) (A : U0) (y : A) (A : U0) : A := x", "expected A, got A1"),
+    ("def u (A : U0) (x : A) (A : U0) (y : A) (A : U0) : A := y", "expected A, got A2"),
+    ("def u (x : Nat) (x : Unit) : Nat := x", "expected Nat, got Unit"),
+])
+def test_a_shadowed_binder_is_printed_under_a_fresh_name(base_sig, config, src, message):
+    _, diags = elaborate_signature(parse.parse_file(src), base_sig, config)
+    assert [(d.code, d.message) for d in diags] == [("TYPE_MISMATCH", message)]
 
 
 def test_fibrant_sum_needs_fibrant_summands(elab):
@@ -199,7 +215,7 @@ postulate ges : EmptyS
     for template, flavor, expected_ok in GUARD_CASES:
         src = template.replace("MOT_Z", "zero")
         try:
-            elab.infer(Ctx(), parse.parse_term(src))
+            elab.infer(Context(), parse.parse_term(src))
             ok = True
         except Diagnostic as diag:
             ok = diag.code != "FIBRANCY"
@@ -225,7 +241,7 @@ def test_j_endpoint_mismatch_is_reported(base_sig, config):
     assert not diags
     elab = Elaborator(sig, config)
     with pytest.raises(Diagnostic) as exc:
-        elab.infer(Ctx(), parse.parse_term("J (\\c q. hA) ha hb hb hp"))
+        elab.infer(Context(), parse.parse_term("J (\\c q. hA) ha hb hb hp"))
     assert exc.value.code == "TYPE_MISMATCH"
 
 
@@ -343,7 +359,7 @@ def test_printed_core_rechecks_to_identical_core(config, manifest):
         ty_v = conv.evaluate(sig, (), entry.ty)
         body_src = pretty.pretty(entry.body, sig)
         reparsed = parse.parse_term(body_src)
-        recheck = elab.check(Ctx(), reparsed, ty_v)
+        recheck = elab.check(Context(), reparsed, ty_v)
         assert recheck == entry.body, entry.name
         checked += 1
     assert checked >= 40
@@ -365,7 +381,7 @@ def test_subject_soundness_on_inferable_bodies(config, manifest):
         body_src = pretty.pretty(entry.body, sig)
         reparsed = parse.parse_term(body_src)
         try:
-            _, got = elab.infer(Ctx(), reparsed)
+            _, got = elab.infer(Context(), reparsed)
         except Diagnostic as diag:
             assert diag.code == "CANNOT_INFER"
             continue

@@ -14,10 +14,7 @@ from tt2.prelude import initial_signature, prelude_source
 
 
 def _eager(config):
-    sig, diags = elaborate_signature(
-        parse.parse_file(prelude_source(config)), config=config,
-        kind_override=DeclKind.AXIOM,
-    )
+    sig, diags = elaborate_signature(parse.parse_file(prelude_source(config)), config=config)
     assert not diags, [d.message for d in diags]
     return sig
 

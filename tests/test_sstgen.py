@@ -4,12 +4,13 @@ kernel re-checking of every emitted file, spine shapes, and determinism."""
 import cProfile
 import hashlib
 import re
+from math import comb
 
 import pytest
 from conftest import REPO_ROOT
 
 from tt2 import cli, delta, parse
-from tt2.delta import binomial, boundary_cells
+from tt2.delta import boundary_cells
 from tt2.elab import elaborate_signature
 from tt2.prelude import initial_signature
 from tt2.sstgen import (
@@ -83,7 +84,7 @@ def test_sst_binder_counts_match_oracle(config, n):
     families = _family_types(gen_sst(GenPlan(n)))
     assert list(families) == [f"X{k}" for k in range(n)]
     for k in range(n):
-        expected = sum(binomial(k + 1, j + 1) for j in range(k))
+        expected = sum(comb(k + 1, j + 1) for j in range(k))
         assert _count_binders(families[f"X{k}"]) == expected
         assert expected == 2 ** (k + 1) - 2
 

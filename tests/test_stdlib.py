@@ -6,7 +6,7 @@ import pytest
 
 from tt2 import conv, parse, pretty
 from tt2.core import Const, Context, STRICT, Suc, Zero
-from tt2.elab import Ctx, Elaborator, elaborate_signature
+from tt2.elab import Elaborator, elaborate_signature
 from tt2.prelude import initial_signature
 
 
@@ -73,7 +73,7 @@ def test_fin_computes(corpus_sig, config):
     elab = Elaborator(corpus_sig, config)
 
     def v(src):
-        term, _ = elab.infer(Ctx(), parse.parse_term(src))
+        term, _ = elab.infer(Context(), parse.parse_term(src))
         return conv.evaluate(corpus_sig, (), term)
 
     # FinS zero is EmptyS; FinS (suc n) is SumS Unit (FinS n)
@@ -90,16 +90,16 @@ def test_fin_computes(corpus_sig, config):
 
 def test_addition_normalizes_in_corpus(corpus_sig, config):
     elab = Elaborator(corpus_sig, config)
-    term, _ = elab.infer(Ctx(), parse.parse_term("addS (suc (suc zero)) (suc zero)"))
+    term, _ = elab.infer(Context(), parse.parse_term("addS (suc (suc zero)) (suc zero)"))
     three = Suc(STRICT, Suc(STRICT, Suc(STRICT, Zero(STRICT))))
     assert conv.nf(corpus_sig, Context(), term) == three
 
 
 def test_cocylinder_factorization_is_definitional(corpus_sig, config):
     elab = Elaborator(corpus_sig, config)
-    ty_core, _ = elab.ensure_type(Ctx(), parse.parse_term("ccA -> ccB"))
+    ty_core, _ = elab.ensure_type(Context(), parse.parse_term("ccA -> ccB"))
     ty_v = conv.evaluate(corpus_sig, (), ty_core)
-    lhs = elab.check(Ctx(), parse.parse_term("\\a. ccProj (ccInto a)"), ty_v)
+    lhs = elab.check(Context(), parse.parse_term("\\a. ccProj (ccInto a)"), ty_v)
     lhs_v = conv.evaluate(corpus_sig, (), lhs)
     f_v = conv.evaluate(corpus_sig, (), Const("ccf"))
     assert conv.convert(corpus_sig, (), lhs_v, f_v, ty_v)
