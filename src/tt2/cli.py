@@ -227,8 +227,8 @@ def _cmd_delta(args) -> int:
     except ValueError as exc:
         print(f"tt2: {exc}", file=sys.stderr)
         return 1
-    for mono in monos:
-        print(mono)
+    for images in monos:
+        print(",".join(map(str, images)))
     return 0
 
 

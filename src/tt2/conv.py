@@ -316,23 +316,13 @@ def evaluate(sig: Signature, env: tuple[Value, ...], t: Term) -> Value:
                 f"unbound index {t.index} in environment of {len(env)}"
             ) from None
     if cls is App:
-        # A bound variable as argument is read from env without a call; an
-        # unbound one goes to the Var case above, which reports it.
-        fn, arg = t.fn, t.arg
-        if fn.__class__ is not App:
-            fn = evaluate(sig, env, fn)
-            if arg.__class__ is Var and arg.index < len(env):
-                arg = env[~arg.index]
-            else:
-                arg = evaluate(sig, env, arg)
-            if fn.__class__ is VNeutral:
-                # apply_value's first case, inlined: most applications are stuck
-                return VNeutral(fn.head, fn.spine + (FApp(arg),))
-            return apply_value(sig, fn, arg)
         # A chain f a1 … an: evaluate the head once, then the arguments left
         # to right.  A stuck head takes every remaining argument into its
-        # spine at once, instead of copying the spine once per argument.
-        args = [arg]
+        # spine at once, instead of copying the spine once per argument.  A
+        # bound variable as argument is read from env without a call; an
+        # unbound one goes to the Var case above, which reports it.
+        fn = t.fn
+        args = [t.arg]
         while fn.__class__ is App:
             args.append(fn.arg)
             fn = fn.fn

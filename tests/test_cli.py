@@ -5,13 +5,13 @@ inputs."""
 import json
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 from conftest import REPO_ROOT
 from test_conv import SPINE_ETA_SOURCE
 
 from tt2 import cli, parse, pretty
-from tt2.corpus import corpus
 from tt2.diagnostics import offset_to_line_col
 from tt2.elab import Config, elaborate_signature
 from tt2.prelude import prelude_source
@@ -356,6 +356,20 @@ def test_delta_without_maps_prints_nothing():
     assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
 
 
+def test_delta_prints_each_mono_as_its_image(capsys):
+    # in-process over a grid: one line per strictly monotone [k] -> [n], the
+    # image in lexicographic order, and the one message for a negative object
+    for k in range(6):
+        for n in range(6):
+            assert cli.main(["delta", "--faces", str(k), str(n)]) == 0
+            lines = "".join(",".join(map(str, c)) + "\n" for c in combinations(range(n + 1), k + 1))
+            assert capsys.readouterr() == (lines, "")
+    for k, n in [(-1, 3), (0, -2), (-1, -1), (-2, 5), (5, -1)]:
+        assert cli.main(["delta", "--faces", str(k), str(n)]) == 1
+        assert capsys.readouterr() == (
+            "", "tt2: objects of the semi-simplex category are [n] with n >= 0\n")
+
+
 def test_eval_prints_normal_form():
     result = run_cli("eval", "stdlib/nat_arith.tt", "--term", "four")
     assert result.returncode == 0
@@ -406,20 +420,19 @@ def test_dump_core_is_byte_identical_across_runs():
     assert "def FinS" in first.stdout
 
 
-def test_dump_core_of_the_accept_corpus_matches_the_golden_file():
+def test_dump_core_of_the_accept_corpus_matches_the_golden_file(manifest):
     # tests/golden/accept.dump was written before the printer and the
     # elaborator took their keywords from the parser's table of built-ins.
-    files = [f"stdlib/{e.path}" for e in corpus(REPO_ROOT / "stdlib").accept_entries()]
+    files = [f"stdlib/{e.path}" for e in manifest.accept_entries()]
     result = run_cli("check", "--dump-core", *files)
     assert result.returncode == 0, result.stderr
     assert result.stdout == (REPO_ROOT / "tests" / "golden" / "accept.dump").read_text()
 
 
-def test_dump_core_prints_the_axioms_as_eager_elaboration():
+def test_dump_core_prints_the_axioms_as_eager_elaboration(manifest):
     # The axioms are elaborated on first read; the dump reads them all and
     # must print what elaborating the prelude text up front gives.
     config = Config()
-    manifest = corpus(REPO_ROOT / "stdlib")
     sig, diags = elaborate_signature(parse.parse_file(prelude_source(config)), config=config)
     names = list(sig.entries)
     for entry in manifest.accept_entries():

@@ -19,7 +19,6 @@ from tt2.core import (
     Sigma, Signature, Sort, Star, STRICT, Sum, Suc, Term, Unit, Univ, Var, Zero,
     is_scope_closed, sort_join, sort_leq,
 )
-from tt2.delta import MonoMap
 from tt2.elab import Config
 from tt2.sstgen import GenPlan
 
@@ -168,9 +167,6 @@ def test_records_construct_by_position_keyword_and_default():
     lambda: Config(universes=0),
     lambda: GenPlan(-1),
     lambda: GenPlan(3, emit=frozenset({"nope"})),
-    lambda: MonoMap(1, 2, (0,)),
-    lambda: MonoMap(1, 2, (1, 0)),
-    lambda: MonoMap(1, 2, (1, 3)),
     lambda: GenPlan(1, names="1x"),
 ])
 def test_post_init_validates(build):
@@ -222,6 +218,24 @@ def test_equality_of_deep_nodes_needs_no_recursion():
 
     assert spine(conv.VStar()) == spine(conv.VStar())
     assert spine(conv.VStar()) != spine(conv.VUnit())
+
+
+def test_hashing_deep_nodes_needs_no_recursion():
+    # 3000 levels of nesting, hashed at the default recursion limit; equal
+    # nodes hash equal (a raw node's span aside), and a frozen node that
+    # holds a value stays unhashable
+    def chain(bottom, depth=3000):
+        t = bottom
+        for _ in range(depth):
+            t = Suc(FIB, t)
+        return t
+
+    assert hash(chain(Zero(FIB))) == hash(chain(Zero(FIB)))
+    assert len({chain(Zero(FIB)), chain(Zero(FIB)), chain(Zero(STRICT)), chain(Zero(FIB), 2999)}) == 3
+    deep = parse.parse_term("f" + " (g" * 3000 + " x" + ")" * 3000)
+    assert hash(deep) == hash(parse.parse_term(" f" + " (g" * 3000 + "  x" + ")" * 3000))
+    with pytest.raises(TypeError):
+        hash(Context().extend("x", conv.VNat(FIB), conv.fresh(0)))
 
 
 def test_values_compare_but_do_not_hash():
