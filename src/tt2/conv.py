@@ -25,12 +25,13 @@ Three rules keep the walkers cheap:
   a loop and only genuine nesting recurses, at one Python frame per
   level: an application chain ``f a1 … an`` evaluates its head once and
   builds one spine, a numeral is evaluated, read back and eliminated in a
-  loop, right-nested pairs are evaluated and read back in a loop, and
-  conversion continues into a Π codomain, a Σ second component or any
-  other last comparison without a call.  In ``elab``, ``infer`` walks
-  application chains and Π/Σ telescopes and ``check`` walks λ chains and
-  right-nested pairs the same way, and so does the core printer in
-  ``pretty``.  Generated files are wide rather than deep, so their size
+  loop, right-nested pairs are evaluated and read back in a loop,
+  read-back walks Π/Σ telescopes, λ-chains and a spine's ``FApp`` frames
+  in loops, and conversion continues into a Π codomain, a Σ second
+  component or any other last comparison without a call.  In ``elab``,
+  ``infer`` walks application chains and Π/Σ telescopes and ``check``
+  walks λ chains and right-nested pairs the same way, and so does the
+  core printer in ``pretty``.  Generated files are wide rather than deep, so their size
   costs no stack; a second frame per nesting level (a table of per-class
   functions, say) would halve the nesting depth that fits under the
   recursion limit.
@@ -500,16 +501,43 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
         else:
             acc = Const(head.name)
         for frame in v.spine:
-            acc = _quote_frame(sig, depth, acc, frame)
+            if frame.__class__ is not FApp:
+                acc = _quote_frame(sig, depth, acc, frame)
+                continue
+            # an argument that is a bare bound variable is read back without a call
+            arg = frame.arg
+            if (arg.__class__ is VNeutral and not arg.spine
+                    and arg.head.__class__ is VarHead and arg.head.level < depth):
+                acc = App(acc, Var(depth - 1 - arg.head.level))
+            else:
+                acc = App(acc, quote(sig, depth, arg))
         return acc
-    if cls is VPi:
-        return Pi(quote(sig, depth, v.dom), quote_closure(sig, depth, v.cod))
+    if cls is VPi or cls is VSigma:
+        # A right-nested chain of one former is read back in a loop, each
+        # codomain instantiated with the next fresh variable.
+        pi = cls is VPi
+        doms = []
+        while v.__class__ is cls:
+            doms.append(quote(sig, depth, v.dom if pi else v.fst))
+            cl = v.cod if pi else v.snd
+            v, depth = evaluate(sig, cl.env + (fresh(depth),), cl.body), depth + 1
+        t = quote(sig, depth, v)
+        former = Pi if pi else core.Sigma
+        for dom in reversed(doms):
+            t = former(dom, t)
+        return t
     if cls is VLam:
-        return Lam(quote_closure(sig, depth, v.body))
+        # A λ-chain is read back in a loop, as it is checked.
+        outer = depth
+        while v.__class__ is VLam:
+            cl = v.body
+            v, depth = evaluate(sig, cl.env + (fresh(depth),), cl.body), depth + 1
+        t = quote(sig, depth, v)
+        for _ in range(depth - outer):
+            t = Lam(t)
+        return t
     if cls is VUniv:
         return Univ(v.sort)
-    if cls is VSigma:
-        return core.Sigma(quote(sig, depth, v.fst), quote_closure(sig, depth, v.snd))
     if cls is VPair:
         fsts = []
         while v.__class__ is VPair:
@@ -555,8 +583,6 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
 
 def _quote_frame(sig: Signature, depth: int, acc: Term, frame: Frame) -> Term:
     cls = frame.__class__
-    if cls is FApp:
-        return App(acc, quote(sig, depth, frame.arg))
     if cls is FSnd:
         return Snd(acc)
     if cls is FFst:

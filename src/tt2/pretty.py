@@ -23,26 +23,45 @@ def _wrap(text: str, needed: bool) -> str:
 
 def _dependent_binders(t: Term) -> set[int]:
     """The ids of the Π and Σ nodes in ``t`` whose bound variable occurs in
-    their codomain or second component, found in one walk of ``t``."""
+    their codomain or second component, found in one walk of ``t``.
+
+    ``owners[k]`` is the Π or Σ that binds level ``k`` on the current path,
+    or None for another binder.  A stack entry is a node, its parent's
+    scope length and the binders the node adds, and ``owners`` is written
+    only where a binder is entered.  No level below the current scope is
+    stale: the walk finishes a subtree before it pops any entry pushed
+    earlier, and a subtree writes only levels at or above the scope its
+    entry was pushed with.  Levels above the scope are never read."""
     found: set[int] = set()
-    # owners[k] binds the k-th variable in scope, outermost first; None
-    # stands for a binder other than a Π or Σ.  A node's walk entry keeps
-    # the scope length of its parent and the binders it adds to it.
     owners: list = []
-    stack = [(t, 0, None, 0)]
+    stack = [(t, 0, 0)]
     while stack:
-        t, outer, owner, count = stack.pop()
-        del owners[outer:]
-        owners.extend((owner,) * count)
-        cls = t.__class__
-        if cls is core.Var:
-            if t.index < len(owners) and owners[-1 - t.index] is not None:
-                found.add(id(owners[-1 - t.index]))
-            continue
-        binder = t if cls is core.Pi or cls is core.Sigma else None
-        scope = len(owners)
-        for name, off in t.SUB:
-            stack.append((getattr(t, name), scope, binder if off else None, off))
+        t, depth, added = stack.pop()
+        if added:
+            owners[depth:depth + added] = (None,) * added
+            depth += added
+        while True:
+            cls = t.__class__
+            if cls is core.Pi or cls is core.Sigma:
+                pi = cls is core.Pi
+                stack.append((t.dom if pi else t.fst, depth, 0))
+                owners[depth:depth + 1] = (t,)
+                t, depth = t.cod if pi else t.snd, depth + 1
+            elif cls is core.App:
+                while t.__class__ is core.App:
+                    arg, t = t.arg, t.fn
+                    if arg.__class__ is not core.Var:
+                        stack.append((arg, depth, 0))
+                    elif arg.index < depth and owners[depth - 1 - arg.index] is not None:
+                        found.add(id(owners[depth - 1 - arg.index]))
+            elif cls is core.Var:
+                if t.index < depth and owners[depth - 1 - t.index] is not None:
+                    found.add(id(owners[depth - 1 - t.index]))
+                break
+            else:
+                for name, off in t.SUB:
+                    stack.append((getattr(t, name), depth, off))
+                break
     return found
 
 

@@ -1,3 +1,4 @@
+import functools
 import sys
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -56,6 +57,24 @@ class Manifest:
 
     def source(self, entry: Entry) -> str:
         return (self.root / entry.path).read_text(encoding="utf-8")
+
+
+def fails_fast_on_recursion(probe):
+    """Decorate a test so that a ``RecursionError`` fails it at once, with
+    a one-line message.  pytest can take minutes to report the thousand
+    frames of such an error, so a walk that starts to recurse per nesting
+    level would stall the suite instead of failing it; failing after the
+    ``except`` block leaves the error out of the report."""
+
+    @functools.wraps(probe)
+    def run(*args, **kwargs):
+        try:
+            return probe(*args, **kwargs)
+        except RecursionError:
+            pass
+        pytest.fail(f"{probe.__name__} exceeded the recursion limit", pytrace=False)
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -159,14 +159,15 @@ def _arrows(count):
 
 
 # Inputs that are wide, not deep: each is one long chain, which the kernel
-# and the printer walk in a loop, so they check at the default recursion
-# limit however long the chain.
+# and the printer walk in a loop, so they check, dump and evaluate at the
+# default recursion limit however long the chain.
 WIDE_INPUTS = {
     "600 arrows": f"def T : U1 := {_arrows(600)}\n",
     "600-binder lambda": (
         "postulate f : U0 -> U0\n"
         f"def k : {_arrows(601)} := \\" + " ".join(f"x{i}" for i in range(600)) + ". f\n"
     ),
+    "600-component Σ": "def S : U1 := " + "".join(f"(y{i} : U0) × " for i in range(600)) + "Unit\n",
     "600 arguments": f"postulate P : {_arrows(600)}\ndef q : U0 := P" + " Unit" * 600 + "\n",
     # the two copies of the domain are compared, codomain by codomain
     "1200-arrow domain": (
@@ -187,6 +188,28 @@ def test_wide_input_checks_and_dumps(tmp_path, name):
     assert "Traceback" not in result.stderr
     if name == "600 arrows":
         assert result.stdout.splitlines()[-1] == f"def T : U1 := {_arrows(600)}"
+
+
+# The normal form of each input's last definition, as ``tt2 eval`` prints it.
+WIDE_NORMAL_FORMS = {
+    "600 arrows": _arrows(600),
+    "600-binder lambda": "".join(f"\\v{i}. " for i in range(600)) + "f",
+    "600-component Σ": " × ".join(["U0"] * 600 + ["Unit"]),
+    "600 arguments": "P" + " Unit" * 600,
+    "1200-arrow domain": "\\v0. P v0",
+}
+
+
+@pytest.mark.parametrize("name", WIDE_INPUTS)
+def test_wide_input_evaluates_and_prints(tmp_path, monkeypatch, capsys, name):
+    # in-process: read-back and printing walk telescopes, λ-chains and
+    # spines in a loop, so a wide normal form prints instead of ending in
+    # DEPTH even under pytest's own frames
+    (tmp_path / "wide.tt").write_text(WIDE_INPUTS[name])
+    monkeypatch.chdir(tmp_path)
+    last = WIDE_INPUTS[name].splitlines()[-1].split()[1]
+    assert cli.main(["eval", "wide.tt", "--term", last]) == 0, capsys.readouterr().err
+    assert capsys.readouterr().out == WIDE_NORMAL_FORMS[name] + "\n"
 
 
 def test_dump_that_nests_too_deeply_is_a_coded_diagnostic(monkeypatch, capsys):

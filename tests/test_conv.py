@@ -8,7 +8,7 @@ import cProfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, fails_fast_on_recursion
 from smallstep_oracle import normalize, shift
 from termgen import TermGen, eta_instance
 
@@ -54,6 +54,7 @@ def test_application_chain_evaluates_as_nested_applications():
             conv.evaluate(sig, env, term)
 
 
+@fails_fast_on_recursion
 def test_long_numerals_evaluate_and_eliminate_in_a_loop():
     # 3000 levels, three times the default recursion limit
     def numeral(n):
@@ -118,6 +119,46 @@ def sample_terms():
 def test_nf_agrees_with_small_step_oracle(sample_terms):
     for term, _ in sample_terms:
         assert conv.nf(EMPTY, Context(), term) == normalize(EMPTY, term)
+
+
+def test_nf_of_open_terms_agrees_with_small_step_oracle():
+    # A sample's body under its leading lambdas is an open term: normalised
+    # under that many fresh binders, its free variables are neutral heads
+    # and spine arguments and read back as the same indices.
+    gen = TermGen(20261019)
+    checked = 0
+    for _ in range(1500):
+        term, _ = gen.sample(30)
+        ctx = Context()
+        while term.__class__ is Lam:
+            term, ctx = term.body, ctx.extend(None, None, conv.fresh(len(ctx.env)))
+        if ctx.env:
+            assert conv.nf(EMPTY, ctx, term) == normalize(EMPTY, term)
+            checked += 1
+    assert checked == 171
+
+
+@fails_fast_on_recursion
+def test_telescopes_lambda_chains_and_spines_read_back_in_a_loop():
+    # 3000 binders, three times the default recursion limit; each innermost
+    # body names the outermost binder
+    width = 3000
+    pis = lams = sigmas = Var(width - 1)
+    for _ in range(width):
+        pis, lams, sigmas = Pi(Unit(), pis), Lam(lams), Sigma(Nat(FIB), sigmas)
+    for t in (pis, lams, sigmas):
+        assert nf0(t) == t
+    # a spine of bound variables reads back as the same indices, and one
+    # whose argument escapes the depth is still an internal error
+    ctx, spine = Context(), Var(width - 1)
+    for i in range(width):
+        ctx = ctx.extend(None, None, conv.fresh(i))
+    for i in range(width - 1):
+        spine = App(spine, Var(i))
+    assert conv.nf(EMPTY, ctx, spine) == spine
+    escaping = conv.VNeutral(conv.VarHead(0), (conv.FApp(conv.fresh(5)),))
+    with pytest.raises(InternalError, match="level 5 escapes depth 1"):
+        conv.quote(EMPTY, 1, escaping)
 
 
 def test_nf_is_idempotent(sample_terms):

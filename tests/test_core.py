@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, fails_fast_on_recursion
 from smallstep_oracle import replace, shift, subst
 from termgen import term_size
 from tt2 import conv, parse
@@ -196,6 +196,7 @@ def test_term_equality_and_hash():
     assert conv.VarHead(3) == conv.VarHead(3) and hash(conv.ConstHead("c")) == hash(conv.ConstHead("c"))
 
 
+@fails_fast_on_recursion
 def test_equality_of_deep_nodes_needs_no_recursion():
     # 3000 levels of nesting, directly and through the tuples of a spine,
     # compared at the default recursion limit.
@@ -220,6 +221,7 @@ def test_equality_of_deep_nodes_needs_no_recursion():
     assert spine(conv.VStar()) != spine(conv.VUnit())
 
 
+@fails_fast_on_recursion
 def test_hashing_deep_nodes_needs_no_recursion():
     # 3000 levels of nesting, hashed at the default recursion limit; equal
     # nodes hash equal (a raw node's span aside), and a frozen node that
