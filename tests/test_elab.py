@@ -281,6 +281,35 @@ def test_telescope_arguments_are_checked_against_domain_terms(base_sig, config, 
     assert [(d.code, d.span, d.message) for d in diags] == diagnostics
 
 
+# An over-applied head: the span runs from the head's start to the end of
+# the first argument that finds no function type, however the application
+# is parenthesised.
+@pytest.mark.parametrize("body, span", [
+    ("F a0 a1 x a0", (42, 54)),
+    ("F a0 a1 x a0 a1", (42, 54)),
+    ("(F a0 a1) x a0", (43, 56)),
+    ("((F a0) a1 x) a0", (44, 58)),
+    ("X0 a0", (42, 47)),
+])
+def test_an_over_applied_head_is_reported_at_its_first_extra_argument(base_sig, config, body, span):
+    sig, diags = elaborate_signature(parse.parse_file(TELESCOPES), base_sig, config)
+    assert not diags
+    decl = "def t (a0 a1 : X0) (x : X1 a0 a1) : U0 := " + body
+    _, diags = elaborate_signature(parse.parse_file(decl), sig, config)
+    assert [(d.code, d.span, d.message) for d in diags] == [
+        ("TYPE_MISMATCH", span, "expected a function, but this has type U0")]
+
+
+@pytest.mark.parametrize("body", ["F a0 a1 x", "(F a0) a1 x", "((F a0) a1) x", "(F a0 a1) x"])
+def test_an_application_elaborates_alike_however_parenthesised(base_sig, config, body):
+    sig, diags = elaborate_signature(parse.parse_file(TELESCOPES), base_sig, config)
+    decl = "def t (a0 a1 : X0) (x : X1 a0 a1) : U0 := " + body
+    sig, diags = elaborate_signature(parse.parse_file(decl), sig, config)
+    assert not diags
+    F, a0, a1, x = core.Const("F"), Var(2), Var(1), Var(0)
+    assert sig.lookup("t").body == Lam(Lam(Lam(core.App(core.App(core.App(F, a0), a1), x))))
+
+
 def test_duplicate_names_rejected(base_sig, config):
     src = "def d : U0 := Unit\ndef d : U0 := Unit"
     _, diags = elaborate_signature(parse.parse_file(src), base_sig, config)
