@@ -56,7 +56,7 @@ from . import core
 from .core import (
     App, Const, Context, Empty, EmptyElim, Fst, Id, InternalError, J,
     Lam, Layer, Nat, NatElim, Node, Pair, Pi, Refl, Signature, Snd, Sort,
-    Star, Suc, Sum, SumElim, Inl, Inr, Term, Unit, Univ, Var, Zero,
+    Star, Suc, Sum, SumElim, Inl, Inr, Term, Unit, Univ, Var, Zero, var,
 )
 
 
@@ -497,7 +497,7 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
         if head.__class__ is VarHead:
             if head.level >= depth:
                 raise InternalError(f"variable level {head.level} escapes depth {depth}")
-            acc: Term = Var(depth - 1 - head.level)
+            acc: Term = var(depth - 1 - head.level)
         else:
             acc = Const(head.name)
         for frame in v.spine:
@@ -508,7 +508,7 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
             arg = frame.arg
             if (arg.__class__ is VNeutral and not arg.spine
                     and arg.head.__class__ is VarHead and arg.head.level < depth):
-                acc = App(acc, Var(depth - 1 - arg.head.level))
+                acc = App(acc, var(depth - 1 - arg.head.level))
             else:
                 acc = App(acc, quote(sig, depth, arg))
         return acc

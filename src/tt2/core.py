@@ -30,6 +30,10 @@ dataclasses store fields through ``object.__setattr__``, which made
 - ``repr`` is ``Pi(dom=Var(index=0), cod=...)``.
 - Hot code tests ``t.__class__ is Var``: the metaclass makes ``isinstance``
   and ``match`` class patterns that miss about twice as slow.
+
+``var(i)`` returns one shared ``Var(i)`` per index, so the elaborator and
+read-back allocate no leaf per variable occurrence.  Nodes are frozen, so
+the sharing shows only to ``is``.
 """
 
 from __future__ import annotations
@@ -184,6 +188,15 @@ class Term(Node, frozen=True):
 
 class Var(Term):
     index: int
+
+
+class _SharedVars(dict):
+    def __missing__(self, index: int) -> Var:
+        leaf = self[index] = Var(index)
+        return leaf
+
+
+var = _SharedVars().__getitem__  # see the module docstring
 
 
 class Const(Term):

@@ -132,7 +132,7 @@ class Elaborator:
         ``Context.lookup`` found it (None if no binder has that name)."""
         if hit is not None:
             index, ty = hit
-            return core.Var(index), ty
+            return core.var(index), ty
         name = raw.name
         if self.sig.lookup(name) is not None:
             return core.Const(name), conv.const_type_value(self.sig, name)
@@ -175,21 +175,18 @@ class Elaborator:
             # is taken as it is, with no conversion.  Otherwise that one
             # domain is evaluated and the argument checked against it.  The
             # rest of the telescope is evaluated once, where the walk ends.
-            apps = [raw]
-            fn = raw.fn
-            while fn.__class__ is parse.RApp:
-                apps.append(fn)
-                fn = fn.fn
+            fn, args = raw.fn, raw.args
+            while fn.__class__ is parse.RApp:  # a parenthesised head: (f a) b
+                fn, args = fn.fn, fn.args + args
             sig = self.sig
             term, ty = self.infer(ctx, fn)
             env = None  # while walking a telescope term: its environment; ty is the term
-            for app in reversed(apps):
-                arg = app.arg
+            for arg in args:
                 hit = ctx.lookup(arg.name) if arg.__class__ is parse.RVar else None
                 if env is None:
                     if ty.__class__ is not VPi:
                         raise Diagnostic(
-                            TYPE_MISMATCH, app.span,
+                            TYPE_MISMATCH, (fn.span[0], arg.span[1]),
                             f"expected a function, but this has type {self._show(ctx, ty)}",
                         )
                     dom = ty.dom
@@ -198,7 +195,7 @@ class Elaborator:
                 else:
                     dom = evaluate(sig, tuple(env), ty.dom)
                 if dom is None:
-                    arg_core = core.Var(hit[0])
+                    arg_core = core.var(hit[0])
                 elif arg.__class__ is parse.RVar:
                     arg_core = self._conform(ctx, arg, *self._infer_name(arg, hit), dom)
                 else:

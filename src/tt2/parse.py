@@ -1,9 +1,15 @@
 """Lexer and precedence-climbing parser for the surface language.
 
-The lexer is one compiled regular expression: each match skips whitespace
-and ``--`` comments and then takes one token, named by the group that
-matched.  Nested ``{- -}`` comments are skipped by a depth-counting scan.
-A token is a plain ``(kind, text, span)`` triple, read by position.
+The lexer is one ``finditer`` scan over a pattern with no whitespace
+prefix: its alternatives are a ``--`` comment, ``{-``, ``:=``, ``->``, a
+word, and last any one character other than whitespace, so whitespace is
+what the scan steps over between matches.  The text of a match gives its
+kind through one dict lookup; a word met for the first time is sorted into
+keyword, universe or identifier and added to that dict.  Line comments are
+dropped in the same loop.  At ``{-`` a depth-counting scan skips the
+nested block comment, and the scan restarts where the comment ends.  A
+character that fits no token is an ``ILLEGAL_CHAR``.  A token is a plain
+``(kind, text, span)`` triple, read by position.
 
 Precedence, loosest to tightest: lambda bodies extend right, then ``->``
 (right associative), then the pair former ``×`` (right associative), then
@@ -13,6 +19,9 @@ lambda binders, binder groups, left operands of ``->`` and ``×``,
 parentheses, applications and built-ins still short of arguments.  An
 operator closes the frames of tighter levels, and the end of a term closes
 all of its frames, so nesting depth costs list entries, not Python calls.
+An application chain ``f a1 … an`` is one ``RApp`` node, with the
+arguments as a tuple; a parenthesised head, as in ``(f a) b``, stays a
+node of its own, and the elaborator reads through it.
 
 Built-ins are the rows of ``_FORMERS``: keyword, raw class, core class,
 layer and the number of atomic arguments.  They parse as saturated
@@ -26,6 +35,7 @@ elaborator's messages take each built-in's keyword.
 from __future__ import annotations
 
 import re
+import string
 from typing import Optional
 
 from . import core
@@ -68,8 +78,10 @@ class RLam(Raw):
 
 
 class RApp(Raw):
+    """An application chain ``fn a1 … an``, one node for the whole chain."""
+
     fn: Raw
-    arg: Raw
+    args: tuple[Raw, ...]
 
 
 class RPair(Raw):
@@ -214,17 +226,18 @@ _BINDERS = {"IDENT", "UNDERSCORE"}
 # ---------------------------------------------------------------------------
 # Lexer
 
-# Whitespace and line comments before a token.  A comment runs up to and
-# including its newline, so where no token follows, giving skipped text
-# back cannot turn part of a comment into a token.
-_SKIP = r"(?:[ \t\r\n]|--[^\n]*(?:\n|\Z))*"
-_TOKEN = re.compile(_SKIP + r"""(?:
-    (?P<BLOCK>\{-) | (?P<ASSIGN>:=) | (?P<ARROW>->)
-  | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,) | (?P<COLON>:) | (?P<DOT>\.)
-  | (?P<LAMBDA>[\\λ]) | (?P<TIMES>×) | (?P<UNDERSCORE>_)
-  | (?P<UNIV>US?[0-9]+(?![A-Za-z0-9_']))
-  | (?P<WORD>[A-Za-z][A-Za-z0-9_']*)
-  | (?P<EOF>\Z))""", re.VERBOSE)
+# One scan takes every token: a line comment, ``{-``, ``:=``, ``->``, a word,
+# or any one character that is not whitespace.  The text of a token gives
+# its kind through ``_KINDS``; a miss is a new word, ``{-``, a comment or a
+# character outside the grammar.
+_SCAN = re.compile(r"--[^\n]*|\{-|:=|->|[A-Za-z][A-Za-z0-9_']*|[^ \t\r\n]")
+_KINDS = {
+    ":=": "ASSIGN", "->": "ARROW", "(": "LPAREN", ")": "RPAREN", ",": "COMMA",
+    ":": "COLON", ".": "DOT", "\\": "LAMBDA", "λ": "LAMBDA", "×": "TIMES",
+    "_": "UNDERSCORE", **{kw: kw for kw in KEYWORDS},
+}
+_UNIV = re.compile(r"US?[0-9]+")
+_LETTERS = frozenset(string.ascii_letters)
 _NESTING = re.compile(r"\{-|-\}")
 
 
@@ -238,29 +251,36 @@ def lex(source: str) -> list[Token]:
     are skipped.  Raises a Diagnostic on characters outside the grammar."""
     tokens: list[Token] = []
     append = tokens.append
+    kinds = _KINDS.copy()  # grows by the words of this source
+    kind_of = kinds.get
     i = 0
     while True:
-        m = _TOKEN.match(source, i)
-        if m is None:
-            i = re.compile(_SKIP).match(source, i).end()
-            raise Diagnostic(ILLEGAL_CHAR, (i, i + 1), f"illegal character {source[i]!r}")
-        kind = m.lastgroup
-        start, i = m.span(kind)
-        if kind == "WORD":
-            text = source[start:i]
-            append((text if text in KEYWORDS else "IDENT", text, (start, i)))
-        elif kind == "BLOCK":
-            depth = 1
-            while depth:
-                mark = _NESTING.search(source, i)
-                if mark is None:
-                    raise Diagnostic(SYNTAX, (start, len(source)), "unterminated block comment")
-                depth += 1 if mark.group() == "{-" else -1
-                i = mark.end()
+        for m in _SCAN.finditer(source, i):
+            text = m[0]
+            kind = kind_of(text)
+            if kind is None:
+                if text[0] in _LETTERS:
+                    kind = kinds[text] = "UNIV" if _UNIV.fullmatch(text) else "IDENT"
+                elif text == "{-":
+                    break
+                elif text[:2] == "--":
+                    continue
+                else:
+                    start = m.start()
+                    raise Diagnostic(ILLEGAL_CHAR, (start, start + 1), f"illegal character {text!r}")
+            append((kind, text, m.span()))
         else:
-            append((kind, source[start:i], (start, i)))
-            if kind == "EOF":
-                return tokens
+            end = len(source)
+            append(("EOF", "", (end, end)))
+            return tokens
+        # a block comment: skip to its matching ``-}``, then scan on
+        start, i, depth = m.start(), m.end(), 1
+        while depth:
+            mark = _NESTING.search(source, i)
+            if mark is None:
+                raise Diagnostic(SYNTAX, (start, len(source)), "unterminated block comment")
+            depth += 1 if mark.group() == "{-" else -1
+            i = mark.end()
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +288,7 @@ def lex(source: str) -> list[Token]:
 
 # Stack frames are (_PAREN, its token, terms before the last comma), (_GROUP,
 # names, earlier groups), (_BUILTIN, its token, arguments so far), (_APP,
-# function, None), (_LAM, its token, names), (_PI_GROUPS or _SIGMA_GROUPS,
+# function, arguments so far), (_LAM, its token, names), (_PI_GROUPS or _SIGMA_GROUPS,
 # groups, None) and (_ARROW or _TIMES, left operand, None).  Openers (from
 # _LAM on) end with their term; sigma-level ones also end at ``->``.
 _ROOT, _PAREN, _GROUP, _BUILTIN, _APP = range(5)
@@ -442,12 +462,16 @@ class _Parser:
                 span = (head[2][0], val.span[1])
                 val = cls(span, *args) if layer is None else cls(span, layer, *args)
                 continue
-            if tag == _APP:
-                stack.pop()
-                val = RApp((head.span[0], val.span[1]), head, val)
             kind = toks[pos][0]
-            if kind in _ATOM_STARTERS:
-                stack.append((_APP, val, None))
+            if tag == _APP:
+                args.append(val)
+                if kind in _ATOM_STARTERS:
+                    state = _ATOM
+                    continue
+                stack.pop()
+                val = RApp((head.span[0], val.span[1]), head, tuple(args))
+            elif kind in _ATOM_STARTERS:
+                stack.append((_APP, val, []))
                 state = _ATOM
                 continue
             # The application has ended: it is an operand of ``×`` or ``->``.

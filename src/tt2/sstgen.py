@@ -53,19 +53,21 @@ def cell_name(cell: tuple[int, ...]) -> str:
     return f"a{cell[0]}" if len(cell) == 1 else "x" + "".join(map(str, cell))
 
 
-def _cell_entry(cell: tuple[int, ...], family: str, faces: list) -> tuple[str, str]:
-    """Binder name and type text of a boundary cell: the family of its
-    dimension applied to the binders of its own faces, in canonical order."""
-    dim = len(cell) - 1
-    args = "".join(" " + cell_name(tuple(cell[i] for i in w)) for w in faces[dim])
-    return cell_name(cell), f"{family}{dim}{args}"
-
-
 def telescope_entries(n: int, family: str = "X", faces: Optional[list] = None) -> list[tuple[str, str]]:
     """(binder name, type text) for the matching telescope at level n, where
-    ``faces[d]`` is ``boundary_cells(d)`` for d <= n (one list per file)."""
+    ``faces[d]`` is ``boundary_cells(d)`` for d <= n (one list per file).
+    A cell's type is the family of its dimension applied to the binders of
+    its own faces, in canonical order.  Faces come before their cells, so
+    each cell is named once, into a dict that the later cells read."""
     faces = [boundary_cells(d) for d in range(n + 1)] if faces is None else faces
-    return [_cell_entry(c, family, faces) for c in faces[n]]
+    names: dict[tuple[int, ...], str] = {}
+    entries = []
+    for cell in faces[n]:
+        dim = len(cell) - 1
+        args = "".join([" " + names[tuple([cell[i] for i in w])] for w in faces[dim]])
+        name = names[cell] = cell_name(cell)
+        entries.append((name, f"{family}{dim}{args}"))
+    return entries
 
 
 def _family_type(k: int, universe: int, family: str, faces: list) -> str:

@@ -140,7 +140,7 @@ def test_saturated_builtins_consume_atoms():
 
 def test_holes_parse_but_are_marked():
     t = parse_term("f _")
-    assert isinstance(t.arg, parse.RHole)
+    assert isinstance(t.args[0], parse.RHole)
 
 
 def test_every_node_carries_a_span():
@@ -203,7 +203,8 @@ def pretty_raw(t: parse.Raw, prec: int = TERM) -> str:
     if cls is parse.RLam:
         return _wrap(f"\\{t.binder}. {pretty_raw(t.body)}", prec > TERM)
     if cls is parse.RApp:
-        return _wrap(f"{pretty_raw(t.fn, APP)} {pretty_raw(t.arg, ATOM)}", prec > APP)
+        args = [pretty_raw(arg, ATOM) for arg in t.args]
+        return _wrap(" ".join([pretty_raw(t.fn, APP), *args]), prec > APP)
     if cls is parse.RPair:
         return f"({pretty_raw(t.fst)} , {pretty_raw(t.snd)})"
     if cls is parse.RHole:
