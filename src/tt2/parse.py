@@ -297,6 +297,11 @@ _LAM, _PI_GROUPS, _ARROW, _SIGMA_GROUPS, _TIMES = range(5, 10)
 _START, _ATOM, _DONE = range(3)
 
 
+# What ``expect`` names in a message, for each kind it is asked for.
+_WRITTEN = {"IDENT": "a name", "COLON": "':'", "ASSIGN": "':='", "RPAREN": "')'",
+            "EOF": "end of input"}
+
+
 def _fail(tok: Token, expected: str) -> Diagnostic:
     _, text, span = tok
     found = repr(text) if text else "end of input"
@@ -341,7 +346,7 @@ class _Parser:
     def expect(self, kind: str) -> Token:
         tok = self.peek()
         if tok[0] != kind:
-            raise _fail(tok, kind)
+            raise _fail(tok, _WRITTEN[kind])
         self.pos += 1
         return tok
 
@@ -373,7 +378,7 @@ class _Parser:
         return RawDecl(kind, name[1], tuple(telescope), result, body, (tok[2][0], end))
 
     def parse_binder_group(self) -> list[tuple[str, Raw]]:
-        self.expect("LPAREN")
+        self.pos += 1  # the caller saw the "("
         names = []
         while self.peek()[0] in _BINDERS:
             names.append(self.peek()[1])
@@ -409,7 +414,7 @@ class _Parser:
                     if not names:
                         raise _fail(toks[pos], "lambda binder")
                     if toks[pos][0] != "DOT":
-                        raise _fail(toks[pos], "DOT")
+                        raise _fail(toks[pos], "'.'")
                     pos += 1
                     stack.append((_LAM, tok, names))
                     continue
@@ -498,7 +503,7 @@ class _Parser:
                 continue
             close = toks[pos]
             if kind != "RPAREN":
-                raise _fail(close, "RPAREN")
+                raise _fail(close, "')'")
             pos += 1
             if tag == _PAREN:
                 for part in reversed(parts):

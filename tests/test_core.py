@@ -17,7 +17,7 @@ from tt2 import conv, parse
 from tt2.core import (
     App, Const, Context, DeclKind, FIB, InternalError, Lam, Nat, Pair, Pi, SigEntry,
     Sigma, Signature, Sort, Star, STRICT, Sum, Suc, Term, Unit, Univ, Var, Zero,
-    is_scope_closed, sort_join, sort_leq,
+    is_scope_closed, var, sort_join, sort_leq,
 )
 from tt2.elab import Config
 from tt2.sstgen import GenPlan
@@ -194,6 +194,16 @@ def test_term_equality_and_hash():
     assert t != (Var(0), Sum(FIB, Unit(), Nat(STRICT)))
     assert Sort(FIB, 1) == Sort(FIB, 1) and len({Sort(FIB, 1), Sort(FIB, 1)}) == 1
     assert conv.VarHead(3) == conv.VarHead(3) and hash(conv.ConstHead("c")) == hash(conv.ConstHead("c"))
+
+
+def test_var_leaves_are_shared():
+    for i in (0, 1, 7, 300):
+        assert var(i) is var(i)
+        assert var(i) == Var(i) and hash(var(i)) == hash(Var(i))
+        assert var(i).__class__ is Var and var(i).index == i
+    assert var(0) != var(1)
+    with pytest.raises(AttributeError):
+        var(2).index = 3
 
 
 @fails_fast_on_recursion

@@ -307,7 +307,9 @@ def test_an_application_elaborates_alike_however_parenthesised(base_sig, config,
     sig, diags = elaborate_signature(parse.parse_file(decl), sig, config)
     assert not diags
     F, a0, a1, x = core.Const("F"), Var(2), Var(1), Var(0)
-    assert sig.lookup("t").body == Lam(Lam(Lam(core.App(core.App(core.App(F, a0), a1), x))))
+    body = sig.lookup("t").body
+    assert body == Lam(Lam(Lam(core.App(core.App(core.App(F, a0), a1), x))))
+    assert body.body.body.body.arg is core.var(0)  # a bound name elaborates to a shared leaf
 
 
 def test_duplicate_names_rejected(base_sig, config):

@@ -97,6 +97,37 @@ def test_parse_error_on_missing_type():
     assert exc.value.span[0] == len("def bad : ")
 
 
+@pytest.mark.parametrize("source, message", [
+    ("def f : (a b", "expected ')', found end of input"),
+    ("def f (x : U0 : U0", "expected ')', found ':'"),
+    ("def f : U0 := \\x y", "expected '.', found end of input"),
+    ("def f U0", "expected ':', found 'U0'"),
+    ("def f : U0", "expected ':=', found end of input"),
+    ("def : U0", "expected a name, found ':'"),
+])
+def test_syntax_errors_name_the_expected_token_as_written(source, message):
+    with pytest.raises(Diagnostic) as exc:
+        parse_file(source)
+    assert (exc.value.code, exc.value.message) == ("SYNTAX", message)
+
+
+def test_a_term_must_end_the_input():
+    with pytest.raises(Diagnostic) as exc:
+        parse_term("f a )")
+    assert (exc.value.span, exc.value.message) == ((4, 5), "expected end of input, found ')'")
+
+
+def test_an_application_chain_is_one_node():
+    t = parse_term("f a (g b) c")
+    assert t.__class__ is parse.RApp and t.span == (0, 11)
+    assert t.fn == parse.RVar((0, 1), "f")
+    assert [arg.__class__ for arg in t.args] == [parse.RVar, parse.RApp, parse.RVar]
+    assert t.args[1].args == (parse.RVar((7, 8), "b"),)
+    # a parenthesised head stays a node of its own
+    t = parse_term("(f a) b")
+    assert t.fn == parse_term("f a") and t.args == (parse.RVar((6, 7), "b"),)
+
+
 def test_precedence_arrow_sigma_app():
     t = parse_term("A -> B × C -> D")
     # arrows right-associative, sigma tighter: A -> ((B × C) -> D)
