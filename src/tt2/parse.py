@@ -4,9 +4,9 @@ The lexer is one ``finditer`` scan over a pattern with no whitespace
 prefix: its alternatives are a ``--`` comment, ``{-``, ``:=``, ``->``, a
 word, and last any one character other than whitespace, so whitespace is
 what the scan steps over between matches.  The text of a match gives its
-kind through one dict lookup; a word met for the first time is sorted into
-keyword, universe or identifier and added to that dict.  Line comments are
-dropped in the same loop.  At ``{-`` a depth-counting scan skips the
+kind through one dict lookup, which holds the punctuation and keywords; a
+word it lacks is sorted into universe or identifier and added to it.  Line
+comments are dropped in the same loop.  At ``{-`` a depth-counting scan skips the
 nested block comment, and the scan restarts where the comment ends.  A
 character that fits no token is an ``ILLEGAL_CHAR``.  A token is a plain
 ``(kind, text, span)`` triple, read by position.
@@ -35,7 +35,6 @@ elaborator's messages take each built-in's keyword.
 from __future__ import annotations
 
 import re
-import string
 from typing import Optional
 
 from . import core
@@ -237,7 +236,7 @@ _KINDS = {
     "_": "UNDERSCORE", **{kw: kw for kw in KEYWORDS},
 }
 _UNIV = re.compile(r"US?[0-9]+")
-_LETTERS = frozenset(string.ascii_letters)
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _NESTING = re.compile(r"\{-|-\}")
 
 
@@ -288,9 +287,10 @@ def lex(source: str) -> list[Token]:
 
 # Stack frames are (_PAREN, its token, terms before the last comma), (_GROUP,
 # names, earlier groups), (_BUILTIN, its token, arguments so far), (_APP,
-# function, arguments so far), (_LAM, its token, names), (_PI_GROUPS or _SIGMA_GROUPS,
-# groups, None) and (_ARROW or _TIMES, left operand, None).  Openers (from
-# _LAM on) end with their term; sigma-level ones also end at ``->``.
+# function, arguments so far), (_LAM, its token, names), (_PI_GROUPS or
+# _SIGMA_GROUPS, groups, None) and (_ARROW or _TIMES, left operand, None).
+# Openers (from _LAM on) end with their term; sigma-level ones also end at
+# ``->``.
 _ROOT, _PAREN, _GROUP, _BUILTIN, _APP = range(5)
 _LAM, _PI_GROUPS, _ARROW, _SIGMA_GROUPS, _TIMES = range(5, 10)
 # What the term loop does next: start an operand, read an atom, or use one.
