@@ -176,8 +176,12 @@ class Elaborator:
             # domain is evaluated and the argument checked against it.  The
             # rest of the telescope is evaluated once, where the walk ends.
             fn, args = raw.fn, raw.args
-            while fn.__class__ is parse.RApp:  # a parenthesised head: (f a) b
-                fn, args = fn.fn, fn.args + args
+            if fn.__class__ is parse.RApp:  # a parenthesised head: (f a) b
+                spines = [args]
+                while fn.__class__ is parse.RApp:
+                    spines.append(fn.args)
+                    fn = fn.fn
+                args = [arg for spine in reversed(spines) for arg in spine]
             sig = self.sig
             term, ty = self.infer(ctx, fn)
             env = None  # while walking a telescope term: its environment; ty is the term
