@@ -302,9 +302,8 @@ def test_an_over_applied_head_is_reported_at_its_first_extra_argument(base_sig, 
 
 @pytest.mark.parametrize("body", ["F a0 a1 x", "(F a0) a1 x", "((F a0) a1) x", "(F a0 a1) x"])
 def test_an_application_elaborates_alike_however_parenthesised(base_sig, config, body):
-    sig, diags = elaborate_signature(parse.parse_file(TELESCOPES), base_sig, config)
     decl = "def t (a0 a1 : X0) (x : X1 a0 a1) : U0 := " + body
-    sig, diags = elaborate_signature(parse.parse_file(decl), sig, config)
+    sig, diags = elaborate_signature(parse.parse_file(TELESCOPES + decl), base_sig, config)
     assert not diags
     F, a0, a1, x = core.Const("F"), Var(2), Var(1), Var(0)
     body = sig.lookup("t").body
