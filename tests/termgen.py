@@ -13,8 +13,8 @@ import random
 
 from smallstep_oracle import shift
 from tt2.core import (
-    App, FIB, Fst, Inl, Inr, J, Lam, Nat, NatElim, Pair, Pi, Refl, Sigma,
-    Snd, Star, STRICT, Suc, Sum, SumElim, Term, Unit, Var, Zero,
+    App, FIB, Fst, Inl, Inr, J, Lam, Layer, Nat, NatElim, Pair, Pi, Refl, Sigma,
+    Snd, Sort, Star, STRICT, Suc, Sum, SumElim, Term, Unit, Var, Zero,
 )
 
 
@@ -232,3 +232,30 @@ def _eta_expand(rng, t: Term, ty: Term) -> Term:
     if isinstance(ty, Pi):
         return Lam(_eta_expand(rng, App(shift(t), Var(0)), ty.cod))
     return t
+
+
+# ---------------------------------------------------------------------------
+# One open term of each former
+
+
+def open_instance(term_cls: type, layer: Layer, offset: int = 0) -> Term:
+    """A term of the core class ``term_cls`` whose i-th field, if it is a
+    term, is the beta-redex ``(\\x. x) v`` of the free variable ``v`` of
+    index ``i + offset`` outside the term (so it needs ``i + offset + 1``
+    binders in scope).  A ``layer`` field gets ``layer``, and a ``sort``
+    field the lowest universe of that layer.
+
+    These cover the formers that ``TermGen`` never draws (``Univ``,
+    ``Id``, ``Empty``, ``EmptyElim``), and an eliminator's scrutinee is
+    neutral, so its frame is read back.  ``TermGen.sample`` is left as
+    it is: seeded runs replay its draws."""
+    binders = dict(term_cls.SUB)
+    fields = {}
+    for i, name in enumerate(term_cls.__match_args__):
+        if name == "layer":
+            fields[name] = layer
+        elif name == "sort":
+            fields[name] = Sort(layer, 0)
+        else:
+            fields[name] = App(Lam(Var(0)), Var(i + offset + binders[name]))
+    return term_cls(**fields)

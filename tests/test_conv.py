@@ -161,6 +161,36 @@ def test_telescopes_lambda_chains_and_spines_read_back_in_a_loop():
         conv.quote(EMPTY, 1, escaping)
 
 
+def normal_forms(config, manifest):
+    """What ``tt2 eval`` prints, as ``name := normal form`` lines: each
+    definition of the accept corpus, elaborated into one signature in
+    MANIFEST order, then ``SegalCondition2`` to ``5``, each generated with
+    no prefix and checked after ``stdlib/equiv.tt`` in a signature of its
+    own."""
+    sig, names = initial_signature(config), []
+    for entry in manifest.accept_entries():
+        decls = parse.parse_file(manifest.source(entry))
+        sig, diags = elaborate_signature(decls, sig, config)
+        assert not diags, entry.path
+        names += [(sig, d.name) for d in decls if d.kind == "def"]
+    equiv = (REPO_ROOT / "stdlib" / "equiv.tt").read_text(encoding="utf-8")
+    for n in range(2, 6):
+        source = equiv + gen_segal_scaffold(GenPlan(n, emit=frozenset({"segal"})))
+        segal, diags = elaborate_signature(parse.parse_file(source), initial_signature(config), config)
+        assert not diags, n
+        names.append((segal, f"SegalCondition{n}"))
+    return [f"{name} := {pretty.pretty(conv.nf(s, Context(), s.lookup(name).body), s)}"
+            for s, name in names]
+
+
+def test_normal_forms_match_the_golden_file(config, manifest):
+    # tests/golden/nf.dump was written before conv read its formers from
+    # one table; it pins the printed normal forms, as accept.dump pins the
+    # elaborated core.
+    golden = (REPO_ROOT / "tests" / "golden" / "nf.dump").read_text(encoding="utf-8")
+    assert normal_forms(config, manifest) == golden.splitlines()
+
+
 def test_nf_is_idempotent(sample_terms):
     for term, _ in sample_terms:
         once = conv.nf(EMPTY, Context(), term)
