@@ -21,20 +21,24 @@ Three rules keep the walkers cheap:
   and closures are ``Node`` records not declared frozen (see ``core``),
   so building one stores its slots directly.
 - Walkers dispatch on the exact class of the node (``cls is VPi``), with
-  the most frequent classes first.  The width of a construct is walked in
-  a loop and only genuine nesting recurses, at one Python frame per
-  level: an application chain ``f a1 … an`` evaluates its head once and
-  builds one spine, a numeral is evaluated, read back and eliminated in a
-  loop, right-nested pairs are evaluated and read back in a loop,
-  read-back walks Π/Σ telescopes, λ-chains and a spine's ``FApp`` frames
-  in loops, and conversion continues into a Π codomain, a Σ second
-  component or any other last comparison without a call.  In ``elab``,
-  ``infer`` walks application chains and Π/Σ telescopes and ``check``
-  walks λ chains and right-nested pairs the same way, and so does the
-  core printer in ``pretty``.  Generated files are wide rather than deep, so their size
-  costs no stack; a second frame per nesting level (a table of per-class
-  functions, say) would halve the nesting depth that fits under the
-  recursion limit.
+  the most frequent classes first.  Only hot forms and forms with a rule of
+  their own have cases; ``evaluate``, ``quote``, ``_quote_frame`` and
+  ``convert`` (on two values of one class) then end in one generic case
+  that reads every other former from one table, ``FORMERS``.  The width of
+  a construct is walked in a loop and only genuine nesting recurses, at
+  one Python frame per level: an application chain ``f a1 … an``
+  evaluates its head once and builds one spine, a numeral is evaluated,
+  read back and eliminated in a loop, right-nested pairs are evaluated and
+  read back in a loop, read-back walks Π/Σ telescopes, λ-chains and a
+  spine's ``FApp`` frames in loops, and conversion continues into a Π
+  codomain, a Σ second component or any other last comparison without a
+  call.  In ``elab``, ``infer`` walks application chains and Π/Σ
+  telescopes and ``check`` walks λ chains and right-nested pairs the same
+  way, and so does the core printer in ``pretty``.  Generated files are
+  wide rather than deep, so their size costs no stack; a second frame per
+  nesting level (a table of per-class functions, say) would halve the
+  nesting depth that fits under the recursion limit, so the generic cases
+  are written inline.
 - Compare before evaluating.  ``elab`` checks the arguments of an
   application against the function's Π-telescope as a term, under an
   environment it extends with each argument's value, and evaluates the
@@ -44,8 +48,6 @@ Three rules keep the walkers cheap:
   same variable or postulate head applied to the same argument objects.
   On such a hit the argument is taken as its variable, with no check
   against the domain (``Elaborator._conform`` is not called).
-  Its head rule assumes that a constant with no body evaluates to its own
-  bare neutral; values that keep a defined head would need to restate it.
 """
 
 from __future__ import annotations
@@ -307,6 +309,22 @@ def do_j(sig, layer, motive: Closure, base: Value, lhs: Value, rhs: Value, proof
     raise InternalError("equality eliminator on non-refl value")
 
 
+# Each core former with no rule of its own maps to its value class, and each
+# eliminator to the frame it leaves on a neutral scrutinee and to its rule.
+# A row's fields, in order, and the binders each sits under (None: no term)
+# are its core class's; a frame's end before the scrutinee, the last field.
+FORMERS = {
+    Univ: (VUniv, None), Id: (VId, None), Refl: (VRefl, None), Nat: (VNat, None),
+    Zero: (VZero, None), Suc: (VSuc, None), Unit: (VUnit, None), Star: (VStar, None),
+    Sum: (VSum, None), Inl: (VInl, None), Inr: (VInr, None), Empty: (VEmpty, None),
+    NatElim: (FNatElim, do_natelim), J: (FJ, do_j),
+    SumElim: (FSumElim, do_sumelim), EmptyElim: (FEmptyElim, do_emptyelim),
+}
+_FIELDS = {t: tuple((f, dict(t.SUB).get(f)) for f in t.__match_args__) for t in FORMERS}
+_EVALUATE = {t: (rule or built, rule is not None, _FIELDS[t]) for t, (built, rule) in FORMERS.items()}
+_READ_BACK = {built: (t, _FIELDS[t][:-1] if rule else _FIELDS[t]) for t, (built, rule) in FORMERS.items()}
+
+
 def evaluate(sig: Signature, env: tuple[Value, ...], t: Term) -> Value:
     cls = t.__class__
     if cls is Var:
@@ -363,15 +381,8 @@ def evaluate(sig: Signature, env: tuple[Value, ...], t: Term) -> Value:
         return VLam(Closure(env, t.body))
     if cls is core.Sigma:
         return VSigma(evaluate(sig, env, t.fst), Closure(env, t.snd))
-    if cls is Univ:
-        return VUniv(t.sort)
     if cls is Snd:
         return do_snd(sig, evaluate(sig, env, t.pair))
-    if cls is Id:
-        return VId(
-            t.layer, evaluate(sig, env, t.ty),
-            evaluate(sig, env, t.lhs), evaluate(sig, env, t.rhs),
-        )
     if cls is Pair:
         # Right-nested pairs are walked in a loop, as the elaborator checks them.
         fsts = []
@@ -382,12 +393,8 @@ def evaluate(sig: Signature, env: tuple[Value, ...], t: Term) -> Value:
         for fst in reversed(fsts):
             v = VPair(fst, v)
         return v
-    if cls is Refl:
-        return VRefl(t.layer, evaluate(sig, env, t.ty), evaluate(sig, env, t.arg))
     if cls is Fst:
         return do_fst(sig, evaluate(sig, env, t.pair))
-    if cls is Nat:
-        return VNat(t.layer)
     if cls is Suc:
         # A numeral is walked in a loop, as the elaborator checks it.
         layer, count = t.layer, 0
@@ -397,41 +404,16 @@ def evaluate(sig: Signature, env: tuple[Value, ...], t: Term) -> Value:
         for _ in range(count):
             v = VSuc(layer, v)
         return v
-    if cls is Zero:
-        return VZero(t.layer)
-    if cls is NatElim:
-        return do_natelim(
-            sig, t.layer, Closure(env, t.motive),
-            evaluate(sig, env, t.zcase), Closure(env, t.scase, 2),
-            evaluate(sig, env, t.scrut),
-        )
-    if cls is J:
-        return do_j(
-            sig, t.layer, Closure(env, t.motive, 2),
-            evaluate(sig, env, t.base), evaluate(sig, env, t.lhs),
-            evaluate(sig, env, t.rhs), evaluate(sig, env, t.proof),
-        )
-    if cls is Unit:
-        return VUnit()
-    if cls is Star:
-        return VStar()
-    if cls is Sum:
-        return VSum(t.layer, evaluate(sig, env, t.left), evaluate(sig, env, t.right))
-    if cls is Inl:
-        return VInl(t.layer, evaluate(sig, env, t.arg))
-    if cls is Inr:
-        return VInr(t.layer, evaluate(sig, env, t.arg))
-    if cls is SumElim:
-        return do_sumelim(
-            sig, t.layer, Closure(env, t.motive),
-            Closure(env, t.lcase), Closure(env, t.rcase),
-            evaluate(sig, env, t.scrut),
-        )
-    if cls is Empty:
-        return VEmpty(t.layer)
-    if cls is EmptyElim:
-        return do_emptyelim(sig, t.layer, Closure(env, t.motive), evaluate(sig, env, t.scrut))
-    raise InternalError(f"evaluate: unhandled term {cls.__name__}")
+    row = _EVALUATE.get(cls)
+    if row is None:
+        raise InternalError(f"evaluate: unhandled term {cls.__name__}")
+    build, takes_sig, fields = row
+    args = [sig] if takes_sig else []
+    for name, binders in fields:
+        x = getattr(t, name)
+        args.append(x if binders is None else Closure(env, x, binders) if binders
+                    else evaluate(sig, env, x))
+    return build(*args)
 
 
 def evaluates_to(sig: Signature, env: list[Value], t: Term, v: Value) -> bool:
@@ -536,8 +518,6 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
         for _ in range(depth - outer):
             t = Lam(t)
         return t
-    if cls is VUniv:
-        return Univ(v.sort)
     if cls is VPair:
         fsts = []
         while v.__class__ is VPair:
@@ -555,30 +535,16 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
         for _ in range(count):
             t = Suc(layer, t)
         return t
-    if cls is VZero:
-        return Zero(v.layer)
-    if cls is VNat:
-        return Nat(v.layer)
-    if cls is VId:
-        return Id(
-            v.layer, quote(sig, depth, v.ty),
-            quote(sig, depth, v.lhs), quote(sig, depth, v.rhs),
-        )
-    if cls is VRefl:
-        return Refl(v.layer, quote(sig, depth, v.ty), quote(sig, depth, v.arg))
-    if cls is VUnit:
-        return Unit()
-    if cls is VStar:
-        return Star()
-    if cls is VSum:
-        return Sum(v.layer, quote(sig, depth, v.left), quote(sig, depth, v.right))
-    if cls is VInl:
-        return Inl(v.layer, quote(sig, depth, v.arg))
-    if cls is VInr:
-        return Inr(v.layer, quote(sig, depth, v.arg))
-    if cls is VEmpty:
-        return Empty(v.layer)
-    raise InternalError(f"quote: unhandled value {cls.__name__}")
+    row = _READ_BACK.get(cls)
+    if row is None:
+        raise InternalError(f"quote: unhandled value {cls.__name__}")
+    former, fields = row
+    args = []
+    for name, binders in fields:
+        x = getattr(v, name)
+        args.append(x if binders is None else quote_closure(sig, depth, x) if binders
+                    else quote(sig, depth, x))
+    return former(*args)
 
 
 def _quote_frame(sig: Signature, depth: int, acc: Term, frame: Frame) -> Term:
@@ -587,26 +553,16 @@ def _quote_frame(sig: Signature, depth: int, acc: Term, frame: Frame) -> Term:
         return Snd(acc)
     if cls is FFst:
         return Fst(acc)
-    if cls is FNatElim:
-        return NatElim(
-            frame.layer, quote_closure(sig, depth, frame.motive),
-            quote(sig, depth, frame.zcase), quote_closure(sig, depth, frame.scase), acc,
-        )
-    if cls is FJ:
-        return J(
-            frame.layer, quote_closure(sig, depth, frame.motive),
-            quote(sig, depth, frame.base), quote(sig, depth, frame.lhs),
-            quote(sig, depth, frame.rhs), acc,
-        )
-    if cls is FSumElim:
-        return SumElim(
-            frame.layer, quote_closure(sig, depth, frame.motive),
-            quote_closure(sig, depth, frame.lcase), quote_closure(sig, depth, frame.rcase),
-            acc,
-        )
-    if cls is FEmptyElim:
-        return EmptyElim(frame.layer, quote_closure(sig, depth, frame.motive), acc)
-    raise InternalError(f"quote: unhandled frame {cls.__name__}")
+    row = _READ_BACK.get(cls)
+    if row is None:
+        raise InternalError(f"quote: unhandled frame {cls.__name__}")
+    former, fields = row
+    args = []
+    for name, binders in fields:
+        x = getattr(frame, name)
+        args.append(x if binders is None else quote_closure(sig, depth, x) if binders
+                    else quote(sig, depth, x))
+    return former(*args, acc)
 
 
 def nf(sig: Signature, ctx: Context, t: Term) -> Term:
@@ -676,33 +632,23 @@ def convert(sig: Signature, types: Types, a: Value, b: Value, ty: Optional[Value
                     return ok
                 a, b, ty = a.rhs, b.rhs, a.ty
                 continue
-            if ca is VUniv:
-                return a.sort == b.sort
-            if ca is VNat or ca is VEmpty or ca is VZero:
-                return a.layer is b.layer
-            if ca is VUnit or ca is VStar:
-                return True
-            if ca is VSum:
-                ok = a.layer is b.layer and convert(sig, types, a.left, b.left, None)
-                if not ok:
-                    return ok
-                a, b, ty = a.right, b.right, None
-                continue
-            if ca is VSuc:
-                if a.layer is not b.layer:
-                    return False
-                a, b, ty = a.pred, b.pred, None
-                continue
-            if ca is VInl or ca is VInr:
-                if a.layer is not b.layer:
-                    return False
-                a, b, ty = a.arg, b.arg, None
-                continue
-            if ca is VRefl:
-                ok = a.layer is b.layer and convert(sig, types, a.ty, b.ty, None)
-                if not ok:
-                    return ok
-                a, b, ty = a.arg, b.arg, None
+            row = _READ_BACK.get(ca)
+            if row is not None:
+                # A layer or a sort first; the last term field is the next round.
+                terms = []
+                for name, binders in row[1]:
+                    x, y = getattr(a, name), getattr(b, name)
+                    if binders is not None:
+                        terms.append((x, y))
+                    elif x is not y and x != y:
+                        return False
+                if not terms:
+                    return True
+                for x, y in terms[:-1]:
+                    ok = convert(sig, types, x, y, None)
+                    if not ok:
+                        return ok
+                (a, b), ty = terms[-1], None
                 continue
         # eta for functions and pairs, a neutral on at most one side
         if (ca is VLam or ca is VNeutral) and (cb is VLam or cb is VNeutral):
