@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import conv, core, parse, pretty
 from .diagnostics import DEPTH, Diagnostic, ENCODING
-from .elab import Config, elaborate_signature
+from .elab import MAX_UNIVERSES, Config, elaborate_signature
 from .prelude import initial_signature
 
 
@@ -29,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="two-level type theory checker and scaffolding generator",
     )
     top.add_argument("--universes", type=int, default=3, metavar="L",
-                     help="number of universe levels per layer (default 3)")
+                     help=f"number of universe levels per layer, 1 to {MAX_UNIVERSES} (default 3)")
     top.add_argument("--collapse-fibrant-universes", action="store_true",
                      help="place every fibrant universe inside the first strict one")
     top.add_argument("--json-diagnostics", action="store_true",
@@ -262,4 +262,13 @@ def entry() -> None:
     # collections.  Library callers of ``main`` keep Python's defaults.
     gc.freeze()
     gc.set_threshold(100_000, 20, 100)
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone, as in ``tt2 delta --faces 20 40 |
+        # head -3``: send what is left to /dev/null, so that the flush at
+        # exit does not fail again, and end quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)

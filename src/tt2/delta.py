@@ -11,14 +11,17 @@ tests as their oracle.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import combinations
 
 
-def enumerate_mono(k: int, n: int) -> list[tuple[int, ...]]:
-    """The images of all strictly monotone [k] -> [n], in lexicographic order."""
+def enumerate_mono(k: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The images of all strictly monotone [k] -> [n], in lexicographic
+    order, one at a time, since there are C(n+1, k+1) of them.  A negative
+    object is refused at the call, before the first image."""
     if k < 0 or n < 0:
         raise ValueError("objects of the semi-simplex category are [n] with n >= 0")
-    return list(combinations(range(n + 1), k + 1))
+    return combinations(range(n + 1), k + 1)
 
 
 def boundary_cells(n: int) -> list[tuple[int, ...]]:

@@ -28,6 +28,12 @@ from .diagnostics import (
 )
 
 
+# The prelude writes a univalence statement for every universe level but
+# the top, about 1.1 KB of text each, before any file is read: 1.1 MB at
+# 1000 levels.
+MAX_UNIVERSES = 1000
+
+
 class Config(Node, frozen=True):
     universes: int = 3
     collapse_fibrant_universes: bool = False
@@ -35,6 +41,8 @@ class Config(Node, frozen=True):
     def __post_init__(self) -> None:
         if self.universes < 1:
             raise ValueError("at least one universe level is required")
+        if self.universes > MAX_UNIVERSES:
+            raise ValueError(f"at most {MAX_UNIVERSES} universe levels are supported")
 
 
 class Elaborator:

@@ -84,7 +84,7 @@ def test_acceptance_4_delta_oracle():
     started = time.monotonic()
     for n in range(7):
         for k in range(n + 1):
-            assert len(enumerate_mono(k, n)) == comb(n + 1, k + 1)
+            assert len(list(enumerate_mono(k, n))) == comb(n + 1, k + 1)
     for cod in range(6):
         for dom in range(cod + 1):
             for f in monos(dom, cod):

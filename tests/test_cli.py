@@ -262,7 +262,8 @@ def test_diagnostic_format_is_file_line_col():
 
 # Inputs for every way ``check`` and ``eval`` can fail to load a file;
 # tests/golden/cli_errors.json holds the exit code, stdout and stderr of
-# each command line run on them, plain and with --json-diagnostics.
+# each command line run on them, plain and with --json-diagnostics, and of
+# a universe count above the maximum, refused before the prelude is built.
 FAILING_INPUTS = {
     "good.tt": "def a : Nat := zero\npostulate p : Nat\n",
     "bad_bytes.tt": b"def a : Nat := zero\n\xff\xfe def",
@@ -277,7 +278,7 @@ def test_load_failures_print_the_pinned_exit_codes_and_messages(tmp_path):
         data = text if isinstance(text, bytes) else text.encode()
         (tmp_path / name).write_bytes(data)
     golden = json.loads((REPO_ROOT / "tests" / "golden" / "cli_errors.json").read_text())
-    assert len(golden) == 28
+    assert len(golden) == 29
     for case in golden:
         result = run_cli(*case["argv"], cwd=tmp_path)
         assert (result.returncode, result.stdout, result.stderr) == (
@@ -372,6 +373,42 @@ def test_delta_negative_object_fails_cleanly(k, n):
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == "tt2: objects of the semi-simplex category are [n] with n >= 0\n"
+
+
+def _rss_kb(pid):
+    with open(f"/proc/{pid}/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmRSS:"))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc and RLIMIT_AS")
+def test_delta_streams_its_images_in_flat_memory():
+    # [20] -> [40] has C(41, 21), about 2.7e11, monotone maps.  Under a
+    # 1.5 GB address-space limit the first images arrive at once, the
+    # process's memory does not grow while 200 000 more are read, and a
+    # reader that stops early ends it with exit 1 and no traceback.
+    import resource
+    limit = 1_500_000_000
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tt2", "delta", "--faces", "20", "40"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=REPO_ROOT,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(REPO_ROOT / "src"),
+             "PYTHONDONTWRITEBYTECODE": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    try:
+        first = [proc.stdout.readline() for _ in range(3)]
+        before = _rss_kb(proc.pid)
+        for _ in range(200_000):
+            proc.stdout.readline()
+        after = _rss_kb(proc.pid)
+    finally:
+        proc.stdout.close()
+        proc.wait(timeout=60)
+    row = ",".join(map(str, range(20)))
+    assert first == [f"{row},20\n", f"{row},21\n", f"{row},22\n"]
+    assert after - before < 2048, (before, after)
+    assert (proc.returncode, proc.stderr.read()) == (1, "")
+    proc.stderr.close()
 
 
 def test_delta_without_maps_prints_nothing():

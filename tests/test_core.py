@@ -168,6 +168,7 @@ def test_records_construct_by_position_keyword_and_default():
     lambda: GenPlan(-1),
     lambda: GenPlan(3, emit=frozenset({"nope"})),
     lambda: GenPlan(1, names="1x"),
+    lambda: Config(universes=1001),
 ])
 def test_post_init_validates(build):
     with pytest.raises(ValueError):

@@ -28,12 +28,12 @@ def test_compose_requires_matching_objects():
 def test_enumerate_counts_match_binomial():
     for n in range(7):
         for k in range(n + 1):
-            maps = enumerate_mono(k, n)
+            maps = list(enumerate_mono(k, n))
             assert len(maps) == comb(n + 1, k + 1)
             assert maps == sorted(maps)
             assert len(set(maps)) == len(maps)
             assert [images for _, _, images in monos(k, n)] == maps
-    assert enumerate_mono(3, 1) == []
+    assert list(enumerate_mono(3, 1)) == []
 
 
 @pytest.mark.parametrize("k, n", [(-1, 3), (0, -2), (-1, -1)])
@@ -43,10 +43,17 @@ def test_enumerate_rejects_negative_objects(k, n):
 
 
 def test_enumerate_examples():
-    assert len(enumerate_mono(0, 3)) == 4   # points of the tetrahedron boundary
-    assert len(enumerate_mono(1, 3)) == 6   # lines
-    assert len(enumerate_mono(2, 3)) == 4   # triangles
+    assert len(list(enumerate_mono(0, 3))) == 4   # points of the tetrahedron boundary
+    assert len(list(enumerate_mono(1, 3))) == 6   # lines
+    assert len(list(enumerate_mono(2, 3))) == 4   # triangles
     assert monos(2, 2) == [identity(2)]
+
+
+def test_enumerate_yields_images_one_at_a_time():
+    # C(41, 21) is about 2.7e11 images: a list of them could not be built
+    images = enumerate_mono(20, 40)
+    assert next(images) == tuple(range(21))
+    assert next(images) == tuple(range(20)) + (21,)
 
 
 def test_compose_associative_and_unital_exhaustively():
