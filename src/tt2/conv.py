@@ -320,6 +320,8 @@ FORMERS = {
     NatElim: (FNatElim, do_natelim), J: (FJ, do_j),
     SumElim: (FSumElim, do_sumelim), EmptyElim: (FEmptyElim, do_emptyelim),
 }
+# The rows by core class for evaluation, and by value or frame class for
+# read-back and conversion.
 _FIELDS = {t: tuple((f, dict(t.SUB).get(f)) for f in t.__match_args__) for t in FORMERS}
 _EVALUATE = {t: (rule or built, rule is not None, _FIELDS[t]) for t, (built, rule) in FORMERS.items()}
 _READ_BACK = {built: (t, _FIELDS[t][:-1] if rule else _FIELDS[t]) for t, (built, rule) in FORMERS.items()}
