@@ -3,6 +3,7 @@ table, coercion strictness, subsumption, determinism, and the
 print-reparse-recheck stability of elaborated cores."""
 
 import pytest
+from conftest import REPO_ROOT
 
 from termgen import TermGen
 from tt2 import conv, core, parse, pretty
@@ -419,3 +420,133 @@ def test_subject_soundness_on_inferable_bodies(config, manifest):
         assert conv.convert(sig, (), got, declared, None), entry.name
         sampled += 1
     assert sampled >= 5
+
+
+# tests/golden/builtin_errors.txt pins what elaborating each case below
+# after BUILTIN_PREAMBLE gives: ``ok``, or the diagnostic's code, its span
+# counted from the start of the case, and its message.  It was written
+# while the parser still had one raw class per built-in.
+BUILTIN_PREAMBLE = """\
+postulate A : U0
+postulate a : A
+postulate b : A
+postulate p : Id A a b
+postulate AS : US0
+postulate c : AS
+postulate d : AS
+postulate q : Eq AS c d
+postulate n : Nat
+postulate ns : NatS
+postulate s : Sum Unit Nat
+postulate ss : SumS Unit NatS
+postulate e : Empty
+postulate es : EmptyS
+postulate pr : (x : Nat) × Unit
+"""
+
+BUILTIN_CASES = [
+    # Id and Eq: sort errors, a type that is not one, a wrong endpoint
+    "def t : U0 := Id NatS zero zero",
+    "def t : U0 := Id US0 Unit Unit",
+    "def t : U0 := Id star star star",
+    "def t : US0 := Eq star star star",
+    "def t : US0 := Eq Nat zero zero",
+    "def t : Id A a a := refl AS c",
+    "def t : Id A a b := refl A a",
+    "def t : Eq AS c c := reflS AS a",
+    "def t : Eq AS c c := reflS AS c",
+    # Sum and SumS
+    "def t : U0 := Sum NatS Unit",
+    "def t : U0 := Sum Unit EmptyS",
+    "def t : US0 := SumS star Unit",
+    "def t : US0 := SumS Nat NatS",
+    # projections
+    "def t : Nat := fst n",
+    "def t : Unit := snd a",
+    "def t : Unit := snd pr",
+    # numerals and injections: bare, at the wrong type, inside at the wrong type
+    "def t : Nat := fst zero",
+    "def t : Nat := fst (suc zero)",
+    "def t : Unit := fst (inl star)",
+    "def t : Unit := snd (inr star)",
+    "def t : Unit := zero",
+    "def t : Unit := suc (suc zero)",
+    "def t : Nat := suc (suc star)",
+    "def t : NatS := suc zero",
+    "def t : Nat := inl star",
+    "def t : Sum Unit Nat := inr star",
+    "def t : SumS Unit NatS := inl star",
+    # natelim and natelimS
+    "def t : Nat := natelim Nat zero (\\k r. r) n",
+    "def t : NatS := natelimS NatS zero (\\k r. r) ns",
+    "def t : Nat := natelim (\\k. k) zero (\\k r. r) n",
+    "def t : NatS := natelimS (\\k. k) zero (\\k r. r) ns",
+    "def t : NatS := natelim (\\k. NatS) zero (\\k r. r) n",
+    "def t : Nat := natelim (\\k. Nat) zero (\\k. k) n",
+    "def t : NatS := natelimS (\\k. NatS) zero star ns",
+    "def t : Nat := natelim (\\k. Nat) zero (\\k r. r) ns",
+    "def t : NatS := natelimS (\\k. NatS) zero (\\k r. r) n",
+    "def t : Nat := natelim (\\k. Nat) star (\\k r. r) n",
+    "def t : Nat := natelim (\\k. Nat) zero (\\k r. star) n",
+    "def t : Nat := natelim (\\k. Nat) zero (\\k r. suc r) n",
+    "def t : NatS := natelimS (\\k. NatS) zero (\\k r. suc r) ns",
+    "def t : U0 := natelimS (\\k. U0) Empty (\\k r. Sum Unit r) ns",
+    # sumelim and sumelimS
+    "def t : Nat := sumelim (\\v. Nat) (\\x. zero) (\\y. y) ss",
+    "def t : NatS := sumelimS (\\v. NatS) (\\x. zero) (\\y. y) s",
+    "def t : Nat := sumelim (\\v. Nat) (\\x. zero) (\\y. y) n",
+    "def t : Nat := sumelim Nat (\\x. zero) (\\y. y) s",
+    "def t : NatS := sumelimS NatS (\\x. zero) (\\y. y) ss",
+    "def t : Nat := sumelim (\\v. v) (\\x. zero) (\\y. y) s",
+    "def t : NatS := sumelim (\\v. NatS) (\\x. zero) (\\y. zero) s",
+    "def t : Nat := sumelim (\\v. Nat) zero (\\y. y) s",
+    "def t : NatS := sumelimS (\\v. NatS) (\\x. zero) zero ss",
+    "def t : Nat := sumelim (\\v. Nat) (\\x. x) (\\y. y) s",
+    "def t : Nat := sumelim (\\v. Nat) (\\x. zero) (\\y. y) s",
+    "def t : NatS := sumelimS (\\v. NatS) (\\x. zero) (\\y. y) ss",
+    # exfalso and exfalsoS
+    "def t : Nat := exfalso (\\v. Nat) es",
+    "def t : NatS := exfalsoS (\\v. NatS) e",
+    "def t : Nat := exfalso Nat e",
+    "def t : NatS := exfalsoS NatS es",
+    "def t : Nat := exfalso (\\v. v) e",
+    "def t : NatS := exfalso (\\v. NatS) e",
+    "def t : Nat := exfalso (\\v. Nat) e",
+    "def t : NatS := exfalsoS (\\v. NatS) es",
+    # J and JS
+    "def t : A := J (\\x r. A) a a b q",
+    "def t : AS := JS (\\x r. AS) c c d p",
+    "def t : A := J (\\x r. A) a a b a",
+    "def t : A := J (\\x r. A) a b b p",
+    "def t : A := J (\\x r. A) a a a p",
+    "def t : AS := JS (\\x r. AS) c d d q",
+    "def t : AS := JS (\\x r. AS) c c c q",
+    "def t : A := J (\\x. A) a a b p",
+    "def t : AS := JS AS c c d q",
+    "def t : A := J (\\x r y. A) a a b p",
+    "def t : A := J (\\x r. x) a a b p",
+    "def t : AS := J (\\x r. AS) c a b p",
+    "def t : A := J (\\x r. A) star a b p",
+    "def t : Nat := J (\\x r. A) a a b p",
+    "def t : A := J (\\x r. A) a a b p",
+    "def t : AS := JS (\\x r. AS) c c d q",
+]
+
+
+def builtin_outcomes(config) -> str:
+    lines = []
+    for case in BUILTIN_CASES:
+        source = BUILTIN_PREAMBLE + case
+        _, diags = elaborate_signature(parse.parse_file(source), initial_signature(config), config)
+        lines.append(case)
+        if not diags:
+            lines.append("    ok")
+        for d in diags:
+            start, end = (i - len(BUILTIN_PREAMBLE) for i in d.span)
+            lines.append(f"    {d.code} {start} {end} {d.message}")
+    return "\n".join(lines) + "\n"
+
+
+def test_builtin_diagnostics_match_the_golden_file(config):
+    golden = (REPO_ROOT / "tests" / "golden" / "builtin_errors.txt").read_text(encoding="utf-8")
+    assert builtin_outcomes(config) == golden
