@@ -123,13 +123,13 @@ class Elaborator:
         """The motive of the eliminator ``raw``, bound over ``types`` as in
         ``_bind``.  It must produce a type; fibrant eliminators may only
         target fibrant motives, strict ones are unrestricted."""
-        inner, body = self._bind(ctx, raw.motive, f"motive of {kw}", *types)
+        inner, body = self._bind(ctx, raw.args[0], f"motive of {kw}", *types)
         motive_core, motive_ty = self.infer(inner, body)
         if motive_ty.__class__ is not VUniv:
             raise Diagnostic(NOT_A_TYPE, body.span, f"the motive of {kw} must produce a type")
         if raw.layer is FIB and motive_ty.sort.layer is not FIB:
             raise Diagnostic(
-                FIBRANCY, raw.motive.span,
+                FIBRANCY, raw.args[0].span,
                 f"the fibrant eliminator {kw} cannot target a strict motive "
                 f"(motive lands in {motive_ty.sort})",
             )
@@ -242,75 +242,77 @@ class Elaborator:
                 term = core.Pi(dom_core, term) if is_pi else core.Sigma(dom_core, term)
                 sort = self.join(dom_sort, sort)
             return term, VUniv(sort)
-        if cls is parse.RId or cls is parse.RRefl:
-            layer = raw.layer
-            ty_core, s = self.ensure_type(ctx, raw.ty)
-            if layer is FIB and s.layer is not FIB:
-                raise Diagnostic(
-                    SORT_MISMATCH, raw.span,
-                    f"fibrant equality requires a fibrant type, got sort {s}",
-                )
-            ty_v = evaluate(self.sig, ctx.env, ty_core)
-            if cls is parse.RId:
-                lhs_core = self.check(ctx, raw.lhs, ty_v)
-                rhs_core = self.check(ctx, raw.rhs, ty_v)
-                return core.Id(layer, ty_core, lhs_core, rhs_core), VUniv(Sort(layer, s.level))
-            arg_core = self.check(ctx, raw.arg, ty_v)
-            arg_v = evaluate(self.sig, ctx.env, arg_core)
-            return core.Refl(layer, ty_core, arg_core), VId(layer, ty_v, arg_v, arg_v)
         if cls is parse.RUniv:
             sort = self._universe_sort(raw.layer, raw.level, raw.span)
             return core.Univ(sort), VUniv(self._successor_sort(sort, raw.span))
-        if cls is parse.RSnd or cls is parse.RFst:
-            pair_core, pair_ty = self.infer(ctx, raw.arg)
-            if pair_ty.__class__ is not VSigma:
+        if cls is parse.RBuiltin:
+            former = raw.former
+            if former is core.Id or former is core.Refl:
+                layer = raw.layer
+                ty_core, s = self.ensure_type(ctx, raw.args[0])
+                if layer is FIB and s.layer is not FIB:
+                    raise Diagnostic(
+                        SORT_MISMATCH, raw.span,
+                        f"fibrant equality requires a fibrant type, got sort {s}",
+                    )
+                ty_v = evaluate(self.sig, ctx.env, ty_core)
+                if former is core.Id:
+                    _, lhs, rhs = raw.args
+                    lhs_core = self.check(ctx, lhs, ty_v)
+                    rhs_core = self.check(ctx, rhs, ty_v)
+                    return core.Id(layer, ty_core, lhs_core, rhs_core), VUniv(Sort(layer, s.level))
+                arg_core = self.check(ctx, raw.args[1], ty_v)
+                arg_v = evaluate(self.sig, ctx.env, arg_core)
+                return core.Refl(layer, ty_core, arg_core), VId(layer, ty_v, arg_v, arg_v)
+            if former is core.Snd or former is core.Fst:
+                pair_core, pair_ty = self.infer(ctx, raw.args[0])
+                if pair_ty.__class__ is not VSigma:
+                    raise Diagnostic(
+                        TYPE_MISMATCH, raw.span,
+                        f"expected a pair, but this has type {self._show(ctx, pair_ty)}",
+                    )
+                if former is core.Fst:
+                    return core.Fst(pair_core), pair_ty.fst
+                fst_v = conv.do_fst(self.sig, evaluate(self.sig, ctx.env, pair_core))
+                return core.Snd(pair_core), pair_ty.snd.apply(self.sig, fst_v)
+            if former is core.J:
+                return self._infer_j(ctx, raw)
+            if former is core.Nat or former is core.Empty:
+                return former(raw.layer), VUniv(self._universe_sort(raw.layer, 0, raw.span))
+            if former is core.Unit:
+                return core.Unit(), VUniv(Sort(FIB, 0))
+            if former is core.Star:
+                return core.Star(), VUnit()
+            if former is core.Sum:
+                layer = raw.layer
+                left, right = raw.args
+                left_core, sl = self.ensure_type(ctx, left)
+                right_core, sr = self.ensure_type(ctx, right)
+                if layer is FIB and (sl.layer is not FIB or sr.layer is not FIB):
+                    bad = sl if sl.layer is not FIB else sr
+                    raise Diagnostic(
+                        SORT_MISMATCH, raw.span,
+                        f"fibrant sums need fibrant summands, got sort {bad}",
+                    )
+                sort = Sort(layer, max(sl.level, sr.level))
+                return core.Sum(layer, left_core, right_core), VUniv(sort)
+            if former is core.NatElim:
+                return self._infer_natelim(ctx, raw)
+            if former is core.SumElim:
+                return self._infer_sumelim(ctx, raw)
+            if former is core.EmptyElim:
+                return self._infer_emptyelim(ctx, raw)
+            if former is core.Zero or former is core.Suc:
                 raise Diagnostic(
-                    TYPE_MISMATCH, raw.span,
-                    f"expected a pair, but this has type {self._show(ctx, pair_ty)}",
+                    CANNOT_INFER, raw.span,
+                    "cannot infer the layer of a bare numeral; check it against "
+                    "Nat or NatS",
                 )
-            if cls is parse.RFst:
-                return core.Fst(pair_core), pair_ty.fst
-            fst_v = conv.do_fst(self.sig, evaluate(self.sig, ctx.env, pair_core))
-            return core.Snd(pair_core), pair_ty.snd.apply(self.sig, fst_v)
-        if cls is parse.RJ:
-            return self._infer_j(ctx, raw)
-        if cls is parse.RNat:
-            return core.Nat(raw.layer), VUniv(self._universe_sort(raw.layer, 0, raw.span))
-        if cls is parse.RUnit:
-            return core.Unit(), VUniv(Sort(FIB, 0))
-        if cls is parse.RStar:
-            return core.Star(), VUnit()
-        if cls is parse.RSum:
-            layer = raw.layer
-            left_core, sl = self.ensure_type(ctx, raw.left)
-            right_core, sr = self.ensure_type(ctx, raw.right)
-            if layer is FIB and (sl.layer is not FIB or sr.layer is not FIB):
-                bad = sl if sl.layer is not FIB else sr
+            if former is core.Inl or former is core.Inr:
                 raise Diagnostic(
-                    SORT_MISMATCH, raw.span,
-                    f"fibrant sums need fibrant summands, got sort {bad}",
+                    CANNOT_INFER, raw.span,
+                    "cannot infer the type of a bare injection",
                 )
-            sort = Sort(layer, max(sl.level, sr.level))
-            return core.Sum(layer, left_core, right_core), VUniv(sort)
-        if cls is parse.RNatElim:
-            return self._infer_natelim(ctx, raw)
-        if cls is parse.RSumElim:
-            return self._infer_sumelim(ctx, raw)
-        if cls is parse.REmptyElim:
-            return self._infer_emptyelim(ctx, raw)
-        if cls is parse.REmpty:
-            return core.Empty(raw.layer), VUniv(self._universe_sort(raw.layer, 0, raw.span))
-        if cls is parse.RZero or cls is parse.RSuc:
-            raise Diagnostic(
-                CANNOT_INFER, raw.span,
-                "cannot infer the layer of a bare numeral; check it against "
-                "Nat or NatS",
-            )
-        if cls is parse.RInl or cls is parse.RInr:
-            raise Diagnostic(
-                CANNOT_INFER, raw.span,
-                "cannot infer the type of a bare injection",
-            )
         if cls is parse.RLam:
             raise Diagnostic(CANNOT_INFER, raw.span, "cannot infer the type of a bare lambda")
         if cls is parse.RPair:
@@ -319,49 +321,51 @@ class Elaborator:
             raise Diagnostic(HOLE, raw.span, "holes are not supported; write the term explicitly")
         raise core.InternalError(f"infer: unhandled raw {cls.__name__}")
 
-    def _infer_j(self, ctx: Context, raw: parse.RJ) -> tuple[Term, Value]:
+    def _infer_j(self, ctx: Context, raw: parse.RBuiltin) -> tuple[Term, Value]:
         kw = parse.SPELLING[core.J, raw.layer]
-        proof_core, proof_ty = self.infer(ctx, raw.proof)
+        _, base, lhs, rhs, proof = raw.args
+        proof_core, proof_ty = self.infer(ctx, proof)
         if not isinstance(proof_ty, VId) or proof_ty.layer is not raw.layer:
             eq = "fibrant" if raw.layer is FIB else "strict"
             raise Diagnostic(
-                TYPE_MISMATCH, raw.proof.span,
+                TYPE_MISMATCH, proof.span,
                 f"{kw} expects a proof of {eq} equality, but this has type "
                 f"{self._show(ctx, proof_ty)}",
             )
         ty_v = proof_ty.ty
-        lhs_core = self.check(ctx, raw.lhs, ty_v)
+        lhs_core = self.check(ctx, lhs, ty_v)
         lhs_v = evaluate(self.sig, ctx.env, lhs_core)
         if not conv.convert(self.sig, ctx.types, lhs_v, proof_ty.lhs, ty_v):
             raise Diagnostic(
-                TYPE_MISMATCH, raw.lhs.span,
+                TYPE_MISMATCH, lhs.span,
                 f"{kw}: stated left endpoint does not match the proof's endpoint",
             )
-        rhs_core = self.check(ctx, raw.rhs, ty_v)
+        rhs_core = self.check(ctx, rhs, ty_v)
         rhs_v = evaluate(self.sig, ctx.env, rhs_core)
         if not conv.convert(self.sig, ctx.types, rhs_v, proof_ty.rhs, ty_v):
             raise Diagnostic(
-                TYPE_MISMATCH, raw.rhs.span,
+                TYPE_MISMATCH, rhs.span,
                 f"{kw}: stated right endpoint does not match the proof's endpoint",
             )
         motive = self._motive(
             ctx, raw, kw, ty_v, lambda end: VId(raw.layer, ty_v, lhs_v, end)
         )
         refl_v = VRefl(raw.layer, ty_v, lhs_v)
-        base_core = self.check(ctx, raw.base, motive.apply(self.sig, lhs_v, refl_v))
+        base_core = self.check(ctx, base, motive.apply(self.sig, lhs_v, refl_v))
         proof_v = evaluate(self.sig, ctx.env, proof_core)
         result = motive.apply(self.sig, rhs_v, proof_v)
         term = core.J(raw.layer, motive.body, base_core, lhs_core, rhs_core, proof_core)
         return term, result
 
-    def _infer_natelim(self, ctx: Context, raw: parse.RNatElim) -> tuple[Term, Value]:
+    def _infer_natelim(self, ctx: Context, raw: parse.RBuiltin) -> tuple[Term, Value]:
         kw = parse.SPELLING[core.NatElim, raw.layer]
+        _, zcase, scase, scrut = raw.args
         nat = VNat(raw.layer)
-        scrut_core = self.check(ctx, raw.scrut, nat)
+        scrut_core = self.check(ctx, scrut, nat)
         motive = self._motive(ctx, raw, kw, nat)
-        zcase_core = self.check(ctx, raw.zcase, motive.apply(self.sig, VZero(raw.layer)))
+        zcase_core = self.check(ctx, zcase, motive.apply(self.sig, VZero(raw.layer)))
         step, sbody = self._bind(
-            ctx, raw.scase, f"step case of {kw}", nat, lambda pred: motive.apply(self.sig, pred)
+            ctx, scase, f"step case of {kw}", nat, lambda pred: motive.apply(self.sig, pred)
         )
         scase_expected = motive.apply(self.sig, VSuc(raw.layer, step.env[-2]))
         scase_core = self.check(step, sbody, scase_expected)
@@ -370,21 +374,22 @@ class Elaborator:
         term = core.NatElim(raw.layer, motive.body, zcase_core, scase_core, scrut_core)
         return term, result
 
-    def _infer_sumelim(self, ctx: Context, raw: parse.RSumElim) -> tuple[Term, Value]:
+    def _infer_sumelim(self, ctx: Context, raw: parse.RBuiltin) -> tuple[Term, Value]:
         kw = parse.SPELLING[core.SumElim, raw.layer]
-        scrut_core, scrut_ty = self.infer(ctx, raw.scrut)
+        _, lcase, rcase, scrut = raw.args
+        scrut_core, scrut_ty = self.infer(ctx, scrut)
         if not isinstance(scrut_ty, VSum) or scrut_ty.layer is not raw.layer:
             raise Diagnostic(
-                TYPE_MISMATCH, raw.scrut.span,
+                TYPE_MISMATCH, scrut.span,
                 f"{kw} expects a {'fibrant' if raw.layer is FIB else 'strict'} sum, "
                 f"but this has type {self._show(ctx, scrut_ty)}",
             )
         motive = self._motive(ctx, raw, kw, scrut_ty)
-        lctx, lbody = self._bind(ctx, raw.lcase, f"left case of {kw}", scrut_ty.left)
+        lctx, lbody = self._bind(ctx, lcase, f"left case of {kw}", scrut_ty.left)
         lcase_core = self.check(
             lctx, lbody, motive.apply(self.sig, VInl(raw.layer, lctx.env[-1]))
         )
-        rctx, rbody = self._bind(ctx, raw.rcase, f"right case of {kw}", scrut_ty.right)
+        rctx, rbody = self._bind(ctx, rcase, f"right case of {kw}", scrut_ty.right)
         rcase_core = self.check(
             rctx, rbody, motive.apply(self.sig, VInr(raw.layer, rctx.env[-1]))
         )
@@ -392,10 +397,11 @@ class Elaborator:
         term = core.SumElim(raw.layer, motive.body, lcase_core, rcase_core, scrut_core)
         return term, motive.apply(self.sig, scrut_v)
 
-    def _infer_emptyelim(self, ctx: Context, raw: parse.REmptyElim) -> tuple[Term, Value]:
+    def _infer_emptyelim(self, ctx: Context, raw: parse.RBuiltin) -> tuple[Term, Value]:
         kw = parse.SPELLING[core.EmptyElim, raw.layer]
+        _, scrut = raw.args
         empty = VEmpty(raw.layer)
-        scrut_core = self.check(ctx, raw.scrut, empty)
+        scrut_core = self.check(ctx, scrut, empty)
         motive = self._motive(ctx, raw, kw, empty)
         scrut_v = evaluate(self.sig, ctx.env, scrut_core)
         term = core.EmptyElim(raw.layer, motive.body, scrut_core)
@@ -440,32 +446,34 @@ class Elaborator:
             for fst_core in reversed(fsts):
                 term = core.Pair(fst_core, term)
             return term
-        if cls is parse.RSuc or cls is parse.RZero:
-            if expected.__class__ is not VNat:
-                raise Diagnostic(
-                    TYPE_MISMATCH, raw.span,
-                    f"numeral checked against {self._show(ctx, expected)}",
-                )
-            if cls is parse.RZero:
-                return core.Zero(expected.layer)
-            # Walk a chain of successors in a loop and build the core chain
-            # from the inside out, so its length costs no stack.
-            count = 0
-            while raw.__class__ is parse.RSuc:
-                raw, count = raw.pred, count + 1
-            term = self.check(ctx, raw, expected)
-            for _ in range(count):
-                term = core.Suc(expected.layer, term)
-            return term
-        if cls is parse.RInl or cls is parse.RInr:
-            if expected.__class__ is not VSum:
-                raise Diagnostic(
-                    TYPE_MISMATCH, raw.span,
-                    f"injection checked against {self._show(ctx, expected)}",
-                )
-            if cls is parse.RInl:
-                return core.Inl(expected.layer, self.check(ctx, raw.arg, expected.left))
-            return core.Inr(expected.layer, self.check(ctx, raw.arg, expected.right))
+        if cls is parse.RBuiltin:
+            former = raw.former
+            if former is core.Suc or former is core.Zero:
+                if expected.__class__ is not VNat:
+                    raise Diagnostic(
+                        TYPE_MISMATCH, raw.span,
+                        f"numeral checked against {self._show(ctx, expected)}",
+                    )
+                if former is core.Zero:
+                    return core.Zero(expected.layer)
+                # Walk a chain of successors in a loop and build the core
+                # chain from the inside out, so its length costs no stack.
+                count = 0
+                while raw.__class__ is parse.RBuiltin and raw.former is core.Suc:
+                    raw, count = raw.args[0], count + 1
+                term = self.check(ctx, raw, expected)
+                for _ in range(count):
+                    term = core.Suc(expected.layer, term)
+                return term
+            if former is core.Inl or former is core.Inr:
+                if expected.__class__ is not VSum:
+                    raise Diagnostic(
+                        TYPE_MISMATCH, raw.span,
+                        f"injection checked against {self._show(ctx, expected)}",
+                    )
+                if former is core.Inl:
+                    return core.Inl(expected.layer, self.check(ctx, raw.args[0], expected.left))
+                return core.Inr(expected.layer, self.check(ctx, raw.args[0], expected.right))
         if cls is parse.RHole:
             raise Diagnostic(HOLE, raw.span, "holes are not supported; write the term explicitly")
         term, got = self.infer(ctx, raw)

@@ -23,13 +23,16 @@ An application chain ``f a1 … an`` is one ``RApp`` node, with the
 arguments as a tuple; a parenthesised head, as in ``(f a) b``, stays a
 node of its own, and the elaborator reads through it.
 
-Built-ins are the rows of ``_FORMERS``: keyword, raw class, core class,
-layer and the number of atomic arguments.  They parse as saturated
-primaries (``J`` takes five atoms, ``natelim`` four), so partial
-application of a built-in is a parse-time arity decision rather than a
-typing one.  The same table gives the lexer's ``KEYWORDS``, the parser's
-``_ATOM_STARTERS``, and ``SPELLING``, from which the core printer and the
-elaborator's messages take each built-in's keyword.
+Built-ins are the rows of ``_FORMERS``: keyword, core class, layer (None
+where one keyword serves both layers) and the number of atomic arguments.
+They parse as saturated primaries (``J`` takes five atoms, ``natelim``
+four), so partial application of a built-in is a parse-time arity decision
+rather than a typing one.  Each parses to one ``RBuiltin`` node that holds
+its row's core class and layer and its atoms, in the core class's field
+order, and the elaborator dispatches on that core class.  The same table
+gives the lexer's ``KEYWORDS``, the parser's ``_ATOM_STARTERS``, and
+``SPELLING``, from which the core printer and the elaborator's messages
+take each built-in's keyword.
 """
 
 from __future__ import annotations
@@ -88,94 +91,14 @@ class RPair(Raw):
     snd: Raw
 
 
-class RFst(Raw):
-    arg: Raw
+class RBuiltin(Raw):
+    """A built-in: its core class ``former`` from ``_FORMERS``, its
+    ``layer`` (None where one keyword serves both layers) and its atoms,
+    in the core class's field order."""
 
-
-class RSnd(Raw):
-    arg: Raw
-
-
-class RUnit(Raw):
-    pass
-
-
-class RStar(Raw):
-    pass
-
-
-class RNat(Raw):
-    layer: Layer
-
-
-class RZero(Raw):
-    pass
-
-
-class RSuc(Raw):
-    pred: Raw
-
-
-class RNatElim(Raw):
-    layer: Layer
-    motive: Raw
-    zcase: Raw
-    scase: Raw
-    scrut: Raw
-
-
-class RSum(Raw):
-    layer: Layer
-    left: Raw
-    right: Raw
-
-
-class RInl(Raw):
-    arg: Raw
-
-
-class RInr(Raw):
-    arg: Raw
-
-
-class RSumElim(Raw):
-    layer: Layer
-    motive: Raw
-    lcase: Raw
-    rcase: Raw
-    scrut: Raw
-
-
-class REmpty(Raw):
-    layer: Layer
-
-
-class REmptyElim(Raw):
-    layer: Layer
-    motive: Raw
-    scrut: Raw
-
-
-class RId(Raw):
-    layer: Layer
-    ty: Raw
-    lhs: Raw
-    rhs: Raw
-
-
-class RRefl(Raw):
-    layer: Layer
-    ty: Raw
-    arg: Raw
-
-
-class RJ(Raw):
-    layer: Layer
-    motive: Raw
-    base: Raw
-    lhs: Raw
-    rhs: Raw
-    proof: Raw
+    former: type
+    layer: Optional[Layer]
+    args: tuple[Raw, ...]
 
 
 class RHole(Raw):
@@ -194,29 +117,26 @@ class RawDecl(Node, frozen=True):
 # ---------------------------------------------------------------------------
 # Built-in formers
 
-# keyword: (raw class, core class, layer or None where the layers share it,
-# atomic arguments)
-_FORMERS: dict[str, tuple[type, type, Optional[Layer], int]] = {
-    "Unit": (RUnit, core.Unit, None, 0), "star": (RStar, core.Star, None, 0),
-    "zero": (RZero, core.Zero, None, 0), "suc": (RSuc, core.Suc, None, 1),
-    "fst": (RFst, core.Fst, None, 1), "snd": (RSnd, core.Snd, None, 1),
-    "inl": (RInl, core.Inl, None, 1), "inr": (RInr, core.Inr, None, 1),
-    "Nat": (RNat, core.Nat, FIB, 0), "NatS": (RNat, core.Nat, STRICT, 0),
-    "Empty": (REmpty, core.Empty, FIB, 0), "EmptyS": (REmpty, core.Empty, STRICT, 0),
-    "Sum": (RSum, core.Sum, FIB, 2), "SumS": (RSum, core.Sum, STRICT, 2),
-    "refl": (RRefl, core.Refl, FIB, 2), "reflS": (RRefl, core.Refl, STRICT, 2),
-    "exfalso": (REmptyElim, core.EmptyElim, FIB, 2),
-    "exfalsoS": (REmptyElim, core.EmptyElim, STRICT, 2),
-    "Id": (RId, core.Id, FIB, 3), "Eq": (RId, core.Id, STRICT, 3),
-    "natelim": (RNatElim, core.NatElim, FIB, 4),
-    "natelimS": (RNatElim, core.NatElim, STRICT, 4),
-    "sumelim": (RSumElim, core.SumElim, FIB, 4),
-    "sumelimS": (RSumElim, core.SumElim, STRICT, 4),
-    "J": (RJ, core.J, FIB, 5), "JS": (RJ, core.J, STRICT, 5),
+# keyword: (core class, layer or None where the layers share it, atomic
+# arguments)
+_FORMERS: dict[str, tuple[type, Optional[Layer], int]] = {
+    "Unit": (core.Unit, None, 0), "star": (core.Star, None, 0),
+    "zero": (core.Zero, None, 0), "suc": (core.Suc, None, 1),
+    "fst": (core.Fst, None, 1), "snd": (core.Snd, None, 1),
+    "inl": (core.Inl, None, 1), "inr": (core.Inr, None, 1),
+    "Nat": (core.Nat, FIB, 0), "NatS": (core.Nat, STRICT, 0),
+    "Empty": (core.Empty, FIB, 0), "EmptyS": (core.Empty, STRICT, 0),
+    "Sum": (core.Sum, FIB, 2), "SumS": (core.Sum, STRICT, 2),
+    "refl": (core.Refl, FIB, 2), "reflS": (core.Refl, STRICT, 2),
+    "exfalso": (core.EmptyElim, FIB, 2), "exfalsoS": (core.EmptyElim, STRICT, 2),
+    "Id": (core.Id, FIB, 3), "Eq": (core.Id, STRICT, 3),
+    "natelim": (core.NatElim, FIB, 4), "natelimS": (core.NatElim, STRICT, 4),
+    "sumelim": (core.SumElim, FIB, 4), "sumelimS": (core.SumElim, STRICT, 4),
+    "J": (core.J, FIB, 5), "JS": (core.J, STRICT, 5),
 }
 # The keyword of a built-in, keyed by (core class, layer or None where the
 # layers share it).
-SPELLING = {(row[1], row[2]): kw for kw, row in _FORMERS.items()}
+SPELLING = {row[:2]: kw for kw, row in _FORMERS.items()}
 KEYWORDS = {"def", "postulate", *_FORMERS}
 _ATOM_STARTERS = {"IDENT", "UNIV", "LPAREN", "UNDERSCORE", *_FORMERS}
 _BINDERS = {"IDENT", "UNDERSCORE"}
@@ -435,13 +355,13 @@ class _Parser:
                     state, lam_ok = _START, True
                     continue
                 elif kind in _FORMERS:
-                    cls, _, layer, arity = _FORMERS[kind]
+                    former, layer, arity = _FORMERS[kind]
                     if arity:
                         stack.append((_BUILTIN, tok, []))
                         if toks[pos][0] not in _ATOM_STARTERS:
                             raise _fail(toks[pos], f"argument of {kind}")
                         continue
-                    val = cls(span) if layer is None else cls(span, layer)
+                    val = RBuiltin(span, former, layer, ())
                 elif kind == "UNIV":  # U<level> or US<level>
                     if text[1] == "S":
                         val = RUniv(span, STRICT, int(text[2:]))
@@ -457,15 +377,14 @@ class _Parser:
             tag, head, args = stack[-1]
             if tag == _BUILTIN:
                 args.append(val)
-                cls, _, layer, arity = _FORMERS[head[0]]
+                former, layer, arity = _FORMERS[head[0]]
                 if len(args) < arity:
                     if toks[pos][0] not in _ATOM_STARTERS:
                         raise _fail(toks[pos], f"argument of {head[0]}")
                     state = _ATOM
                     continue
                 stack.pop()
-                span = (head[2][0], val.span[1])
-                val = cls(span, *args) if layer is None else cls(span, layer, *args)
+                val = RBuiltin((head[2][0], val.span[1]), former, layer, tuple(args))
                 continue
             kind = toks[pos][0]
             if tag == _APP:

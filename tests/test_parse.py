@@ -9,7 +9,7 @@ import pytest
 from conftest import REPO_ROOT
 from hypothesis import given, settings, strategies as st
 
-from tt2 import parse
+from tt2 import core, parse
 from tt2.core import FIB, STRICT
 from tt2.diagnostics import Diagnostic
 from tt2.elab import elaborate_signature
@@ -46,10 +46,9 @@ def test_surface_doc_lists_the_formers_table():
         head, *args = alternative.split()
         if head.strip('"') in parse._FORMERS:
             arities[head.strip('"')] = args.count("atom")
-    assert arities == {kw: row[3] for kw, row in parse._FORMERS.items()}
-    for kw, (raw_cls, core_cls, layer, arity) in parse._FORMERS.items():
+    assert arities == {kw: row[2] for kw, row in parse._FORMERS.items()}
+    for kw, (core_cls, layer, arity) in parse._FORMERS.items():
         assert len(core_cls.SUB) == arity, kw
-        assert len(raw_cls.__match_args__) == 1 + (layer is not None) + arity, kw
 
 
 def test_lex_gives_triples_and_the_parser_reads_universes_from_text():
@@ -162,9 +161,9 @@ def test_pair_and_nested_pair():
 
 def test_saturated_builtins_consume_atoms():
     t = parse_term("J (\\b p. C) d a b q")
-    assert isinstance(t, parse.RJ)
+    assert t.former is core.J and len(t.args) == 5
     t2 = parse_term("suc (suc zero)")
-    assert isinstance(t2, parse.RSuc)
+    assert t2.former is core.Suc
     with pytest.raises(Diagnostic):
         parse_term("natelim (\\n. Nat) zero")  # missing two arguments
 
@@ -182,8 +181,9 @@ def test_every_node_carries_a_span():
         assert 0 <= node.span[0] <= node.span[1] <= len(src)
         for name in node.__match_args__:
             field = getattr(node, name)
-            if isinstance(field, parse.Raw):
-                walk(field)
+            for child in field if isinstance(field, tuple) else (field,):
+                if isinstance(child, parse.Raw):
+                    walk(child)
 
     walk(decls[0].result)
     walk(decls[0].body)
@@ -212,8 +212,7 @@ def test_parser_is_total_on_random_bytes():
 
 
 # A printer for raw terms, for the print-parse-print fixed point.  Built-ins
-# print from the parser's table: the keyword, then the fields as atoms.
-_RAW_SPELLING = {(row[0], row[2]): kw for kw, row in parse._FORMERS.items()}
+# print from the parser's table: the keyword, then the arguments as atoms.
 
 
 def pretty_raw(t: parse.Raw, prec: int = TERM) -> str:
@@ -240,9 +239,8 @@ def pretty_raw(t: parse.Raw, prec: int = TERM) -> str:
         return f"({pretty_raw(t.fst)} , {pretty_raw(t.snd)})"
     if cls is parse.RHole:
         return "_"
-    kw = _RAW_SPELLING[cls, getattr(t, "layer", None)]
-    args = [pretty_raw(getattr(t, f), ATOM)
-            for f in t.__match_args__ if f not in ("span", "layer")]
+    kw = parse.SPELLING[t.former, t.layer]
+    args = [pretty_raw(arg, ATOM) for arg in t.args]
     return _wrap(" ".join([kw, *args]), prec > APP) if args else kw
 
 
@@ -309,7 +307,7 @@ def test_nesting_depth_costs_no_recursion():
     t = parse_term("(" * depth + "x" + ")" * depth)
     assert isinstance(t, parse.RVar) and t.span == (depth, depth + 1)
     t = parse_term("suc " * depth + "zero")
-    assert isinstance(t, parse.RSuc) and t.span == (0, 4 * depth + 4)
+    assert t.former is core.Suc and t.span == (0, 4 * depth + 4)
     t = parse_term("A -> " * depth + "A")
     assert isinstance(t, parse.RPi) and t.span[1] == 5 * depth + 1
     t = parse_term("\\x. (y : A) × (" * depth + "x" + ")" * depth)
