@@ -28,9 +28,9 @@ from .diagnostics import (
 )
 
 
-# The prelude writes a univalence statement for every universe level but
-# the top, about 1.1 KB of text each, before any file is read: 1.1 MB at
-# 1000 levels.
+# The prelude declares a univalence axiom for every universe level but the
+# top, one signature entry each, before any file is read; it writes an
+# axiom's statement, about 1.1 KB, only when the axiom is first used.
 MAX_UNIVERSES = 1000
 
 

@@ -11,14 +11,17 @@ univalence axiom of its own.
 
 Every fresh signature declares all the axioms at once, in this order and
 with kind ``AXIOM``, so their names are taken and counted from the start.
-An axiom's statement is parsed and elaborated (into a signature of its
-own, through ``Signature.add``) only when its ``ty`` is first read, and
-kept: like the signature's value caches, the type is a monotone memo.
+An axiom's statement is written, parsed and elaborated (into a signature
+of its own, through ``Signature.add``) only when its ``ty`` is first read,
+and kept: like the signature's value caches, the type is a monotone memo.
 Most files name no axiom, and the univalence statements are by far the
 largest part of the prelude.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from typing import Callable
 
 from .core import DeclKind, InternalError, Signature, Term
 from .diagnostics import DEPTH
@@ -52,47 +55,48 @@ def _ua_axiom(i: int) -> str:
     return f"postulate ua{i} : (A : U{i}) -> (B : U{i}) -> {stmt}"
 
 
-def _axioms(config: Config) -> list[tuple[str, str]]:
-    """Name and surface declaration of each built-in axiom, in order."""
+def _axioms(config: Config) -> list[tuple[str, Callable[[], str]]]:
+    """Name of each built-in axiom, in order, and a function that writes
+    its surface declaration."""
     top = config.universes - 2
     if top < 0:
         return []
     axioms = [
-        ("uip", "postulate uip : "
+        ("uip", lambda: "postulate uip : "
          f"(A : US{top}) -> (a : A) -> (b : A) -> (p : Eq A a b) -> "
          "(q : Eq A a b) -> Eq (Eq A a b) p q"),
-        ("funextS", "postulate funextS : "
+        ("funextS", lambda: "postulate funextS : "
          f"(A : US{top}) -> (B : A -> US{top}) -> (f : (x : A) -> B x) -> "
          "(g : (x : A) -> B x) -> ((x : A) -> Eq (B x) (f x) (g x)) -> "
          "Eq ((x : A) -> B x) f g"),
     ]
     for i in range(config.universes - 1):
-        axioms.append((f"ua{i}", _ua_axiom(i)))
+        axioms.append((f"ua{i}", partial(_ua_axiom, i)))
     return axioms
 
 
 def prelude_source(config: Config) -> str:
     """Surface text of the built-in axioms for the configured hierarchy."""
-    return "".join(source + "\n" for _, source in _axioms(config))
+    return "".join(write() + "\n" for _, write in _axioms(config))
 
 
 class _Axiom:
     """A signature entry whose type is elaborated when first read."""
 
-    __slots__ = ("name", "_source", "_config", "_ty")
+    __slots__ = ("name", "_write", "_config", "_ty")
     body = None
     kind = DeclKind.AXIOM
 
-    def __init__(self, name: str, source: str, config: Config) -> None:
+    def __init__(self, name: str, write: Callable[[], str], config: Config) -> None:
         self.name = name
-        self._source = source
+        self._write = write
         self._config = config
         self._ty = None
 
     @property
     def ty(self) -> Term:
         if self._ty is None:
-            sig, diagnostics = elaborate_signature(parse_file(self._source), config=self._config)
+            sig, diagnostics = elaborate_signature(parse_file(self._write()), config=self._config)
             if any(d.code == DEPTH for d in diagnostics):
                 # The first read came too deep in the stack; the reader's
                 # declaration gets the DEPTH diagnostic, and the next read
@@ -110,6 +114,6 @@ class _Axiom:
 def initial_signature(config: Config = Config()) -> Signature:
     """A fresh signature containing exactly the built-in axioms."""
     sig = Signature()
-    for name, source in _axioms(config):
-        sig.entries[name] = _Axiom(name, source, config)
+    for name, write in _axioms(config):
+        sig.entries[name] = _Axiom(name, write, config)
     return sig

@@ -117,3 +117,13 @@ def _stack_depth():
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
     return depth
+
+
+def test_a_statement_is_written_when_its_axiom_is_first_read():
+    profile = cProfile.Profile()
+    sig = profile.runcall(initial_signature, Config(universes=1000))
+    assert len(sig.entries) == 1001
+    assert _calls(profile, prelude._ua_axiom) == 0
+    profile = cProfile.Profile()
+    profile.runcall(lambda: sig.entries["ua5"].ty)
+    assert _calls(profile, prelude._ua_axiom) == 1
