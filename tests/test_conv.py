@@ -15,7 +15,7 @@ from termgen import TermGen, eta_instance
 from tt2 import conv, parse, pretty
 from tt2.core import (
     App, Const, Context, DeclKind, FIB, InternalError, Lam, Nat, NatElim, Pair, Pi, Fst,
-    SigEntry, Sigma, Signature, Snd, Star, STRICT, Suc, Unit, Var, Zero,
+    SigEntry, Sigma, Signature, Snd, Star, STRICT, Suc, Unit, Var, Zero, is_scope_closed,
 )
 from tt2.elab import Config, Elaborator, elaborate_signature
 from tt2.prelude import initial_signature
@@ -136,6 +136,44 @@ def test_nf_of_open_terms_agrees_with_small_step_oracle():
             assert conv.nf(EMPTY, ctx, term) == normalize(EMPTY, term)
             checked += 1
     assert checked == 171
+
+
+
+class _HoistingGen(TermGen):
+    """Hoists each closed subterm it draws, with probability 0.3, into a
+    definition ``c<k> : ty := t`` and puts ``Const("c<k>")`` in its place,
+    so later definitions and terms unfold chains of earlier ones."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.sig = Signature()
+
+    def _term(self, ty, env, budget):
+        term = super()._term(ty, env, budget)
+        if is_scope_closed(term) and self.rng.random() < 0.3:
+            name = f"c{len(self.sig.entries)}"
+            self.sig.add(SigEntry(name, ty, term, DeclKind.DEFINITION))
+            return Const(name)
+        return term
+
+
+def test_nf_unfolds_definitions_as_the_small_step_oracle_does():
+    gen = _HoistingGen(20261019)
+    terms = [gen.sample(30)[0] for _ in range(300)]
+    assert len(gen.sig.entries) == 472
+    assert sum(_mentions_const(t) for t in terms) == 211
+    for term in terms:
+        assert conv.nf(gen.sig, Context(), term) == normalize(gen.sig, term)
+
+
+def _mentions_const(t):
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if t.__class__ is Const:
+            return True
+        stack.extend(getattr(t, name) for name, _ in t.SUB)
+    return False
 
 
 @fails_fast_on_recursion
