@@ -20,7 +20,6 @@ largest part of the prelude.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable
 
 from .core import DeclKind, InternalError, Signature, Term
@@ -71,7 +70,7 @@ def _axioms(config: Config) -> list[tuple[str, Callable[[], str]]]:
          "Eq ((x : A) -> B x) f g"),
     ]
     for i in range(config.universes - 1):
-        axioms.append((f"ua{i}", partial(_ua_axiom, i)))
+        axioms.append((f"ua{i}", lambda i=i: _ua_axiom(i)))
     return axioms
 
 
