@@ -138,7 +138,6 @@ def test_nf_of_open_terms_agrees_with_small_step_oracle():
     assert checked == 171
 
 
-
 class _HoistingGen(TermGen):
     """Hoists each closed subterm it draws, with probability 0.3, into a
     definition ``c<k> : ty := t`` and puts ``Const("c<k>")`` in its place,
@@ -157,15 +156,6 @@ class _HoistingGen(TermGen):
         return term
 
 
-def test_nf_unfolds_definitions_as_the_small_step_oracle_does():
-    gen = _HoistingGen(20261019)
-    terms = [gen.sample(30)[0] for _ in range(300)]
-    assert len(gen.sig.entries) == 472
-    assert sum(_mentions_const(t) for t in terms) == 211
-    for term in terms:
-        assert conv.nf(gen.sig, Context(), term) == normalize(gen.sig, term)
-
-
 def _mentions_const(t):
     stack = [t]
     while stack:
@@ -174,6 +164,15 @@ def _mentions_const(t):
             return True
         stack.extend(getattr(t, name) for name, _ in t.SUB)
     return False
+
+
+def test_nf_unfolds_definitions_as_the_small_step_oracle_does():
+    gen = _HoistingGen(20261019)
+    terms = [gen.sample(30)[0] for _ in range(300)]
+    assert len(gen.sig.entries) == 472
+    assert sum(_mentions_const(t) for t in terms) == 211
+    for term in terms:
+        assert conv.nf(gen.sig, Context(), term) == normalize(gen.sig, term)
 
 
 @fails_fast_on_recursion

@@ -47,7 +47,7 @@ def test_surface_doc_lists_the_formers_table():
         if head.strip('"') in parse._FORMERS:
             arities[head.strip('"')] = args.count("atom")
     assert arities == {kw: row[2] for kw, row in parse._FORMERS.items()}
-    for kw, (core_cls, layer, arity) in parse._FORMERS.items():
+    for kw, (core_cls, _, arity) in parse._FORMERS.items():
         assert len(core_cls.SUB) == arity, kw
 
 
