@@ -77,6 +77,12 @@ def fails_fast_on_recursion(probe):
     return run
 
 
+def call_count(profile, fn):
+    """How often the finished ``cProfile.Profile`` saw ``fn`` called, keyed
+    by its code object rather than its pstats name."""
+    return sum(e.callcount for e in profile.getstats() if e.code is fn.__code__)
+
+
 @pytest.fixture(scope="session")
 def config():
     return Config()

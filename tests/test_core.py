@@ -2,6 +2,7 @@
 algebraic laws on random scope-closed terms, the subsort partial order,
 and the semantics of the ``Node`` record classes."""
 
+import ast
 import cProfile
 import pstats
 import random
@@ -354,3 +355,34 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 def test_importing_the_cli_loads_no_generator():
     # only ``tt2 gen`` and ``tt2 delta`` need them
     assert _modules_loaded_by_importing_the_cli({"tt2.sstgen", "tt2.delta"}) == "[]"
+
+
+def _unread_imports(source: str) -> list[str]:
+    """The names that ``source`` imports and never reads: not as a name,
+    the base of an attribute, or an entry of ``__all__``."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in read)
+
+
+def test_unread_imports_are_found():
+    source = "from os import path, sep\nimport sys\nimport json as j\nprint(path, j)\n"
+    assert _unread_imports(source) == ["line 1: sep", "line 2: sys"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (REPO_ROOT / "src" / "tt2").glob("*.py")))
+def test_no_module_imports_a_name_it_never_reads(module):
+    source = (REPO_ROOT / "src" / "tt2" / module).read_text(encoding="utf-8")
+    assert _unread_imports(source) == []

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from conftest import call_count
+
 from tt2 import parse, prelude
 from tt2.core import DeclKind, InternalError, is_scope_closed
 from tt2.elab import Config, Elaborator, elaborate_signature
@@ -17,11 +19,6 @@ def _eager(config):
     sig, diags = elaborate_signature(parse.parse_file(prelude_source(config)), config=config)
     assert not diags, [d.message for d in diags]
     return sig
-
-
-def _calls(profile, fn):
-    # Keyed by the function's code object rather than its pstats name.
-    return sum(e.callcount for e in profile.getstats() if e.code is fn.__code__)
 
 
 @pytest.mark.parametrize("collapse", [False, True])
@@ -43,8 +40,8 @@ def test_a_fresh_signature_elaborates_nothing(config):
     profile = cProfile.Profile()
     sig = profile.runcall(initial_signature, config)
     assert list(sig.entries) == ["uip", "funextS", "ua0", "ua1"]
-    assert _calls(profile, parse.parse_file) == 0
-    assert _calls(profile, Elaborator.infer) == 0
+    assert call_count(profile, parse.parse_file) == 0
+    assert call_count(profile, Elaborator.infer) == 0
 
 
 def _check_file(config, manifest, path):
@@ -56,7 +53,7 @@ def _check_file(config, manifest, path):
     assert not diags
     forced = [name for name in initial_signature(config).entries if name in sig.type_values]
     # each forced axiom parses its own statement once
-    assert _calls(profile, parse.parse_file) == len(forced)
+    assert call_count(profile, parse.parse_file) == len(forced)
     return forced
 
 
@@ -74,7 +71,7 @@ def test_signatures_do_not_share_their_axioms(config):
     first.entries["ua0"].ty
     profile = cProfile.Profile()
     profile.runcall(lambda: second.entries["ua0"].ty)
-    assert _calls(profile, parse.parse_file) == 1
+    assert call_count(profile, parse.parse_file) == 1
 
 
 def test_an_ill_typed_axiom_fails_on_first_use(config, monkeypatch):
@@ -123,7 +120,7 @@ def test_a_statement_is_written_when_its_axiom_is_first_read():
     profile = cProfile.Profile()
     sig = profile.runcall(initial_signature, Config(universes=1000))
     assert len(sig.entries) == 1001
-    assert _calls(profile, prelude._ua_axiom) == 0
+    assert call_count(profile, prelude._ua_axiom) == 0
     profile = cProfile.Profile()
     profile.runcall(lambda: sig.entries["ua5"].ty)
-    assert _calls(profile, prelude._ua_axiom) == 1
+    assert call_count(profile, prelude._ua_axiom) == 1

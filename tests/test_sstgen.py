@@ -7,7 +7,7 @@ import re
 from math import comb
 
 import pytest
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, call_count
 
 from tt2 import cli, delta, parse
 from tt2.delta import boundary_cells
@@ -270,6 +270,4 @@ def test_each_dimension_faces_are_enumerated_once_per_file():
                             (gen_segal_scaffold, GenPlan(5), 6)]:
         profile = cProfile.Profile()
         profile.runcall(gen, plan)
-        calls = sum(e.callcount for e in profile.getstats()
-                    if e.code is delta.boundary_cells.__code__)
-        assert 0 < calls <= most
+        assert 0 < call_count(profile, delta.boundary_cells) <= most
