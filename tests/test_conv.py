@@ -8,7 +8,7 @@ import cProfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import REPO_ROOT, fails_fast_on_recursion
+from conftest import REPO_ROOT, call_count, fails_fast_on_recursion
 from smallstep_oracle import normalize, shift
 from termgen import TermGen, eta_instance
 
@@ -78,11 +78,11 @@ def test_sst7_evaluation_work_is_bounded(config):
     profile = cProfile.Profile()
     _, diags = profile.runcall(elaborate_signature, decls, initial_signature(config), config)
     assert not diags
-    assert _calls(profile, conv.evaluate) <= 2_000
+    assert call_count(profile, conv.evaluate) <= 2_000
     # An argument whose type that comparison shows to be the domain is not
     # checked again (2 539 conversions when it was), and a name is found
     # without scanning the context (2 778 ``tuple.index`` calls when it was).
-    assert _calls(profile, Elaborator._conform) <= 300
+    assert call_count(profile, Elaborator._conform) <= 300
     assert not [e for e in profile.getstats() if "'index' of 'tuple'" in str(e.code)]
 
 
@@ -427,6 +427,85 @@ def test_eliminator_spines_normalize_as_the_oracle_does(eliminator_spine_sig, na
     assert conv.nf(sig, Context(), body) == normalize(sig, body)
 
 
+# Each eliminator's typing rule gives the types of the variables a frame's
+# motive and cases bind, and the type each case is compared at.  Each
+# definition below checks only if conversion reads one of them: the step
+# case of natelim, each case of sumelim, and the first binder of J's
+# motive bind or return a variable of type Unit that only η makes equal to
+# another.  Conversion first compares a frame without types, so each pair
+# differs there and needs the rule's types to be equal.
+ELIMINATOR_RULE_PREAMBLE = """
+postulate g : Unit -> Nat
+postulate P : Unit -> U0
+postulate Q : Unit -> U0
+postulate a : Unit
+postulate pa : P a
+postulate qa : Q a
+postulate r : Id Unit a a
+postulate sl : Sum Unit Nat
+postulate sr : Sum Nat Unit
+postulate z : Empty
+"""
+
+ELIMINATOR_RULE_SOURCE = ELIMINATOR_RULE_PREAMBLE + """
+def natelimStep (i : Nat) (x : Unit) :
+  Id (Unit -> Nat) (natelim (\\_. Unit -> Nat) (\\u. zero) (\\k ih u. g u) i)
+                   (natelim (\\_. Unit -> Nat) (\\u. zero) (\\k ih u. g x) i) :=
+  refl (Unit -> Nat) (natelim (\\_. Unit -> Nat) (\\u. zero) (\\k ih u. g u) i)
+def sumelimLeft (x : Unit) :
+  Id (Unit -> Nat) (sumelim (\\_. Unit -> Nat) (\\b u. g u) (\\n u. n) sl)
+                   (sumelim (\\_. Unit -> Nat) (\\b u. g x) (\\n u. n) sl) :=
+  refl (Unit -> Nat) (sumelim (\\_. Unit -> Nat) (\\b u. g u) (\\n u. n) sl)
+def sumelimRight (x : Unit) :
+  Id (Unit -> Nat) (sumelim (\\_. Unit -> Nat) (\\n u. n) (\\b u. g u) sr)
+                   (sumelim (\\_. Unit -> Nat) (\\n u. n) (\\b u. g x) sr) :=
+  refl (Unit -> Nat) (sumelim (\\_. Unit -> Nat) (\\n u. n) (\\b u. g u) sr)
+def jMotive :
+  Id Nat (fst (J (\\y q. Nat × P y) (zero , pa) a a r))
+         (fst (J (\\y q. Nat × P a) (zero , pa) a a r)) :=
+  refl Nat (fst (J (\\y q. Nat × P y) (zero , pa) a a r))
+"""
+
+# The same shapes where the two sides really differ, one per eliminator.
+ELIMINATOR_RULE_MISMATCHES = {
+    "natelim": """
+def t (i : Nat) :
+  Id (Unit -> Nat) (natelim (\\_. Unit -> Nat) (\\u. zero) (\\k ih u. g u) i)
+                   (natelim (\\_. Unit -> Nat) (\\u. zero) (\\k ih u. zero) i) :=
+  refl (Unit -> Nat) (natelim (\\_. Unit -> Nat) (\\u. zero) (\\k ih u. g u) i)
+""",
+    "sumelim": """
+def t :
+  Id (Unit -> Nat) (sumelim (\\_. Unit -> Nat) (\\n u. n) (\\b u. g u) sr)
+                   (sumelim (\\_. Unit -> Nat) (\\n u. n) (\\b u. zero) sr) :=
+  refl (Unit -> Nat) (sumelim (\\_. Unit -> Nat) (\\n u. n) (\\b u. g u) sr)
+""",
+    "J": """
+def t :
+  Id Nat (fst (J (\\y q. Nat × P y) (zero , pa) a a r))
+         (fst (J (\\y q. Nat × Q y) (zero , qa) a a r)) :=
+  refl Nat (fst (J (\\y q. Nat × P y) (zero , pa) a a r))
+""",
+    "exfalso": """
+def t : Id Nat (fst (exfalso (\\w. Nat × Unit) z)) (fst (exfalso (\\w. Nat × Nat) z)) :=
+  refl Nat (fst (exfalso (\\w. Nat × Unit) z))
+""",
+}
+
+
+def test_eliminator_cases_compare_at_the_types_of_their_rule(config):
+    decls = parse.parse_file(ELIMINATOR_RULE_SOURCE)
+    _, diags = elaborate_signature(decls, initial_signature(config), config)
+    assert [(d.code, d.message) for d in diags] == []
+
+
+@pytest.mark.parametrize("eliminator", sorted(ELIMINATOR_RULE_MISMATCHES))
+def test_eliminator_cases_that_differ_stay_unequal(config, eliminator):
+    src = ELIMINATOR_RULE_PREAMBLE + ELIMINATOR_RULE_MISMATCHES[eliminator]
+    _, diags = elaborate_signature(parse.parse_file(src), initial_signature(config), config)
+    assert [d.code for d in diags] == ["TYPE_MISMATCH"]
+
+
 def _eta_long(t, ty, env):
     """The eta-long form at the closed type ``ty`` of the beta-normal term
     ``t``, whose free variables have the closed types ``env`` (innermost
@@ -518,7 +597,7 @@ def test_nested_conversion_work_is_linear(config):
                 elaborate_signature, parse.parse_file(src), initial_signature(config), config
             )
             assert [d.code for d in diags] == codes
-            calls[index, k] = _calls(profile, conv.convert)
+            calls[index, k] = call_count(profile, conv.convert)
     for index in range(4):
         assert calls[index, 12] < 2.5 * calls[index, 6], calls
 
@@ -669,9 +748,9 @@ def test_segal5_evaluation_work_is_bounded(config):
     profile = cProfile.Profile()
     sig, diags = profile.runcall(elaborate_signature, decls, sig, config)
     assert not diags
-    assert _calls(profile, conv.evaluate) < 3_000
+    assert call_count(profile, conv.evaluate) < 3_000
     # no comparison fails untyped, so no spine is typed
-    assert _calls(profile, conv._spine_type) == 0
+    assert call_count(profile, conv._spine_type) == 0
 
 
 def test_sst6_conversion_work_is_bounded(config):
@@ -682,12 +761,7 @@ def test_sst6_conversion_work_is_bounded(config):
     profile = cProfile.Profile()
     _, diags = profile.runcall(elaborate_signature, decls, initial_signature(config), config)
     assert not diags
-    assert _calls(profile, conv._convert_spine) < 1_000
-    assert _calls(profile, conv._spine_type) == 0
+    assert call_count(profile, conv._convert_spine) < 1_000
+    assert call_count(profile, conv._spine_type) == 0
     # telescopes are walked as terms, never instantiated binder by binder
-    assert _calls(profile, conv.Closure.apply) == 0
-
-
-def _calls(profile, fn):
-    # Keyed by the function's code object rather than its pstats name.
-    return sum(e.callcount for e in profile.getstats() if e.code is fn.__code__)
+    assert call_count(profile, conv.Closure.apply) == 0
