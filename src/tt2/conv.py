@@ -10,6 +10,10 @@ where the type is known, so eta holds for Π, Σ and ``Unit`` at every
 position.  Inside a neutral spine, ``_convert_spine`` compares frames
 without types and works out a frame's type from the head's (a variable's
 from the context, a constant's from the signature) only when that fails.
+Each eliminator's typing rule, what its motive and cases bind, the type
+of each case and the result type, is written once, in ``case_types``:
+conversion compares a frame's fields at its types and types a spine by
+it, and ``elab`` checks an eliminator by it.
 
 Three rules keep the walkers cheap:
 
@@ -668,15 +672,50 @@ def convert(sig: Signature, types: Types, a: Value, b: Value, ty: Optional[Value
     return True
 
 
+def case_types(sig: Signature, former: type, ty: Value, motive: Optional[Closure],
+               field: Optional[str], xs: tuple[Value, ...]) -> tuple[Types, Optional[Value]]:
+    """The typing rule of the eliminator ``former`` (``J``, ``NatElim``,
+    ``SumElim`` or ``EmptyElim``, by its core class) on a scrutinee of type
+    ``ty`` with motive ``motive``: the types of the variables ``xs`` that
+    its field ``field`` binds, and the type of the field's term under them.
+    The motive's own type is None: it is a family of types, checked to be
+    one where it is elaborated.  Field None is the whole eliminator, which
+    binds the scrutinee, ``xs[0]``, and has the result type.  J reads its
+    endpoints from ``ty``, with which the stated ones convert."""
+    layer = ty.layer
+    if former is J:
+        if field == "motive":
+            return (ty.ty, VId(layer, ty.ty, ty.lhs, xs[0])), None
+        if field == "base":
+            return (), motive.apply(sig, ty.lhs, VRefl(layer, ty.ty, ty.lhs))
+        if field is None:
+            return (ty,), motive.apply(sig, ty.rhs, xs[0])
+        return (), ty.ty  # a stated endpoint
+    if field == "motive":
+        return (ty,), None
+    if field is None:
+        return (ty,), motive.apply(sig, xs[0])
+    if field == "zcase":
+        return (), motive.apply(sig, VZero(layer))
+    if field == "scase":
+        return (ty, motive.apply(sig, xs[0])), motive.apply(sig, VSuc(layer, xs[0]))
+    if field == "lcase":
+        return (ty.left,), motive.apply(sig, VInl(layer, xs[0]))
+    return (ty.right,), motive.apply(sig, VInr(layer, xs[0]))
+
+
 def _convert_spine(sig: Signature, types: Types, a: VNeutral, b: VNeutral) -> Optional[bool]:
     """Two neutrals convert when their heads are equal and their frames
     convert one by one, or else when eta makes all values of their type equal.
 
-    Frames are compared without types.  A frame that fails only for want of
-    a variable's type is compared again at its own type, worked out from the
-    head's; on the first pass ``ty`` is None, and so is ``ty and …``.  For
-    neutrals that still differ, two distinct variables of their type convert
-    exactly when eta makes its values equal (``Unit``, and Π and Σ into it)."""
+    A frame is compared without types first, and again at its own type,
+    the head's eliminated by the frames before it, only where that failed
+    for want of a variable's type.  An argument is compared at the domain,
+    and an eliminator's fields in core order, at the types of its rule,
+    ``case_types``, under one set of fresh variables per frame; on the
+    first pass ``ty`` is None, and so are those types.  For neutrals that
+    still differ, two distinct variables of their type convert exactly when
+    eta makes its values equal (``Unit``, and Π and Σ into it)."""
     spine = a.spine
     depth = len(types)
     ok = (a.head is b.head or a.head == b.head) and len(spine) == len(b.spine)
@@ -696,40 +735,24 @@ def _convert_spine(sig: Signature, types: Types, a: VNeutral, b: VNeutral) -> Op
         elif fa.layer is not fb.layer:
             ok = False
             break
+        else:
+            former, fields = _READ_BACK[cls]
+            xs = (fresh(depth), fresh(depth + 1))
         ty = None
         while True:
             if cls is FApp:
                 ok = convert(sig, types, fa.arg, fb.arg, ty and ty.dom)
-            elif cls is FNatElim:
-                m, n, ih = fa.motive, fresh(depth), fresh(depth + 1)
-                ok = (
-                    convert(sig, types + (ty,), m.apply(sig, n), fb.motive.apply(sig, n), None)
-                    and convert(sig, types, fa.zcase, fb.zcase, ty and m.apply(sig, VZero(ty.layer)))
-                    and convert(sig, types + (ty, ty and m.apply(sig, n)), fa.scase.apply(sig, n, ih),
-                                fb.scase.apply(sig, n, ih), ty and m.apply(sig, VSuc(ty.layer, n)))
-                )
-            elif cls is FJ:
-                m, y, q, dom = fa.motive, fresh(depth), fresh(depth + 1), ty and ty.ty
-                ok = (
-                    convert(sig, types + (dom, ty and VId(ty.layer, dom, fa.lhs, y)),
-                            m.apply(sig, y, q), fb.motive.apply(sig, y, q), None)
-                    and convert(sig, types, fa.base, fb.base,
-                                ty and m.apply(sig, fa.lhs, VRefl(ty.layer, dom, fa.lhs)))
-                    and convert(sig, types, fa.lhs, fb.lhs, dom)
-                    and convert(sig, types, fa.rhs, fb.rhs, dom)
-                )
-            elif cls is FSumElim:
-                m, x = fa.motive, fresh(depth)
-                ok = (
-                    convert(sig, types + (ty,), m.apply(sig, x), fb.motive.apply(sig, x), None)
-                    and convert(sig, types + (ty and ty.left,), fa.lcase.apply(sig, x),
-                                fb.lcase.apply(sig, x), ty and m.apply(sig, VInl(ty.layer, x)))
-                    and convert(sig, types + (ty and ty.right,), fa.rcase.apply(sig, x),
-                                fb.rcase.apply(sig, x), ty and m.apply(sig, VInr(ty.layer, x)))
-                )
             else:
-                x = fresh(depth)
-                ok = convert(sig, types + (ty,), fa.motive.apply(sig, x), fb.motive.apply(sig, x), None)
+                for name, binders in fields[1:]:  # after the layer, compared above
+                    bound = xs[:binders]
+                    bound_types, field_ty = ((None,) * binders, None) if ty is None else case_types(
+                        sig, former, ty, fa.motive, name, bound)
+                    x, y = getattr(fa, name), getattr(fb, name)
+                    if binders:
+                        x, y = x.apply(sig, *bound), y.apply(sig, *bound)
+                    ok = convert(sig, types + bound_types, x, y, field_ty)
+                    if not ok:
+                        break
             # With a variable of unknown type in scope, the frame whose untyped
             # pass bound it compares again with types, this frame included.
             if ok is not None or ty is not None or None in types:
@@ -762,8 +785,7 @@ def _spine_type(sig: Signature, types: Types, a: VNeutral, n: int) -> Optional[V
             ty = ty.fst
         elif cls is FSnd:
             ty = ty.snd.apply(sig, VNeutral(head, spine[:i] + (FFst(),)))
-        elif cls is FJ:
-            ty = frame.motive.apply(sig, frame.rhs, VNeutral(head, spine[:i]))
         else:
-            ty = frame.motive.apply(sig, VNeutral(head, spine[:i]))
+            scrut = VNeutral(head, spine[:i])
+            ty = case_types(sig, _READ_BACK[cls][0], ty, frame.motive, None, (scrut,))[1]
     return ty

@@ -15,8 +15,7 @@ from typing import Optional
 
 from . import conv, core, parse, pretty
 from .conv import (
-    Closure, VEmpty, VId, VNat, VPi, VRefl, VSigma, VSuc, VSum,
-    VUniv, VUnit, VZero, VInl, VInr, Value, evaluate,
+    Closure, VEmpty, VId, VNat, VPi, VSigma, VSum, VUniv, VUnit, Value, evaluate,
 )
 from .core import (
     Context, DeclKind, FIB, Layer, Node, SigEntry, Signature, Sort, Term,
@@ -32,6 +31,11 @@ from .diagnostics import (
 # top, one signature entry each, before any file is read; it writes an
 # axiom's statement, about 1.1 KB, only when the axiom is first used.
 MAX_UNIVERSES = 1000
+
+
+# The eliminator fields that bind variables, as diagnostics name them.
+_BINDING_FIELDS = {"motive": "motive", "scase": "step case",
+                   "lcase": "left case", "rcase": "right case"}
 
 
 class Config(Node, frozen=True):
@@ -99,41 +103,6 @@ class Elaborator:
             NOT_A_TYPE, raw.span,
             f"expected a type, but this has type {self._show(ctx, ty)}",
         )
-
-    def _bind(self, ctx: Context, raw: parse.Raw, what: str, *types) -> tuple[Context, parse.Raw]:
-        """Bind the names of the λs written at the head of ``raw``, one per
-        entry of ``types``, and return the extended context and the body.
-        An entry is a type value, or a function from the variable bound just
-        before it to one."""
-        body = raw
-        for _ in types:
-            if body.__class__ is not parse.RLam:
-                raise Diagnostic(
-                    CANNOT_INFER, raw.span,
-                    f"the {what} must be written as a {len(types)}-argument lambda",
-                )
-            body = body.body
-        for ty in types:
-            ty = ty(ctx.env[-1]) if callable(ty) else ty
-            ctx = ctx.extend(raw.binder, ty, conv.fresh(len(ctx.env)))
-            raw = raw.body
-        return ctx, raw
-
-    def _motive(self, ctx: Context, raw: parse.Raw, kw: str, *types) -> Closure:
-        """The motive of the eliminator ``raw``, bound over ``types`` as in
-        ``_bind``.  It must produce a type; fibrant eliminators may only
-        target fibrant motives, strict ones are unrestricted."""
-        inner, body = self._bind(ctx, raw.args[0], f"motive of {kw}", *types)
-        motive_core, motive_ty = self.infer(inner, body)
-        if motive_ty.__class__ is not VUniv:
-            raise Diagnostic(NOT_A_TYPE, body.span, f"the motive of {kw} must produce a type")
-        if raw.layer is FIB and motive_ty.sort.layer is not FIB:
-            raise Diagnostic(
-                FIBRANCY, raw.args[0].span,
-                f"the fibrant eliminator {kw} cannot target a strict motive "
-                f"(motive lands in {motive_ty.sort})",
-            )
-        return Closure(ctx.env, motive_core, len(types))
 
     def _infer_name(self, raw: parse.RVar, hit: Optional[tuple[int, Value]]) -> tuple[Term, Value]:
         """Infer the name ``raw``, given its local binder ``hit`` as
@@ -275,8 +244,8 @@ class Elaborator:
                     return core.Fst(pair_core), pair_ty.fst
                 fst_v = conv.do_fst(self.sig, evaluate(self.sig, ctx.env, pair_core))
                 return core.Snd(pair_core), pair_ty.snd.apply(self.sig, fst_v)
-            if former is core.J:
-                return self._infer_j(ctx, raw)
+            if former in (core.J, core.NatElim, core.SumElim, core.EmptyElim):
+                return self._infer_eliminator(ctx, raw)
             if former is core.Nat or former is core.Empty:
                 return former(raw.layer), VUniv(self._universe_sort(raw.layer, 0, raw.span))
             if former is core.Unit:
@@ -296,12 +265,6 @@ class Elaborator:
                     )
                 sort = Sort(layer, max(sl.level, sr.level))
                 return core.Sum(layer, left_core, right_core), VUniv(sort)
-            if former is core.NatElim:
-                return self._infer_natelim(ctx, raw)
-            if former is core.SumElim:
-                return self._infer_sumelim(ctx, raw)
-            if former is core.EmptyElim:
-                return self._infer_emptyelim(ctx, raw)
             if former is core.Zero or former is core.Suc:
                 raise Diagnostic(
                     CANNOT_INFER, raw.span,
@@ -321,91 +284,73 @@ class Elaborator:
             raise Diagnostic(HOLE, raw.span, "holes are not supported; write the term explicitly")
         raise core.InternalError(f"infer: unhandled raw {cls.__name__}")
 
-    def _infer_j(self, ctx: Context, raw: parse.RBuiltin) -> tuple[Term, Value]:
-        kw = parse.SPELLING[core.J, raw.layer]
-        _, base, lhs, rhs, proof = raw.args
-        proof_core, proof_ty = self.infer(ctx, proof)
-        if not isinstance(proof_ty, VId) or proof_ty.layer is not raw.layer:
-            eq = "fibrant" if raw.layer is FIB else "strict"
-            raise Diagnostic(
-                TYPE_MISMATCH, proof.span,
-                f"{kw} expects a proof of {eq} equality, but this has type "
-                f"{self._show(ctx, proof_ty)}",
-            )
-        ty_v = proof_ty.ty
-        lhs_core = self.check(ctx, lhs, ty_v)
-        lhs_v = evaluate(self.sig, ctx.env, lhs_core)
-        if not conv.convert(self.sig, ctx.types, lhs_v, proof_ty.lhs, ty_v):
-            raise Diagnostic(
-                TYPE_MISMATCH, lhs.span,
-                f"{kw}: stated left endpoint does not match the proof's endpoint",
-            )
-        rhs_core = self.check(ctx, rhs, ty_v)
-        rhs_v = evaluate(self.sig, ctx.env, rhs_core)
-        if not conv.convert(self.sig, ctx.types, rhs_v, proof_ty.rhs, ty_v):
-            raise Diagnostic(
-                TYPE_MISMATCH, rhs.span,
-                f"{kw}: stated right endpoint does not match the proof's endpoint",
-            )
-        motive = self._motive(
-            ctx, raw, kw, ty_v, lambda end: VId(raw.layer, ty_v, lhs_v, end)
-        )
-        refl_v = VRefl(raw.layer, ty_v, lhs_v)
-        base_core = self.check(ctx, base, motive.apply(self.sig, lhs_v, refl_v))
-        proof_v = evaluate(self.sig, ctx.env, proof_core)
-        result = motive.apply(self.sig, rhs_v, proof_v)
-        term = core.J(raw.layer, motive.body, base_core, lhs_core, rhs_core, proof_core)
-        return term, result
-
-    def _infer_natelim(self, ctx: Context, raw: parse.RBuiltin) -> tuple[Term, Value]:
-        kw = parse.SPELLING[core.NatElim, raw.layer]
-        _, zcase, scase, scrut = raw.args
-        nat = VNat(raw.layer)
-        scrut_core = self.check(ctx, scrut, nat)
-        motive = self._motive(ctx, raw, kw, nat)
-        zcase_core = self.check(ctx, zcase, motive.apply(self.sig, VZero(raw.layer)))
-        step, sbody = self._bind(
-            ctx, scase, f"step case of {kw}", nat, lambda pred: motive.apply(self.sig, pred)
-        )
-        scase_expected = motive.apply(self.sig, VSuc(raw.layer, step.env[-2]))
-        scase_core = self.check(step, sbody, scase_expected)
-        scrut_v = evaluate(self.sig, ctx.env, scrut_core)
-        result = motive.apply(self.sig, scrut_v)
-        term = core.NatElim(raw.layer, motive.body, zcase_core, scase_core, scrut_core)
-        return term, result
-
-    def _infer_sumelim(self, ctx: Context, raw: parse.RBuiltin) -> tuple[Term, Value]:
-        kw = parse.SPELLING[core.SumElim, raw.layer]
-        _, lcase, rcase, scrut = raw.args
-        scrut_core, scrut_ty = self.infer(ctx, scrut)
-        if not isinstance(scrut_ty, VSum) or scrut_ty.layer is not raw.layer:
-            raise Diagnostic(
-                TYPE_MISMATCH, scrut.span,
-                f"{kw} expects a {'fibrant' if raw.layer is FIB else 'strict'} sum, "
-                f"but this has type {self._show(ctx, scrut_ty)}",
-            )
-        motive = self._motive(ctx, raw, kw, scrut_ty)
-        lctx, lbody = self._bind(ctx, lcase, f"left case of {kw}", scrut_ty.left)
-        lcase_core = self.check(
-            lctx, lbody, motive.apply(self.sig, VInl(raw.layer, lctx.env[-1]))
-        )
-        rctx, rbody = self._bind(ctx, rcase, f"right case of {kw}", scrut_ty.right)
-        rcase_core = self.check(
-            rctx, rbody, motive.apply(self.sig, VInr(raw.layer, rctx.env[-1]))
-        )
-        scrut_v = evaluate(self.sig, ctx.env, scrut_core)
-        term = core.SumElim(raw.layer, motive.body, lcase_core, rcase_core, scrut_core)
-        return term, motive.apply(self.sig, scrut_v)
-
-    def _infer_emptyelim(self, ctx: Context, raw: parse.RBuiltin) -> tuple[Term, Value]:
-        kw = parse.SPELLING[core.EmptyElim, raw.layer]
-        _, scrut = raw.args
-        empty = VEmpty(raw.layer)
-        scrut_core = self.check(ctx, scrut, empty)
-        motive = self._motive(ctx, raw, kw, empty)
-        scrut_v = evaluate(self.sig, ctx.env, scrut_core)
-        term = core.EmptyElim(raw.layer, motive.body, scrut_core)
-        return term, motive.apply(self.sig, scrut_v)
+    def _infer_eliminator(self, ctx: Context, raw: parse.RBuiltin) -> tuple[Term, Value]:
+        """An eliminator, typed by its rule, ``conv.case_types``.  The
+        scrutinee comes first, then J's stated endpoints, then the motive
+        and the cases in core field order.  A motive is written as exactly
+        as many λs as it binds, since its body is a type; a case may have
+        more, since it may return a function.  Fibrant eliminators may only
+        target fibrant motives, strict ones are unrestricted."""
+        sig, former, layer = self.sig, raw.former, raw.layer
+        kw = parse.SPELLING[former, layer]
+        args = {name: arg for (name, _), arg in zip(former.SUB, raw.args)}
+        scrut = raw.args[-1]
+        if former is core.NatElim or former is core.EmptyElim:
+            ty = (VNat if former is core.NatElim else VEmpty)(layer)
+            scrut_core = self.check(ctx, scrut, ty)
+        else:
+            scrut_core, ty = self.infer(ctx, scrut)
+            want, what = (VId, "a proof of {} equality") if former is core.J else (VSum, "a {} sum")
+            if ty.__class__ is not want or ty.layer is not layer:
+                raise Diagnostic(
+                    TYPE_MISMATCH, scrut.span,
+                    f"{kw} expects {what.format('fibrant' if layer is FIB else 'strict')}, "
+                    f"but this has type {self._show(ctx, ty)}",
+                )
+        cores = {}
+        if former is core.J:
+            for name, side, end in (("lhs", "left", ty.lhs), ("rhs", "right", ty.rhs)):
+                cores[name] = self.check(ctx, args[name], ty.ty)
+                if not conv.convert(sig, ctx.types, evaluate(sig, ctx.env, cores[name]), end, ty.ty):
+                    raise Diagnostic(
+                        TYPE_MISMATCH, args[name].span,
+                        f"{kw}: stated {side} endpoint does not match the proof's endpoint",
+                    )
+        xs = (conv.fresh(len(ctx.env)), conv.fresh(len(ctx.env) + 1))
+        motive = None
+        for name, binders in former.SUB[:-1]:
+            if name in cores:
+                continue
+            arg = body = args[name]
+            lams = 0
+            while body.__class__ is parse.RLam and (lams < binders or motive is None):
+                body, lams = body.body, lams + 1
+            if lams != binders:
+                raise Diagnostic(
+                    CANNOT_INFER, arg.span,
+                    f"the {_BINDING_FIELDS[name]} of {kw} must be written as a "
+                    f"{binders}-argument lambda",
+                )
+            bound_types, field_ty = conv.case_types(sig, former, ty, motive, name, xs[:binders])
+            inner = ctx
+            for bound_ty, x in zip(bound_types, xs):
+                inner, arg = inner.extend(arg.binder, bound_ty, x), arg.body
+            if motive is not None:
+                cores[name] = self.check(inner, body, field_ty)
+                continue
+            cores[name], motive_ty = self.infer(inner, body)
+            if motive_ty.__class__ is not VUniv:
+                raise Diagnostic(NOT_A_TYPE, body.span, f"the motive of {kw} must produce a type")
+            if layer is FIB and motive_ty.sort.layer is not FIB:
+                raise Diagnostic(
+                    FIBRANCY, args[name].span,
+                    f"the fibrant eliminator {kw} cannot target a strict motive "
+                    f"(motive lands in {motive_ty.sort})",
+                )
+            motive = Closure(ctx.env, cores[name], binders)
+        scrut_v = evaluate(sig, ctx.env, scrut_core)
+        _, result = conv.case_types(sig, former, ty, motive, None, (scrut_v,))
+        return former(layer, *(cores[name] for name, _ in former.SUB[:-1]), scrut_core), result
 
     # -- checking -----------------------------------------------------------
 
