@@ -51,6 +51,16 @@ def test_surface_doc_lists_the_formers_table():
         assert len(core_cls.SUB) == arity, kw
 
 
+def test_surface_doc_gives_each_fibrant_eliminator_one_rule():
+    doc = (REPO_ROOT / "docs" / "surface.md").read_text()
+    table = doc.split("## Built-in eliminators", 1)[1].split("\n\n")[2]
+    rows = [line.split("|")[1].strip().strip("`").split() for line in table.splitlines()[2:]]
+    assert {kw: len(args) for kw, *args in rows} == {
+        kw: arity for kw, (core_cls, layer, arity) in parse._FORMERS.items()
+        if core_cls in (core.J, core.NatElim, core.SumElim, core.EmptyElim) and layer is FIB
+    }
+
+
 def test_lex_gives_triples_and_the_parser_reads_universes_from_text():
     source = "def A : US1 := U12"
     assert lex(source) == [
