@@ -675,13 +675,12 @@ def convert(sig: Signature, types: Types, a: Value, b: Value, ty: Optional[Value
 def case_types(sig: Signature, former: type, ty: Value, motive: Optional[Closure],
                field: Optional[str], xs: tuple[Value, ...]) -> tuple[Types, Optional[Value]]:
     """The typing rule of the eliminator ``former`` (``J``, ``NatElim``,
-    ``SumElim`` or ``EmptyElim``, by its core class) on a scrutinee of type
-    ``ty`` with motive ``motive``: the types of the variables ``xs`` that
-    its field ``field`` binds, and the type of the field's term under them.
-    The motive's own type is None: it is a family of types, checked to be
-    one where it is elaborated.  Field None is the whole eliminator, which
-    binds the scrutinee, ``xs[0]``, and has the result type.  J reads its
-    endpoints from ``ty``, with which the stated ones convert."""
+    ``SumElim`` or ``EmptyElim``) on a scrutinee of type ``ty``, with
+    motive ``motive``: the types of the variables ``xs`` that its field
+    ``field`` binds, and the field's type under them, None for the motive,
+    a family of types.  Field None is the whole eliminator: it binds the
+    scrutinee ``xs[0]`` and has the result type.  J reads its endpoints
+    from ``ty``, with which the stated ones convert."""
     layer = ty.layer
     if former is J:
         if field == "motive":
@@ -745,8 +744,9 @@ def _convert_spine(sig: Signature, types: Types, a: VNeutral, b: VNeutral) -> Op
             else:
                 for name, binders in fields[1:]:  # after the layer, compared above
                     bound = xs[:binders]
-                    bound_types, field_ty = ((None,) * binders, None) if ty is None else case_types(
-                        sig, former, ty, fa.motive, name, bound)
+                    bound_types, field_ty = (None,) * binders, None
+                    if ty is not None:
+                        bound_types, field_ty = case_types(sig, former, ty, fa.motive, name, bound)
                     x, y = getattr(fa, name), getattr(fb, name)
                     if binders:
                         x, y = x.apply(sig, *bound), y.apply(sig, *bound)

@@ -323,7 +323,7 @@ class Elaborator:
                 continue
             arg = body = args[name]
             lams = 0
-            while body.__class__ is parse.RLam and (lams < binders or motive is None):
+            while body.__class__ is parse.RLam and (lams < binders or name == "motive"):
                 body, lams = body.body, lams + 1
             if lams != binders:
                 raise Diagnostic(
@@ -335,7 +335,7 @@ class Elaborator:
             inner = ctx
             for bound_ty, x in zip(bound_types, xs):
                 inner, arg = inner.extend(arg.binder, bound_ty, x), arg.body
-            if motive is not None:
+            if name != "motive":
                 cores[name] = self.check(inner, body, field_ty)
                 continue
             cores[name], motive_ty = self.infer(inner, body)
