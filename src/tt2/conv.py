@@ -10,10 +10,8 @@ where the type is known, so eta holds for Π, Σ and ``Unit`` at every
 position.  Inside a neutral spine, ``_convert_spine`` compares frames
 without types and works out a frame's type from the head's (a variable's
 from the context, a constant's from the signature) only when that fails.
-Each eliminator's typing rule, what its motive and cases bind, the type
-of each case and the result type, is written once, in ``case_types``:
-conversion compares a frame's fields at its types and types a spine by
-it, and ``elab`` checks an eliminator by it.
+Each eliminator's typing rule is written once, in ``case_types``, and
+read by conversion, by spine typing and by ``elab``.
 
 Three rules keep the walkers cheap:
 
@@ -680,7 +678,7 @@ def case_types(sig: Signature, former: type, ty: Value, motive: Optional[Closure
     ``field`` binds, and the field's type under them, None for the motive,
     a family of types.  Field None is the whole eliminator: it binds the
     scrutinee ``xs[0]`` and has the result type.  J reads its endpoints
-    from ``ty``, with which the stated ones convert."""
+    from ``ty``; the endpoints written in it convert with them."""
     layer = ty.layer
     if former is J:
         if field == "motive":

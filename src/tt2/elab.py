@@ -285,12 +285,12 @@ class Elaborator:
         raise core.InternalError(f"infer: unhandled raw {cls.__name__}")
 
     def _infer_eliminator(self, ctx: Context, raw: parse.RBuiltin) -> tuple[Term, Value]:
-        """An eliminator, typed by its rule, ``conv.case_types``.  The
-        scrutinee comes first, then J's stated endpoints, then the motive
-        and the cases in core field order.  A motive is written as exactly
-        as many λs as it binds, since its body is a type; a case may have
-        more, since it may return a function.  Fibrant eliminators may only
-        target fibrant motives, strict ones are unrestricted."""
+        """An eliminator, typed by its rule, ``conv.case_types``: first the
+        scrutinee, then J's stated endpoints (the proof is taken at the type
+        they give), then the motive and the cases in core field order.  A
+        motive is exactly as many λs as it binds, its body being a type; a
+        case may have more, as it may return a function.  Fibrant
+        eliminators may only target fibrant motives, strict ones any."""
         sig, former, layer = self.sig, raw.former, raw.layer
         kw = parse.SPELLING[former, layer]
         args = {name: arg for (name, _), arg in zip(former.SUB, raw.args)}
@@ -309,23 +309,25 @@ class Elaborator:
                 )
         cores = {}
         if former is core.J:
+            ends = []
             for name, side, end in (("lhs", "left", ty.lhs), ("rhs", "right", ty.rhs)):
                 cores[name] = self.check(ctx, args[name], ty.ty)
-                if not conv.convert(sig, ctx.types, evaluate(sig, ctx.env, cores[name]), end, ty.ty):
+                ends.append(evaluate(sig, ctx.env, cores[name]))
+                if not conv.convert(sig, ctx.types, ends[-1], end, ty.ty):
                     raise Diagnostic(
                         TYPE_MISMATCH, args[name].span,
                         f"{kw}: stated {side} endpoint does not match the proof's endpoint",
                     )
+            ty = VId(layer, ty.ty, *ends)
         xs = (conv.fresh(len(ctx.env)), conv.fresh(len(ctx.env) + 1))
         motive = None
         for name, binders in former.SUB[:-1]:
             if name in cores:
                 continue
             arg = body = args[name]
-            lams = 0
-            while body.__class__ is parse.RLam and (lams < binders or name == "motive"):
-                body, lams = body.body, lams + 1
-            if lams != binders:
+            for _ in range(binders):
+                body = body.body if body.__class__ is parse.RLam else None
+            if body is None or name == "motive" and body.__class__ is parse.RLam:
                 raise Diagnostic(
                     CANNOT_INFER, arg.span,
                     f"the {_BINDING_FIELDS[name]} of {kw} must be written as a "
