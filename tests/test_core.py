@@ -1,6 +1,7 @@
 """Core syntax: the small-step oracle's shift/subst examples and their
 algebraic laws on random scope-closed terms, the subsort partial order,
-and the semantics of the ``Node`` record classes."""
+the semantics of the ``Node`` record classes, and what the package's
+modules import."""
 
 import ast
 import cProfile
