@@ -116,10 +116,14 @@ def _load(name: str, sig: core.Signature, args, config: Config) -> Optional[tupl
     declarations (none if it did not parse), its source and the number of
     diagnostics; or None, after saying so, if the file cannot be read."""
     path = _resolve(name, args.include)
+    if path is not None:
+        try:
+            source, bad_bytes = _read_source(path)
+        except OSError:  # a file that exists but cannot be read
+            path = None
     if path is None:
         print(f"tt2: cannot read {name!r}", file=sys.stderr)
         return None
-    source, bad_bytes = _read_source(path)
     decls, diagnostics = [], [bad_bytes]
     if bad_bytes is None:
         try:
@@ -215,7 +219,11 @@ def _cmd_gen(args) -> int:
         print(f"tt2: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"tt2: cannot write {args.out!r}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -19,9 +19,13 @@ Three rules keep the walkers cheap:
   built, and environments hand out a variable's value by reference, so
   the two sides of a comparison are often one object.  Conversion is
   reflexive on every value form, so ``a is b`` implies convertible and
-  conversion returns at once.  The code keeps this rule: values, frames
-  and closures are ``Node`` records not declared frozen (see ``core``),
-  so building one stores its slots directly.
+  conversion returns at once.  Leaves are shared, not rebuilt: ``fresh``
+  returns one neutral per level, a spine holds an argument's value itself
+  with no frame around it, there is one ``FST`` and one ``SND`` frame, and
+  read-back gives a constant head as ``core.const``'s leaf.  The code keeps
+  this rule: values, frames and closures are ``Node`` records not declared
+  frozen (see ``core``), so building one stores its slots directly, and
+  nothing assigns to one after it is built.
 - Walkers dispatch on the exact class of the node (``cls is VPi``), with
   the most frequent classes first.  Only hot forms and forms with a rule of
   their own have cases; ``evaluate``, ``quote``, ``_quote_frame`` and
@@ -32,9 +36,8 @@ Three rules keep the walkers cheap:
   evaluates its head once and builds one spine, a numeral is evaluated,
   read back and eliminated in a loop, right-nested pairs are evaluated and
   read back in a loop, read-back walks Π/Σ telescopes, λ-chains and a
-  spine's ``FApp`` frames in loops, and conversion continues into a Π
-  codomain, a Σ second component or any other last comparison without a
-  call.  In ``elab``, ``infer`` walks application chains and Π/Σ
+  spine in loops, and conversion continues into a Π codomain, a Σ second
+  component or any other last comparison without a call.  In ``elab``, ``infer`` walks application chains and Π/Σ
   telescopes and ``check`` walks λ chains and right-nested pairs the same
   way, and so does the core printer in ``pretty``.  Generated files are
   wide rather than deep, so their size costs no stack; a second frame per
@@ -170,16 +173,15 @@ class ConstHead(Node, frozen=True):
 Head = Union[VarHead, ConstHead]
 
 
-class FApp(Node):
-    arg: Value
-
-
 class FFst(Node):
     pass
 
 
 class FSnd(Node):
     pass
+
+
+FST, SND = FFst(), FSnd()  # the only instances; see the module docstring
 
 
 class FNatElim(Node):
@@ -209,20 +211,22 @@ class FJ(Node):
     rhs: Value
 
 
-Frame = Union[FApp, FFst, FSnd, FNatElim, FSumElim, FEmptyElim, FJ]
+Frame = Union[FFst, FSnd, FNatElim, FSumElim, FEmptyElim, FJ]
+# A spine entry is a frame or, for an application, the argument's value.
+FRAMES = frozenset(Frame.__args__)
 
 
 class VNeutral(Value):
     head: Head
-    spine: tuple[Frame, ...]
+    spine: tuple[Union[Value, Frame], ...]
 
 
 # The type of each variable in scope, by level; None where it is not known.
 Types = tuple[Optional[Value], ...]
 
 
-def fresh(level: int) -> VNeutral:
-    return VNeutral(VarHead(level), ())
+# The variable of a level as a value, one shared neutral per level.
+fresh = core.SharedLeaves(lambda level: VNeutral(VarHead(level), ())).__getitem__
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +247,7 @@ def const_type_value(sig: Signature, name: str) -> Value:
 def apply_value(sig: Signature, fn: Value, arg: Value) -> Value:
     cls = fn.__class__
     if cls is VNeutral:
-        return VNeutral(fn.head, fn.spine + (FApp(arg),))
+        return VNeutral(fn.head, fn.spine + (arg,))
     if cls is VLam:
         return fn.body.apply(sig, arg)
     raise InternalError(f"application of non-function value {cls.__name__}")
@@ -254,7 +258,7 @@ def do_fst(sig: Signature, v: Value) -> Value:
     if cls is VPair:
         return v.fst
     if cls is VNeutral:
-        return VNeutral(v.head, v.spine + (FFst(),))
+        return VNeutral(v.head, v.spine + (FST,))
     raise InternalError("fst of non-pair value")
 
 
@@ -263,7 +267,7 @@ def do_snd(sig: Signature, v: Value) -> Value:
     if cls is VPair:
         return v.snd
     if cls is VNeutral:
-        return VNeutral(v.head, v.spine + (FSnd(),))
+        return VNeutral(v.head, v.spine + (SND,))
     raise InternalError("snd of non-pair value")
 
 
@@ -358,7 +362,7 @@ def evaluate(sig: Signature, env: tuple[Value, ...], t: Term) -> Value:
             else:
                 arg = evaluate(sig, env, arg)
             if fn.__class__ is VNeutral:
-                frames.append(FApp(arg))
+                frames.append(arg)
             else:
                 fn = apply_value(sig, fn, arg)
         if frames:
@@ -430,8 +434,9 @@ def evaluates_to(sig: Signature, env: list[Value], t: Term, v: Value) -> bool:
     spineless neutral or a constant with no body.  False says only that
     this cheap test does not apply, and the caller then evaluates ``t``.
     True implies that ``v`` converts with the value of ``t``, since
-    ``convert`` finds two neutrals with equal heads and identical frame
-    arguments equal.
+    ``convert`` finds two neutrals with equal heads and identical spine
+    entries equal.  An environment holds values, never frames, so the
+    entry that is an argument's very value is that application's.
 
     The constant rule assumes that a constant with no body, a postulate or
     an axiom, evaluates to the bare neutral of its own name.  Values that
@@ -447,8 +452,7 @@ def evaluates_to(sig: Signature, env: list[Value], t: Term, v: Value) -> bool:
         n -= 1
         if n < 0 or arg.__class__ is not Var or arg.index >= depth:
             return False
-        frame = spine[n]
-        if frame.__class__ is not FApp or frame.arg is not env[~arg.index]:
+        if spine[n] is not env[~arg.index]:
             return False
         t = t.fn
     if n:
@@ -485,13 +489,12 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
                 raise InternalError(f"variable level {head.level} escapes depth {depth}")
             acc: Term = var(depth - 1 - head.level)
         else:
-            acc = Const(head.name)
-        for frame in v.spine:
-            if frame.__class__ is not FApp:
-                acc = _quote_frame(sig, depth, acc, frame)
+            acc = core.const(head.name)
+        for arg in v.spine:
+            if arg.__class__ in FRAMES:
+                acc = _quote_frame(sig, depth, acc, arg)
                 continue
             # an argument that is a bare bound variable is read back without a call
-            arg = frame.arg
             if (arg.__class__ is VNeutral and not arg.spine
                     and arg.head.__class__ is VarHead and arg.head.level < depth):
                 acc = App(acc, var(depth - 1 - arg.head.level))
@@ -721,12 +724,14 @@ def _convert_spine(sig: Signature, types: Types, a: VNeutral, b: VNeutral) -> Op
         if fa is fb:
             continue
         cls = fa.__class__
-        if cls is not fb.__class__:
+        arg = cls not in FRAMES
+        if arg:
+            if fb.__class__ in FRAMES:
+                ok = False
+                break
+        elif cls is not fb.__class__:
             ok = False
             break
-        if cls is FApp:
-            if fa.arg is fb.arg:
-                continue
         elif cls is FFst or cls is FSnd:
             continue
         elif fa.layer is not fb.layer:
@@ -737,8 +742,8 @@ def _convert_spine(sig: Signature, types: Types, a: VNeutral, b: VNeutral) -> Op
             xs = (fresh(depth), fresh(depth + 1))
         ty = None
         while True:
-            if cls is FApp:
-                ok = convert(sig, types, fa.arg, fb.arg, ty and ty.dom)
+            if arg:
+                ok = convert(sig, types, fa, fb, ty and ty.dom)
             else:
                 for name, binders in fields[1:]:  # after the layer, compared above
                     bound = xs[:binders]
@@ -777,12 +782,12 @@ def _spine_type(sig: Signature, types: Types, a: VNeutral, n: int) -> Optional[V
     for i in range(n):
         frame = spine[i]
         cls = frame.__class__
-        if cls is FApp:
-            ty = ty.cod.apply(sig, frame.arg)
+        if cls not in FRAMES:
+            ty = ty.cod.apply(sig, frame)
         elif cls is FFst:
             ty = ty.fst
         elif cls is FSnd:
-            ty = ty.snd.apply(sig, VNeutral(head, spine[:i] + (FFst(),)))
+            ty = ty.snd.apply(sig, VNeutral(head, spine[:i] + (FST,)))
         else:
             scrut = VNeutral(head, spine[:i])
             ty = case_types(sig, _READ_BACK[cls][0], ty, frame.motive, None, (scrut,))[1]

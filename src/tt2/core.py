@@ -31,9 +31,11 @@ dataclasses store fields through ``object.__setattr__``, which made
 - Hot code tests ``t.__class__ is Var``: the metaclass makes ``isinstance``
   and ``match`` class patterns that miss about twice as slow.
 
-``var(i)`` returns one shared ``Var(i)`` per index, so the elaborator and
-read-back allocate no leaf per variable occurrence.  Nodes are frozen, so
-the sharing shows only to ``is``.
+``var(i)`` returns one shared ``Var(i)`` per index and ``const(name)`` one
+shared ``Const(name)`` per name, so the elaborator and read-back allocate
+no leaf per variable occurrence and read-back none per constant head.
+Terms are frozen, so the sharing shows only to ``is``.  ``SharedLeaves``
+is that cache; ``conv.fresh`` shares its neutral variables through it too.
 """
 
 from __future__ import annotations
@@ -174,11 +176,11 @@ def sort_leq(a: Sort, b: Sort, collapse: bool = False) -> bool:
 def sort_join(a: Sort, b: Sort, collapse: bool = False) -> Sort:
     """Least upper bound in the subsort order."""
     if a.layer is b.layer:
-        return Sort(a.layer, max(a.level, b.level))
+        return a if a.level >= b.level else b
     fib, strict = (a, b) if a.layer is FIB else (b, a)
-    if collapse:
+    if collapse or strict.level >= fib.level:
         return strict
-    return Sort(STRICT, max(fib.level, strict.level))
+    return Sort(STRICT, fib.level)
 
 
 class Term(Node, frozen=True):
@@ -190,17 +192,25 @@ class Var(Term):
     index: int
 
 
-class _SharedVars(dict):
-    def __missing__(self, index: int) -> Var:
-        leaf = self[index] = Var(index)
+class Const(Term):
+    name: str
+
+
+class SharedLeaves(dict):
+    """One leaf per key, built by ``build`` on the key's first lookup.  A
+    lookup through the bound ``__getitem__`` is a C-level call."""
+
+    def __init__(self, build) -> None:
+        self.build = build
+
+    def __missing__(self, key):
+        leaf = self[key] = self.build(key)
         return leaf
 
 
-var = _SharedVars().__getitem__  # see the module docstring
-
-
-class Const(Term):
-    name: str
+# see the module docstring
+var = SharedLeaves(Var).__getitem__
+const = SharedLeaves(Const).__getitem__
 
 
 class Univ(Term):

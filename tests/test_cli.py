@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from conftest import REPO_ROOT
@@ -328,6 +329,33 @@ def test_gen_writes_file_and_rechecks(tmp_path):
     assert "X1 : X0 -> X0 -> U0" in text
     check = run_cli("check", str(out))
     assert check.returncode == 0
+
+
+@pytest.mark.parametrize("out, reason", [
+    ("no_such_dir/x.tt", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_gen_to_a_path_that_cannot_be_written_fails_cleanly(tmp_path, out, reason):
+    result = run_cli("gen", "sst", "--levels", "2", "--out", out, cwd=tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", f"tt2: cannot write {out!r}: {reason}\n")
+
+
+def test_an_input_that_cannot_be_read_is_reported_as_a_missing_one(monkeypatch, capsys):
+    # file modes do not stop every user (root reads any file), so the
+    # refusal is made by hand
+    def refuse(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    for name, argv in [
+        ("stdlib/basics.tt", ["check", "stdlib/basics.tt"]),
+        ("stdlib/basics.tt", ["--json-diagnostics", "check", "stdlib/basics.tt"]),
+        ("stdlib/nat_arith.tt", ["eval", "stdlib/nat_arith.tt", "--term", "four"]),
+    ]:
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"tt2: cannot read {name!r}\n")
 
 
 def test_gen_to_stdout_only():

@@ -12,7 +12,7 @@ from conftest import REPO_ROOT, call_count, fails_fast_on_recursion
 from smallstep_oracle import normalize, shift
 from termgen import TermGen, eta_instance
 
-from tt2 import conv, parse, pretty
+from tt2 import conv, core, parse, pretty
 from tt2.core import (
     App, Const, Context, DeclKind, FIB, InternalError, Lam, Nat, NatElim, Pair, Pi, Fst,
     SigEntry, Sigma, Signature, Snd, Star, STRICT, Suc, Unit, Var, Zero, is_scope_closed,
@@ -46,9 +46,9 @@ def test_application_chain_evaluates_as_nested_applications():
     swap = Lam(Lam(App(App(f, Var(0)), Var(1))))
     value = conv.evaluate(sig, (), App(App(App(swap, a), b), c))
     args = [conv.evaluate(sig, (), t) for t in (b, a, c)]
-    assert value == conv.VNeutral(conv.ConstHead("f"), tuple(conv.FApp(v) for v in args))
+    assert value == conv.VNeutral(conv.ConstHead("f"), tuple(args))
     env = (conv.fresh(0),)
-    assert conv.evaluate(sig, env, App(App(f, Var(0)), Var(0))).spine == (conv.FApp(env[0]),) * 2
+    assert conv.evaluate(sig, env, App(App(f, Var(0)), Var(0))).spine == (env[0],) * 2
     for term in (App(App(f, a), Var(1)), App(f, Var(1))):
         with pytest.raises(InternalError, match="unbound index 1"):
             conv.evaluate(sig, env, term)
@@ -95,7 +95,7 @@ def test_js_computes_on_refls(base_sig, config):
 
 def test_quote_examples():
     assert conv.quote(EMPTY, 0, conv.VStar()) == Star()
-    neutral = conv.VNeutral(conv.VarHead(0), (conv.FApp(conv.VStar()),))
+    neutral = conv.VNeutral(conv.VarHead(0), (conv.VStar(),))
     assert conv.quote(EMPTY, 1, neutral) == App(Var(0), Star())
     applied = App(Lam(Suc(FIB, Var(0))), Zero(FIB))
     assert nf0(applied) == Suc(FIB, Zero(FIB))
@@ -193,7 +193,7 @@ def test_telescopes_lambda_chains_and_spines_read_back_in_a_loop():
     for i in range(width - 1):
         spine = App(spine, Var(i))
     assert conv.nf(EMPTY, ctx, spine) == spine
-    escaping = conv.VNeutral(conv.VarHead(0), (conv.FApp(conv.fresh(5)),))
+    escaping = conv.VNeutral(conv.VarHead(0), (conv.fresh(5),))
     with pytest.raises(InternalError, match="level 5 escapes depth 1"):
         conv.quote(EMPTY, 1, escaping)
 
@@ -226,6 +226,29 @@ def test_normal_forms_match_the_golden_file(config, manifest):
     # elaborated core.
     golden = (REPO_ROOT / "tests" / "golden" / "nf.dump").read_text(encoding="utf-8")
     assert normal_forms(config, manifest) == golden.splitlines()
+
+
+def test_shared_leaves_stay_intact(config, manifest):
+    # Values are unfrozen records for speed, so the leaves that evaluation
+    # shares (one neutral per level, one Const per name, an argument's value
+    # in every spine that applies to it) must never be assigned to.  Checking
+    # and printing the corpus, Segal-2..5 and SST-6 leave each as it was built.
+    assert conv.fresh(3) is conv.fresh(3)
+    sig = Signature()
+    for name in "fab":
+        sig.add(SigEntry(name, Unit(), None, DeclKind.POSTULATE))
+    va, vb = (conv.evaluate(sig, (), Const(name)) for name in "ab")
+    spine = conv.evaluate(sig, (), App(App(Const("f"), Const("a")), Const("b"))).spine
+    assert spine == (va, vb) and spine[0] is va and spine[1] is vb
+    normal_forms(config, manifest)
+    _, diags = elaborate_signature(parse.parse_file(gen_sst(GenPlan(6))), initial_signature(config), config)
+    assert not diags
+    neutrals, consts = conv.fresh.__self__, core.const.__self__
+    assert len(neutrals) >= 6 and consts
+    for level, leaf in neutrals.items():
+        assert leaf.__class__ is conv.VNeutral and leaf.head.level == level and leaf.spine == ()
+    for name, leaf in consts.items():
+        assert leaf.name == name
 
 
 def test_nf_is_idempotent(sample_terms):
@@ -662,7 +685,7 @@ def _env(size, *bound):
 def _applied(head, *levels):
     """The type value ``head`` applied to the environment's variables at ``levels``."""
     return lambda sig, env: conv.VNeutral(
-        head(sig, env).head, tuple(conv.FApp(env[i]) for i in levels))
+        head(sig, env).head, tuple(env[i] for i in levels))
 
 
 def _family(sig, env):
@@ -700,7 +723,7 @@ EVALUATES_TO_MISSES = {
     # f a0 a1 written g a1, with g bound to f a0: env [f, a0, a1, f a0];
     # the values convert, but the head's spine is not empty
     "head with a spine": (
-        _env(3, conv.VNeutral(conv.VarHead(0), (conv.FApp(conv.fresh(1)),))),
+        _env(3, conv.VNeutral(conv.VarHead(0), (conv.fresh(1),))),
         _chain(Var(0), 1), _applied(_family, 1, 2), True,
     ),
     # X1 a0 a0 where X1 a0 a1 is expected
@@ -709,9 +732,10 @@ EVALUATES_TO_MISSES = {
     "fewer arguments": (_env(3), _chain(Var(2), 1), _applied(_family, 1, 2), False),
     "more arguments": (_env(3), _chain(Var(2), 1, 0), _applied(_family, 1), False),
     # an equal argument that is another object: the test is by identity
+    # (``conv.fresh(2)`` would be ``env[2]`` itself)
     "equal argument": (
         _env(3), _chain(Var(2), 1, 0),
-        lambda sig, env: conv.VNeutral(env[0].head, (conv.FApp(env[1]), conv.FApp(conv.fresh(2)))),
+        lambda sig, env: conv.VNeutral(env[0].head, (env[1], conv.VNeutral(conv.VarHead(2), ()))),
         True,
     ),
     "not a neutral": (_env(1), Var(0), lambda sig, env: conv.VUnit(), False),

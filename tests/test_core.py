@@ -127,6 +127,8 @@ def test_join_is_least_upper_bound(collapse):
         for b in ALL_SORTS:
             j = sort_join(a, b, collapse)
             assert sort_leq(a, j, collapse) and sort_leq(b, j, collapse)
+            # a join equal to an argument is that argument, not a copy
+            assert j is a or j is b or (j != a and j != b)
             for c in ALL_SORTS:
                 if sort_leq(a, c, collapse) and sort_leq(b, c, collapse):
                     assert sort_leq(j, c, collapse)
@@ -227,8 +229,8 @@ def test_equality_of_deep_nodes_needs_no_recursion():
     def spine(last):
         v = conv.fresh(0)
         for _ in range(3000):
-            v = conv.VNeutral(conv.VarHead(0), (conv.FFst(), conv.FApp(v)))
-        return conv.VNeutral(conv.VarHead(0), (conv.FApp(v), conv.FApp(last)))
+            v = conv.VNeutral(conv.VarHead(0), (conv.FST, v))
+        return conv.VNeutral(conv.VarHead(0), (v, last))
 
     assert spine(conv.VStar()) == spine(conv.VStar())
     assert spine(conv.VStar()) != spine(conv.VUnit())
@@ -276,9 +278,10 @@ def test_frozen_fields_cannot_change(node, field):
 
 
 def test_unfrozen_records_assign_only_their_fields():
-    neutral = conv.fresh(0)
-    neutral.spine = (conv.FFst(),)
-    assert neutral.spine == (conv.FFst(),)
+    # not conv.fresh(0): that neutral is shared, and no code may assign to it
+    neutral = conv.VNeutral(conv.VarHead(0), ())
+    neutral.spine = (conv.FST,)
+    assert neutral.spine == (conv.FST,)
     with pytest.raises(AttributeError):
         neutral.extra = 1
 
