@@ -174,7 +174,8 @@ def sort_leq(a: Sort, b: Sort, collapse: bool = False) -> bool:
 
 
 def sort_join(a: Sort, b: Sort, collapse: bool = False) -> Sort:
-    """Least upper bound in the subsort order."""
+    """Least upper bound in the subsort order: an argument itself where
+    it is one, not an equal copy."""
     if a.layer is b.layer:
         return a if a.level >= b.level else b
     fib, strict = (a, b) if a.layer is FIB else (b, a)
