@@ -32,12 +32,14 @@ Three rules keep the walkers cheap:
   ``convert`` (on two values of one class) then end in one generic case
   that reads every other former from one table, ``FORMERS``.  The width of
   a construct is walked in a loop and only genuine nesting recurses, at
-  one Python frame per level: an application chain ``f a1 … an``
-  evaluates its head once and builds one spine, a numeral is evaluated,
-  read back and eliminated in a loop, right-nested pairs are evaluated and
-  read back in a loop, read-back walks Π/Σ telescopes, λ-chains and a
-  spine in loops, and conversion continues into a Π codomain, a Σ second
-  component or any other last comparison without a call.  In ``elab``, ``infer`` walks application chains and Π/Σ
+  one Python frame per level: an application chain ``f a1 … an`` is one
+  core ``App`` whose arguments ``evaluate`` reads in order into one spine
+  and ``quote`` writes back from each run of a spine's arguments, a
+  numeral is evaluated, read back and eliminated in a loop, right-nested
+  pairs are evaluated and read back in a loop, read-back walks Π/Σ
+  telescopes, λ-chains and a spine in loops, and conversion continues into
+  a Π codomain, a Σ second component or any other last comparison without
+  a call.  In ``elab``, ``infer`` walks application chains and Π/Σ
   telescopes and ``check`` walks λ chains and right-nested pairs the same
   way, and so does the core printer in ``pretty``.  Generated files are
   wide rather than deep, so their size costs no stack; a second frame per
@@ -343,20 +345,15 @@ def evaluate(sig: Signature, env: tuple[Value, ...], t: Term) -> Value:
                 f"unbound index {t.index} in environment of {len(env)}"
             ) from None
     if cls is App:
-        # A chain f a1 … an: evaluate the head once, then the arguments left
-        # to right.  A stuck head takes every remaining argument into its
-        # spine at once, instead of copying the spine once per argument.  A
-        # bound variable as argument is read from env without a call; an
-        # unbound one goes to the Var case above, which reports it.
-        fn = t.fn
-        args = [t.arg]
-        while fn.__class__ is App:
-            args.append(fn.arg)
-            fn = fn.fn
-        fn = evaluate(sig, env, fn)
+        # The head once, then the arguments left to right.  A stuck head
+        # takes every remaining argument into its spine at once, instead of
+        # copying the spine once per argument.  A bound variable as argument
+        # is read from env without a call; an unbound one goes to the Var
+        # case above, which reports it.
+        fn = evaluate(sig, env, t.fn)
         depth = len(env)
         frames = []
-        for arg in reversed(args):
+        for arg in t.args:
             if arg.__class__ is Var and arg.index < depth:
                 arg = env[~arg.index]
             else:
@@ -445,17 +442,15 @@ def evaluates_to(sig: Signature, env: list[Value], t: Term, v: Value) -> bool:
     if v.__class__ is not VNeutral:
         return False
     spine = v.spine
-    n = len(spine)
     depth = len(env)
-    while t.__class__ is App:
-        arg = t.arg
-        n -= 1
-        if n < 0 or arg.__class__ is not Var or arg.index >= depth:
+    if t.__class__ is App:
+        if len(t.args) != len(spine):
             return False
-        if spine[n] is not env[~arg.index]:
-            return False
+        for arg, entry in zip(t.args, spine):
+            if arg.__class__ is not Var or arg.index >= depth or entry is not env[~arg.index]:
+                return False
         t = t.fn
-    if n:
+    elif spine:
         return False
     cls, head = t.__class__, v.head
     if cls is Var:
@@ -490,17 +485,20 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
             acc: Term = var(depth - 1 - head.level)
         else:
             acc = core.const(head.name)
+        # each run of arguments between frames becomes one App
+        args = []
         for arg in v.spine:
             if arg.__class__ in FRAMES:
+                if args:
+                    acc, args = App(acc, tuple(args)), []
                 acc = _quote_frame(sig, depth, acc, arg)
-                continue
             # an argument that is a bare bound variable is read back without a call
-            if (arg.__class__ is VNeutral and not arg.spine
+            elif (arg.__class__ is VNeutral and not arg.spine
                     and arg.head.__class__ is VarHead and arg.head.level < depth):
-                acc = App(acc, var(depth - 1 - arg.head.level))
+                args.append(var(depth - 1 - arg.head.level))
             else:
-                acc = App(acc, quote(sig, depth, arg))
-        return acc
+                args.append(quote(sig, depth, arg))
+        return App(acc, tuple(args)) if args else acc
     if cls is VPi or cls is VSigma:
         # A right-nested chain of one former is read back in a loop, each
         # codomain instantiated with the next fresh variable.

@@ -4,7 +4,10 @@ One term language covers both fragments: constructors that exist at both
 layers (naturals, sums, empty, equality and their eliminators) carry a
 ``Layer`` tag, so ``Nat(FIB)`` is the fibrant naturals and ``Nat(STRICT)``
 the strict ones.  Binding is positional (de Bruijn indices); no surface
-names survive into core terms.
+names survive into core terms.  An application chain ``f a1 … an`` is one
+``App(f, (a1, …, an))`` (spine form): ``args`` is never empty and ``fn``
+never an ``App``, so no walker takes nested applications apart.  ``args``
+is in ``App.SUB``, so a generic walker that treats it as a term fails.
 
 Every record class of the package derives from ``Node``.  Its class bodies
 read like dataclasses: annotated fields, immutable defaults (shared by all
@@ -230,9 +233,11 @@ class Lam(Term):
 
 
 class App(Term):
+    """``fn a1 … an``; see the module docstring."""
+
     fn: Term
-    arg: Term
-    SUB = (("fn", 0), ("arg", 0))
+    args: tuple[Term, ...]
+    SUB = (("fn", 0), ("args", 0))
 
 
 class Sigma(Term):
@@ -362,18 +367,18 @@ def is_scope_closed(t: Term, depth: int = 0) -> bool:
     """Every bound index is below the binder depth at its occurrence.
 
     Walks an explicit stack, so the nesting depth of ``t`` is not bounded
-    by the interpreter's recursion limit.  An application chain is walked
-    in a loop, and a variable argument tested where it is met."""
+    by the interpreter's recursion limit.  A variable argument of an
+    application is tested where it is met."""
     stack = [(t, depth)]
     while stack:
         t, depth = stack.pop()
-        while t.__class__ is App:
-            arg = t.arg
-            if arg.__class__ is Var:
-                if arg.index >= depth:
-                    return False
-            else:
-                stack.append((arg, depth))
+        if t.__class__ is App:
+            for arg in t.args:
+                if arg.__class__ is Var:
+                    if arg.index >= depth:
+                        return False
+                else:
+                    stack.append((arg, depth))
             t = t.fn
         if t.__class__ is Var:
             if t.index >= depth:

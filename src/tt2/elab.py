@@ -112,7 +112,7 @@ class Elaborator:
             return core.var(index), ty
         name = raw.name
         if self.sig.lookup(name) is not None:
-            return core.Const(name), conv.const_type_value(self.sig, name)
+            return core.const(name), conv.const_type_value(self.sig, name)
         raise Diagnostic(UNBOUND, raw.span, f"unbound name {name!r}")
 
     def _conform(self, ctx: Context, raw: parse.Raw, term: Term, got: Value, expected: Value) -> Term:
@@ -140,18 +140,19 @@ class Elaborator:
         if cls is parse.RVar:
             return self._infer_name(raw, ctx.lookup(raw.name))
         if cls is parse.RApp:
-            # An application chain f a1 … an: infer the head once, then check
-            # the arguments in a loop.  The loop walks a function type's
-            # codomain as a term, a Π-telescope under its closure's
-            # environment extended by each argument's value, rather than
-            # instantiating it binder by binder.  It compares before it
-            # evaluates: an argument written as a bound variable is looked up
-            # once, and when ``conv.evaluates_to`` finds that the domain term
-            # is its type (a variable or postulate head applied to the same
-            # argument objects), the domain is never built and the argument
-            # is taken as it is, with no conversion.  Otherwise that one
-            # domain is evaluated and the argument checked against it.  The
-            # rest of the telescope is evaluated once, where the walk ends.
+            # An application chain f a1 … an: infer the head once, check the
+            # arguments in a loop, and build one core ``App`` of them all where
+            # it ends.  The loop walks a function type's codomain as a term, a
+            # Π-telescope under its closure's environment extended by each
+            # argument's value, rather than instantiating it binder by binder.
+            # It compares before it evaluates: an argument written as a bound
+            # variable is looked up once, and when ``conv.evaluates_to`` finds
+            # that the domain term is its type (a variable or postulate head
+            # applied to the same argument objects), the domain is never built
+            # and the argument is taken as it is, with no conversion.
+            # Otherwise that one domain is evaluated and the argument checked
+            # against it.  The rest of the telescope is evaluated once, where
+            # the walk ends.
             fn, args = raw.fn, raw.args
             if fn.__class__ is parse.RApp:  # a parenthesised head: (f a) b
                 spines = [args]
@@ -160,7 +161,8 @@ class Elaborator:
                     fn = fn.fn
                 args = [arg for spine in reversed(spines) for arg in spine]
             sig = self.sig
-            term, ty = self.infer(ctx, fn)
+            head, ty = self.infer(ctx, fn)
+            cores = []
             env = None  # while walking a telescope term: its environment; ty is the term
             for arg in args:
                 hit = ctx.lookup(arg.name) if arg.__class__ is parse.RVar else None
@@ -182,7 +184,7 @@ class Elaborator:
                 else:
                     arg_core = self.check(ctx, arg, dom)
                 arg_v = ctx.env[~hit[0]] if hit is not None else evaluate(sig, ctx.env, arg_core)
-                term = core.App(term, arg_core)
+                cores.append(arg_core)
                 if env is None:
                     env, ty = list(ty.cod.env), ty.cod.body
                 else:
@@ -192,7 +194,7 @@ class Elaborator:
                     ty, env = evaluate(sig, tuple(env), ty), None
             if env is not None:
                 ty = evaluate(sig, tuple(env), ty)
-            return term, ty
+            return core.App(head, tuple(cores)), ty
         if cls is parse.RPi or cls is parse.RSigma:
             # A right-nested telescope of Π and Σ binders: extend the context
             # binder by binder, then build the term and its sort inside out.

@@ -48,12 +48,12 @@ def _dependent_binders(t: Term) -> set[int]:
                 owners[depth:depth + 1] = (t,)
                 t, depth = t.cod if pi else t.snd, depth + 1
             elif cls is core.App:
-                while t.__class__ is core.App:
-                    arg, t = t.arg, t.fn
+                for arg in t.args:
                     if arg.__class__ is not core.Var:
                         stack.append((arg, depth, 0))
                     elif arg.index < depth and owners[depth - 1 - arg.index] is not None:
                         found.add(id(owners[depth - 1 - arg.index]))
+                t = t.fn
             elif cls is core.Var:
                 if t.index < depth and owners[depth - 1 - t.index] is not None:
                     found.add(id(owners[depth - 1 - t.index]))
@@ -119,13 +119,8 @@ class _CorePrinter:
             out.append(self.show(t, names, TERM))
             return _wrap("".join(out), prec > TERM)
         if cls is core.App:
-            # An application chain is printed in a loop, head first.
-            args = []
-            while t.__class__ is core.App:
-                args.append(t.arg)
-                t = t.fn
-            out = [self.show(t, names, APP)]
-            for arg in reversed(args):
+            out = [self.show(t.fn, names, APP)]
+            for arg in t.args:
                 out.append(self.show(arg, names, ATOM))
             return _wrap(" ".join(out), prec > APP)
         if cls is core.Pair:

@@ -25,8 +25,28 @@ def replace(node: Node, **changes) -> Node:
     return node.__class__(**changes)
 
 
+def app(fn: Term, *args: Term) -> Term:
+    """``fn`` applied to ``args`` in the kernel's spine form: an ``App``
+    head's arguments come first, and no arguments leave ``fn`` as it is."""
+    if not args:
+        return fn
+    if fn.__class__ is App:
+        return App(fn.fn, fn.args + args)
+    return App(fn, args)
+
+
+def children(t: Term) -> list[tuple[Term, int]]:
+    """Each immediate subterm of ``t`` and the binders it sits under: an
+    ``App``'s head, then its arguments."""
+    if t.__class__ is App:
+        return [(t.fn, 0)] + [(arg, 0) for arg in t.args]
+    return [(getattr(t, name), off) for name, off in t.SUB]
+
+
 def _map_subterms(t: Term, f) -> Term:
     """Rebuild ``t`` with f(subterm, extra_binders) applied to each subterm."""
+    if t.__class__ is App:
+        return app(f(t.fn, 0), *[f(arg, 0) for arg in t.args])
     if not t.SUB:
         return t
     changes = {name: f(getattr(t, name), off) for name, off in t.SUB}
@@ -66,8 +86,8 @@ def instantiate2(body: Term, first: Term, second: Term) -> Term:
 def step(sig: Signature, t: Term) -> Optional[Term]:
     """One leftmost-outermost reduction step, or None if normal."""
     match t:
-        case App(Lam(body), arg):
-            return subst(body, 0, arg)
+        case App(Lam(body), (arg, *rest)):
+            return app(subst(body, 0, arg), *rest)
         case Fst(Pair(a, _)):
             return a
         case Snd(Pair(_, b)):
@@ -88,6 +108,13 @@ def step(sig: Signature, t: Term) -> Optional[Term]:
             if entry is not None and entry.body is not None:
                 return entry.body
             return None
+    if t.__class__ is App:
+        parts = (t.fn, *t.args)
+        for i, sub in enumerate(parts):
+            reduced = step(sig, sub)
+            if reduced is not None:
+                return app(*parts[:i], reduced, *parts[i + 1:])
+        return None
     for field_name, _ in t.SUB:
         sub = getattr(t, field_name)
         reduced = step(sig, sub)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from smallstep_oracle import shift
+from smallstep_oracle import app, children, shift
 from tt2.core import (
     App, FIB, Fst, Inl, Inr, J, Lam, Layer, Nat, NatElim, Pair, Pi, Refl, Sigma,
     Snd, Sort, Star, STRICT, Suc, Sum, SumElim, Term, Unit, Var, Zero,
@@ -23,8 +23,10 @@ def term_size(t: Term) -> int:
     stack = [t]
     while stack:
         t = stack.pop()
-        size += 1
-        stack.extend(getattr(t, name) for name, _ in t.SUB)
+        # an application counts one node per argument, as nested binary
+        # applications would
+        size += len(t.args) if t.__class__ is App else 1
+        stack.extend(sub for sub, _ in children(t))
     return size
 
 
@@ -97,7 +99,7 @@ class TermGen:
         if kind == 0:
             dom = _gen_type(rng, 1)
             body = self._term(ty, env + (dom,), budget // 2)
-            return App(Lam(body), self._term(dom, env, budget // 2))
+            return app(Lam(body), self._term(dom, env, budget // 2))
         if kind == 1:
             other = _gen_type(rng, 1)
             a = self._term(ty, env, budget // 2)
@@ -213,7 +215,7 @@ def _eliminate(rng, t: Term, u: Term, have: Term, want: Term, env, fuel: int):
         return NatElim(FIB, want, z1, s1, t), NatElim(FIB, want, z2, s2, u)
     if isinstance(have, Pi) and fuel > 0:
         a, b = _eta_pair(rng, have.dom, env, fuel - 1)
-        return _eliminate(rng, App(t, a), App(u, b), have.cod, want, env, fuel - 1)
+        return _eliminate(rng, app(t, a), app(u, b), have.cod, want, env, fuel - 1)
     if isinstance(have, Sigma):
         if rng.random() < 0.5:
             return _eliminate(rng, Fst(t), Fst(u), have.fst, want, env, fuel)
@@ -230,7 +232,7 @@ def _eta_expand(rng, t: Term, ty: Term) -> Term:
     if isinstance(ty, Sigma):
         return Pair(_eta_expand(rng, Fst(t), ty.fst), _eta_expand(rng, Snd(t), ty.snd))
     if isinstance(ty, Pi):
-        return Lam(_eta_expand(rng, App(shift(t), Var(0)), ty.cod))
+        return Lam(_eta_expand(rng, app(shift(t), Var(0)), ty.cod))
     return t
 
 
@@ -257,5 +259,7 @@ def open_instance(term_cls: type, layer: Layer, offset: int = 0) -> Term:
         elif name == "sort":
             fields[name] = Sort(layer, 0)
         else:
-            fields[name] = App(Lam(Var(0)), Var(i + offset + binders[name]))
+            fields[name] = app(Lam(Var(0)), Var(i + offset + binders[name]))
+    if term_cls is App:  # ((\x. x) v) ((\x. x) v'), in spine form
+        return app(fields["fn"], fields["args"])
     return term_cls(**fields)

@@ -4,12 +4,13 @@ forms), conversion as an equivalence relation, and the inertness of the
 built-in axioms."""
 
 import cProfile
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import REPO_ROOT, call_count, fails_fast_on_recursion
-from smallstep_oracle import normalize, shift
+from smallstep_oracle import app, children, normalize, shift
 from termgen import TermGen, eta_instance
 
 from tt2 import conv, core, parse, pretty
@@ -29,7 +30,7 @@ def nf0(t):
 
 
 def test_eval_examples():
-    assert nf0(App(Lam(Var(0)), Star())) == Star()
+    assert nf0(app(Lam(Var(0)), Star())) == Star()
     # one recursor step: elim (\n. Nat) z (\n r. suc r) (suc zero) --> suc z
     elim = NatElim(FIB, Nat(FIB), Zero(FIB), Suc(FIB, Var(0)), Suc(FIB, Zero(FIB)))
     assert nf0(elim) == Suc(FIB, Zero(FIB))
@@ -43,13 +44,13 @@ def test_application_chain_evaluates_as_nested_applications():
     f, a, b, c = (Const(name) for name in "fabc")
     # (\x y. f y x) a b c: two arguments are substituted, then the head is
     # stuck and takes the third into its spine
-    swap = Lam(Lam(App(App(f, Var(0)), Var(1))))
-    value = conv.evaluate(sig, (), App(App(App(swap, a), b), c))
+    swap = Lam(Lam(app(f, Var(0), Var(1))))
+    value = conv.evaluate(sig, (), app(swap, a, b, c))
     args = [conv.evaluate(sig, (), t) for t in (b, a, c)]
     assert value == conv.VNeutral(conv.ConstHead("f"), tuple(args))
     env = (conv.fresh(0),)
-    assert conv.evaluate(sig, env, App(App(f, Var(0)), Var(0))).spine == (env[0],) * 2
-    for term in (App(App(f, a), Var(1)), App(f, Var(1))):
+    assert conv.evaluate(sig, env, app(f, Var(0), Var(0))).spine == (env[0],) * 2
+    for term in (app(f, a, Var(1)), app(f, Var(1))):
         with pytest.raises(InternalError, match="unbound index 1"):
             conv.evaluate(sig, env, term)
 
@@ -96,8 +97,8 @@ def test_js_computes_on_refls(base_sig, config):
 def test_quote_examples():
     assert conv.quote(EMPTY, 0, conv.VStar()) == Star()
     neutral = conv.VNeutral(conv.VarHead(0), (conv.VStar(),))
-    assert conv.quote(EMPTY, 1, neutral) == App(Var(0), Star())
-    applied = App(Lam(Suc(FIB, Var(0))), Zero(FIB))
+    assert conv.quote(EMPTY, 1, neutral) == app(Var(0), Star())
+    applied = app(Lam(Suc(FIB, Var(0))), Zero(FIB))
     assert nf0(applied) == Suc(FIB, Zero(FIB))
 
 
@@ -162,7 +163,7 @@ def _mentions_const(t):
         t = stack.pop()
         if t.__class__ is Const:
             return True
-        stack.extend(getattr(t, name) for name, _ in t.SUB)
+        stack.extend(sub for sub, _ in children(t))
     return False
 
 
@@ -187,11 +188,9 @@ def test_telescopes_lambda_chains_and_spines_read_back_in_a_loop():
         assert nf0(t) == t
     # a spine of bound variables reads back as the same indices, and one
     # whose argument escapes the depth is still an internal error
-    ctx, spine = Context(), Var(width - 1)
+    ctx, spine = Context(), App(Var(width - 1), tuple(map(Var, range(width - 1))))
     for i in range(width):
         ctx = ctx.extend(None, None, conv.fresh(i))
-    for i in range(width - 1):
-        spine = App(spine, Var(i))
     assert conv.nf(EMPTY, ctx, spine) == spine
     escaping = conv.VNeutral(conv.VarHead(0), (conv.fresh(5),))
     with pytest.raises(InternalError, match="level 5 escapes depth 1"):
@@ -228,6 +227,64 @@ def test_normal_forms_match_the_golden_file(config, manifest):
     assert normal_forms(config, manifest) == golden.splitlines()
 
 
+def _apps(t):
+    """The number of core ``App`` nodes in ``t``, each asserted to be in
+    spine form: a non-empty tuple of arguments and a head that is no App."""
+    count, stack = 0, [t]
+    while stack:
+        t = stack.pop()
+        if t.__class__ is App:
+            assert t.args.__class__ is tuple and t.args and t.fn.__class__ is not App, t
+            count += 1
+        stack.extend(sub for sub, _ in children(t))
+    return count
+
+
+def test_core_applications_are_in_spine_form(config, manifest):
+    # Elaborated entries of the accept corpus and their normal forms;
+    # random closed terms and their normal forms; and normal forms with
+    # neutral applications between projections, from eta instances.
+    sig = initial_signature(config)
+    for entry in manifest.accept_entries():
+        sig, diags = elaborate_signature(parse.parse_file(manifest.source(entry)), sig, config)
+        assert not diags, entry.path
+    elaborated = [t for e in sig.entries.values() for t in (e.ty, e.body) if t is not None]
+    gen = TermGen(20261019)
+    samples = [gen.sample(30)[0] for _ in range(300)]
+    rng = random.Random(20261019)
+    eta = [t for _ in range(300) for t in eta_instance(rng)[1:]]
+    counts = []
+    for terms, sig_of in ((elaborated, sig), (samples, EMPTY), (eta, EMPTY)):
+        counts.append(sum(map(_apps, terms)))
+        counts.append(sum(_apps(conv.nf(sig_of, Context(), t)) for t in terms))
+    # closed random terms normalise to terms with no application
+    assert counts[3] == 0 and all(counts[:3] + counts[4:]), counts
+
+
+def _raw_chains(raw):
+    """The application chains of a raw term: its ``RApp`` nodes but those
+    that are the parenthesised head of another."""
+    count, stack = 0, [raw]
+    while stack:
+        r = stack.pop()
+        count += r.__class__ is parse.RApp and r.fn.__class__ is not parse.RApp
+        for name in r.__match_args__:
+            x = getattr(r, name)
+            stack.extend(y for y in (x if x.__class__ is tuple else (x,)) if isinstance(y, parse.Raw))
+    return count
+
+
+def test_sst_elaborates_one_app_per_application_chain(config):
+    counts = []
+    for n in range(1, 8):
+        decl, = parse.parse_file(gen_sst(GenPlan(n)))
+        sig, diags = elaborate_signature([decl], initial_signature(config), config)
+        assert not diags
+        assert _apps(sig.lookup(decl.name).body) == _raw_chains(decl.body), n
+        counts.append(_raw_chains(decl.body))
+    assert counts == [0, 0, 3, 13, 38, 94, 213]
+
+
 def test_shared_leaves_stay_intact(config, manifest):
     # Values are unfrozen records for speed, so the leaves that evaluation
     # shares (one neutral per level, one Const per name, an argument's value
@@ -238,7 +295,7 @@ def test_shared_leaves_stay_intact(config, manifest):
     for name in "fab":
         sig.add(SigEntry(name, Unit(), None, DeclKind.POSTULATE))
     va, vb = (conv.evaluate(sig, (), Const(name)) for name in "ab")
-    spine = conv.evaluate(sig, (), App(App(Const("f"), Const("a")), Const("b"))).spine
+    spine = conv.evaluate(sig, (), app(Const("f"), Const("a"), Const("b"))).spine
     assert spine == (va, vb) and spine[0] is va and spine[1] is vb
     normal_forms(config, manifest)
     _, diags = elaborate_signature(parse.parse_file(gen_sst(GenPlan(6))), initial_signature(config), config)
@@ -539,7 +596,7 @@ def _eta_long(t, ty, env):
         a, b = (t.fst, t.snd) if isinstance(t, Pair) else (Fst(t), Snd(t))
         return Pair(_eta_long(a, ty.fst, env), _eta_long(b, ty.snd, env))
     if isinstance(ty, Pi):
-        body = t.body if isinstance(t, Lam) else App(shift(t), Var(0))
+        body = t.body if isinstance(t, Lam) else app(shift(t), Var(0))
         return Lam(_eta_long(body, ty.cod, env + (ty.dom,)))
     if isinstance(t, Zero):
         return t
@@ -553,8 +610,12 @@ def _eta_long_neutral(t, env):
     if isinstance(t, Var):
         return t, env[~t.index]
     if isinstance(t, App):
-        fn, fn_ty = _eta_long_neutral(t.fn, env)
-        return App(fn, _eta_long(t.arg, fn_ty.dom, env)), fn_ty.cod
+        fn, ty = _eta_long_neutral(t.fn, env)
+        args = []
+        for arg in t.args:
+            args.append(_eta_long(arg, ty.dom, env))
+            ty = ty.cod
+        return app(fn, *args), ty
     if isinstance(t, (Fst, Snd)):
         pair, pair_ty = _eta_long_neutral(t.pair, env)
         return (Fst(pair), pair_ty.fst) if isinstance(t, Fst) else (Snd(pair), pair_ty.snd)
@@ -572,8 +633,8 @@ def test_spine_conversion_agrees_with_eta_long_normal_forms(rng):
     ty, t, u = eta_instance(rng)
     sig = Signature()
     sig.add(SigEntry("f", Pi(ty, Nat(FIB)), None, DeclKind.POSTULATE))
-    ft = conv.evaluate(sig, (), App(Const("f"), t))
-    fu = conv.evaluate(sig, (), App(Const("f"), u))
+    ft = conv.evaluate(sig, (), app(Const("f"), t))
+    fu = conv.evaluate(sig, (), app(Const("f"), u))
     expected = _eta_long(normalize(EMPTY, t), ty, ()) == _eta_long(normalize(EMPTY, u), ty, ())
     assert conv.convert(sig, (), ft, fu, conv.VNat(FIB)) == expected
 
@@ -643,7 +704,7 @@ def test_applied_axiom_stays_neutral(base_sig, config):
     elab = Elaborator(base_sig, config)
     term, _ = elab.infer(Context(), parse.parse_term("uip NatS zero zero"))
     norm = conv.nf(base_sig, Context(), term)
-    assert norm == App(App(App(Const("uip"), Nat(STRICT)), Zero(STRICT)), Zero(STRICT))
+    assert norm == app(Const("uip"), Nat(STRICT), Zero(STRICT), Zero(STRICT))
 
 
 def test_definitions_unfold(base_sig, config):
@@ -697,9 +758,7 @@ def _const(name):
 
 
 def _chain(head, *indices):
-    for i in indices:
-        head = App(head, Var(i))
-    return head
+    return app(head, *map(Var, indices))
 
 
 # Each case: the environment, the domain term under it, and the argument's

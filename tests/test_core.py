@@ -13,11 +13,11 @@ import sys
 import pytest
 
 from conftest import REPO_ROOT, fails_fast_on_recursion
-from smallstep_oracle import replace, shift, subst
+from smallstep_oracle import app, replace, shift, step, subst
 from termgen import term_size
 from tt2 import conv, parse
 from tt2.core import (
-    App, Const, Context, DeclKind, FIB, InternalError, Lam, Nat, Pair, Pi, SigEntry,
+    App, Const, Context, DeclKind, FIB, Fst, InternalError, Lam, Nat, Pair, Pi, SigEntry,
     Sigma, Signature, Sort, Star, STRICT, Sum, Suc, Term, Unit, Univ, Var, Zero,
     is_scope_closed, var, sort_join, sort_leq,
 )
@@ -33,8 +33,21 @@ def test_shift_examples():
 
 def test_subst_examples():
     assert subst(Var(0), 0, Star()) == Star()
-    assert subst(App(Var(0), Var(1)), 0, Const("f")) == App(Const("f"), Var(0))
+    assert subst(app(Var(0), Var(1)), 0, Const("f")) == app(Const("f"), Var(0))
     assert subst(Pi(Unit(), Var(1)), 0, Nat(FIB)) == Pi(Unit(), Nat(FIB))
+
+
+def test_oracle_beta_step_takes_the_first_argument():
+    # (\x. b) a1 a2 steps to b[a1] a2, one App however b[a1] is shaped
+    sig = Signature()
+    f, a1, a2 = Const("f"), Const("a1"), Const("a2")
+    swap = Lam(Lam(app(f, Var(0), Var(1))))
+    assert step(sig, App(swap, (a1, a2))) == App(Lam(app(f, Var(0), a1)), (a2,))
+    assert step(sig, App(Lam(app(f, Var(0))), (a1, a2))) == App(f, (a1, a2))
+    assert step(sig, App(Lam(Var(0)), (f, a1, a2))) == App(f, (a1, a2))
+    assert step(sig, App(Lam(Var(0)), (a1,))) is a1
+    # a head that steps to an application is flattened into the chain
+    assert step(sig, App(Fst(Pair(app(f, a1), Star())), (a2,))) == App(f, (a1, a2))
 
 
 def _random_term(rng: random.Random, depth: int, budget: int) -> Term:
@@ -49,7 +62,7 @@ def _random_term(rng: random.Random, depth: int, budget: int) -> Term:
         return Lam(_random_term(rng, depth + 1, budget - 1))
     if roll == 1:
         half = budget // 2
-        return App(_random_term(rng, depth, half), _random_term(rng, depth, half))
+        return app(_random_term(rng, depth, half), _random_term(rng, depth, half))
     if roll == 2:
         half = budget // 2
         return Pi(_random_term(rng, depth, half), _random_term(rng, depth + 1, half))
@@ -93,15 +106,15 @@ def test_random_terms_are_scope_closed(random_terms):
 
 
 @pytest.mark.parametrize("ty", [
-    App(Const("c"), Var(0)),  # a chain argument
-    App(App(Var(0), Star()), Star()),  # a chain head
-    Pi(Univ(Sort(FIB, 0)), App(App(Const("c"), Var(0)), Var(1))),  # under a binder
+    app(Const("c"), Var(0)),  # a chain argument
+    app(Var(0), Star(), Star()),  # a chain head
+    Pi(Univ(Sort(FIB, 0)), app(Const("c"), Var(0), Var(1))),  # under a binder
 ])
 def test_signature_refuses_an_open_variable_in_an_application(ty):
     sig = Signature()
     with pytest.raises(InternalError, match="open type"):
         sig.add(SigEntry("t", ty, None, DeclKind.POSTULATE))
-    closed = Pi(Univ(Sort(FIB, 0)), App(App(Const("c"), Var(0)), Var(0)))
+    closed = Pi(Univ(Sort(FIB, 0)), app(Const("c"), Var(0), Var(0)))
     sig.add(SigEntry("t", closed, None, DeclKind.POSTULATE))
     assert sig.lookup("t").ty is closed
 

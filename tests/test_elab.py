@@ -5,6 +5,7 @@ print-reparse-recheck stability of elaborated cores."""
 import pytest
 from conftest import REPO_ROOT
 
+from smallstep_oracle import children
 from termgen import TermGen
 from tt2 import conv, core, parse, pretty
 from tt2.core import Context, FIB, Lam, Nat, Pi, Sort, STRICT, Star, Univ, Var, Zero
@@ -308,8 +309,10 @@ def test_an_application_elaborates_alike_however_parenthesised(base_sig, config,
     assert not diags
     F, a0, a1, x = core.Const("F"), Var(2), Var(1), Var(0)
     body = sig.lookup("t").body
-    assert body == Lam(Lam(Lam(core.App(core.App(core.App(F, a0), a1), x))))
-    assert body.body.body.body.arg is core.var(0)  # a bound name elaborates to a shared leaf
+    assert body == Lam(Lam(Lam(core.App(F, (a0, a1, x)))))
+    # a bound name and a constant elaborate to shared leaves
+    chain = body.body.body.body
+    assert chain.args[-1] is core.var(0) and chain.fn is core.const("F")
 
 
 def test_duplicate_names_rejected(base_sig, config):
@@ -347,7 +350,7 @@ def _occurs(t, index):
     """Whether variable ``index`` occurs in ``t``: the printer's reference."""
     if isinstance(t, Var):
         return t.index == index
-    return any(_occurs(getattr(t, name), index + off) for name, off in t.SUB)
+    return any(_occurs(sub, index + off) for sub, off in children(t))
 
 
 def test_printer_binder_choice_matches_naive_occurrence(config, manifest):
@@ -370,7 +373,7 @@ def test_printer_binder_choice_matches_naive_occurrence(config, manifest):
                 assert (id(t) in found) == _occurs(body, 0)
                 checked += 1
                 dependent += id(t) in found
-            stack.extend(getattr(t, name) for name, _ in t.SUB)
+            stack.extend(sub for sub, _ in children(t))
     assert checked > dependent > 100
 
 
