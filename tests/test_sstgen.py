@@ -263,6 +263,23 @@ def test_generated_files_match_the_golden_hashes(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, filename
 
 
+def test_generated_files_past_the_cap_match_the_golden_hashes():
+    # tests/golden/gen.sha256 stops at the CLI cap of 8; vertex label 10
+    # first appears at SST-11.  The hashes were taken from the generator
+    # as it stood before cell texts came from one template per dimension.
+    golden = (REPO_ROOT / "tests" / "golden" / "gen_past_cap.sha256").read_text().splitlines()
+    assert len(golden) == 8
+    for line in golden:
+        digest, filename = line.split("  ")
+        _, target, _, levels, *opts = _golden_gen_argv(filename)
+        names = opts[opts.index("--prefix") + 1] if "--prefix" in opts else ""
+        universe = int(opts[opts.index("--universe") + 1]) if "--universe" in opts else 0
+        plan = GenPlan(int(levels), emit=frozenset({target}), names=names,
+                       universe=universe, cap=11)
+        text = {"sst": gen_sst, "segal": gen_segal_scaffold}[target](plan)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, filename
+
+
 def test_each_dimension_faces_are_enumerated_once_per_file():
     # SST 1..7 used to enumerate boundary cells once per cell: 459 calls
     # for 7 distinct dimensions.
