@@ -236,16 +236,34 @@ class Elaborator:
                 arg_v = evaluate(self.sig, ctx.env, arg_core)
                 return core.Refl(layer, ty_core, arg_core), VId(layer, ty_v, arg_v, arg_v)
             if former is core.Snd or former is core.Fst:
-                pair_core, pair_ty = self.infer(ctx, raw.args[0])
-                if pair_ty.__class__ is not VSigma:
-                    raise Diagnostic(
-                        TYPE_MISMATCH, raw.span,
-                        f"expected a pair, but this has type {self._show(ctx, pair_ty)}",
-                    )
-                if former is core.Fst:
-                    return core.Fst(pair_core), pair_ty.fst
-                fst_v = conv.do_fst(self.sig, evaluate(self.sig, ctx.env, pair_core))
-                return core.Snd(pair_core), pair_ty.snd.apply(self.sig, fst_v)
+                # A chain of projections fst (snd (… p)): infer the innermost
+                # pair once, evaluate it at most once, where the first snd
+                # needs its value, and project that value step by step.
+                projections = [raw]
+                pair = raw.args[0]
+                while pair.__class__ is parse.RBuiltin and (pair.former is core.Fst
+                                                            or pair.former is core.Snd):
+                    projections.append(pair)
+                    pair = pair.args[0]
+                sig = self.sig
+                term, ty = self.infer(ctx, pair)
+                value = None
+                for proj in reversed(projections):
+                    if ty.__class__ is not VSigma:
+                        raise Diagnostic(
+                            TYPE_MISMATCH, proj.span,
+                            f"expected a pair, but this has type {self._show(ctx, ty)}",
+                        )
+                    if proj.former is core.Fst:
+                        term, ty = core.Fst(term), ty.fst
+                        if value is not None:
+                            value = conv.do_fst(sig, value)
+                    else:
+                        if value is None:
+                            value = evaluate(sig, ctx.env, term)
+                        term, ty = core.Snd(term), ty.snd.apply(sig, conv.do_fst(sig, value))
+                        value = conv.do_snd(sig, value)
+                return term, ty
             if former in (core.J, core.NatElim, core.SumElim, core.EmptyElim):
                 return self._infer_eliminator(ctx, raw)
             if former is core.Nat or former is core.Empty:

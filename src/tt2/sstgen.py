@@ -7,11 +7,22 @@ order (dimension first, then lexicographic).  A binder is named only when a
 later binder refers to it, which ``_family_type`` reads off its dimension;
 this keeps the level-1 family literally ``X0 -> X0 -> U0``.  Generated text
 is a pure function of the plan, so output is byte-identical across runs.
+
+A telescope is written from printf templates made once per file for each
+dimension d: a d-cell's name (``a%d``, ``x%d%d``, ...), its type (family d
+applied to the names of its faces, C(d+1, m) of m vertices for m = 1..d),
+and an ``itemgetter`` of the vertices their slots read.  A cell's binder
+text is then one ``%`` over the getter's tuple, with no Python-level call
+per cell or per face.  Names join vertex labels with no separator, so the
+faces of a simplex with 13 or more vertices are refused: (0, 12) and
+(0, 1, 2) would both be ``x012``.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
 from .core import Node
@@ -49,28 +60,64 @@ class GenPlan(Node, frozen=True):
             raise ValueError(f"unknown emission targets: {sorted(unknown)}")
 
 
+_MOST_VERTICES = 12  # with 13, (0, 12) and (0, 1, 2) would both be x012
+
+
+def _refuse_unnamable(vertices: int) -> None:
+    if vertices > _MOST_VERTICES:
+        raise ValueError(
+            f"cannot name the faces of a simplex with {vertices} vertices: names "
+            "join vertex labels with no separator, so (0, 12) and (0, 1, 2) "
+            f"would both be x012; at most {_MOST_VERTICES} vertices are named"
+        )
+
+
+def _name_template(size: int) -> str:
+    return "a%d" if size == 1 else "x" + "%d" * size
+
+
 def cell_name(cell: tuple[int, ...]) -> str:
-    return f"a{cell[0]}" if len(cell) == 1 else "x" + "".join(map(str, cell))
+    _refuse_unnamable(cell[-1] + 1)
+    return _name_template(len(cell)) % cell
 
 
-def telescope_entries(n: int, family: str = "X", faces: Optional[list] = None) -> list[tuple[str, str]]:
+def _cell_templates(family: str, faces: list) -> list[tuple[str, str, itemgetter]]:
+    """Per dimension d < len(faces): printf templates of a d-cell's binder
+    name and of its type, and the getter of the vertices their slots read.
+    The getter gives the cell's own d+1 vertices, for the name, then those
+    of its faces in ``faces[d]`` order, for the type, so that
+    ``f"({name} : {ty})" % get(cell)`` is the named binder and
+    ``ty % get(cell)[d + 1:]`` the type alone."""
+    _refuse_unnamable(len(faces) + 1)
+    names = [_name_template(size) for size in range(1, len(faces) + 1)]
+    templates = []
+    for dim, bound in enumerate(faces):
+        args = "".join([" " + names[len(face) - 1] for face in bound])
+        # itemgetter of one position gives the bare item, not a 1-tuple
+        get = itemgetter(*range(dim + 1), *[v for face in bound for v in face]) if dim \
+            else itemgetter(slice(1))
+        templates.append((names[dim], f"{family}{dim}{args}", get))
+    return templates
+
+
+def telescope_entries(n: int, family: str = "X", faces: Optional[list] = None,
+                      templates: Optional[list] = None) -> list[tuple[str, str]]:
     """(binder name, type text) for the matching telescope at level n, where
-    ``faces[d]`` is ``boundary_cells(d)`` for d <= n (one list per file).
-    A cell's type is the family of its dimension applied to the binders of
-    its own faces, in canonical order.  Faces come before their cells, so
-    each cell is named once, into a dict that the later cells read."""
+    ``faces[d]`` is ``boundary_cells(d)`` for d <= n (one list per file) and
+    ``templates`` those of ``_cell_templates`` over ``faces[:n]``.  A cell's
+    type is the family of its dimension applied to the binders of its own
+    faces, in canonical order."""
     faces = [boundary_cells(d) for d in range(n + 1)] if faces is None else faces
-    names: dict[tuple[int, ...], str] = {}
+    templates = _cell_templates(family, faces[:n]) if templates is None else templates
     entries = []
-    for cell in faces[n]:
-        dim = len(cell) - 1
-        args = "".join([" " + names[tuple([cell[i] for i in w])] for w in faces[dim]])
-        name = names[cell] = cell_name(cell)
-        entries.append((name, f"{family}{dim}{args}"))
+    for size, cells in groupby(faces[n], len):
+        name, ty, get = templates[size - 1]
+        entries += [(name % cell, ty % get(cell)[size:]) for cell in cells]
     return entries
 
 
-def _family_type(k: int, universe: int, family: str, faces: list) -> str:
+def _family_type(k: int, universe: int, family: str, faces: list,
+                 templates: Optional[list] = None) -> str:
     """Type text of the level-k family over its matching telescope.
 
     A binder is named exactly when a later binder's type mentions it, that
@@ -78,9 +125,15 @@ def _family_type(k: int, universe: int, family: str, faces: list) -> str:
     that such a cell lacks gives a proper cell of the next dimension, which
     comes later and whose type names all its faces.  A cell of dimension
     k-1 is a face of no cell in the telescope: none has a higher dimension."""
-    parts = [f"({name} : {ty})" if len(cell) < k else ty
-             for cell, (name, ty) in zip(faces[k], telescope_entries(k, family, faces))]
-    return " -> ".join(parts + [f"U{universe}"])
+    templates = _cell_templates(family, faces[:k]) if templates is None else templates
+    parts = []
+    for size, cells in groupby(faces[k], len):
+        name, ty, get = templates[size - 1]
+        if size < k:
+            parts += map(f"({name} : {ty}) -> ".__mod__, map(get, cells))
+        else:  # the k+1 facets
+            parts += [ty % get(cell)[size:] + " -> " for cell in cells]
+    return "".join(parts) + f"U{universe}"
 
 
 def _sigma(components: list[tuple[str, str]]) -> str:
@@ -104,7 +157,8 @@ def gen_sst(plan: GenPlan) -> str:
     if u:
         header += f" --universe {u}"
     faces = [boundary_cells(d) for d in range(n)]
-    families = [(f"{p}X{k}", _family_type(k, u, f"{p}X", faces)) for k in range(n)]
+    templates = _cell_templates(f"{p}X", faces[:-1])
+    families = [(f"{p}X{k}", _family_type(k, u, f"{p}X", faces, templates)) for k in range(n)]
     body = _sigma(families) if families else "Unit"
     lines = [header, f"def {p}SST{n} : US{u + 1} := {body}"]
     return "\n".join(lines) + "\n"
@@ -169,12 +223,13 @@ def gen_segal_scaffold(plan: GenPlan) -> str:
     header = f"-- tt2 gen segal --levels {n}"
     lines = [header]
     faces = [boundary_cells(d) for d in range(n + 1)]
+    templates = _cell_templates(f"{p}X", faces[:-1])
     for k in range(n + 1):
-        lines.append(f"postulate {p}X{k} : {_family_type(k, 0, f'{p}X', faces)}")
+        lines.append(f"postulate {p}X{k} : {_family_type(k, 0, f'{p}X', faces, templates)}")
 
-    tot = telescope_entries(n, f"{p}X", faces)
-    filler_args = " ".join(name for name, _ in tot)
-    tot = tot + [(f"t{n}", f"{p}X{n} {filler_args}")]
+    tot = telescope_entries(n, f"{p}X", faces, templates)
+    filler_args = " ".join(map(itemgetter(0), tot))
+    tot.append((f"t{n}", f"{p}X{n} {filler_args}"))
     lines.append(f"def {p}Tot{n} : U0 := {_sigma(tot)}")
     lines.append(f"def {p}Spine{n} : U0 := {_sigma(_spine_components(n, p))}")
 

@@ -2,8 +2,10 @@
 table, coercion strictness, subsumption, determinism, and the
 print-reparse-recheck stability of elaborated cores."""
 
+import cProfile
+
 import pytest
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, call_count
 
 from smallstep_oracle import children
 from termgen import TermGen
@@ -553,3 +555,21 @@ def builtin_outcomes(config) -> str:
 def test_builtin_diagnostics_match_the_golden_file(config):
     golden = (REPO_ROOT / "tests" / "golden" / "builtin_errors.txt").read_text(encoding="utf-8")
     assert builtin_outcomes(config) == golden
+
+
+def test_a_projection_chain_evaluates_its_pair_once(base_sig, config):
+    # fst (snd^j p) infers p once and projects its value step by step;
+    # re-inferring and re-evaluating the inner chain at each level made
+    # 253 and 903 evaluate calls at j = 20 and 40, quadratic in j.
+    src = "postulate p : " + " × ".join(["Nat"] * 42)
+    sig, diags = elaborate_signature(parse.parse_file(src), base_sig, config)
+    assert not diags
+
+    def evaluations(j):
+        term = parse.parse_term("fst " + "(snd " * j + "p" + ")" * j)
+        profile = cProfile.Profile()
+        _, ty = profile.runcall(Elaborator(sig, config).infer, Context(), term)
+        assert ty == conv.evaluate(sig, (), Nat(FIB))
+        return call_count(profile, conv.evaluate)
+
+    assert evaluations(40) <= 2.2 * evaluations(20)

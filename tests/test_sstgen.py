@@ -288,3 +288,33 @@ def test_each_dimension_faces_are_enumerated_once_per_file():
         profile = cProfile.Profile()
         profile.runcall(gen, plan)
         assert 0 < call_count(profile, delta.boundary_cells) <= most
+
+
+def test_cells_are_written_with_fewer_python_calls_than_cells():
+    # SST-7 writes 240 cells.  Naming each face of each cell through a
+    # Python-level helper took 520 calls or more; one printf template per
+    # dimension leaves a few calls per dimension.
+    plan = GenPlan(7, cap=7)
+    cells = sum(len(boundary_cells(k)) for k in range(plan.levels))
+    assert cells == 240
+    profile = cProfile.Profile()
+    profile.runcall(gen_sst, plan)
+    calls = sum(e.callcount for e in profile.getstats() if not isinstance(e.code, str))
+    assert calls < cells
+
+
+@pytest.mark.parametrize("gen, levels", [(gen_sst, 13), (gen_segal_scaffold, 12)])
+def test_faces_of_a_simplex_with_13_vertices_are_refused(gen, levels):
+    # The top telescope is the boundary of the 12-simplex, where (0, 12) and
+    # (0, 1, 2) would both be named x012 and one binder would shadow the other.
+    with pytest.raises(ValueError, match="13 vertices.*x012"):
+        gen(GenPlan(levels, cap=levels))
+    with pytest.raises(ValueError, match="x012"):
+        cell_name((0, 12))
+
+
+def test_twelve_vertices_keep_distinct_names():
+    # the boundary of the 11-simplex, Segal-11's Tot, is the widest one named
+    names = [cell_name(cell) for cell in boundary_cells(11)]
+    assert len(set(names)) == len(names) == 2 ** 12 - 2
+    assert [name for name, _ in telescope_entries(11)] == names
