@@ -94,8 +94,8 @@ def _cell_templates(family: str, faces: list) -> list[tuple[str, str, itemgetter
     for dim, bound in enumerate(faces):
         args = "".join([" " + names[len(face) - 1] for face in bound])
         # itemgetter of one position gives the bare item, not a 1-tuple
-        get = itemgetter(*range(dim + 1), *[v for face in bound for v in face]) if dim \
-            else itemgetter(slice(1))
+        get = (itemgetter(*range(dim + 1), *[v for face in bound for v in face]) if dim
+               else itemgetter(slice(1)))
         templates.append((names[dim], f"{family}{dim}{args}", get))
     return templates
 

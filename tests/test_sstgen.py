@@ -309,8 +309,6 @@ def test_faces_of_a_simplex_with_13_vertices_are_refused(gen, levels):
     # (0, 1, 2) would both be named x012 and one binder would shadow the other.
     with pytest.raises(ValueError, match="13 vertices.*x012"):
         gen(GenPlan(levels, cap=levels))
-    with pytest.raises(ValueError, match="x012"):
-        cell_name((0, 12))
 
 
 def test_twelve_vertices_keep_distinct_names():
@@ -318,3 +316,5 @@ def test_twelve_vertices_keep_distinct_names():
     names = [cell_name(cell) for cell in boundary_cells(11)]
     assert len(set(names)) == len(names) == 2 ** 12 - 2
     assert [name for name, _ in telescope_entries(11)] == names
+    with pytest.raises(ValueError, match="x012"):
+        cell_name((0, 12))
