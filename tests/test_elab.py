@@ -182,6 +182,30 @@ def test_a_shadowed_binder_is_printed_under_a_fresh_name(base_sig, config, src, 
     assert [(d.code, d.message) for d in diags] == [("TYPE_MISMATCH", message)]
 
 
+_TWICE = "def twice (A : U0) (f : A -> A -> A) (x : A) : A := (f x) x\n"
+
+
+# A declaration's telescope is folded into its type and its body: a
+# diagnostic raised in a binder domain, the result type or the body keeps
+# the code, span and message of the term as written.
+@pytest.mark.parametrize("src, diagnostic", [
+    ("def t (A : U0) (x : Z) : A := x", ("UNBOUND", (20, 21), "unbound name 'Z'")),
+    ("def t (A : U0) (x : A) (y : x) : U0 := A",
+     ("NOT_A_TYPE", (28, 29), "expected a type, but this has type A")),
+    ("postulate p (A : U0) : A -> Q", ("UNBOUND", (28, 29), "unbound name 'Q'")),
+    ("def t (A : U0) (B : U0) (x : A) : B := x", ("TYPE_MISMATCH", (39, 40), "expected B, got A")),
+    ("def t (A : U0) (x : A) : A := \\y. y",
+     ("TYPE_MISMATCH", (30, 35), "lambda checked against non-function type A")),
+    ("def t (A : U0) (f : A -> A) (x : A) : A := f (g x)", ("UNBOUND", (46, 47), "unbound name 'g'")),
+    # a parenthesised head that is not a function, on the line after twice
+    (_TWICE + "def bad (A : U0) (x : A) : A := (x x) x",
+     ("TYPE_MISMATCH", (93, 96), "expected a function, but this has type A")),
+])
+def test_diagnostics_inside_a_declaration_telescope_keep_their_spans(base_sig, config, src, diagnostic):
+    _, diags = elaborate_signature(parse.parse_file(src), base_sig, config)
+    assert [(d.code, d.span, d.message) for d in diags] == [diagnostic]
+
+
 def test_fibrant_sum_needs_fibrant_summands(elab):
     assert err(infer, elab, "Sum Unit NatS") == "SORT_MISMATCH"
     assert type_str(elab, "SumS Unit Nat") == "US0"
