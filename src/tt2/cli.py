@@ -58,6 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if target in ("sst", "spine"):
             p.add_argument("--universe", type=int, default=0, metavar="I",
                            help="retarget generated families to U<I>")
+        if target == "spine":
             p.add_argument("--literal-spine", action="store_true",
                            help="also emit the spine with explicit equality components")
 

@@ -153,23 +153,16 @@ class Elaborator:
             # Otherwise that one domain is evaluated and the argument checked
             # against it.  The rest of the telescope is evaluated once, where
             # the walk ends.
-            fn, args = raw.fn, raw.args
-            if fn.__class__ is parse.RApp:  # a parenthesised head: (f a) b
-                spines = [args]
-                while fn.__class__ is parse.RApp:
-                    spines.append(fn.args)
-                    fn = fn.fn
-                args = [arg for spine in reversed(spines) for arg in spine]
             sig = self.sig
-            head, ty = self.infer(ctx, fn)
+            head, ty = self.infer(ctx, raw.fn)
             cores = []
             env = None  # while walking a telescope term: its environment; ty is the term
-            for arg in args:
+            for arg in raw.args:
                 hit = ctx.lookup(arg.name) if arg.__class__ is parse.RVar else None
                 if env is None:
                     if ty.__class__ is not VPi:
                         raise Diagnostic(
-                            TYPE_MISMATCH, (fn.span[0], arg.span[1]),
+                            TYPE_MISMATCH, (raw.fn.span[0], arg.span[1]),
                             f"expected a function, but this has type {self._show(ctx, ty)}",
                         )
                     dom = ty.dom
@@ -441,27 +434,12 @@ class Elaborator:
                 if former is core.Inl:
                     return core.Inl(expected.layer, self.check(ctx, raw.args[0], expected.left))
                 return core.Inr(expected.layer, self.check(ctx, raw.args[0], expected.right))
-        if cls is parse.RHole:
-            raise Diagnostic(HOLE, raw.span, "holes are not supported; write the term explicitly")
         term, got = self.infer(ctx, raw)
         return self._conform(ctx, raw, term, got, expected)
 
 
 # ---------------------------------------------------------------------------
 # Declarations
-
-
-def _decl_to_raw(decl: parse.RawDecl) -> tuple[parse.Raw, Optional[parse.Raw]]:
-    """Fold the telescope into the result type (and the body into lambdas)."""
-    ty: parse.Raw = decl.result
-    for name, binder_ty in reversed(decl.telescope):
-        binder = None if name == "_" else name
-        ty = parse.RPi((binder_ty.span[0], ty.span[1]), binder, binder_ty, ty)
-    body = decl.body
-    if body is not None:
-        for name, _ in reversed(decl.telescope):
-            body = parse.RLam((decl.span[0], body.span[1]), name, body)
-    return ty, body
 
 
 def elaborate_signature(
@@ -481,12 +459,11 @@ def elaborate_signature(
                 raise Diagnostic(
                     DUPLICATE, decl.span, f"duplicate top-level name {decl.name!r}"
                 )
-            ty_raw, body_raw = _decl_to_raw(decl)
-            ty_core, _ = elab.ensure_type(Context(), ty_raw)
+            ty_core, _ = elab.ensure_type(Context(), decl.ty)
             body_core = None
             if decl.kind == "def":
                 ty_v = evaluate(sig, (), ty_core)
-                body_core = elab.check(Context(), body_raw, ty_v)
+                body_core = elab.check(Context(), decl.body, ty_v)
                 kind = DeclKind.DEFINITION
             else:
                 kind = DeclKind.POSTULATE

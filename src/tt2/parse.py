@@ -20,8 +20,11 @@ parentheses, applications and built-ins still short of arguments.  An
 operator closes the frames of tighter levels, and the end of a term closes
 all of its frames, so nesting depth costs list entries, not Python calls.
 An application chain ``f a1 … an`` is one ``RApp`` node, with the
-arguments as a tuple; a parenthesised head, as in ``(f a) b``, stays a
-node of its own, and the elaborator reads through it.
+arguments as a tuple, and a parenthesised chain that heads more arguments,
+as in ``(f a) b``, is continued, so no ``RApp`` has an ``RApp`` head.  A
+declaration comes out finished: the frames that close binder groups and
+lambdas fold its telescope into its type, as Π binders, and into its
+body, as lambdas.
 
 Built-ins are the rows of ``_FORMERS``: keyword, core class, layer (None
 where one keyword serves both layers) and the number of atomic arguments.
@@ -106,10 +109,11 @@ class RHole(Raw):
 
 
 class RawDecl(Node, frozen=True):
+    """A declaration, its telescope folded into ``ty`` and ``body``."""
+
     kind: str  # "def" | "postulate"
     name: str
-    telescope: tuple[tuple[str, Raw], ...]
-    result: Raw
+    ty: Raw
     body: Optional[Raw]
     span: Span
 
@@ -289,13 +293,13 @@ class _Parser:
         while self.peek()[0] == "LPAREN":
             telescope.extend(self.parse_binder_group())
         self.expect("COLON")
-        result = self.term()
+        ty = _close((_PI_GROUPS, telescope, None), self.term())
         body = None
         if kind == "def":
             self.expect("ASSIGN")
-            body = self.term()
+            body = _close((_LAM, tok, [name for name, _ in telescope]), self.term())
         end = self.tokens[self.pos - 1][2][1]
-        return RawDecl(kind, name[1], tuple(telescope), result, body, (tok[2][0], end))
+        return RawDecl(kind, name[1], ty, body, (tok[2][0], end))
 
     def parse_binder_group(self) -> list[tuple[str, Raw]]:
         self.pos += 1  # the caller saw the "("
@@ -395,7 +399,9 @@ class _Parser:
                 stack.pop()
                 val = RApp((head.span[0], val.span[1]), head, tuple(args))
             elif kind in _ATOM_STARTERS:
-                stack.append((_APP, val, []))
+                # ``(f a) b`` continues the chain ``f a``: no RApp heads an RApp
+                stack.append((_APP, val.fn, list(val.args)) if val.__class__ is RApp
+                             else (_APP, val, []))
                 state = _ATOM
                 continue
             # The application has ended: it is an operand of ``×`` or ``->``.

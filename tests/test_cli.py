@@ -383,6 +383,15 @@ def test_gen_rejects_a_prefix_that_is_no_identifier(tmp_path, prefix):
     assert not out.exists()
 
 
+def test_literal_spine_is_an_option_of_spine_alone():
+    result = run_cli("gen", "sst", "--levels", "2", "--literal-spine")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "unrecognized arguments: --literal-spine" in result.stderr
+    assert "Traceback" not in result.stderr
+    result = run_cli("gen", "spine", "--levels", "2", "--literal-spine")
+    assert result.returncode == 0 and "--literal-spine" in result.stdout.splitlines()[0]
+
+
 def test_gen_level_cap_fails_cleanly():
     result = run_cli("gen", "sst", "--levels", "9")
     assert result.returncode == 1

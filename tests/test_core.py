@@ -198,7 +198,7 @@ def test_raw_equality_ignores_spans():
     assert a != parse.RVar((0, 1), "y")
     assert parse.parse_term("f (x)") == parse.parse_term("f  x")
     # declarations compare their spans
-    assert parse.RawDecl("def", "d", (), a, None, (0, 1)) != parse.RawDecl("def", "d", (), a, None, (0, 2))
+    assert parse.RawDecl("def", "d", a, None, (0, 1)) != parse.RawDecl("def", "d", a, None, (0, 2))
 
 
 def test_term_equality_and_hash():

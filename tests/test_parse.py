@@ -15,6 +15,7 @@ from tt2.diagnostics import Diagnostic
 from tt2.elab import elaborate_signature
 from tt2.parse import lex, parse_file, parse_term
 from tt2.prelude import prelude_source
+from tt2.sstgen import GenPlan, gen_segal_scaffold, gen_sst
 from tt2.pretty import APP, ATOM, SIGMA, TERM, _wrap
 
 
@@ -69,7 +70,7 @@ def test_lex_gives_triples_and_the_parser_reads_universes_from_text():
         ("EOF", "", (18, 18)),
     ]
     [decl] = parse_file(source)
-    assert decl.result == parse.RUniv((8, 11), STRICT, 1) and decl.result.span == (8, 11)
+    assert decl.ty == parse.RUniv((8, 11), STRICT, 1) and decl.ty.span == (8, 11)
     assert decl.body == parse.RUniv((15, 18), FIB, 12) and decl.body.span == (15, 18)
 
 
@@ -90,13 +91,21 @@ def test_parse_def_with_telescope():
     assert len(decls) == 1
     d = decls[0]
     assert d.kind == "def" and d.name == "id"
-    assert [name for name, _ in d.telescope] == ["A", "x"]
+    # the telescope is folded into the type as Π binders and into the body
+    # as lambdas; a Π spans from its domain, a lambda from ``def``
+    assert d.ty == parse_term("(A : U0) -> (x : A) -> A")
+    assert (d.ty.span, d.ty.cod.span) == ((12, 27), (21, 27))
+    assert d.body == parse_term("\\A x. x")
+    assert (d.body.span, d.body.body.span, d.body.body.body.span) == ((0, 32), (0, 32), (31, 32))
+    # a ``_`` binder is a non-dependent Π and a lambda binder named ``_``
+    [d] = parse_file("postulate p (_ : U0) : U0\ndef k (_ : U0) : U0 := U0")[1:]
+    assert d.ty == parse_term("U0 -> U0") and d.body == parse_term("\\_. U0")
 
 
 def test_parse_fin_style_signature():
     decls = parse_file("def Fin : NatS -> US0 := \\n. natelimS (\\m. US0) EmptyS (\\m r. SumS Unit r) n")
     assert decls[0].name == "Fin"
-    assert isinstance(decls[0].result, parse.RPi)
+    assert isinstance(decls[0].ty, parse.RPi)
 
 
 def test_parse_error_on_missing_type():
@@ -132,9 +141,10 @@ def test_an_application_chain_is_one_node():
     assert t.fn == parse.RVar((0, 1), "f")
     assert [arg.__class__ for arg in t.args] == [parse.RVar, parse.RApp, parse.RVar]
     assert t.args[1].args == (parse.RVar((7, 8), "b"),)
-    # a parenthesised head stays a node of its own
+    # a parenthesised chain that heads more arguments is continued
     t = parse_term("(f a) b")
-    assert t.fn == parse_term("f a") and t.args == (parse.RVar((6, 7), "b"),)
+    assert t == parse_term("f a b")
+    assert (t.span, t.fn.span, [arg.span for arg in t.args]) == ((1, 7), (1, 2), [(3, 4), (6, 7)])
 
 
 def test_precedence_arrow_sigma_app():
@@ -195,7 +205,7 @@ def test_every_node_carries_a_span():
                 if isinstance(child, parse.Raw):
                     walk(child)
 
-    walk(decls[0].result)
+    walk(decls[0].ty)
     walk(decls[0].body)
 
 
@@ -257,8 +267,7 @@ def pretty_raw(t: parse.Raw, prec: int = TERM) -> str:
 def pretty_raw_file(decls: list[parse.RawDecl]) -> str:
     lines = []
     for d in decls:
-        binders = "".join(f" ({name} : {pretty_raw(ty)})" for name, ty in d.telescope)
-        line = f"{d.kind} {d.name}{binders} : {pretty_raw(d.result)}"
+        line = f"{d.kind} {d.name} : {pretty_raw(d.ty)}"
         lines.append(line if d.body is None else f"{line} := {pretty_raw(d.body)}")
     return "\n".join(lines) + "\n"
 
@@ -299,6 +308,50 @@ def test_front_end_is_total(source):
         assert diag.code in ("SYNTAX", "ILLEGAL_CHAR")
     else:
         assert all(isinstance(d, parse.RawDecl) for d in decls)
+
+
+def raw_nodes(roots):
+    """Every raw node under ``roots``, walked with an explicit stack."""
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        yield node
+        for name in node.__match_args__:
+            field = getattr(node, name)
+            stack.extend(child for child in (field if isinstance(field, tuple) else (field,))
+                         if isinstance(child, parse.Raw))
+
+
+def no_app_heads_an_app(roots) -> bool:
+    return all(node.fn.__class__ is not parse.RApp
+               for node in raw_nodes(roots) if node.__class__ is parse.RApp)
+
+
+def decl_roots(decls):
+    return [t for d in decls for t in (d.ty, d.body) if t is not None]
+
+
+def test_no_parsed_application_has_an_application_head(manifest):
+    sources = [manifest.source(entry) for entry in manifest.entries]
+    sources += [gen_sst(GenPlan(n)) for n in range(1, 8)]
+    sources += [gen_segal_scaffold(GenPlan(n, emit=frozenset({"segal"}))) for n in range(2, 6)]
+    sources.append("def t : U0 := ((f a) b) (g c) ((h) d e)")
+    for source in sources:
+        assert no_app_heads_an_app(decl_roots(parse_file(source)))
+    [t] = [d.body for d in parse_file(sources[-1])]
+    assert t == parse_term("f a b (g c) (h d e)")
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
+def test_no_application_from_random_pieces_has_an_application_head(source):
+    # few random files parse, and none with an application; terms do
+    for parse_roots in (lambda: [parse_term(source)], lambda: decl_roots(parse_file(source))):
+        try:
+            roots = parse_roots()
+        except Diagnostic:
+            continue
+        assert no_app_heads_an_app(roots)
 
 
 def test_parse_work_per_token_is_bounded(config):
