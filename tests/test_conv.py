@@ -262,12 +262,12 @@ def test_core_applications_are_in_spine_form(config, manifest):
 
 
 def _raw_chains(raw):
-    """The application chains of a raw term: its ``RApp`` nodes but those
-    that are the parenthesised head of another."""
+    """The application chains of a raw term: its ``RApp`` nodes, since no
+    ``RApp`` heads another."""
     count, stack = 0, [raw]
     while stack:
         r = stack.pop()
-        count += r.__class__ is parse.RApp and r.fn.__class__ is not parse.RApp
+        count += r.__class__ is parse.RApp
         for name in r.__match_args__:
             x = getattr(r, name)
             stack.extend(y for y in (x if x.__class__ is tuple else (x,)) if isinstance(y, parse.Raw))

@@ -15,8 +15,8 @@ from tt2.diagnostics import Diagnostic
 from tt2.elab import elaborate_signature
 from tt2.parse import lex, parse_file, parse_term
 from tt2.prelude import prelude_source
-from tt2.sstgen import GenPlan, gen_segal_scaffold, gen_sst
 from tt2.pretty import APP, ATOM, SIGMA, TERM, _wrap
+from tt2.sstgen import GenPlan, gen_segal_scaffold, gen_sst
 
 
 def kinds(source):
@@ -327,17 +327,14 @@ def no_app_heads_an_app(roots) -> bool:
                for node in raw_nodes(roots) if node.__class__ is parse.RApp)
 
 
-def decl_roots(decls):
-    return [t for d in decls for t in (d.ty, d.body) if t is not None]
-
-
 def test_no_parsed_application_has_an_application_head(manifest):
     sources = [manifest.source(entry) for entry in manifest.entries]
     sources += [gen_sst(GenPlan(n)) for n in range(1, 8)]
     sources += [gen_segal_scaffold(GenPlan(n, emit=frozenset({"segal"}))) for n in range(2, 6)]
     sources.append("def t : U0 := ((f a) b) (g c) ((h) d e)")
     for source in sources:
-        assert no_app_heads_an_app(decl_roots(parse_file(source)))
+        decls = parse_file(source)
+        assert no_app_heads_an_app([t for d in decls for t in (d.ty, d.body) if t is not None])
     [t] = [d.body for d in parse_file(sources[-1])]
     assert t == parse_term("f a b (g c) (h d e)")
 
@@ -345,13 +342,12 @@ def test_no_parsed_application_has_an_application_head(manifest):
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
 @given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
 def test_no_application_from_random_pieces_has_an_application_head(source):
-    # few random files parse, and none with an application; terms do
-    for parse_roots in (lambda: [parse_term(source)], lambda: decl_roots(parse_file(source))):
-        try:
-            roots = parse_roots()
-        except Diagnostic:
-            continue
-        assert no_app_heads_an_app(roots)
+    # as terms: few random pieces parse as files, and none with an application
+    try:
+        term = parse_term(source)
+    except Diagnostic:
+        return
+    assert no_app_heads_an_app([term])
 
 
 def test_parse_work_per_token_is_bounded(config):
