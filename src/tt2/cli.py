@@ -201,11 +201,9 @@ def _cmd_eval(args, config: Config) -> int:
 def _cmd_gen(args) -> int:
     # imported here so that check and eval do not load the generator
     from .sstgen import GenPlan, gen_segal_scaffold, gen_spine, gen_sst
-    emit = frozenset({args.target})
     try:
         plan = GenPlan(
             levels=args.levels,
-            emit=emit,
             names=args.prefix,
             universe=getattr(args, "universe", 0),
             literal_spine=getattr(args, "literal_spine", False),

@@ -28,24 +28,26 @@ Three rules keep the walkers cheap:
   nothing assigns to one after it is built.
 - Walkers dispatch on the exact class of the node (``cls is VPi``), with
   the most frequent classes first.  Only hot forms and forms with a rule of
-  their own have cases; ``evaluate``, ``quote``, ``_quote_frame`` and
-  ``convert`` (on two values of one class) then end in one generic case
-  that reads every other former from one table, ``FORMERS``.  The width of
-  a construct is walked in a loop and only genuine nesting recurses, at
-  one Python frame per level: an application chain ``f a1 … an`` is one
-  core ``App`` whose arguments ``evaluate`` reads in order into one spine
-  and ``quote`` writes back from each run of a spine's arguments, a
-  numeral is evaluated, read back and eliminated in a loop, right-nested
-  pairs are evaluated and read back in a loop, read-back walks Π/Σ
-  telescopes, λ-chains and a spine in loops, and conversion continues into
-  a Π codomain, a Σ second component or any other last comparison without
-  a call.  In ``elab``, ``infer`` walks application chains and Π/Σ
+  their own have cases; ``evaluate``, ``quote`` and ``convert`` (on two
+  values of one class) then end in one generic case that reads every other
+  former from one table, ``FORMERS``.  The width of a construct is walked
+  in a loop and only genuine nesting recurses, at one Python frame per
+  level: an application chain ``f a1 … an`` is one core ``App`` whose
+  arguments ``evaluate`` reads in order into one spine and ``quote``
+  writes back from each run of a spine's arguments, a numeral is
+  evaluated, read back and eliminated in a loop, right-nested pairs are
+  evaluated and read back in a loop, read-back walks Π/Σ telescopes,
+  λ-chains and a spine in loops, and conversion continues into a Π
+  codomain, a Σ second component or any other last comparison without a
+  call.  In ``elab``, ``infer`` walks application chains and Π/Σ
   telescopes and ``check`` walks λ chains and right-nested pairs the same
   way, and so does the core printer in ``pretty``.  Generated files are
   wide rather than deep, so their size costs no stack; a second frame per
   nesting level (a table of per-class functions, say) would halve the
   nesting depth that fits under the recursion limit, so the generic cases
-  are written inline.
+  of ``evaluate`` and ``convert`` are written inline.  ``quote`` reads the
+  fields of a table row, a former's or an eliminator frame's, through
+  ``_quote_fields``: two frames per level, as a closure field always cost.
 - Compare before evaluating.  ``elab`` checks the arguments of an
   application against the function's Π-telescope as a term, under an
   environment it extends with each argument's value, and evaluates the
@@ -470,11 +472,6 @@ def evaluates_to(sig: Signature, env: list[Value], t: Term, v: Value) -> bool:
 # Read-back
 
 
-def quote_closure(sig: Signature, depth: int, cl: Closure) -> Term:
-    args = tuple(fresh(depth + i) for i in range(cl.arity))
-    return quote(sig, depth + cl.arity, cl.apply(sig, *args))
-
-
 def quote(sig: Signature, depth: int, v: Value) -> Term:
     cls = v.__class__
     if cls is VNeutral:
@@ -488,12 +485,19 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
         # each run of arguments between frames becomes one App
         args = []
         for arg in v.spine:
-            if arg.__class__ in FRAMES:
+            cls = arg.__class__
+            if cls in FRAMES:
                 if args:
                     acc, args = App(acc, tuple(args)), []
-                acc = _quote_frame(sig, depth, acc, arg)
+                if cls is FSnd:
+                    acc = Snd(acc)
+                elif cls is FFst:
+                    acc = Fst(acc)
+                else:
+                    former, fields = _READ_BACK[cls]
+                    acc = former(*_quote_fields(sig, depth, arg, fields), acc)
             # an argument that is a bare bound variable is read back without a call
-            elif (arg.__class__ is VNeutral and not arg.spine
+            elif (cls is VNeutral and not arg.spine
                     and arg.head.__class__ is VarHead and arg.head.level < depth):
                 args.append(var(depth - 1 - arg.head.level))
             else:
@@ -544,30 +548,21 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
     if row is None:
         raise InternalError(f"quote: unhandled value {cls.__name__}")
     former, fields = row
-    args = []
-    for name, binders in fields:
-        x = getattr(v, name)
-        args.append(x if binders is None else quote_closure(sig, depth, x) if binders
-                    else quote(sig, depth, x))
-    return former(*args)
+    return former(*_quote_fields(sig, depth, v, fields))
 
 
-def _quote_frame(sig: Signature, depth: int, acc: Term, frame: Frame) -> Term:
-    cls = frame.__class__
-    if cls is FSnd:
-        return Snd(acc)
-    if cls is FFst:
-        return Fst(acc)
-    row = _READ_BACK.get(cls)
-    if row is None:
-        raise InternalError(f"quote: unhandled frame {cls.__name__}")
-    former, fields = row
+def _quote_fields(sig: Signature, depth: int, x: Union[Value, Frame], fields) -> list:
+    """The fields of ``x``, a value or frame with a ``_READ_BACK`` row, read
+    back; a closure's body is read back under fresh variables."""
     args = []
     for name, binders in fields:
-        x = getattr(frame, name)
-        args.append(x if binders is None else quote_closure(sig, depth, x) if binders
-                    else quote(sig, depth, x))
-    return former(*args, acc)
+        y = getattr(x, name)
+        if binders:
+            y = quote(sig, depth + binders, y.apply(sig, *map(fresh, range(depth, depth + binders))))
+        elif binders is not None:
+            y = quote(sig, depth, y)
+        args.append(y)
+    return args
 
 
 def nf(sig: Signature, ctx: Context, t: Term) -> Term:

@@ -14,22 +14,21 @@ read like dataclasses: annotated fields, immutable defaults (shared by all
 instances) and ``ClassVar`` constants.  The annotations become
 ``__slots__`` and ``__match_args__``; only ``__init__`` (which ends by
 calling any ``__post_init__``) comes from one ``compile`` per class, and
-``__eq__`` and ``__hash__`` are each one method of ``Node``.  This
-replaces ``dataclasses``, whose cost every run of ``tt2`` paid: with no
-bytecode cache, decorating the 91 classes that ``import tt2.cli`` loads
-took 58-83 ms of its 116-165 ms (as nodes: 14-24 ms), and frozen
-dataclasses store fields through ``object.__setattr__``, which made
-``Pi(v, v)`` 1.6 times as slow (Python 3.11, 2-core Xeon VM).  The rules:
+``__eq__`` is one method of ``Node``.  This replaces ``dataclasses``,
+whose cost every run of ``tt2`` paid: with no bytecode cache, decorating
+the 91 classes that ``import tt2.cli`` loads took 58-83 ms of its
+116-165 ms (as nodes: 14-24 ms), and frozen dataclasses store fields
+through ``object.__setattr__``, which made ``Pi(v, v)`` 1.6 times as
+slow (Python 3.11, 2-core Xeon VM).  The rules:
 
 - ``frozen=True`` (inherited) stores fields through the slot descriptors,
   and assigning or deleting one afterwards raises ``AttributeError``.
-  Frozen nodes hash; the others do not.
 - ``==`` holds for nodes of one class with equal fields, each compared
   with an identity test first; it skips the fields that their class
   names in ``uncompared=(...)``.  It walks nested nodes and tuples along
-  an explicit stack, so nesting costs no Python frames.  ``hash`` reads
-  the same fields along the same kind of stack, so equal nodes hash
-  equal at any depth.
+  an explicit stack, so nesting costs no Python frames.  No node hashes,
+  frozen or not: nothing keys a dict or a set by one, so ``==`` is the
+  only comparison.
 - ``repr`` is ``Pi(dom=Var(index=0), cod=...)``.
 - Hot code tests ``t.__class__ is Var``: the metaclass makes ``isinstance``
   and ``match`` class patterns that miss about twice as slow.
@@ -80,8 +79,6 @@ class _NodeType(type):
         cls._compared = base._compared + tuple(f for f in own if f not in uncompared)
         if frozen:
             cls.__setattr__ = cls.__delattr__ = _refuse_assignment
-        else:
-            cls.__hash__ = None
         # Compiled under the module's file name and the class's line, so
         # that profiles tell the generated __init__ of each class apart.
         caller = sys._getframe(1)
@@ -122,25 +119,6 @@ class Node(metaclass=_NodeType):
             elif a != b:
                 return False
         return True
-
-    def __hash__(self):
-        # The compared fields, walked as __eq__ walks them.  A field that is
-        # neither a tuple nor a frozen node is hashed itself, so a value
-        # held in a frozen node still raises TypeError.
-        key = []
-        todo = [self]
-        while todo:
-            x = todo.pop()
-            cls = x.__class__
-            if cls is tuple:
-                key.append(len(x))
-                todo.extend(x)
-            elif cls.__class__ is _NodeType and cls._frozen:
-                key.append(cls)
-                todo.extend([getattr(x, f) for f in cls._compared])
-            else:
-                key.append(hash(x))
-        return hash(tuple(key))
 
     def __repr__(self) -> str:
         fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self.__match_args__])
@@ -363,13 +341,13 @@ class EmptyElim(Term):
     SUB = (("motive", 1), ("scrut", 0))
 
 
-def is_scope_closed(t: Term, depth: int = 0) -> bool:
+def is_scope_closed(t: Term) -> bool:
     """Every bound index is below the binder depth at its occurrence.
 
     Walks an explicit stack, so the nesting depth of ``t`` is not bounded
     by the interpreter's recursion limit.  A variable argument of an
     application is tested where it is met."""
-    stack = [(t, depth)]
+    stack = [(t, 0)]
     while stack:
         t, depth = stack.pop()
         if t.__class__ is App:

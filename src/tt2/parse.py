@@ -15,7 +15,7 @@ Precedence, loosest to tightest: lambda bodies extend right, then ``->``
 (right associative), then the pair former ``×`` (right associative), then
 application (left associative), then atoms.  The parser climbs these
 levels in one loop over an explicit stack of unfinished constructs:
-lambda binders, binder groups, left operands of ``->`` and ``×``,
+lambda binders, binder groups (the operand left of ``->`` or ``×`` is one),
 parentheses, applications and built-ins still short of arguments.  An
 operator closes the frames of tighter levels, and the end of a term closes
 all of its frames, so nesting depth costs list entries, not Python calls.
@@ -211,12 +211,12 @@ def lex(source: str) -> list[Token]:
 
 # Stack frames are (_PAREN, its token, terms before the last comma), (_GROUP,
 # names, earlier groups), (_BUILTIN, its token, arguments so far), (_APP,
-# function, arguments so far), (_LAM, its token, names), (_PI_GROUPS or
-# _SIGMA_GROUPS, groups, None) and (_ARROW or _TIMES, left operand, None).
-# Openers (from _LAM on) end with their term; sigma-level ones also end at
-# ``->``.
+# function, arguments so far), (_LAM, its token, names) and (_PI_GROUPS or
+# _SIGMA_GROUPS, groups, None).  The left operand of ``->`` or ``×`` is a
+# group of one binder named ``_``.  Openers (from _LAM on) end with their
+# term; sigma-level ones also end at ``->``.
 _ROOT, _PAREN, _GROUP, _BUILTIN, _APP = range(5)
-_LAM, _PI_GROUPS, _ARROW, _SIGMA_GROUPS, _TIMES = range(5, 10)
+_LAM, _PI_GROUPS, _SIGMA_GROUPS = range(5, 8)
 # What the term loop does next: start an operand, read an atom, or use one.
 _START, _ATOM, _DONE = range(3)
 
@@ -245,10 +245,6 @@ def _group_colon(toks: list[Token], pos: int) -> int:
 def _close(frame: tuple, body: Raw) -> Raw:
     """Finish an opener frame with the term that follows it."""
     tag, head, names = frame
-    if tag == _ARROW:
-        return RPi((head.span[0], body.span[1]), None, head, body)
-    if tag == _TIMES:
-        return RSigma((head.span[0], body.span[1]), None, head, body)
     if tag == _LAM:
         for name in reversed(names):
             body = RLam((head[2][0], body.span[1]), name, body)
@@ -409,7 +405,7 @@ class _Parser:
                 if kind == "ARROW":
                     while stack[-1][0] >= _SIGMA_GROUPS:
                         val = _close(stack.pop(), val)
-                stack.append((_TIMES if kind == "TIMES" else _ARROW, val, None))
+                stack.append((_PI_GROUPS if kind == "ARROW" else _SIGMA_GROUPS, [("_", val)], None))
                 pos += 1
                 state, lam_ok = _START, False
                 continue

@@ -11,20 +11,21 @@ univalence axiom of its own.
 
 Every fresh signature declares all the axioms at once, in this order and
 with kind ``AXIOM``, so their names are taken and counted from the start.
-An axiom's statement is written, parsed and elaborated (into a signature
-of its own, through ``Signature.add``) only when its ``ty`` is first read,
-and kept: like the signature's value caches, the type is a monotone memo.
-Most files name no axiom, and the univalence statements are by far the
-largest part of the prelude.
+An axiom's statement is written, parsed and elaborated (as a type, in an
+empty signature) only when its ``ty`` is first read, and kept: like the
+signature's value caches, the type is a monotone memo.  A ``RecursionError``
+in a first read reaches the reader, whose declaration gets ``DEPTH``, and
+the next read tries again.  Most files name no axiom, and the univalence
+statements are by far the largest part of the prelude.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .core import DeclKind, InternalError, Signature, Term
-from .diagnostics import DEPTH
-from .elab import Config, elaborate_signature
+from .core import Context, DeclKind, InternalError, Signature, Term, is_scope_closed
+from .diagnostics import Diagnostic
+from .elab import Config, Elaborator
 from .parse import parse_file
 
 
@@ -95,18 +96,14 @@ class _Axiom:
     @property
     def ty(self) -> Term:
         if self._ty is None:
-            sig, diagnostics = elaborate_signature(parse_file(self._write()), config=self._config)
-            if any(d.code == DEPTH for d in diagnostics):
-                # The first read came too deep in the stack; the reader's
-                # declaration gets the DEPTH diagnostic, and the next read
-                # tries again.
-                raise RecursionError(diagnostics[0].message)
-            if diagnostics:
-                raise InternalError(
-                    "the built-in axioms failed to elaborate: "
-                    + "; ".join(d.message for d in diagnostics)
-                )
-            self._ty = sig.entries[self.name].ty
+            try:
+                (decl,) = parse_file(self._write())
+                ty, _ = Elaborator(Signature(), self._config).ensure_type(Context(), decl.ty)
+            except Diagnostic as diag:
+                raise InternalError("the built-in axioms failed to elaborate: " + diag.message)
+            if not is_scope_closed(ty):
+                raise InternalError(f"open type in built-in axiom {self.name!r}")
+            self._ty = ty
         return self._ty
 
 

@@ -153,6 +153,8 @@ def gen_sst(plan: GenPlan) -> str:
     """The type of Reedy-fibrant n-truncated semi-simplicial types as a
     left-to-right sigma telescope of level families."""
     n, u, p = plan.levels, plan.universe, plan.names
+    if plan.literal_spine:
+        raise ValueError("literal_spine is an option of gen_spine alone")
     header = f"-- tt2 gen sst --levels {n}"
     if u:
         header += f" --universe {u}"
@@ -220,6 +222,8 @@ def gen_segal_scaffold(plan: GenPlan) -> str:
         raise LevelCapExceeded(
             "Segal scaffolding is tied to the level-0 isEquiv of the stdlib"
         )
+    if plan.literal_spine:
+        raise ValueError("literal_spine is an option of gen_spine alone")
     header = f"-- tt2 gen segal --levels {n}"
     lines = [header]
     faces = [boundary_cells(d) for d in range(n + 1)]

@@ -147,6 +147,13 @@ def test_spine_needs_a_line():
         gen_spine(GenPlan(0))
 
 
+@pytest.mark.parametrize("gen", [gen_sst, gen_segal_scaffold])
+def test_literal_spine_is_refused_outside_gen_spine(gen):
+    # as ``tt2 gen sst --literal-spine`` is
+    with pytest.raises(ValueError, match="literal_spine"):
+        gen(GenPlan(2, literal_spine=True))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_segal_scaffold_rechecks(config, n):
     text = gen_segal_scaffold(GenPlan(n))
