@@ -206,12 +206,11 @@ def _cmd_gen(args) -> int:
             levels=args.levels,
             names=args.prefix,
             universe=getattr(args, "universe", 0),
-            literal_spine=getattr(args, "literal_spine", False),
         )
         if args.target == "sst":
             text = gen_sst(plan)
         elif args.target == "spine":
-            text = gen_spine(plan)
+            text = gen_spine(plan, args.literal_spine)
         else:
             text = gen_segal_scaffold(plan)
     except ValueError as exc:

@@ -47,7 +47,8 @@ Three rules keep the walkers cheap:
   nesting depth that fits under the recursion limit, so the generic cases
   of ``evaluate`` and ``convert`` are written inline.  ``quote`` reads the
   fields of a table row, a former's or an eliminator frame's, through
-  ``_quote_fields``: two frames per level, as a closure field always cost.
+  ``_quote_fields``, which reads a nested former itself: one frame per
+  level, and two where a closure field or a frame goes back to ``quote``.
 - Compare before evaluating.  ``elab`` checks the arguments of an
   application against the function's Π-telescope as a term, under an
   environment it extends with each argument's value, and evaluates the
@@ -553,14 +554,17 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
 
 def _quote_fields(sig: Signature, depth: int, x: Union[Value, Frame], fields) -> list:
     """The fields of ``x``, a value or frame with a ``_READ_BACK`` row, read
-    back; a closure's body is read back under fresh variables."""
+    back; a closure's body is read back under fresh variables.  A field
+    with a row of its own, a numeral aside, is read back here, not through
+    ``quote``, so nested formers cost one Python frame per level."""
     args = []
     for name, binders in fields:
         y = getattr(x, name)
         if binders:
             y = quote(sig, depth + binders, y.apply(sig, *map(fresh, range(depth, depth + binders))))
         elif binders is not None:
-            y = quote(sig, depth, y)
+            row = None if y.__class__ is VSuc else _READ_BACK.get(y.__class__)
+            y = row[0](*_quote_fields(sig, depth, y, row[1])) if row else quote(sig, depth, y)
         args.append(y)
     return args
 

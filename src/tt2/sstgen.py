@@ -38,7 +38,6 @@ class GenPlan(Node, frozen=True):
     emit: frozenset[str] = frozenset({"sst"})
     names: str = ""
     universe: int = 0
-    literal_spine: bool = False
     cap: int = 8
 
     def __post_init__(self) -> None:
@@ -153,8 +152,6 @@ def gen_sst(plan: GenPlan) -> str:
     """The type of Reedy-fibrant n-truncated semi-simplicial types as a
     left-to-right sigma telescope of level families."""
     n, u, p = plan.levels, plan.universe, plan.names
-    if plan.literal_spine:
-        raise ValueError("literal_spine is an option of gen_spine alone")
     header = f"-- tt2 gen sst --levels {n}"
     if u:
         header += f" --universe {u}"
@@ -186,7 +183,7 @@ def _literal_spine_components(n: int, p: str) -> list[tuple[str, str]]:
     return comps
 
 
-def gen_spine(plan: GenPlan) -> str:
+def gen_spine(plan: GenPlan, literal_spine: bool = False) -> str:
     """Spines of length n over a postulated level-1 skeleton.  The default
     form shares endpoint variables, which realizes the gluing equalities
     definitionally at a fixed level; ``literal_spine`` adds the form with
@@ -197,7 +194,7 @@ def gen_spine(plan: GenPlan) -> str:
     header = f"-- tt2 gen spine --levels {n}"
     if u:
         header += f" --universe {u}"
-    if plan.literal_spine:
+    if literal_spine:
         header += " --literal-spine"
     lines = [
         header,
@@ -205,7 +202,7 @@ def gen_spine(plan: GenPlan) -> str:
         f"postulate {p}X1 : {_family_type(1, u, f'{p}X', [boundary_cells(0), boundary_cells(1)])}",
         f"def {p}Spine{n} : U{u} := {_sigma(_spine_components(n, p))}",
     ]
-    if plan.literal_spine:
+    if literal_spine:
         lines.append(
             f"def {p}SpineLit{n} : U{u} := {_sigma(_literal_spine_components(n, p))}"
         )
@@ -222,8 +219,6 @@ def gen_segal_scaffold(plan: GenPlan) -> str:
         raise LevelCapExceeded(
             "Segal scaffolding is tied to the level-0 isEquiv of the stdlib"
         )
-    if plan.literal_spine:
-        raise ValueError("literal_spine is an option of gen_spine alone")
     header = f"-- tt2 gen segal --levels {n}"
     lines = [header]
     faces = [boundary_cells(d) for d in range(n + 1)]

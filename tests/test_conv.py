@@ -15,8 +15,8 @@ from termgen import TermGen, eta_instance
 
 from tt2 import conv, core, parse, pretty
 from tt2.core import (
-    App, Const, Context, DeclKind, FIB, InternalError, Lam, Nat, NatElim, Pair, Pi, Fst,
-    SigEntry, Sigma, Signature, Snd, Star, STRICT, Suc, Unit, Var, Zero, is_scope_closed,
+    App, Const, Context, DeclKind, FIB, Inl, InternalError, Lam, Nat, NatElim, Pair, Pi, Fst,
+    SigEntry, Sigma, Signature, Snd, Star, STRICT, Suc, Sum, Unit, Var, Zero, is_scope_closed,
 )
 from tt2.elab import Config, Elaborator, elaborate_signature
 from tt2.prelude import initial_signature
@@ -195,6 +195,18 @@ def test_telescopes_lambda_chains_and_spines_read_back_in_a_loop():
     escaping = conv.VNeutral(conv.VarHead(0), (conv.fresh(5),))
     with pytest.raises(InternalError, match="level 5 escapes depth 1"):
         conv.quote(EMPTY, 1, escaping)
+
+
+@fails_fast_on_recursion
+def test_nested_formers_read_back_at_one_frame_per_level():
+    # 900 levels under the default recursion limit of 1000, where two
+    # Python frames per level would fit about 500; a Sum chain nests in
+    # its first field, as `T i : U0 := Sum T(i-1) Nat` does through constants
+    sums, inls = Nat(FIB), Zero(FIB)
+    for _ in range(900):
+        sums, inls = Sum(FIB, sums, Nat(FIB)), Inl(FIB, inls)
+    for t in (sums, inls):
+        assert nf0(t) == t
 
 
 def normal_forms(config, manifest):

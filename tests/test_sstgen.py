@@ -129,7 +129,7 @@ def test_spine_shapes(config):
     assert "(x1 : X1 a0 a1)" in text and "(x2 : X1 a1 a2)" in text
     assert recheck(config, text) == []
 
-    text3 = gen_spine(GenPlan(3, literal_spine=True))
+    text3 = gen_spine(GenPlan(3), literal_spine=True)
     assert recheck(config, text3) == []
     lines = [ln for ln in text3.splitlines() if ln.startswith("def SpineLit3")]
     assert len(lines) == 1
@@ -147,11 +147,13 @@ def test_spine_needs_a_line():
         gen_spine(GenPlan(0))
 
 
-@pytest.mark.parametrize("gen", [gen_sst, gen_segal_scaffold])
-def test_literal_spine_is_refused_outside_gen_spine(gen):
-    # as ``tt2 gen sst --literal-spine`` is
-    with pytest.raises(ValueError, match="literal_spine"):
-        gen(GenPlan(2, literal_spine=True))
+def test_literal_spine_is_an_option_of_gen_spine_alone():
+    # a plan cannot carry it to gen_sst or gen_segal_scaffold, as
+    # ``tt2 gen sst --literal-spine`` is refused
+    with pytest.raises(TypeError, match="literal_spine"):
+        GenPlan(2, literal_spine=True)
+    assert gen_spine(GenPlan(2), literal_spine=True).startswith(
+        "-- tt2 gen spine --levels 2 --literal-spine\n")
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -215,8 +217,8 @@ def test_universe_retarget():
 def test_generation_is_deterministic():
     for plan in (GenPlan(3), GenPlan(4)):
         assert gen_sst(plan) == gen_sst(plan)
-    p = GenPlan(3, literal_spine=True)
-    assert gen_spine(p) == gen_spine(p)
+    p = GenPlan(3)
+    assert gen_spine(p, literal_spine=True) == gen_spine(p, literal_spine=True)
     s = GenPlan(2)
     assert gen_segal_scaffold(s) == gen_segal_scaffold(s)
 
