@@ -383,6 +383,7 @@ def evaluate(sig: Signature, env: tuple[Value, ...], t: Term) -> Value:
                 cached = VNeutral(ConstHead(name), ())
             else:
                 cached = evaluate(sig, (), entry.body)
+                sig.read_backs.setdefault(id(cached), (cached,))
             sig.body_values[name] = cached
         return cached
     if cls is Lam:
@@ -474,6 +475,15 @@ def evaluates_to(sig: Signature, env: list[Value], t: Term, v: Value) -> bool:
 
 
 def quote(sig: Signature, depth: int, v: Value) -> Term:
+    """The term of ``v`` under ``depth`` binders.  A defined constant's
+    value is closed, so its read-back is the same at any depth; it is kept
+    in ``sig.read_backs`` once it returns, and later occurrences share it."""
+    memo = sig.read_backs.get(id(v))
+    if memo is not None:
+        if len(memo) == 1:
+            del sig.read_backs[id(v)]  # out of the table until it is read back
+            memo = sig.read_backs[id(v)] = (v, quote(sig, depth, v))
+        return memo[1]
     cls = v.__class__
     if cls is VNeutral:
         head = v.head

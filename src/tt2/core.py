@@ -385,6 +385,9 @@ class Signature:
 
     Immutable once elaboration finishes; the value caches are monotone
     memo tables for evaluation and do not affect observable behaviour.
+    ``read_backs`` is a third: by ``id``, each defined constant's body
+    value, closed, as ``(value,)``, and once ``conv.quote`` has read it
+    back as ``(value, term)``; holding the value keeps its id unused.
     The built-in axioms (``prelude``) are declared eagerly, with
     ``body`` ``None``, but each one's ``ty`` is elaborated and checked
     on its first read and then kept: a monotone memo like the caches.
@@ -394,6 +397,7 @@ class Signature:
         self.entries: dict[str, SigEntry] = {}
         self.body_values: dict[str, object] = {}
         self.type_values: dict[str, object] = {}
+        self.read_backs: dict[int, tuple] = {}
 
     def lookup(self, name: str) -> Optional[SigEntry]:
         return self.entries.get(name)

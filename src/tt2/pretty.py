@@ -26,12 +26,13 @@ def _dependent_binders(t: Term) -> set[int]:
     their codomain or second component, found in one walk of ``t``.
 
     ``owners[k]`` is the Π or Σ that binds level ``k`` on the current path,
-    or None for another binder.  A stack entry is a node, its parent's
-    scope length and the binders the node adds, and ``owners`` is written
-    only where a binder is entered.  No level below the current scope is
-    stale: the walk finishes a subtree before it pops any entry pushed
-    earlier, and a subtree writes only levels at or above the scope its
-    entry was pushed with.  Levels above the scope are never read."""
+    or None.  A stack entry is a node, its parent's scope length and the
+    binders the node adds.  An ``owners`` entry is written where a binder
+    is entered and cleared once that binder is found dependent, so each
+    costs one insertion.  No level below the current scope is stale: the
+    walk finishes a subtree before it pops any entry pushed earlier, and a
+    subtree writes only levels at or above the scope its entry was pushed
+    with.  Levels above the scope are never read."""
     found: set[int] = set()
     owners: list = []
     stack = [(t, 0, 0)]
@@ -53,10 +54,12 @@ def _dependent_binders(t: Term) -> set[int]:
                         stack.append((arg, depth, 0))
                     elif arg.index < depth and owners[depth - 1 - arg.index] is not None:
                         found.add(id(owners[depth - 1 - arg.index]))
+                        owners[depth - 1 - arg.index] = None
                 t = t.fn
             elif cls is core.Var:
                 if t.index < depth and owners[depth - 1 - t.index] is not None:
                     found.add(id(owners[depth - 1 - t.index]))
+                    owners[depth - 1 - t.index] = None
                 break
             else:
                 for name, off in t.SUB:
@@ -66,8 +69,9 @@ def _dependent_binders(t: Term) -> set[int]:
 
 
 class _CorePrinter:
-    def __init__(self, avoid: set[str], dependent: set[int]):
-        self.avoid = avoid
+    def __init__(self, sig: Optional[Signature], names: tuple[str, ...], dependent: set[int]):
+        self.entries = sig.entries if sig is not None else {}
+        self.names = set(names)
         self.dependent = dependent
         self.counter = 0
 
@@ -75,7 +79,7 @@ class _CorePrinter:
         while True:
             name = f"v{self.counter}"
             self.counter += 1
-            if name not in self.avoid:
+            if name not in self.entries and name not in self.names:
                 return name
 
     def show(self, t: Term, names: tuple[str, ...], prec: int) -> str:
@@ -119,9 +123,11 @@ class _CorePrinter:
             out.append(self.show(t, names, TERM))
             return _wrap("".join(out), prec > TERM)
         if cls is core.App:
-            out = [self.show(t.fn, names, APP)]
+            # A bound variable as argument is printed without a call.
+            out, depth = [self.show(t.fn, names, APP)], len(names)
             for arg in t.args:
-                out.append(self.show(arg, names, ATOM))
+                out.append(names[depth - 1 - arg.index] if arg.__class__ is core.Var
+                           and arg.index < depth else self.show(arg, names, ATOM))
             return _wrap(" ".join(out), prec > APP)
         if cls is core.Pair:
             # Right-nested pairs are printed in a loop.
@@ -158,6 +164,4 @@ def pretty(t: Term, sig: Optional[Signature] = None,
            names: tuple[str, ...] = ()) -> str:
     """Render a core term as surface syntax, avoiding capture of
     signature-level names."""
-    avoid = set(sig.entries) if sig is not None else set()
-    avoid.update(names)
-    return _CorePrinter(avoid, _dependent_binders(t)).show(t, names, TERM)
+    return _CorePrinter(sig, names, _dependent_binders(t)).show(t, names, TERM)

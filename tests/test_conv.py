@@ -209,24 +209,28 @@ def test_nested_formers_read_back_at_one_frame_per_level():
         assert nf0(t) == t
 
 
+def segal_signature(config, n):
+    """``SegalCondition{n}``, generated with no prefix and checked after
+    ``stdlib/equiv.tt`` in a signature of its own."""
+    equiv = (REPO_ROOT / "stdlib" / "equiv.tt").read_text(encoding="utf-8")
+    source = equiv + gen_segal_scaffold(GenPlan(n, emit=frozenset({"segal"})))
+    sig, diags = elaborate_signature(parse.parse_file(source), initial_signature(config), config)
+    assert not diags, n
+    return sig
+
+
 def normal_forms(config, manifest):
     """What ``tt2 eval`` prints, as ``name := normal form`` lines: each
     definition of the accept corpus, elaborated into one signature in
-    MANIFEST order, then ``SegalCondition2`` to ``5``, each generated with
-    no prefix and checked after ``stdlib/equiv.tt`` in a signature of its
-    own."""
+    MANIFEST order, then ``SegalCondition2`` to ``5``, each in the
+    signature of ``segal_signature``."""
     sig, names = initial_signature(config), []
     for entry in manifest.accept_entries():
         decls = parse.parse_file(manifest.source(entry))
         sig, diags = elaborate_signature(decls, sig, config)
         assert not diags, entry.path
         names += [(sig, d.name) for d in decls if d.kind == "def"]
-    equiv = (REPO_ROOT / "stdlib" / "equiv.tt").read_text(encoding="utf-8")
-    for n in range(2, 6):
-        source = equiv + gen_segal_scaffold(GenPlan(n, emit=frozenset({"segal"})))
-        segal, diags = elaborate_signature(parse.parse_file(source), initial_signature(config), config)
-        assert not diags, n
-        names.append((segal, f"SegalCondition{n}"))
+    names += [(segal_signature(config, n), f"SegalCondition{n}") for n in range(2, 6)]
     return [f"{name} := {pretty.pretty(conv.nf(s, Context(), s.lookup(name).body), s)}"
             for s, name in names]
 
@@ -237,6 +241,43 @@ def test_normal_forms_match_the_golden_file(config, manifest):
     # elaborated core.
     golden = (REPO_ROOT / "tests" / "golden" / "nf.dump").read_text(encoding="utf-8")
     assert normal_forms(config, manifest) == golden.splitlines()
+
+
+def test_a_defined_constant_is_read_back_once_and_shared(config):
+    sig = segal_signature(config, 5)
+    profile = cProfile.Profile()
+    term = profile.runcall(conv.nf, sig, Context(), sig.lookup("SegalCondition5").body)
+    # 353 and 1088 while every occurrence of Tot5 and Spine5 was read back
+    assert call_count(profile, conv.quote) <= 150
+    assert call_count(profile, conv.evaluate) <= 500
+    tot = sig.read_backs[id(sig.body_values["Tot5"])][1]
+    places, stack = [], [term]
+    while stack:
+        t = stack.pop()
+        if t == tot:
+            places.append(t)
+        else:
+            stack.extend(sub for sub, _ in children(t))
+    assert len(places) == 4 and all(t is tot for t in places)
+
+
+def test_read_backs_outlive_a_cleared_value_cache(config, manifest):
+    # Each read_backs entry holds its value, so clearing body_values frees
+    # no value whose id an entry still names: no stale id matches.
+    def corpus():
+        sig = initial_signature(config)
+        for entry in manifest.accept_entries():
+            sig, diags = elaborate_signature(parse.parse_file(manifest.source(entry)), sig, config)
+            assert not diags, entry.path
+        return sig
+
+    def normal_forms_of(sig):
+        return [conv.nf(sig, Context(), e.body) for e in sig.entries.values() if e.body is not None]
+
+    sig = corpus()
+    normal_forms_of(sig)
+    sig.body_values.clear()
+    assert normal_forms_of(sig) == normal_forms_of(corpus())
 
 
 def _apps(t):

@@ -9,6 +9,7 @@ from conftest import REPO_ROOT, call_count
 
 from smallstep_oracle import children
 from termgen import TermGen
+from test_conv import segal_signature
 from tt2 import conv, core, parse, pretty
 from tt2.core import Context, FIB, Lam, Nat, Pi, Sort, STRICT, Star, Univ, Var, Zero
 from tt2.diagnostics import Diagnostic
@@ -374,9 +375,15 @@ def test_elaboration_is_deterministic(config, manifest):
 
 def _occurs(t, index):
     """Whether variable ``index`` occurs in ``t``: the printer's reference."""
-    if isinstance(t, Var):
-        return t.index == index
-    return any(_occurs(sub, index + off) for sub, off in children(t))
+    stack = [(t, index)]
+    while stack:
+        t, index = stack.pop()
+        if isinstance(t, Var):
+            if t.index == index:
+                return True
+        else:
+            stack.extend((sub, index + off) for sub, off in children(t))
+    return False
 
 
 def test_printer_binder_choice_matches_naive_occurrence(config, manifest):
@@ -385,15 +392,29 @@ def test_printer_binder_choice_matches_naive_occurrence(config, manifest):
         sig, diags = elaborate_signature(parse.parse_file(manifest.source(entry)), sig, config)
         assert not diags
     terms = [t for e in sig.entries.values() for t in (e.ty, e.body) if t is not None]
+    terms += [conv.nf(sig, Context(), e.body) for e in sig.entries.values() if e.body is not None]
+    for n in range(2, 7):
+        segal = segal_signature(config, n)
+        terms.append(conv.nf(segal, Context(), segal.lookup(f"SegalCondition{n}").body))
+    # Read-back shares a defined constant's term, so one node may sit at
+    # several depths: here a closed and an open subterm each at two, the
+    # open one naming the innermost binder around it.
+    closed = Pi(Univ(Sort(FIB, 0)), Pi(Var(0), Var(1)))
+    open_ = Pi(Var(0), Var(1))
+    terms.append(Pi(Univ(Sort(FIB, 0)), core.Sigma(open_, Pi(
+        Univ(Sort(FIB, 0)), core.Sigma(closed, Pi(open_, closed))))))
     gen = TermGen(11)
     for _ in range(200):
         terms.extend(gen.sample(40))
     checked = dependent = 0
     for term in terms:
         found = pretty._dependent_binders(term)
-        stack = [term]
+        stack, seen = [term], set()
         while stack:
             t = stack.pop()
+            if id(t) in seen:
+                continue
+            seen.add(id(t))
             if isinstance(t, (core.Pi, core.Sigma)):
                 body = t.cod if isinstance(t, core.Pi) else t.snd
                 assert (id(t) in found) == _occurs(body, 0)
