@@ -385,9 +385,10 @@ class Signature:
 
     Immutable once elaboration finishes; the value caches are monotone
     memo tables for evaluation and do not affect observable behaviour.
-    ``read_backs`` is a third: by ``id``, each defined constant's body
-    value, closed, as ``(value,)``, and once ``conv.quote`` has read it
-    back as ``(value, term)``; holding the value keeps its id unused.
+    ``read_backs``, a third, maps the ``id`` of each defined constant's
+    body value, which is closed, to ``(value,)`` and, once ``conv.quote``
+    has read the value back, to ``(value, term)``.  Holding the value
+    keeps its id from passing to another object.
     The built-in axioms (``prelude``) are declared eagerly, with
     ``body`` ``None``, but each one's ``ty`` is elaborated and checked
     on its first read and then kept: a monotone memo like the caches.

@@ -412,7 +412,7 @@ def test_printer_binder_choice_matches_naive_occurrence(config, manifest):
         stack, seen = [term], set()
         while stack:
             t = stack.pop()
-            if id(t) in seen:
+            if id(t) in seen:  # whether a shared node is dependent is its own property
                 continue
             seen.add(id(t))
             if isinstance(t, (core.Pi, core.Sigma)):
