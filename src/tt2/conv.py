@@ -476,13 +476,12 @@ def evaluates_to(sig: Signature, env: list[Value], t: Term, v: Value) -> bool:
 
 def quote(sig: Signature, depth: int, v: Value) -> Term:
     """The term of ``v`` under ``depth`` binders.  A defined constant's
-    value is closed, so its read-back is the same at any depth; it is kept
-    in ``sig.read_backs`` once it returns, and later occurrences share it."""
+    value is closed, so its read-back is the same at any depth: the frame
+    that reads it back keeps it in ``sig.read_backs``, and each later call
+    on that value returns it.  An occurrence that a loop below steps into,
+    or that ``_quote_fields`` reads back inline, is read back again."""
     memo = sig.read_backs.get(id(v))
-    if memo is not None:
-        if len(memo) == 1:
-            del sig.read_backs[id(v)]  # out of the table until it is read back
-            memo = sig.read_backs[id(v)] = (v, quote(sig, depth, v))
+    if memo is not None and len(memo) == 2:
         return memo[1]
     cls = v.__class__
     if cls is VNeutral:
@@ -490,31 +489,32 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
         if head.__class__ is VarHead:
             if head.level >= depth:
                 raise InternalError(f"variable level {head.level} escapes depth {depth}")
-            acc: Term = var(depth - 1 - head.level)
+            t: Term = var(depth - 1 - head.level)
         else:
-            acc = core.const(head.name)
+            t = core.const(head.name)
         # each run of arguments between frames becomes one App
         args = []
         for arg in v.spine:
             cls = arg.__class__
             if cls in FRAMES:
                 if args:
-                    acc, args = App(acc, tuple(args)), []
+                    t, args = App(t, tuple(args)), []
                 if cls is FSnd:
-                    acc = Snd(acc)
+                    t = Snd(t)
                 elif cls is FFst:
-                    acc = Fst(acc)
+                    t = Fst(t)
                 else:
                     former, fields = _READ_BACK[cls]
-                    acc = former(*_quote_fields(sig, depth, arg, fields), acc)
+                    t = former(*_quote_fields(sig, depth, arg, fields), t)
             # an argument that is a bare bound variable is read back without a call
             elif (cls is VNeutral and not arg.spine
                     and arg.head.__class__ is VarHead and arg.head.level < depth):
                 args.append(var(depth - 1 - arg.head.level))
             else:
                 args.append(quote(sig, depth, arg))
-        return App(acc, tuple(args)) if args else acc
-    if cls is VPi or cls is VSigma:
+        if args:
+            t = App(t, tuple(args))
+    elif cls is VPi or cls is VSigma:
         # A right-nested chain of one former is read back in a loop, each
         # codomain instantiated with the next fresh variable.
         pi = cls is VPi
@@ -527,8 +527,7 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
         former = Pi if pi else core.Sigma
         for dom in reversed(doms):
             t = former(dom, t)
-        return t
-    if cls is VLam:
+    elif cls is VLam:
         # A λ-chain is read back in a loop, as it is checked.
         outer = depth
         while v.__class__ is VLam:
@@ -537,8 +536,7 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
         t = quote(sig, depth, v)
         for _ in range(depth - outer):
             t = Lam(t)
-        return t
-    if cls is VPair:
+    elif cls is VPair:
         fsts = []
         while v.__class__ is VPair:
             fsts.append(quote(sig, depth, v.fst))
@@ -546,20 +544,22 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
         t = quote(sig, depth, v)
         for fst in reversed(fsts):
             t = Pair(fst, t)
-        return t
-    if cls is VSuc:
+    elif cls is VSuc:
         layer, count = v.layer, 0
         while v.__class__ is VSuc and v.layer is layer:
             v, count = v.pred, count + 1
         t = quote(sig, depth, v)
         for _ in range(count):
             t = Suc(layer, t)
-        return t
-    row = _READ_BACK.get(cls)
-    if row is None:
-        raise InternalError(f"quote: unhandled value {cls.__name__}")
-    former, fields = row
-    return former(*_quote_fields(sig, depth, v, fields))
+    else:
+        row = _READ_BACK.get(cls)
+        if row is None:
+            raise InternalError(f"quote: unhandled value {cls.__name__}")
+        former, fields = row
+        t = former(*_quote_fields(sig, depth, v, fields))
+    if memo is not None:
+        sig.read_backs[id(memo[0])] = (memo[0], t)
+    return t
 
 
 def _quote_fields(sig: Signature, depth: int, x: Union[Value, Frame], fields) -> list:

@@ -242,6 +242,18 @@ def test_eval_of_a_long_definition_chain_never_crashes(tmp_path):
             assert "DEPTH" in result.stderr
 
 
+def test_eval_of_definitions_chained_through_domains_reads_back_at_one_frame_per_level(tmp_path):
+    # A{i} names A{i-1} as a Π domain, so read-back enters one defined
+    # constant's value per level; 700 levels fit under the default
+    # recursion limit of 1000 only at one Python frame per level.
+    src = tmp_path / "domains.tt"
+    lines = ["def A0 : U0 := Nat"] + [f"def A{i} : U0 := A{i - 1} -> Nat" for i in range(1, 701)]
+    src.write_text("\n".join(lines) + "\n")
+    result = run_cli("eval", str(src), "--term", "A700")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "(" * 699 + "Nat -> Nat" + ") -> Nat" * 699 + "\n"
+
+
 def test_eval_of_deeply_nested_successors_prints_the_normal_form(tmp_path):
     depth = 900
     src = tmp_path / "deep.tt"

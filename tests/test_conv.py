@@ -261,6 +261,26 @@ def test_a_defined_constant_is_read_back_once_and_shared(config):
     assert len(places) == 4 and all(t is tot for t in places)
 
 
+def test_a_read_back_cut_short_keeps_its_entry_unfilled(config, monkeypatch):
+    # A RecursionError inside a read-back leaves each entry it reached
+    # unfilled, not removed: the next read-back fills it and shares it.
+    sig = segal_signature(config, 5)
+    value = conv.evaluate(sig, (), sig.lookup("SegalCondition5").body)
+    keys = set(sig.read_backs)
+
+    def too_deep(*args):
+        raise RecursionError
+
+    monkeypatch.setattr(conv, "_quote_fields", too_deep)
+    with pytest.raises(RecursionError):
+        conv.quote(sig, 0, value)
+    monkeypatch.undo()
+    assert set(sig.read_backs) == keys
+    fresh = segal_signature(config, 5)
+    assert conv.quote(sig, 0, value) == conv.nf(fresh, Context(), fresh.lookup("SegalCondition5").body)
+    assert len(sig.read_backs[id(sig.body_values["Tot5"])]) == 2
+
+
 def test_read_backs_outlive_a_cleared_value_cache(config, manifest):
     # Each read_backs entry holds its value, so clearing body_values frees
     # no value whose id an entry still names: no stale id matches.
