@@ -21,11 +21,12 @@ Three rules keep the walkers cheap:
   reflexive on every value form, so ``a is b`` implies convertible and
   conversion returns at once.  Leaves are shared, not rebuilt: ``fresh``
   returns one neutral per level, a spine holds an argument's value itself
-  with no frame around it, there is one ``FST`` and one ``SND`` frame, and
-  read-back gives a constant head as ``core.const``'s leaf.  The code keeps
-  this rule: values, frames and closures are ``Node`` records not declared
-  frozen (see ``core``), so building one stores its slots directly, and
-  nothing assigns to one after it is built.
+  with no frame around it, there is one ``FST`` and one ``SND`` frame, read
+  back through ``_READ_BACK`` like every other frame, and read-back gives a
+  constant head as ``core.const``'s leaf.  The code keeps this rule:
+  values, frames and closures are ``Node`` records not declared frozen
+  (see ``core``), so building one stores its slots directly, and nothing
+  assigns to one after it is built.
 - Walkers dispatch on the exact class of the node (``cls is VPi``), with
   the most frequent classes first.  Only hot forms and forms with a rule of
   their own have cases; ``evaluate``, ``quote`` and ``convert`` (on two
@@ -167,17 +168,6 @@ class VEmpty(Value):
     layer: Layer
 
 
-class VarHead(Node, frozen=True):
-    level: int
-
-
-class ConstHead(Node, frozen=True):
-    name: str
-
-
-Head = Union[VarHead, ConstHead]
-
-
 class FFst(Node):
     pass
 
@@ -222,7 +212,7 @@ FRAMES = frozenset(Frame.__args__)
 
 
 class VNeutral(Value):
-    head: Head
+    head: Union[int, str]  # a bound variable's level, or a postulate's or axiom's name
     spine: tuple[Union[Value, Frame], ...]
 
 
@@ -231,7 +221,7 @@ Types = tuple[Optional[Value], ...]
 
 
 # The variable of a level as a value, one shared neutral per level.
-fresh = core.SharedLeaves(lambda level: VNeutral(VarHead(level), ())).__getitem__
+fresh = core.SharedLeaves(lambda level: VNeutral(level, ())).__getitem__
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +322,11 @@ FORMERS = {
     SumElim: (FSumElim, do_sumelim), EmptyElim: (FEmptyElim, do_emptyelim),
 }
 # The rows by core class for evaluation, and by value or frame class for
-# read-back and conversion.
+# read-back and conversion; a projection frame's row has no fields.
 _FIELDS = {t: tuple((f, dict(t.SUB).get(f)) for f in t.__match_args__) for t in FORMERS}
 _EVALUATE = {t: (rule or built, rule is not None, _FIELDS[t]) for t, (built, rule) in FORMERS.items()}
 _READ_BACK = {built: (t, _FIELDS[t][:-1] if rule else _FIELDS[t]) for t, (built, rule) in FORMERS.items()}
+_READ_BACK[FFst], _READ_BACK[FSnd] = (Fst, ()), (Snd, ())
 
 
 def evaluate(sig: Signature, env: tuple[Value, ...], t: Term) -> Value:
@@ -380,7 +371,7 @@ def evaluate(sig: Signature, env: tuple[Value, ...], t: Term) -> Value:
             if entry is None:
                 raise InternalError(f"unknown constant {name!r}")
             if entry.body is None:
-                cached = VNeutral(ConstHead(name), ())
+                cached = VNeutral(name, ())
             else:
                 cached = evaluate(sig, (), entry.body)
                 sig.read_backs.setdefault(id(cached), (cached,))
@@ -439,10 +430,11 @@ def evaluates_to(sig: Signature, env: list[Value], t: Term, v: Value) -> bool:
     entries equal.  An environment holds values, never frames, so the
     entry that is an argument's very value is that application's.
 
-    The constant rule assumes that a constant with no body, a postulate or
-    an axiom, evaluates to the bare neutral of its own name.  Values that
-    keep a defined constant as a head, with its unfolding beside it, break
-    that assumption: under them a defined head would need its own rule."""
+    The constant rule, ``head == t.name`` for a constant with no body (a
+    level never equals a name), assumes that a postulate or an axiom
+    evaluates to the bare neutral of its own name.  Values that keep a
+    defined constant as a head, with its unfolding beside it, break that
+    assumption: under them a defined head would need its own rule."""
     if v.__class__ is not VNeutral:
         return False
     spine = v.spine
@@ -465,8 +457,7 @@ def evaluates_to(sig: Signature, env: list[Value], t: Term, v: Value) -> bool:
                 and (fn.head is head or fn.head == head))
     if cls is Const:
         entry = sig.lookup(t.name)
-        return (head.__class__ is ConstHead and head.name == t.name
-                and entry is not None and entry.body is None)
+        return head == t.name and entry is not None and entry.body is None
     return False
 
 
@@ -486,12 +477,12 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
     cls = v.__class__
     if cls is VNeutral:
         head = v.head
-        if head.__class__ is VarHead:
-            if head.level >= depth:
-                raise InternalError(f"variable level {head.level} escapes depth {depth}")
-            t: Term = var(depth - 1 - head.level)
+        if head.__class__ is int:
+            if head >= depth:
+                raise InternalError(f"variable level {head} escapes depth {depth}")
+            t: Term = var(depth - 1 - head)
         else:
-            t = core.const(head.name)
+            t = core.const(head)
         # each run of arguments between frames becomes one App
         args = []
         for arg in v.spine:
@@ -499,17 +490,12 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
             if cls in FRAMES:
                 if args:
                     t, args = App(t, tuple(args)), []
-                if cls is FSnd:
-                    t = Snd(t)
-                elif cls is FFst:
-                    t = Fst(t)
-                else:
-                    former, fields = _READ_BACK[cls]
-                    t = former(*_quote_fields(sig, depth, arg, fields), t)
+                former, fields = _READ_BACK[cls]
+                t = former(*_quote_fields(sig, depth, arg, fields), t)
             # an argument that is a bare bound variable is read back without a call
             elif (cls is VNeutral and not arg.spine
-                    and arg.head.__class__ is VarHead and arg.head.level < depth):
-                args.append(var(depth - 1 - arg.head.level))
+                    and arg.head.__class__ is int and arg.head < depth):
+                args.append(var(depth - 1 - arg.head))
             else:
                 args.append(quote(sig, depth, arg))
         if args:
@@ -739,8 +725,6 @@ def _convert_spine(sig: Signature, types: Types, a: VNeutral, b: VNeutral) -> Op
         elif cls is not fb.__class__:
             ok = False
             break
-        elif cls is FFst or cls is FSnd:
-            continue
         elif fa.layer is not fb.layer:
             ok = False
             break
@@ -782,7 +766,7 @@ def _spine_type(sig: Signature, types: Types, a: VNeutral, n: int) -> Optional[V
     """The type of ``a``'s head eliminated by the first ``n`` frames of its
     spine, or None if the head is a variable of unknown type."""
     head = a.head
-    ty = types[head.level] if head.__class__ is VarHead else const_type_value(sig, head.name)
+    ty = types[head] if head.__class__ is int else const_type_value(sig, head)
     if ty is None:
         return None
     spine = a.spine

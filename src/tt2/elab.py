@@ -260,7 +260,7 @@ class Elaborator:
             if former in (core.J, core.NatElim, core.SumElim, core.EmptyElim):
                 return self._infer_eliminator(ctx, raw)
             if former is core.Nat or former is core.Empty:
-                return former(raw.layer), VUniv(self._universe_sort(raw.layer, 0, raw.span))
+                return former(raw.layer), VUniv(Sort(raw.layer, 0))
             if former is core.Unit:
                 return core.Unit(), VUniv(Sort(FIB, 0))
             if former is core.Star:

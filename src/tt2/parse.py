@@ -26,16 +26,16 @@ declaration comes out finished: the frames that close binder groups and
 lambdas fold its telescope into its type, as Π binders, and into its
 body, as lambdas.
 
-Built-ins are the rows of ``_FORMERS``: keyword, core class, layer (None
-where one keyword serves both layers) and the number of atomic arguments.
-They parse as saturated primaries (``J`` takes five atoms, ``natelim``
-four), so partial application of a built-in is a parse-time arity decision
-rather than a typing one.  Each parses to one ``RBuiltin`` node that holds
-its row's core class and layer and its atoms, in the core class's field
-order, and the elaborator dispatches on that core class.  The same table
-gives the lexer's ``KEYWORDS``, the parser's ``_ATOM_STARTERS``, and
-``SPELLING``, from which the core printer and the elaborator's messages
-take each built-in's keyword.
+Built-ins are the rows of ``_FORMERS``: keyword, core class and layer
+(None where one keyword serves both layers).  They take one atom per
+field of their core class and parse as saturated primaries (``J`` takes
+five atoms, ``natelim`` four), so partial application of a built-in is a
+parse-time arity decision rather than a typing one.  Each parses to one
+``RBuiltin`` node that holds its row's core class and layer and its
+atoms, in the core class's field order, and the elaborator dispatches on
+that core class.  The same table gives the lexer's ``KEYWORDS``, the
+parser's ``_ATOM_STARTERS``, and ``SPELLING``, from which the core
+printer and the elaborator's messages take each built-in's keyword.
 """
 
 from __future__ import annotations
@@ -121,26 +121,25 @@ class RawDecl(Node, frozen=True):
 # ---------------------------------------------------------------------------
 # Built-in formers
 
-# keyword: (core class, layer or None where the layers share it, atomic
-# arguments)
-_FORMERS: dict[str, tuple[type, Optional[Layer], int]] = {
-    "Unit": (core.Unit, None, 0), "star": (core.Star, None, 0),
-    "zero": (core.Zero, None, 0), "suc": (core.Suc, None, 1),
-    "fst": (core.Fst, None, 1), "snd": (core.Snd, None, 1),
-    "inl": (core.Inl, None, 1), "inr": (core.Inr, None, 1),
-    "Nat": (core.Nat, FIB, 0), "NatS": (core.Nat, STRICT, 0),
-    "Empty": (core.Empty, FIB, 0), "EmptyS": (core.Empty, STRICT, 0),
-    "Sum": (core.Sum, FIB, 2), "SumS": (core.Sum, STRICT, 2),
-    "refl": (core.Refl, FIB, 2), "reflS": (core.Refl, STRICT, 2),
-    "exfalso": (core.EmptyElim, FIB, 2), "exfalsoS": (core.EmptyElim, STRICT, 2),
-    "Id": (core.Id, FIB, 3), "Eq": (core.Id, STRICT, 3),
-    "natelim": (core.NatElim, FIB, 4), "natelimS": (core.NatElim, STRICT, 4),
-    "sumelim": (core.SumElim, FIB, 4), "sumelimS": (core.SumElim, STRICT, 4),
-    "J": (core.J, FIB, 5), "JS": (core.J, STRICT, 5),
+# keyword: (core class, layer or None where the layers share it)
+_FORMERS: dict[str, tuple[type, Optional[Layer]]] = {
+    "Unit": (core.Unit, None), "star": (core.Star, None),
+    "zero": (core.Zero, None), "suc": (core.Suc, None),
+    "fst": (core.Fst, None), "snd": (core.Snd, None),
+    "inl": (core.Inl, None), "inr": (core.Inr, None),
+    "Nat": (core.Nat, FIB), "NatS": (core.Nat, STRICT),
+    "Empty": (core.Empty, FIB), "EmptyS": (core.Empty, STRICT),
+    "Sum": (core.Sum, FIB), "SumS": (core.Sum, STRICT),
+    "refl": (core.Refl, FIB), "reflS": (core.Refl, STRICT),
+    "exfalso": (core.EmptyElim, FIB), "exfalsoS": (core.EmptyElim, STRICT),
+    "Id": (core.Id, FIB), "Eq": (core.Id, STRICT),
+    "natelim": (core.NatElim, FIB), "natelimS": (core.NatElim, STRICT),
+    "sumelim": (core.SumElim, FIB), "sumelimS": (core.SumElim, STRICT),
+    "J": (core.J, FIB), "JS": (core.J, STRICT),
 }
 # The keyword of a built-in, keyed by (core class, layer or None where the
 # layers share it).
-SPELLING = {row[:2]: kw for kw, row in _FORMERS.items()}
+SPELLING = {row: kw for kw, row in _FORMERS.items()}
 KEYWORDS = {"def", "postulate", *_FORMERS}
 _ATOM_STARTERS = {"IDENT", "UNIV", "LPAREN", "UNDERSCORE", *_FORMERS}
 _BINDERS = {"IDENT", "UNDERSCORE"}
@@ -355,8 +354,8 @@ class _Parser:
                     state, lam_ok = _START, True
                     continue
                 elif kind in _FORMERS:
-                    former, layer, arity = _FORMERS[kind]
-                    if arity:
+                    former, layer = _FORMERS[kind]
+                    if former.SUB:
                         stack.append((_BUILTIN, tok, []))
                         if toks[pos][0] not in _ATOM_STARTERS:
                             raise _fail(toks[pos], f"argument of {kind}")
@@ -377,8 +376,8 @@ class _Parser:
             tag, head, args = stack[-1]
             if tag == _BUILTIN:
                 args.append(val)
-                former, layer, arity = _FORMERS[head[0]]
-                if len(args) < arity:
+                former, layer = _FORMERS[head[0]]
+                if len(args) < len(former.SUB):
                     if toks[pos][0] not in _ATOM_STARTERS:
                         raise _fail(toks[pos], f"argument of {head[0]}")
                     state = _ATOM

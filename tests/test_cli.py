@@ -486,6 +486,14 @@ def test_eval_prints_normal_form():
     assert result.stdout.strip() == "suc (suc (suc (suc zero)))"
 
 
+def test_eval_of_a_type_with_two_binder_groups(tmp_path, monkeypatch, capsys):
+    # a second parenthesised group after the first, then ``->``
+    (tmp_path / "k.tt").write_text("def k : (A : U0) (B : U0) -> A -> B -> A := \\A B a b. a\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["eval", "k.tt", "--term", "k"]) == 0, capsys.readouterr().err
+    assert capsys.readouterr().out == "\\v0. \\v1. \\v2. \\v3. v2\n"
+
+
 def test_eval_of_postulate_fails():
     result = run_cli("eval", "stdlib/cocylinder.tt", "--term", "ccA")
     assert result.returncode == 1

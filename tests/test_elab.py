@@ -201,6 +201,8 @@ _TWICE = "def twice (A : U0) (f : A -> A -> A) (x : A) : A := (f x) x\n"
     # a parenthesised head that is not a function, on the line after twice
     (_TWICE + "def bad (A : U0) (x : A) : A := (x x) x",
      ("TYPE_MISMATCH", (93, 96), "expected a function, but this has type A")),
+    # and with no telescope: the whole pair, at 1:16
+    ("def d : Nat := (zero , zero)", ("TYPE_MISMATCH", (15, 28), "pair checked against non-pair type Nat")),
 ])
 def test_diagnostics_inside_a_declaration_telescope_keep_their_spans(base_sig, config, src, diagnostic):
     _, diags = elaborate_signature(parse.parse_file(src), base_sig, config)

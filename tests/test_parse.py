@@ -47,9 +47,7 @@ def test_surface_doc_lists_the_formers_table():
         head, *args = alternative.split()
         if head.strip('"') in parse._FORMERS:
             arities[head.strip('"')] = args.count("atom")
-    assert arities == {kw: row[2] for kw, row in parse._FORMERS.items()}
-    for kw, (core_cls, _, arity) in parse._FORMERS.items():
-        assert len(core_cls.SUB) == arity, kw
+    assert arities == {kw: len(core_cls.SUB) for kw, (core_cls, _) in parse._FORMERS.items()}
 
 
 def test_surface_doc_gives_each_fibrant_eliminator_one_rule():
@@ -57,7 +55,7 @@ def test_surface_doc_gives_each_fibrant_eliminator_one_rule():
     table = doc.split("## Built-in eliminators", 1)[1].split("\n\n")[2]
     rows = [line.split("|")[1].strip().strip("`").split() for line in table.splitlines()[2:]]
     assert {kw: len(args) for kw, *args in rows} == {
-        kw: arity for kw, (core_cls, layer, arity) in parse._FORMERS.items()
+        kw: len(core_cls.SUB) for kw, (core_cls, layer) in parse._FORMERS.items()
         if core_cls in (core.J, core.NatElim, core.SumElim, core.EmptyElim) and layer is FIB
     }
 
@@ -122,6 +120,7 @@ def test_parse_error_on_missing_type():
     ("def f U0", "expected ':', found 'U0'"),
     ("def f : U0", "expected ':=', found end of input"),
     ("def : U0", "expected a name, found ':'"),
+    ("def f ( : U0) : U0 := U0", "expected binder name, found ':'"),
 ])
 def test_syntax_errors_name_the_expected_token_as_written(source, message):
     with pytest.raises(Diagnostic) as exc:
