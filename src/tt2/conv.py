@@ -491,7 +491,8 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
                 if args:
                     t, args = App(t, tuple(args)), []
                 former, fields = _READ_BACK[cls]
-                t = former(*_quote_fields(sig, depth, arg, fields), t)
+                # a projection frame has no fields to read back
+                t = former(*_quote_fields(sig, depth, arg, fields), t) if fields else former(t)
             # an argument that is a bare bound variable is read back without a call
             elif (cls is VNeutral and not arg.spine
                     and arg.head.__class__ is int and arg.head < depth):

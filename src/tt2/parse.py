@@ -3,13 +3,21 @@
 The lexer is one ``finditer`` scan over a pattern with no whitespace
 prefix: its alternatives are a ``--`` comment, ``{-``, ``:=``, ``->``, a
 word, and last any one character other than whitespace, so whitespace is
-what the scan steps over between matches.  The text of a match gives its
-kind through one dict lookup, which holds the punctuation and keywords; a
-word it lacks is sorted into universe or identifier and added to it.  Line
-comments are dropped in the same loop.  At ``{-`` a depth-counting scan skips the
-nested block comment, and the scan restarts where the comment ends.  A
-character that fits no token is an ``ILLEGAL_CHAR``.  A token is a plain
-``(kind, text, span)`` triple, read by position.
+what the scan steps over between matches.  One dict lookup maps the text
+of a match to its kind and its word, the one ``str`` that every token of
+that text shares.  The dict holds the punctuation and keywords; a word it
+lacks is sorted into universe or identifier and added to it, for this
+source only.  Line comments are dropped in the same loop.  At ``{-`` a
+depth-counting scan skips the nested block comment, and the scan restarts
+where the comment ends.  A character that fits no token is an
+``ILLEGAL_CHAR``.
+
+``scan`` is this lexer.  Its token is a plain ``(kind, text, start)``
+triple, read by position, whose span is ``(start, start + len(text))``.
+The parser builds that span only for a diagnostic or for a node that keeps
+one; an ``RVar`` keeps just the start and the shared word.  ``lex``, the
+public token list that ``tests/golden/tokens.sha256`` pins, is derived from
+``scan``'s tokens, each start widened to its span.
 
 Precedence, loosest to tightest: lambda bodies extend right, then ``->``
 (right associative), then the pair former ``×`` (right associative), then
@@ -52,49 +60,64 @@ from .diagnostics import Diagnostic, ILLEGAL_CHAR, SYNTAX, Span
 # Raw terms
 
 
-class Raw(Node, frozen=True, uncompared=("span",)):
+class Raw(Node, frozen=True):
+    """A raw term.  Its ``span`` is its ``(start, end)`` in the source,
+    which ``==`` does not compare."""
+
+
+class RVar(Raw, uncompared=("start",)):
+    """A name.  It keeps its start offset and the token's shared string, and
+    its span ends where the name does."""
+
+    start: int
+    name: str
+
+    @property
+    def span(self) -> Span:
+        return (self.start, self.start + len(self.name))
+
+
+class _Spanned(Raw, uncompared=("span",)):
+    """A raw term other than a name, which keeps its span."""
+
     span: Span
 
 
-class RVar(Raw):
-    name: str
-
-
-class RUniv(Raw):
+class RUniv(_Spanned):
     layer: Layer
     level: int
 
 
-class RPi(Raw):
+class RPi(_Spanned):
     binder: Optional[str]
     dom: Raw
     cod: Raw
 
 
-class RSigma(Raw):
+class RSigma(_Spanned):
     binder: Optional[str]
     fst: Raw
     snd: Raw
 
 
-class RLam(Raw):
+class RLam(_Spanned):
     binder: str
     body: Raw
 
 
-class RApp(Raw):
+class RApp(_Spanned):
     """An application chain ``fn a1 … an``, one node for the whole chain."""
 
     fn: Raw
     args: tuple[Raw, ...]
 
 
-class RPair(Raw):
+class RPair(_Spanned):
     fst: Raw
     snd: Raw
 
 
-class RBuiltin(Raw):
+class RBuiltin(_Spanned):
     """A built-in: its core class ``former`` from ``_FORMERS``, its
     ``layer`` (None where one keyword serves both layers) and its atoms,
     in the core class's field order."""
@@ -104,7 +127,7 @@ class RBuiltin(Raw):
     args: tuple[Raw, ...]
 
 
-class RHole(Raw):
+class RHole(_Spanned):
     pass
 
 
@@ -150,39 +173,39 @@ _BINDERS = {"IDENT", "UNDERSCORE"}
 
 # One scan takes every token: a line comment, ``{-``, ``:=``, ``->``, a word,
 # or any one character that is not whitespace.  The text of a token gives
-# its kind through ``_KINDS``; a miss is a new word, ``{-``, a comment or a
-# character outside the grammar.
+# its kind and its shared string through ``_KINDS``; a miss is a new word,
+# ``{-``, a comment or a character outside the grammar.
 _SCAN = re.compile(r"--[^\n]*|\{-|:=|->|[A-Za-z][A-Za-z0-9_']*|[^ \t\r\n]")
-_KINDS = {
+_KINDS = {text: (kind, text) for text, kind in {
     ":=": "ASSIGN", "->": "ARROW", "(": "LPAREN", ")": "RPAREN", ",": "COMMA",
     ":": "COLON", ".": "DOT", "\\": "LAMBDA", "λ": "LAMBDA", "×": "TIMES",
     "_": "UNDERSCORE", **{kw: kw for kw in KEYWORDS},
-}
+}.items()}
 _UNIV = re.compile(r"US?[0-9]+")
 _LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _NESTING = re.compile(r"\{-|-\}")
 
 
 # A token: its kind (a punctuation name, a keyword, ``IDENT``, ``UNIV`` or
-# ``EOF``), its text and its span.
-Token = tuple[str, str, Span]
+# ``EOF``), its text and its start offset.
+Token = tuple[str, str, int]
 
 
-def lex(source: str) -> list[Token]:
+def scan(source: str) -> list[Token]:
     """Tokenize; comments (`--` line, `{- -}` nested block) and whitespace
     are skipped.  Raises a Diagnostic on characters outside the grammar."""
     tokens: list[Token] = []
     append = tokens.append
-    kinds = _KINDS.copy()  # grows by the words of this source
-    kind_of = kinds.get
+    words = _KINDS.copy()  # grows by the words of this source
+    word_of = words.get
     i = 0
     while True:
         for m in _SCAN.finditer(source, i):
             text = m[0]
-            kind = kind_of(text)
-            if kind is None:
+            word = word_of(text)
+            if word is None:
                 if text[0] in _LETTERS:
-                    kind = kinds[text] = "UNIV" if _UNIV.fullmatch(text) else "IDENT"
+                    word = words[text] = ("UNIV" if _UNIV.fullmatch(text) else "IDENT", text)
                 elif text == "{-":
                     break
                 elif text[:2] == "--":
@@ -190,10 +213,9 @@ def lex(source: str) -> list[Token]:
                 else:
                     start = m.start()
                     raise Diagnostic(ILLEGAL_CHAR, (start, start + 1), f"illegal character {text!r}")
-            append((kind, text, m.span()))
+            append((word[0], word[1], m.start()))
         else:
-            end = len(source)
-            append(("EOF", "", (end, end)))
+            append(("EOF", "", len(source)))
             return tokens
         # a block comment: skip to its matching ``-}``, then scan on
         start, i, depth = m.start(), m.end(), 1
@@ -203,6 +225,11 @@ def lex(source: str) -> list[Token]:
                 raise Diagnostic(SYNTAX, (start, len(source)), "unterminated block comment")
             depth += 1 if mark.group() == "{-" else -1
             i = mark.end()
+
+
+def lex(source: str) -> list[tuple[str, str, Span]]:
+    """``scan``'s tokens, each as ``(kind, text, span)``."""
+    return [(kind, text, (start, start + len(text))) for kind, text, start in scan(source)]
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +253,9 @@ _WRITTEN = {"IDENT": "a name", "COLON": "':'", "ASSIGN": "':='", "RPAREN": "')'"
 
 
 def _fail(tok: Token, expected: str) -> Diagnostic:
-    _, text, span = tok
+    _, text, start = tok
     found = repr(text) if text else "end of input"
-    return Diagnostic(SYNTAX, span, f"expected {expected}, found {found}")
+    return Diagnostic(SYNTAX, (start, start + len(text)), f"expected {expected}, found {found}")
 
 
 def _group_colon(toks: list[Token], pos: int) -> int:
@@ -246,7 +273,7 @@ def _close(frame: tuple, body: Raw) -> Raw:
     tag, head, names = frame
     if tag == _LAM:
         for name in reversed(names):
-            body = RLam((head[2][0], body.span[1]), name, body)
+            body = RLam((head[2], body.span[1]), name, body)
         return body
     former = RPi if tag == _PI_GROUPS else RSigma
     for name, ty in reversed(head):
@@ -293,8 +320,8 @@ class _Parser:
         if kind == "def":
             self.expect("ASSIGN")
             body = _close((_LAM, tok, [name for name, _ in telescope]), self.term())
-        end = self.tokens[self.pos - 1][2][1]
-        return RawDecl(kind, name[1], ty, body, (tok[2][0], end))
+        _, text, start = self.tokens[self.pos - 1]
+        return RawDecl(kind, name[1], ty, body, (tok[2], start + len(text)))
 
     def parse_binder_group(self) -> list[tuple[str, Raw]]:
         self.pos += 1  # the caller saw the "("
@@ -345,10 +372,10 @@ class _Parser:
                 state = _ATOM
             if state == _ATOM:
                 tok = toks[pos]
-                kind, text, span = tok
+                kind, text, start = tok
                 pos += 1
                 if kind == "IDENT":
-                    val = RVar(span, text)
+                    val = RVar(start, text)
                 elif kind == "LPAREN":
                     stack.append((_PAREN, tok, []))
                     state, lam_ok = _START, True
@@ -360,14 +387,15 @@ class _Parser:
                         if toks[pos][0] not in _ATOM_STARTERS:
                             raise _fail(toks[pos], f"argument of {kind}")
                         continue
-                    val = RBuiltin(span, former, layer, ())
+                    val = RBuiltin((start, start + len(text)), former, layer, ())
                 elif kind == "UNIV":  # U<level> or US<level>
+                    span = (start, start + len(text))
                     if text[1] == "S":
                         val = RUniv(span, STRICT, int(text[2:]))
                     else:
                         val = RUniv(span, FIB, int(text[1:]))
                 elif kind == "UNDERSCORE":
-                    val = RHole(span)
+                    val = RHole((start, start + 1))
                 else:
                     raise _fail(tok, "a term")
                 state = _DONE
@@ -383,7 +411,7 @@ class _Parser:
                     state = _ATOM
                     continue
                 stack.pop()
-                val = RBuiltin((head[2][0], val.span[1]), former, layer, tuple(args))
+                val = RBuiltin((head[2], val.span[1]), former, layer, tuple(args))
                 continue
             kind = toks[pos][0]
             if tag == _APP:
@@ -421,13 +449,13 @@ class _Parser:
                 pos += 1
                 state, lam_ok = _START, True
                 continue
-            close = toks[pos]
             if kind != "RPAREN":
-                raise _fail(close, "')'")
+                raise _fail(toks[pos], "')'")
             pos += 1
             if tag == _PAREN:
+                end = toks[pos - 1][2] + 1  # just past the ')'
                 for part in reversed(parts):
-                    val = RPair((head[2][0], close[2][1]), part, val)
+                    val = RPair((head[2], end), part, val)
                 continue
             # A binder group: more groups may follow, then ``->`` or ``×``.
             parts.extend((name, val) for name in head)
@@ -445,7 +473,7 @@ class _Parser:
 
 
 def parse_term(source: str) -> Raw:
-    parser = _Parser(lex(source))
+    parser = _Parser(scan(source))
     term = parser.term()
     parser.expect("EOF")
     return term
@@ -454,4 +482,4 @@ def parse_term(source: str) -> Raw:
 def parse_file(source: str) -> list[RawDecl]:
     """Parse a whole surface file; total on text (declarations or a
     Diagnostic, never divergence)."""
-    return _Parser(lex(source)).parse_file()
+    return _Parser(scan(source)).parse_file()

@@ -55,6 +55,17 @@ def test_check_missing_file_exits_two():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("include, status, message", [
+    (["--include", str(REPO_ROOT / "stdlib")], 0, "tt2: checked "),
+    ([], 2, "tt2: cannot read 'fin.tt'\n"),
+], ids=["with-root", "without-root"])
+def test_include_roots_resolve_inputs(tmp_path, include, status, message):
+    # fin.tt is not in the working directory: only the include root finds it
+    result = run_cli(*include, "check", "fin.tt", cwd=tmp_path)
+    assert (result.returncode, result.stdout) == (status, "")
+    assert result.stderr.startswith(message) and "Traceback" not in result.stderr
+
+
 def test_usage_error_exits_two():
     result = run_cli("check")
     assert result.returncode == 2

@@ -173,7 +173,7 @@ def test_records_construct_by_position_keyword_and_default():
     assert Config.__match_args__ == ("universes", "collapse_fibrant_universes")
     assert (config.universes, config.collapse_fibrant_universes) == (4, False)
     assert Pi.__match_args__ == ("dom", "cod")
-    assert parse.RVar.__match_args__ == ("span", "name")
+    assert parse.RVar.__match_args__ == ("start", "name")
     with pytest.raises(TypeError):
         Pi(Var(0))
     with pytest.raises(TypeError):
@@ -193,9 +193,9 @@ def test_post_init_validates(build):
 
 
 def test_raw_equality_ignores_spans():
-    a, b = parse.RVar((0, 1), "x"), parse.RVar((7, 8), "x")
-    assert a == b
-    assert a != parse.RVar((0, 1), "y")
+    a, b = parse.RVar(0, "x"), parse.RVar(7, "x")
+    assert a == b and a.span == (0, 1)
+    assert a != parse.RVar(0, "y")
     assert parse.parse_term("f (x)") == parse.parse_term("f  x")
     # declarations compare their spans
     assert parse.RawDecl("def", "d", a, None, (0, 1)) != parse.RawDecl("def", "d", a, None, (0, 2))
@@ -256,7 +256,7 @@ def test_nodes_compare_but_do_not_hash():
     assert conv.VZero(FIB) != conv.VZero(STRICT)
     # no node hashes, frozen or not: a value, a term, a raw node, a sort, a
     # context, a configuration and a generator plan
-    for node in (conv.VNat(FIB), Pi(Var(0), Unit()), parse.RVar((0, 1), "x"),
+    for node in (conv.VNat(FIB), Pi(Var(0), Unit()), parse.RVar(0, "x"),
                  Sort(FIB, 0), Context(), Config(), GenPlan(2)):
         with pytest.raises(TypeError):
             hash(node)
@@ -266,9 +266,10 @@ def test_nodes_compare_but_do_not_hash():
     (Pi(Var(0), Unit()), "dom"),
     (Var(0), "index"),
     (Unit(), "index"),
-    (parse.RVar((0, 1), "x"), "span"),
+    (parse.RVar(0, "x"), "span"),
     (Sort(FIB, 0), "level"),
     (Context(), "names"),
+    (parse.RVar(0, "x"), "start"),
 ])
 def test_frozen_fields_cannot_change(node, field):
     with pytest.raises(AttributeError):
@@ -311,7 +312,7 @@ def test_repr_names_every_field():
         "Pi(dom=Var(index=0), cod=Nat(layer=<Layer.FIB: 'fibrant'>))"
     )
     assert repr(Unit()) == "Unit()"
-    assert repr(parse.RVar((0, 1), "x")) == "RVar(span=(0, 1), name='x')"
+    assert repr(parse.RVar(0, "x")) == "RVar(start=0, name='x')"
     assert repr(Context()) == "Context(names=(), types=(), env=(), levels={})"
 
 
@@ -331,7 +332,7 @@ def test_generated_methods_are_profiled_per_class():
     profile = cProfile.Profile()
     profile.enable()
     for _ in range(100):
-        parse.RVar((0, 1), "x")
+        parse.RVar(0, "x")
     for _ in range(7):
         parse.RHole((0, 1))
     profile.disable()

@@ -4,6 +4,7 @@ over the corpus."""
 
 import cProfile
 import random
+import tracemalloc
 
 import pytest
 from conftest import REPO_ROOT
@@ -137,9 +138,9 @@ def test_a_term_must_end_the_input():
 def test_an_application_chain_is_one_node():
     t = parse_term("f a (g b) c")
     assert t.__class__ is parse.RApp and t.span == (0, 11)
-    assert t.fn == parse.RVar((0, 1), "f")
+    assert t.fn == parse.RVar(0, "f")
     assert [arg.__class__ for arg in t.args] == [parse.RVar, parse.RApp, parse.RVar]
-    assert t.args[1].args == (parse.RVar((7, 8), "b"),)
+    assert t.args[1].args == (parse.RVar(7, "b"),)
     # a parenthesised chain that heads more arguments is continued
     t = parse_term("(f a) b")
     assert t == parse_term("f a b")
@@ -392,6 +393,37 @@ def test_nesting_depth_costs_no_recursion():
     assert isinstance(t, parse.RPi) and t.span[1] == 5 * depth + 1
     t = parse_term("\\x. (y : A) × (" * depth + "x" + ")" * depth)
     assert isinstance(t, parse.RLam) and isinstance(t.body, parse.RSigma)
+
+
+def test_parse_of_sst8_stays_within_its_memory():
+    # tracemalloc counts bytes, not time: the same on every run of one
+    # Python.  With a (start, end) tuple in every token and name leaf, SST-8
+    # kept 2 269 KiB and peaked at 3 111 KiB (Python 3.11).
+    source = gen_sst(GenPlan(8))
+    tracemalloc.start()
+    try:
+        decls = parse_file(source)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert decls and kept <= 1_300 * 1024 and peak <= 2_200 * 1024, (kept // 1024, peak // 1024)
+
+
+def test_every_name_spans_its_token_and_shares_its_word():
+    sources = [path.read_text(encoding="utf-8") for path in sorted((REPO_ROOT / "stdlib").rglob("*.tt"))]
+    sources.append(gen_sst(GenPlan(5)))
+    leaves = 0
+    for source in sources:
+        tokens = {span[0]: (kind, text, span) for kind, text, span in lex(source)}
+        names = [node for node in raw_nodes(t for d in parse_file(source) for t in (d.ty, d.body)
+                                            if t is not None)
+                 if node.__class__ is parse.RVar]
+        leaves += len(names)
+        for node in names:
+            assert tokens[node.start] == ("IDENT", node.name, node.span)
+        # one string per distinct word: the leaves that name it share it
+        assert len({id(node.name) for node in names}) == len({node.name for node in names})
+    assert leaves > 1_000
 
 
 def test_150_nested_successors_check(config, base_sig):
