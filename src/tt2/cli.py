@@ -13,7 +13,9 @@ import argparse
 import gc
 import json
 import os
+import resource
 import sys
+import threading
 from pathlib import Path
 from typing import Optional
 
@@ -130,7 +132,7 @@ def _load(name: str, sig: core.Signature, args, config: Config) -> Optional[tupl
         try:
             decls = parse.parse_file(source)
         except Diagnostic as diag:
-            diagnostics = [diag]
+            diagnostics = [diag.detached()]
         else:
             sig, diagnostics = elaborate_signature(decls, sig, config)
     for diag in diagnostics:
@@ -261,6 +263,30 @@ def main(argv: Optional[list[str]] = None) -> int:
     return 2
 
 
+# The kernel recurses once per level of nesting, so the script runs ``main``
+# on a thread with the largest of these stacks that starts and takes at most
+# a quarter of the address-space limit, allowing a frame per STACK_PER_FRAME
+# bytes: its C stack, with a margin (README § How deep the script goes).
+STACK_SIZES = tuple(2**k << 20 for k in range(9, 5, -1))  # 512 MiB down to 64 MiB
+STACK_PER_FRAME = 2_684  # 512 MiB for 200 000 frames
+
+
+def _run(status: list, limit: int = 0) -> None:
+    if limit:
+        sys.setrecursionlimit(limit)
+    try:
+        status.append(main())
+        sys.stdout.flush()
+    except SystemExit as exc:  # argparse's, for --help and usage errors
+        status.append(exc.code)
+    except BrokenPipeError:
+        # The reader of stdout has gone, as in ``tt2 delta --faces 20 40 |
+        # head -3``: send what is left to /dev/null, so that the flush at
+        # exit does not fail again, and end quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status.append(1)
+
+
 def entry() -> None:
     # A run of tt2 keeps nearly all it allocates until it exits, so the
     # cyclic collector finds little to free: move the imported modules out
@@ -268,13 +294,22 @@ def entry() -> None:
     # collections.  Library callers of ``main`` keep Python's defaults.
     gc.freeze()
     gc.set_threshold(100_000, 20, 100)
-    try:
-        status = main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader of stdout has gone, as in ``tt2 delta --faces 20 40 |
-        # head -3``: send what is left to /dev/null, so that the flush at
-        # exit does not fail again, and end quietly.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        status = 1
-    sys.exit(status)
+    status = []  # main's exit status, once it returns
+    room = resource.getrlimit(resource.RLIMIT_AS)[0]
+    for size in STACK_SIZES:
+        if size > room // 4 and room != resource.RLIM_INFINITY:
+            continue
+        thread = threading.Thread(target=_run, args=(status, size // STACK_PER_FRAME), daemon=True)
+        threading.stack_size(size)
+        try:
+            thread.start()
+        except RuntimeError:  # "can't start new thread"
+            continue
+        finally:
+            threading.stack_size(0)
+        thread.join()
+        break
+    else:
+        _run(status)
+    # an uncaught error has printed its traceback and left no status
+    sys.exit(status[0] if status else 1)

@@ -32,24 +32,24 @@ Three rules keep the walkers cheap:
   their own have cases; ``evaluate``, ``quote`` and ``convert`` (on two
   values of one class) then end in one generic case that reads every other
   former from one table, ``FORMERS``.  The width of a construct is walked
-  in a loop and only genuine nesting recurses, at one Python frame per
-  level: an application chain ``f a1 … an`` is one core ``App`` whose
-  arguments ``evaluate`` reads in order into one spine and ``quote``
+  in a loop, so a generated file, wide rather than deep, costs no stack
+  however large: an application chain ``f a1 … an`` is one core ``App``
+  whose arguments ``evaluate`` reads in order into one spine and ``quote``
   writes back from each run of a spine's arguments, a numeral is
-  evaluated, read back and eliminated in a loop, right-nested pairs are
-  evaluated and read back in a loop, read-back walks Π/Σ telescopes,
-  λ-chains and a spine in loops, and conversion continues into a Π
-  codomain, a Σ second component or any other last comparison without a
-  call.  In ``elab``, ``infer`` walks application chains and Π/Σ
-  telescopes and ``check`` walks λ chains and right-nested pairs the same
-  way, and so does the core printer in ``pretty``.  Generated files are
-  wide rather than deep, so their size costs no stack; a second frame per
-  nesting level (a table of per-class functions, say) would halve the
-  nesting depth that fits under the recursion limit, so the generic cases
-  of ``evaluate`` and ``convert`` are written inline.  ``quote`` reads the
-  fields of a table row, a former's or an eliminator frame's, through
-  ``_quote_fields``, which reads a nested former itself: one frame per
-  level, and two where a closure field or a frame goes back to ``quote``.
+  evaluated, read back and eliminated in a loop, read-back walks Π/Σ
+  telescopes, λ-chains and a spine in loops, and conversion continues into
+  a Π codomain, a Σ second component or any other last comparison without
+  a call.  In ``elab``, ``infer`` walks application chains and Π/Σ
+  telescopes the same way, and so does the core printer in ``pretty``.
+  Genuine nesting recurses.  The ``tt2`` script runs the kernel on a
+  large stack (``cli``), but a library caller keeps Python's recursion
+  limit, and a second frame per nesting level (a table of per-class
+  functions, say) would halve the depth that fits under it, so the generic
+  cases of ``evaluate`` and ``convert`` are written inline.  ``quote``
+  reads the fields of a table row, a former's or an eliminator frame's,
+  through ``_quote_fields``, which reads a nested former itself: one frame
+  per level, and two where a closure field or a frame goes back to
+  ``quote``.
 - Compare before evaluating.  ``elab`` checks the arguments of an
   application against the function's Π-telescope as a term, under an
   environment it extends with each argument's value, and evaluates the
@@ -384,19 +384,11 @@ def evaluate(sig: Signature, env: tuple[Value, ...], t: Term) -> Value:
     if cls is Snd:
         return do_snd(sig, evaluate(sig, env, t.pair))
     if cls is Pair:
-        # Right-nested pairs are walked in a loop, as the elaborator checks them.
-        fsts = []
-        while t.__class__ is Pair:
-            fsts.append(evaluate(sig, env, t.fst))
-            t = t.snd
-        v = evaluate(sig, env, t)
-        for fst in reversed(fsts):
-            v = VPair(fst, v)
-        return v
+        return VPair(evaluate(sig, env, t.fst), evaluate(sig, env, t.snd))
     if cls is Fst:
         return do_fst(sig, evaluate(sig, env, t.pair))
     if cls is Suc:
-        # A numeral is walked in a loop, as the elaborator checks it.
+        # A numeral is walked in a loop.
         layer, count = t.layer, 0
         while t.__class__ is Suc and t.layer is layer:
             t, count = t.pred, count + 1
@@ -515,7 +507,7 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
         for dom in reversed(doms):
             t = former(dom, t)
     elif cls is VLam:
-        # A λ-chain is read back in a loop, as it is checked.
+        # A λ-chain is read back in a loop.
         outer = depth
         while v.__class__ is VLam:
             cl = v.body
@@ -524,13 +516,7 @@ def quote(sig: Signature, depth: int, v: Value) -> Term:
         for _ in range(depth - outer):
             t = Lam(t)
     elif cls is VPair:
-        fsts = []
-        while v.__class__ is VPair:
-            fsts.append(quote(sig, depth, v.fst))
-            v = v.snd
-        t = quote(sig, depth, v)
-        for fst in reversed(fsts):
-            t = Pair(fst, t)
+        t = Pair(quote(sig, depth, v.fst), quote(sig, depth, v.snd))
     elif cls is VSuc:
         layer, count = v.layer, 0
         while v.__class__ is VSuc and v.layer is layer:

@@ -27,6 +27,11 @@ class Diagnostic(Node, Exception):
     span: Span
     message: str
 
+    def detached(self) -> Diagnostic:
+        """Without traceback or context: keeping it keeps no frame alive."""
+        self.__context__ = None
+        return self.with_traceback(None)
+
     def render(self, source: str, filename: str = "<input>") -> str:
         line, col = offset_to_line_col(source, self.span[0])
         return f"{filename}:{line}:{col}: error[{self.code}]: {self.message}"

@@ -189,22 +189,7 @@ class Elaborator:
                 ty = evaluate(sig, tuple(env), ty)
             return core.App(head, tuple(cores)), ty
         if cls is parse.RPi or cls is parse.RSigma:
-            # A right-nested telescope of Π and Σ binders: extend the context
-            # binder by binder, then build the term and its sort inside out.
-            binders = []
-            inner = ctx
-            while cls is parse.RPi or cls is parse.RSigma:
-                is_pi = cls is parse.RPi
-                dom_core, sort = self.ensure_type(inner, raw.dom if is_pi else raw.fst)
-                binders.append((is_pi, dom_core, sort))
-                dom = evaluate(self.sig, inner.env, dom_core)
-                inner = inner.extend(raw.binder, dom, conv.fresh(len(inner.env)))
-                raw = raw.cod if is_pi else raw.snd
-                cls = raw.__class__
-            term, sort = self.ensure_type(inner, raw)
-            for is_pi, dom_core, dom_sort in reversed(binders):
-                term = core.Pi(dom_core, term) if is_pi else core.Sigma(dom_core, term)
-                sort = self.join(dom_sort, sort)
+            term, sort, _ = self._telescope(ctx, raw)
             return term, VUniv(sort)
         if cls is parse.RUniv:
             sort = self._universe_sort(raw.layer, raw.level, raw.span)
@@ -297,6 +282,34 @@ class Elaborator:
             raise Diagnostic(HOLE, raw.span, "holes are not supported; write the term explicitly")
         raise core.InternalError(f"infer: unhandled raw {cls.__name__}")
 
+    def _telescope(self, ctx: Context, raw: parse.Raw) -> tuple[Term, Sort, Value]:
+        """A right-nested telescope of Π and Σ binders, its sort and its value
+        under ``ctx``.  The context is extended binder by binder, then the
+        term and its sort are built inside out.  A domain that is itself a
+        telescope hands back its value with its term, so left-nested
+        domains are each evaluated once, not again at every level above."""
+        binders = []
+        inner = ctx
+        cls = raw.__class__
+        while cls is parse.RPi or cls is parse.RSigma:
+            is_pi = cls is parse.RPi
+            dom_raw = raw.dom if is_pi else raw.fst
+            if dom_raw.__class__ is parse.RPi or dom_raw.__class__ is parse.RSigma:
+                dom_core, sort, dom = self._telescope(inner, dom_raw)
+            else:
+                dom_core, sort = self.ensure_type(inner, dom_raw)
+                dom = evaluate(self.sig, inner.env, dom_core)
+            binders.append((is_pi, dom_core, sort, dom))
+            inner = inner.extend(raw.binder, dom, conv.fresh(len(inner.env)))
+            raw = raw.cod if is_pi else raw.snd
+            cls = raw.__class__
+        term, sort = self.ensure_type(inner, raw)
+        for is_pi, dom_core, dom_sort, dom in reversed(binders):
+            term = core.Pi(dom_core, term) if is_pi else core.Sigma(dom_core, term)
+            sort = self.join(dom_sort, sort)
+        cod = Closure(ctx.env, term.cod if is_pi else term.snd)
+        return term, sort, VPi(dom, cod) if is_pi else VSigma(dom, cod)
+
     def _infer_eliminator(self, ctx: Context, raw: parse.RBuiltin) -> tuple[Term, Value]:
         """An eliminator, typed by its rule, ``conv.case_types``: first the
         scrutinee, then J's stated endpoints (the proof is taken at the type
@@ -372,40 +385,22 @@ class Elaborator:
     def check(self, ctx: Context, raw: parse.Raw, expected: Value) -> Term:
         cls = raw.__class__
         if cls is parse.RLam:
-            # A chain of lambdas is checked in a loop against the Π telescope.
-            count = 0
-            while raw.__class__ is parse.RLam:
-                if expected.__class__ is not VPi:
-                    raise Diagnostic(
-                        TYPE_MISMATCH, raw.span,
-                        f"lambda checked against non-function type "
-                        f"{self._show(ctx, expected)}",
-                    )
-                ctx = ctx.extend(raw.binder, expected.dom, conv.fresh(len(ctx.env)))
-                expected = expected.cod.apply(self.sig, ctx.env[-1])
-                raw, count = raw.body, count + 1
-            term = self.check(ctx, raw, expected)
-            for _ in range(count):
-                term = core.Lam(term)
-            return term
+            if expected.__class__ is not VPi:
+                raise Diagnostic(
+                    TYPE_MISMATCH, raw.span,
+                    f"lambda checked against non-function type {self._show(ctx, expected)}",
+                )
+            ctx = ctx.extend(raw.binder, expected.dom, conv.fresh(len(ctx.env)))
+            return core.Lam(self.check(ctx, raw.body, expected.cod.apply(self.sig, ctx.env[-1])))
         if cls is parse.RPair:
-            # Right-nested pairs are checked in a loop against the Σ
-            # telescope, and the core pairs built from the inside out.
-            fsts = []
-            while raw.__class__ is parse.RPair:
-                if expected.__class__ is not VSigma:
-                    raise Diagnostic(
-                        TYPE_MISMATCH, raw.span,
-                        f"pair checked against non-pair type {self._show(ctx, expected)}",
-                    )
-                fst_core = self.check(ctx, raw.fst, expected.fst)
-                fsts.append(fst_core)
-                expected = expected.snd.apply(self.sig, evaluate(self.sig, ctx.env, fst_core))
-                raw = raw.snd
-            term = self.check(ctx, raw, expected)
-            for fst_core in reversed(fsts):
-                term = core.Pair(fst_core, term)
-            return term
+            if expected.__class__ is not VSigma:
+                raise Diagnostic(
+                    TYPE_MISMATCH, raw.span,
+                    f"pair checked against non-pair type {self._show(ctx, expected)}",
+                )
+            fst_core = self.check(ctx, raw.fst, expected.fst)
+            snd_ty = expected.snd.apply(self.sig, evaluate(self.sig, ctx.env, fst_core))
+            return core.Pair(fst_core, self.check(ctx, raw.snd, snd_ty))
         if cls is parse.RBuiltin:
             former = raw.former
             if former is core.Suc or former is core.Zero:
@@ -416,15 +411,7 @@ class Elaborator:
                     )
                 if former is core.Zero:
                     return core.Zero(expected.layer)
-                # Walk a chain of successors in a loop and build the core
-                # chain from the inside out, so its length costs no stack.
-                count = 0
-                while raw.__class__ is parse.RBuiltin and raw.former is core.Suc:
-                    raw, count = raw.args[0], count + 1
-                term = self.check(ctx, raw, expected)
-                for _ in range(count):
-                    term = core.Suc(expected.layer, term)
-                return term
+                return core.Suc(expected.layer, self.check(ctx, raw.args[0], expected))
             if former is core.Inl or former is core.Inr:
                 if expected.__class__ is not VSum:
                     raise Diagnostic(
@@ -469,7 +456,7 @@ def elaborate_signature(
                 kind = DeclKind.POSTULATE
             sig.add(SigEntry(decl.name, ty_core, body_core, kind))
         except Diagnostic as diag:
-            diagnostics.append(diag)
+            diagnostics.append(diag.detached())
         except RecursionError:
             diagnostics.append(Diagnostic(
                 DEPTH, decl.span, f"{decl.name!r} nests too deeply to check",

@@ -93,9 +93,10 @@ class _CorePrinter:
         if cls is core.Univ:
             return str(t.sort)
         if cls is core.Pi or cls is core.Sigma:
-            # A right-nested chain of one former is printed in a loop.  Fresh
-            # names come in the order that printing by recursion gave them: a
-            # dependent binder's domain after everything to its right.
+            # A right-nested chain of one former, as wide as a generated
+            # telescope, is printed in a loop.  Fresh names come in the order
+            # that printing by recursion gives them: a dependent binder's
+            # domain after everything to its right.
             pi = cls is core.Pi
             parts, pending = [], []
             while t.__class__ is cls:
@@ -114,14 +115,8 @@ class _CorePrinter:
                 parts[i] = f"({x} : {self.show(dom, outer, TERM)})"
             return _wrap((" -> " if pi else " × ").join(parts), prec > (TERM if pi else SIGMA))
         if cls is core.Lam:
-            # A chain of lambdas is printed in a loop, as it is checked.
-            out = []
-            while t.__class__ is core.Lam:
-                x = self.fresh_name()
-                out.append(f"\\{x}. ")
-                names, t = names + (x,), t.body
-            out.append(self.show(t, names, TERM))
-            return _wrap("".join(out), prec > TERM)
+            x = self.fresh_name()
+            return _wrap(f"\\{x}. {self.show(t.body, names + (x,), TERM)}", prec > TERM)
         if cls is core.App:
             # A bound variable as argument is printed without a call.
             out, depth = [self.show(t.fn, names, APP)], len(names)
@@ -130,19 +125,9 @@ class _CorePrinter:
                            and arg.index < depth else self.show(arg, names, ATOM))
             return _wrap(" ".join(out), prec > APP)
         if cls is core.Pair:
-            # Right-nested pairs are printed in a loop.
-            out = []
-            while t.__class__ is core.Pair:
-                out.append(f"({self.show(t.fst, names, TERM)} , ")
-                t = t.snd
-            return "".join(out) + self.show(t, names, TERM) + ")" * len(out)
+            return f"({self.show(t.fst, names, TERM)} , {self.show(t.snd, names, TERM)})"
         if cls is core.Suc:
-            # A numeral is printed in a loop, as the elaborator checks it.
-            count = 0
-            while t.__class__ is core.Suc:
-                t, count = t.pred, count + 1
-            out = "suc (" * (count - 1) + f"suc {self.show(t, names, ATOM)}" + ")" * (count - 1)
-            return _wrap(out, prec > APP)
+            return _wrap(f"suc {self.show(t.pred, names, ATOM)}", prec > APP)
         # Any other built-in: its keyword, then its fields in ``SUB`` order,
         # a field under k binders as a k-argument lambda.
         kw = SPELLING.get((cls, None)) or SPELLING[cls, t.layer]

@@ -1,5 +1,6 @@
 import functools
 import sys
+import threading
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -75,6 +76,24 @@ def fails_fast_on_recursion(probe):
         pytest.fail(f"{probe.__name__} exceeded the recursion limit", pytrace=False)
 
     return run
+
+
+def on_a_large_stack(fn, *args):
+    """``fn(*args)`` on a thread with a 64 MiB stack, under a recursion
+    limit of 20 000, as the ``tt2`` script runs its kernel; the limit is
+    restored after."""
+    result, limit = [], sys.getrecursionlimit()
+    thread = threading.Thread(target=lambda: result.append(fn(*args)))
+    threading.stack_size(64 << 20)
+    sys.setrecursionlimit(20_000)
+    try:
+        thread.start()
+        thread.join()
+    finally:
+        threading.stack_size(0)
+        sys.setrecursionlimit(limit)
+    assert result, f"{fn.__name__} raised on the large stack"
+    return result[0]
 
 
 def call_count(profile, fn):

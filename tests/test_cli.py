@@ -2,6 +2,8 @@
 diagnostics, generation to files, and order-insensitivity of independent
 inputs."""
 
+import argparse
+import gc
 import hashlib
 import json
 import subprocess
@@ -10,13 +12,13 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, fails_fast_on_recursion
 from test_conv import SPINE_ETA_SOURCE
 
 from tt2 import cli, parse, pretty
 from tt2.diagnostics import offset_to_line_col
 from tt2.elab import Config, elaborate_signature
-from tt2.prelude import prelude_source
+from tt2.prelude import initial_signature, prelude_source
 
 
 def run_cli(*argv, cwd=REPO_ROOT):
@@ -119,12 +121,14 @@ def test_non_utf8_input_is_a_coded_diagnostic(tmp_path):
 
 
 def test_too_deep_input_is_a_coded_diagnostic(tmp_path):
-    # 5000 left-nested domains ((…(U0 -> U0) -> U0)…) -> U0: genuine
-    # nesting, which recurses, unlike a right-nested chain of arrows.
+    # Nested sums Sum (Sum (… Nat) Nat) Nat: genuine nesting, which
+    # recurses at two frames per level, here past the recursion limit of
+    # the script's largest stack.
+    levels = max(cli.STACK_SIZES) // cli.STACK_PER_FRAME // 2 + 10_000
     src = tmp_path / "deep.tt"
-    src.write_text("def T : U1 := " + "(" * 4999 + "U0 -> U0" + ") -> U0" * 4999 + "\n")
+    src.write_text("def T : U0 := " + "Sum (" * levels + "Sum Nat Nat" + ") Nat" * levels + "\n")
     result = run_cli("check", str(src))
-    assert result.returncode == 1
+    assert result.returncode == 1  # not a signal
     assert "error[DEPTH]" in result.stderr
     assert "Traceback" not in result.stderr
     result = run_cli("--json-diagnostics", "check", str(src))
@@ -133,6 +137,39 @@ def test_too_deep_input_is_a_coded_diagnostic(tmp_path):
                 if line.startswith("{")]
     assert [p["code"] for p in payloads] == ["DEPTH"]
     assert payloads[0]["span"][0] == 0
+
+
+def _domains_chain(levels):
+    # A{i} names A{i-1} as a Π domain, so read-back enters one defined
+    # constant's value per level
+    lines = ["def A0 : U0 := Nat"] + [f"def A{i} : U0 := A{i - 1} -> Nat" for i in range(1, levels + 1)]
+    return "\n".join(lines) + "\n", "(" * (levels - 1) + "Nat -> Nat" + ") -> Nat" * (levels - 1) + "\n"
+
+
+# Inputs nested far past Python's default recursion limit, which the script
+# checks on its large stack: the result each ends in, and what it prints.
+DEEP_INPUTS = {
+    "5000 nested sums": (
+        "def T : U0 := " + "Sum (" * 4999 + "Sum Nat Nat" + ") Nat" * 4999 + "\n",
+        ("check",), "",
+    ),
+    "5000 left-nested domains": (
+        "def T : U1 := " + "(" * 4999 + "U0 -> U0" + ") -> U0" * 4999 + "\n",
+        ("check",), "",
+    ),
+    "20000-definition chain": (
+        "def n0 : Nat := zero\n" + "".join(f"def n{i} : Nat := suc n{i - 1}\n" for i in range(1, 20_001)),
+        ("eval", "--term", "n20000"), "suc (" * 19_999 + "suc zero" + ")" * 19_999 + "\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_INPUTS)
+def test_the_script_checks_inputs_nested_past_the_default_limit(tmp_path, name):
+    text, (command, *flags), out = DEEP_INPUTS[name]
+    (tmp_path / "deep.tt").write_text(text)
+    result = run_cli(command, "deep.tt", *flags, cwd=tmp_path)
+    assert (result.returncode, result.stdout) == (0, out), result.stderr
 
 
 def test_check_of_2000_nested_successors_passes(tmp_path):
@@ -254,15 +291,25 @@ def test_eval_of_a_long_definition_chain_never_crashes(tmp_path):
 
 
 def test_eval_of_definitions_chained_through_domains_reads_back_at_one_frame_per_level(tmp_path):
-    # A{i} names A{i-1} as a Π domain, so read-back enters one defined
-    # constant's value per level; 700 levels fit under the default
-    # recursion limit of 1000 only at one Python frame per level.
     src = tmp_path / "domains.tt"
-    lines = ["def A0 : U0 := Nat"] + [f"def A{i} : U0 := A{i - 1} -> Nat" for i in range(1, 701)]
-    src.write_text("\n".join(lines) + "\n")
+    text, normal_form = _domains_chain(700)
+    src.write_text(text)
     result = run_cli("eval", str(src), "--term", "A700")
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "(" * 699 + "Nat -> Nat" + ") -> Nat" * 699 + "\n"
+    assert result.stdout == normal_form
+
+
+@fails_fast_on_recursion
+def test_definitions_chained_through_domains_read_back_at_the_default_limit(
+    tmp_path, monkeypatch, capsys
+):
+    # in-process, at Python's default recursion limit of 1000, under
+    # pytest's own frames: 700 levels fit only at one frame per level
+    text, normal_form = _domains_chain(700)
+    (tmp_path / "domains.tt").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["eval", "domains.tt", "--term", "A700"]) == 0, capsys.readouterr().err
+    assert capsys.readouterr().out == normal_form
 
 
 def test_eval_of_deeply_nested_successors_prints_the_normal_form(tmp_path):
@@ -298,17 +345,41 @@ FAILING_INPUTS = {
 }
 
 
-def test_load_failures_print_the_pinned_exit_codes_and_messages(tmp_path):
+def test_load_failures_print_the_pinned_exit_codes_and_messages(tmp_path, monkeypatch, capsys):
     for name, text in FAILING_INPUTS.items():
         data = text if isinstance(text, bytes) else text.encode()
         (tmp_path / name).write_bytes(data)
     golden = json.loads((REPO_ROOT / "tests" / "golden" / "cli_errors.json").read_text())
     assert len(golden) == 29
+    monkeypatch.chdir(tmp_path)
     for case in golden:
-        result = run_cli(*case["argv"], cwd=tmp_path)
-        assert (result.returncode, result.stdout, result.stderr) == (
-            case["returncode"], case["stdout"], case["stderr"]
-        ), case["argv"]
+        if "deep.tt" in case["argv"]:
+            # deep.tt nests past Python's default recursion limit, which a
+            # caller of cli.main keeps; the script checks it on its large
+            # stack (test_the_script_checks_inputs_nested_past_the_default_limit)
+            status = cli.main(case["argv"])
+            captured = capsys.readouterr()
+            result = (status, captured.out, captured.err)
+        else:
+            ran = run_cli(*case["argv"], cwd=tmp_path)
+            result = (ran.returncode, ran.stdout, ran.stderr)
+        assert result == (case["returncode"], case["stdout"], case["stderr"]), case["argv"]
+
+
+def test_a_kept_parse_diagnostic_holds_no_frames(tmp_path, capsys):
+    # as test_elab.py::test_kept_diagnostics_hold_no_frames, for the
+    # diagnostic that ends a parse
+    (tmp_path / "syntax.tt").write_text(FAILING_INPUTS["syntax.tt"])
+    args = argparse.Namespace(include=[str(tmp_path)], json_diagnostics=True)
+    gc.collect()
+    gc.disable()
+    try:
+        loaded = cli._load("syntax.tt", initial_signature(Config()), args, Config())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert loaded[1:] == ([], FAILING_INPUTS["syntax.tt"], 1)
+    assert '"code": "SYNTAX"' in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, line", [

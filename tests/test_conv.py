@@ -891,6 +891,12 @@ EVALUATES_TO_MISSES = {
         True,
     ),
     "not a neutral": (_env(1), Var(0), lambda sig, env: conv.VUnit(), False),
+    # X1 a0 a1 where X1 alone is written: a spine against a bare variable
+    "spine against a bare variable": (_env(3), Var(2), _applied(_family, 1, 2), False),
+    # a head index past the environment, which evaluation refuses (None)
+    "escaping head": (_env(3), _chain(Var(5), 1, 0), _applied(_family, 1, 2), None),
+    # a head that is neither a variable nor a constant
+    "Π head": (_env(1), Pi(Var(0), Var(1)), _family, False),
 }
 
 
@@ -908,6 +914,10 @@ def test_evaluates_to_misses_and_conversion_decides(family_sig, name):
     env, term, ty, converts = EVALUATES_TO_MISSES[name]
     ty = ty(family_sig, env)
     assert not conv.evaluates_to(family_sig, env, term, ty)
+    if converts is None:
+        with pytest.raises(InternalError, match="unbound index 5"):
+            conv.evaluate(family_sig, tuple(env), term)
+        return
     value = conv.evaluate(family_sig, tuple(env), term)
     assert bool(conv.convert(family_sig, (None,) * len(env), value, ty, None)) is converts
 

@@ -211,6 +211,8 @@ def test_term_equality():
     assert Nat(FIB) != Nat(STRICT)
     assert t != (Var(0), Sum(FIB, Unit(), Nat(STRICT)))
     assert Sort(FIB, 1) == Sort(FIB, 1)
+    # argument tuples of two lengths
+    assert App(Var(0), (Var(1),)) != App(Var(0), (Var(1), Var(2)))
 
 
 def test_var_leaves_are_shared():
