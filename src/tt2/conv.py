@@ -34,9 +34,10 @@ Three rules keep the walkers cheap:
   former from one table, ``FORMERS``.  The width of a construct is walked
   in a loop, so a generated file, wide rather than deep, costs no stack
   however large: an application chain ``f a1 … an`` is one core ``App``
-  whose arguments ``evaluate`` reads in order into one spine and ``quote``
-  writes back from each run of a spine's arguments, a numeral is
-  evaluated, read back and eliminated in a loop, read-back walks Π/Σ
+  whose head and arguments ``evaluate`` reads in order into one spine (a
+  bound variable, head or argument, from the environment without a call)
+  and ``quote`` writes back from each run of a spine's arguments, a
+  numeral is evaluated, read back and eliminated in a loop, read-back walks Π/Σ
   telescopes, λ-chains and a spine in loops, and conversion continues into
   a Π codomain, a Σ second component or any other last comparison without
   a call.  In ``elab``, ``infer`` walks application chains and Π/Σ
@@ -341,11 +342,11 @@ def evaluate(sig: Signature, env: tuple[Value, ...], t: Term) -> Value:
     if cls is App:
         # The head once, then the arguments left to right.  A stuck head
         # takes every remaining argument into its spine at once, instead of
-        # copying the spine once per argument.  A bound variable as argument
-        # is read from env without a call; an unbound one goes to the Var
-        # case above, which reports it.
-        fn = evaluate(sig, env, t.fn)
-        depth = len(env)
+        # copying the spine once per argument.  A bound variable as head or
+        # argument is read from env without a call; an unbound one goes to
+        # the Var case above, which reports it.
+        fn, depth = t.fn, len(env)
+        fn = env[~fn.index] if fn.__class__ is Var and fn.index < depth else evaluate(sig, env, fn)
         frames = []
         for arg in t.args:
             if arg.__class__ is Var and arg.index < depth:

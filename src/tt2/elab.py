@@ -59,9 +59,6 @@ class Elaborator:
     def subsume(self, got: Sort, want: Sort) -> bool:
         return sort_leq(got, want, self.config.collapse_fibrant_universes)
 
-    def join(self, a: Sort, b: Sort) -> Sort:
-        return sort_join(a, b, self.config.collapse_fibrant_universes)
-
     def _show(self, ctx: Context, v: Value) -> str:
         """``v`` as surface syntax under ``ctx``.  A binder that a later one
         of the same name shadows is printed under a name taken neither in
@@ -146,37 +143,40 @@ class Elaborator:
             # Π-telescope under its closure's environment extended by each
             # argument's value, rather than instantiating it binder by binder.
             # It compares before it evaluates: an argument written as a bound
-            # variable is looked up once, and when ``conv.evaluates_to`` finds
-            # that the domain term is its type (a variable or postulate head
-            # applied to the same argument objects), the domain is never built
-            # and the argument is taken as it is, with no conversion.
-            # Otherwise that one domain is evaluated and the argument checked
-            # against it.  The rest of the telescope is evaluated once, where
-            # the walk ends.
+            # variable is looked up once, in the context's level table, and its
+            # type and value are read by level.  When its type value is the
+            # domain value itself, or ``conv.evaluates_to`` finds that the
+            # domain term is its type (a variable or postulate head applied to
+            # the same argument objects), the domain is never built and the
+            # argument is taken as it is, with no conversion.  Otherwise that
+            # one domain is evaluated and the argument checked against it.
+            # The rest of the telescope is evaluated once, where the walk ends.
             sig = self.sig
             head, ty = self.infer(ctx, raw.fn)
+            level_of, types, values = ctx.levels.get, ctx.types, ctx.env
             cores = []
             env = None  # while walking a telescope term: its environment; ty is the term
             for arg in raw.args:
-                hit = ctx.lookup(arg.name) if arg.__class__ is parse.RVar else None
+                level = level_of(arg.name) if arg.__class__ is parse.RVar else None
                 if env is None:
                     if ty.__class__ is not VPi:
                         raise Diagnostic(
                             TYPE_MISMATCH, (raw.fn.span[0], arg.span[1]),
                             f"expected a function, but this has type {self._show(ctx, ty)}",
                         )
-                    dom = ty.dom
-                elif hit is not None and conv.evaluates_to(sig, env, ty.dom, hit[1]):
+                    dom = None if level is not None and types[level] is ty.dom else ty.dom
+                elif level is not None and conv.evaluates_to(sig, env, ty.dom, types[level]):
                     dom = None  # the variable's type converts with the domain
                 else:
                     dom = evaluate(sig, tuple(env), ty.dom)
-                if dom is None:
-                    arg_core = core.var(hit[0])
-                elif arg.__class__ is parse.RVar:
-                    arg_core = self._conform(ctx, arg, *self._infer_name(arg, hit), dom)
+                if level is not None:
+                    arg_core, arg_v = core.var(len(values) - 1 - level), values[level]
+                    if dom is not None:
+                        arg_core = self._conform(ctx, arg, arg_core, types[level], dom)
                 else:
-                    arg_core = self.check(ctx, arg, dom)
-                arg_v = ctx.env[~hit[0]] if hit is not None else evaluate(sig, ctx.env, arg_core)
+                    arg_core = (self._conform(ctx, arg, *self._infer_name(arg, None), dom)
+                                if arg.__class__ is parse.RVar else self.check(ctx, arg, dom))
+                    arg_v = evaluate(sig, values, arg_core)
                 cores.append(arg_core)
                 if env is None:
                     env, ty = list(ty.cod.env), ty.cod.body
@@ -304,9 +304,10 @@ class Elaborator:
             raw = raw.cod if is_pi else raw.snd
             cls = raw.__class__
         term, sort = self.ensure_type(inner, raw)
+        collapse = self.config.collapse_fibrant_universes
         for is_pi, dom_core, dom_sort, dom in reversed(binders):
             term = core.Pi(dom_core, term) if is_pi else core.Sigma(dom_core, term)
-            sort = self.join(dom_sort, sort)
+            sort = sort_join(dom_sort, sort, collapse)
         cod = Closure(ctx.env, term.cod if is_pi else term.snd)
         return term, sort, VPi(dom, cod) if is_pi else VSigma(dom, cod)
 

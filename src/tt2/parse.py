@@ -29,10 +29,14 @@ operator closes the frames of tighter levels, and the end of a term closes
 all of its frames, so nesting depth costs list entries, not Python calls.
 An application chain ``f a1 … an`` is one ``RApp`` node, with the
 arguments as a tuple, and a parenthesised chain that heads more arguments,
-as in ``(f a) b``, is continued, so no ``RApp`` has an ``RApp`` head.  A
-declaration comes out finished: the frames that close binder groups and
-lambdas fold its telescope into its type, as Π binders, and into its
-body, as lambdas.
+as in ``(f a) b``, is continued, so no ``RApp`` has an ``RApp`` head.
+While an application is open, a run of names is read into its arguments
+in one inner loop, not one pass of the state machine per name.  A
+composite node's span runs from its first child's start, or its opening
+token's, to its last child's end; a name's are read as its start and the
+length of its word, not through ``RVar.span``.  A declaration comes out
+finished: the frames that close binder groups and lambdas fold its
+telescope into its type, as Π binders, and into its body, as lambdas.
 
 Built-ins are the rows of ``_FORMERS``: keyword, core class and layer
 (None where one keyword serves both layers).  They take one atom per
@@ -259,9 +263,7 @@ def _fail(tok: Token, expected: str) -> Diagnostic:
 
 
 def _group_colon(toks: list[Token], pos: int) -> int:
-    """The index of the ``:`` of a binder group opening at ``pos``, or 0."""
-    if toks[pos][0] != "LPAREN":
-        return 0
+    """The index of the ``:`` of a binder group whose ``(`` is at ``pos``, or 0."""
     j = pos + 1
     while toks[j][0] in _BINDERS:
         j += 1
@@ -271,13 +273,15 @@ def _group_colon(toks: list[Token], pos: int) -> int:
 def _close(frame: tuple, body: Raw) -> Raw:
     """Finish an opener frame with the term that follows it."""
     tag, head, names = frame
+    end = body.start + len(body.name) if body.__class__ is RVar else body.span[1]
     if tag == _LAM:
         for name in reversed(names):
-            body = RLam((head[2], body.span[1]), name, body)
+            body = RLam((head[2], end), name, body)
         return body
     former = RPi if tag == _PI_GROUPS else RSigma
     for name, ty in reversed(head):
-        body = former((ty.span[0], body.span[1]), None if name == "_" else name, ty, body)
+        start = ty.start if ty.__class__ is RVar else ty.span[0]
+        body = former((start, end), None if name == "_" else name, ty, body)
     return body
 
 
@@ -364,7 +368,7 @@ class _Parser:
                     pos += 1
                     stack.append((_LAM, tok, names))
                     continue
-                colon = _group_colon(toks, pos)
+                colon = tok[0] == "LPAREN" and _group_colon(toks, pos)
                 if colon:
                     stack.append((_GROUP, [t[1] for t in toks[pos + 1:colon]], []))
                     pos, lam_ok = colon + 1, True
@@ -411,22 +415,31 @@ class _Parser:
                     state = _ATOM
                     continue
                 stack.pop()
-                val = RBuiltin((head[2], val.span[1]), former, layer, tuple(args))
+                end = val.start + len(val.name) if val.__class__ is RVar else val.span[1]
+                val = RBuiltin((head[2], end), former, layer, tuple(args))
                 continue
-            kind = toks[pos][0]
-            if tag == _APP:
-                args.append(val)
+            tok = toks[pos]
+            kind = tok[0]
+            if tag == _APP or kind in _ATOM_STARTERS:
+                if tag == _APP:
+                    args.append(val)
+                else:
+                    # ``(f a) b`` continues the chain ``f a``: no RApp heads an RApp
+                    head, args = (val.fn, list(val.args)) if val.__class__ is RApp else (val, [])
+                    stack.append((_APP, head, args))
+                while kind == "IDENT":  # a run of names, without the state machine
+                    args.append(RVar(tok[2], tok[1]))
+                    pos += 1
+                    tok = toks[pos]
+                    kind = tok[0]
                 if kind in _ATOM_STARTERS:
                     state = _ATOM
                     continue
                 stack.pop()
-                val = RApp((head.span[0], val.span[1]), head, tuple(args))
-            elif kind in _ATOM_STARTERS:
-                # ``(f a) b`` continues the chain ``f a``: no RApp heads an RApp
-                stack.append((_APP, val.fn, list(val.args)) if val.__class__ is RApp
-                             else (_APP, val, []))
-                state = _ATOM
-                continue
+                last = args[-1]
+                end = last.start + len(last.name) if last.__class__ is RVar else last.span[1]
+                start = head.start if head.__class__ is RVar else head.span[0]
+                val = RApp((start, end), head, tuple(args))
             # The application has ended: it is an operand of ``×`` or ``->``.
             if kind == "TIMES" or kind == "ARROW":
                 if kind == "ARROW":
@@ -458,8 +471,9 @@ class _Parser:
                     val = RPair((head[2], end), part, val)
                 continue
             # A binder group: more groups may follow, then ``->`` or ``×``.
-            parts.extend((name, val) for name in head)
-            colon = _group_colon(toks, pos)
+            for name in head:
+                parts.append((name, val))
+            colon = toks[pos][0] == "LPAREN" and _group_colon(toks, pos)
             if colon:
                 stack.append((_GROUP, [t[1] for t in toks[pos + 1:colon]], parts))
                 pos, state, lam_ok = colon + 1, _START, True

@@ -1,6 +1,7 @@
 import functools
 import sys
 import threading
+import types
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -100,6 +101,12 @@ def call_count(profile, fn):
     """How often the finished ``cProfile.Profile`` saw ``fn`` called, keyed
     by its code object rather than its pstats name."""
     return sum(e.callcount for e in profile.getstats() if e.code is fn.__code__)
+
+
+def python_calls(profile):
+    """How many Python-level calls the finished ``cProfile.Profile`` saw:
+    every entry with a code object, so no built-in function counts."""
+    return sum(e.callcount for e in profile.getstats() if isinstance(e.code, types.CodeType))
 
 
 @pytest.fixture(scope="session")

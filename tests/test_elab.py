@@ -284,6 +284,7 @@ def Y : X0 -> X0 -> U0 := X1
 postulate F : (a0 : X0) -> (a1 : X0) -> X1 a0 a1 -> U0
 postulate FY : (a0 : X0) -> (a1 : X0) -> Y a0 a1 -> U0
 postulate G : (P : X0 -> U0) -> (a : X0) -> P a -> U0
+postulate H : X0 -> X0 -> X0 -> X0 -> U0
 """
 
 
@@ -305,6 +306,18 @@ postulate G : (P : X0 -> U0) -> (a : X0) -> P a -> U0
     ("def t (a0 : X0) (x : X1 a0 a0) : U0 := F a0 a0 Y",
      [("TYPE_MISMATCH", (47, 48), "expected X1 a0 a0, got X0 -> X0 -> U0")]),
     ("def t (a0 : X0) : U0 := F a0 a0 z", [("UNBOUND", (32, 33), "unbound name 'z'")]),
+    # in a run of names: an unbound name third of four, and a name of the
+    # wrong type (a variable, a constant) in the middle
+    ("def t (a0 : X0) : U0 := H a0 a0 z a0", [("UNBOUND", (32, 33), "unbound name 'z'")]),
+    ("def t (a0 a1 : X0) (x : X1 a0 a1) : U0 := F a0 x a1",
+     [("TYPE_MISMATCH", (47, 48), "expected X0, got X1 a0 a1")]),
+    ("def t (a0 : X0) (x : X1 a0 a0) : U0 := H a0 Y a0 a0",
+     [("TYPE_MISMATCH", (44, 45), "expected X0, got X0 -> X0 -> U0")]),
+    # a first argument whose type is not the function type's domain
+    ("def t (a0 a1 : X0) (x : X1 a0 a1) : U0 := F x a0 a1",
+     [("TYPE_MISMATCH", (44, 45), "expected X0, got X1 a0 a1")]),
+    ("def t (Q : X0 -> X0 -> U0) (a b : X0) (x : Q a b) : U0 := G Q b x",
+     [("TYPE_MISMATCH", (60, 61), "expected X0 -> U0, got X0 -> X0 -> U0")]),
 ])
 def test_telescope_arguments_are_checked_against_domain_terms(base_sig, config, decl, diagnostics):
     sig, diags = elaborate_signature(parse.parse_file(TELESCOPES), base_sig, config)

@@ -430,3 +430,37 @@ def test_150_nested_successors_check(config, base_sig):
     source = "def n : Nat := " + "suc (" * 150 + "zero" + ")" * 150
     _, diags = elaborate_signature(parse_file(source), base_sig, config)
     assert not diags
+
+
+def test_composite_spans_run_from_their_first_child_to_their_last():
+    # An application spans from its head's start to its last argument's
+    # end, a Π or Σ from its domain's start to its codomain's end, and an
+    # argument written as a name spans its token.
+    sources = [path.read_text(encoding="utf-8") for path in sorted((REPO_ROOT / "stdlib").rglob("*.tt"))]
+    sources += [gen_sst(GenPlan(6)), gen_segal_scaffold(GenPlan(5))]
+    apps = binders = names = 0
+    for source in sources:
+        tokens = {span[0]: (kind, text, span) for kind, text, span in lex(source)}
+        for node in raw_nodes(t for d in parse_file(source) for t in (d.ty, d.body) if t is not None):
+            cls = node.__class__
+            if cls is parse.RApp:
+                apps += 1
+                assert node.span == (node.fn.span[0], node.args[-1].span[1])
+                for arg in node.args:
+                    if arg.__class__ is parse.RVar:
+                        names += 1
+                        assert tokens[arg.start] == ("IDENT", arg.name, arg.span)
+            elif cls is parse.RPi or cls is parse.RSigma:
+                binders += 1
+                first, last = (node.dom, node.cod) if cls is parse.RPi else (node.fst, node.snd)
+                assert node.span == (first.span[0], last.span[1])
+    assert apps > 400 and binders > 500 and names > 2_000
+
+
+def test_a_run_of_names_around_a_group_is_one_application():
+    t = parse_term("f a b (g c) d e")
+    assert t.__class__ is parse.RApp and t.span == (0, 15) and t.fn == parse.RVar(0, "f")
+    assert t.args == (parse.RVar(2, "a"), parse.RVar(4, "b"),
+                      parse.RApp((7, 10), parse.RVar(7, "g"), (parse.RVar(9, "c"),)),
+                      parse.RVar(12, "d"), parse.RVar(14, "e"))
+    assert [arg.span for arg in t.args] == [(2, 3), (4, 5), (7, 10), (12, 13), (14, 15)]
