@@ -69,8 +69,8 @@ from typing import Optional, Union
 from . import core
 from .core import (
     App, Const, Context, Empty, EmptyElim, Fst, Id, InternalError, J,
-    Lam, Layer, Nat, NatElim, Node, Pair, Pi, Refl, Signature, Snd, Sort,
-    Star, Suc, Sum, SumElim, Inl, Inr, Term, Unit, Univ, Var, Zero, var,
+    Lam, Nat, NatElim, Node, Pair, Pi, Refl, Sigma, Signature, Snd, Star,
+    Suc, Sum, SumElim, Inl, Inr, Term, Unit, Univ, Var, Zero, var,
 )
 
 
@@ -92,119 +92,34 @@ class Value(Node):
     pass
 
 
-class VUniv(Value):
-    sort: Sort
-
-
-class VPi(Value):
-    dom: Value
-    cod: Closure
-
-
-class VLam(Value):
-    body: Closure
-
-
-class VSigma(Value):
-    fst: Value
-    snd: Closure
-
-
-class VPair(Value):
-    fst: Value
-    snd: Value
-
-
-class VUnit(Value):
-    pass
-
-
-class VStar(Value):
-    pass
-
-
-class VId(Value):
-    layer: Layer
-    ty: Value
-    lhs: Value
-    rhs: Value
-
-
-class VRefl(Value):
-    layer: Layer
-    ty: Value
-    arg: Value
-
-
-class VNat(Value):
-    layer: Layer
-
-
-class VZero(Value):
-    layer: Layer
-
-
-class VSuc(Value):
-    layer: Layer
-    pred: Value
-
-
-class VSum(Value):
-    layer: Layer
-    left: Value
-    right: Value
-
-
-class VInl(Value):
-    layer: Layer
-    arg: Value
-
-
-class VInr(Value):
-    layer: Layer
-    arg: Value
-
-
-class VEmpty(Value):
-    layer: Layer
-
-
-class FFst(Node):
-    pass
-
-
-class FSnd(Node):
-    pass
+# Each value class has the fields of the core former it is a value of, and
+# each eliminator frame those of its eliminator but the last, the scrutinee
+# (``fields=``, see ``core``).
+class VUniv(Value, fields=Univ.__match_args__): pass
+class VPi(Value, fields=Pi.__match_args__): pass
+class VLam(Value, fields=Lam.__match_args__): pass
+class VSigma(Value, fields=Sigma.__match_args__): pass
+class VPair(Value, fields=Pair.__match_args__): pass
+class VUnit(Value, fields=Unit.__match_args__): pass
+class VStar(Value, fields=Star.__match_args__): pass
+class VId(Value, fields=Id.__match_args__): pass
+class VRefl(Value, fields=Refl.__match_args__): pass
+class VNat(Value, fields=Nat.__match_args__): pass
+class VZero(Value, fields=Zero.__match_args__): pass
+class VSuc(Value, fields=Suc.__match_args__): pass
+class VSum(Value, fields=Sum.__match_args__): pass
+class VInl(Value, fields=Inl.__match_args__): pass
+class VInr(Value, fields=Inr.__match_args__): pass
+class VEmpty(Value, fields=Empty.__match_args__): pass
+class FFst(Node, fields=Fst.__match_args__[:-1]): pass
+class FSnd(Node, fields=Snd.__match_args__[:-1]): pass
+class FNatElim(Node, fields=NatElim.__match_args__[:-1]): pass
+class FSumElim(Node, fields=SumElim.__match_args__[:-1]): pass
+class FEmptyElim(Node, fields=EmptyElim.__match_args__[:-1]): pass
+class FJ(Node, fields=J.__match_args__[:-1]): pass
 
 
 FST, SND = FFst(), FSnd()  # the only instances; see the module docstring
-
-
-class FNatElim(Node):
-    layer: Layer
-    motive: Closure
-    zcase: Value
-    scase: Closure
-
-
-class FSumElim(Node):
-    layer: Layer
-    motive: Closure
-    lcase: Closure
-    rcase: Closure
-
-
-class FEmptyElim(Node):
-    layer: Layer
-    motive: Closure
-
-
-class FJ(Node):
-    layer: Layer
-    motive: Closure
-    base: Value
-    lhs: Value
-    rhs: Value
 
 
 Frame = Union[FFst, FSnd, FNatElim, FSumElim, FEmptyElim, FJ]
@@ -313,8 +228,9 @@ def do_j(sig, layer, motive: Closure, base: Value, lhs: Value, rhs: Value, proof
 
 # Each core former with no rule of its own maps to its value class, and each
 # eliminator to the frame it leaves on a neutral scrutinee and to its rule.
-# A row's fields, in order, and the binders each sits under (None: no term)
-# are its core class's; a frame's end before the scrutinee, the last field.
+# A row's fields, in order, are its core class's, since the value and frame
+# classes above take them from it (a frame's end before the scrutinee, the
+# last field), and so are the binders each sits under (None: no term).
 FORMERS = {
     Univ: (VUniv, None), Id: (VId, None), Refl: (VRefl, None), Nat: (VNat, None),
     Zero: (VZero, None), Suc: (VSuc, None), Unit: (VUnit, None), Star: (VStar, None),

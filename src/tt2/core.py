@@ -29,6 +29,9 @@ slow (Python 3.11, 2-core Xeon VM).  The rules:
   an explicit stack, so nesting costs no Python frames.  No node hashes,
   frozen or not: nothing keys a dict or a set by one, so ``==`` is the
   only comparison.
+- ``fields=(...)`` names the class's own fields in place of annotations,
+  so that a class can take another's: ``conv``'s value and frame classes
+  take those of the core classes they mirror.
 - ``repr`` is ``Pi(dom=Var(index=0), cod=...)``.
 - Hot code tests ``t.__class__ is Var``: the metaclass makes ``isinstance``
   and ``match`` class patterns that miss about twice as slow.
@@ -56,14 +59,15 @@ def _refuse_assignment(self, name, value=None):
 
 
 class _NodeType(type):
-    """Builds each ``Node`` class from its annotations (see above)."""
+    """Builds each ``Node`` class from its annotations or ``fields=`` (see above)."""
 
-    def __new__(mcls, name, bases, ns, frozen=None, uncompared=()):
+    def __new__(mcls, name, bases, ns, frozen=None, uncompared=(), fields=None):
         base = next((b for b in bases if isinstance(b, _NodeType)), None)
         if base is None:
             return super().__new__(mcls, name, bases, ns)
-        own = tuple(f for f, a in ns.get("__annotations__", {}).items()
-                    if not str(a).startswith(("ClassVar", "typing.ClassVar")))
+        own = fields if fields is not None else tuple(
+            f for f, a in ns.get("__annotations__", {}).items()
+            if not str(a).startswith(("ClassVar", "typing.ClassVar")))
         defaults = {**base._defaults, **{f: ns.pop(f) for f in own if f in ns}}
         fields = ns["__match_args__"] = base.__match_args__ + own
         ns["__slots__"] = own
@@ -432,10 +436,3 @@ class Context(Node, frozen=True, uncompared=("levels",)):
             levels = levels.copy()
             levels[name] = len(self.env)
         return Context(self.names + (name,), self.types + (ty,), self.env + (value,), levels)
-
-    def lookup(self, name: str) -> Optional[tuple[int, object]]:
-        """The de Bruijn index and type of the innermost binder of ``name``."""
-        level = self.levels.get(name)
-        if level is None:
-            return None
-        return len(self.env) - 1 - level, self.types[level]

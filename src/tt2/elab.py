@@ -18,12 +18,12 @@ from .conv import (
     Closure, VEmpty, VId, VNat, VPi, VSigma, VSum, VUniv, VUnit, Value, evaluate,
 )
 from .core import (
-    Context, DeclKind, FIB, Layer, Node, SigEntry, Signature, Sort, Term,
+    Context, DeclKind, FIB, Node, SigEntry, Signature, Sort, Term,
     sort_join, sort_leq,
 )
 from .diagnostics import (
     CANNOT_INFER, DEPTH, Diagnostic, DUPLICATE, FIBRANCY, HOLE, LEVEL,
-    NOT_A_TYPE, SORT_MISMATCH, Span, TYPE_MISMATCH, UNBOUND,
+    NOT_A_TYPE, SORT_MISMATCH, TYPE_MISMATCH, UNBOUND,
 )
 
 
@@ -74,24 +74,6 @@ class Elaborator:
                 taken.add(names[level])
         return pretty.pretty(conv.quote(self.sig, len(ctx.env), v), self.sig, tuple(names))
 
-    def _universe_sort(self, layer: Layer, level: int, span: Span) -> Sort:
-        if not 0 <= level < self.config.universes:
-            raise Diagnostic(
-                LEVEL, span,
-                f"universe level {level} out of range (configured count "
-                f"{self.config.universes})",
-            )
-        return Sort(layer, level)
-
-    def _successor_sort(self, sort: Sort, span: Span) -> Sort:
-        if sort.level + 1 >= self.config.universes:
-            raise Diagnostic(
-                LEVEL, span,
-                f"the top universe {sort} has no classifying universe at "
-                f"count {self.config.universes}",
-            )
-        return Sort(sort.layer, sort.level + 1)
-
     def ensure_type(self, ctx: Context, raw: parse.Raw) -> tuple[Term, Sort]:
         tm, ty = self.infer(ctx, raw)
         if isinstance(ty, VUniv):
@@ -101,13 +83,13 @@ class Elaborator:
             f"expected a type, but this has type {self._show(ctx, ty)}",
         )
 
-    def _infer_name(self, raw: parse.RVar, hit: Optional[tuple[int, Value]]) -> tuple[Term, Value]:
-        """Infer the name ``raw``, given its local binder ``hit`` as
-        ``Context.lookup`` found it (None if no binder has that name)."""
-        if hit is not None:
-            index, ty = hit
-            return core.var(index), ty
+    def _infer_name(self, ctx: Context, raw: parse.RVar) -> tuple[Term, Value]:
+        """Infer the name ``raw``: its innermost binder, whose index and type
+        are read by level, else the signature constant of that name."""
         name = raw.name
+        level = ctx.levels.get(name)
+        if level is not None:
+            return core.var(len(ctx.env) - 1 - level), ctx.types[level]
         if self.sig.lookup(name) is not None:
             return core.const(name), conv.const_type_value(self.sig, name)
         raise Diagnostic(UNBOUND, raw.span, f"unbound name {name!r}")
@@ -135,7 +117,7 @@ class Elaborator:
     def infer(self, ctx: Context, raw: parse.Raw) -> tuple[Term, Value]:
         cls = raw.__class__
         if cls is parse.RVar:
-            return self._infer_name(raw, ctx.lookup(raw.name))
+            return self._infer_name(ctx, raw)
         if cls is parse.RApp:
             # An application chain f a1 … an: infer the head once, check the
             # arguments in a loop, and build one core ``App`` of them all where
@@ -174,7 +156,7 @@ class Elaborator:
                     if dom is not None:
                         arg_core = self._conform(ctx, arg, arg_core, types[level], dom)
                 else:
-                    arg_core = (self._conform(ctx, arg, *self._infer_name(arg, None), dom)
+                    arg_core = (self._conform(ctx, arg, *self._infer_name(ctx, arg), dom)
                                 if arg.__class__ is parse.RVar else self.check(ctx, arg, dom))
                     arg_v = evaluate(sig, values, arg_core)
                 cores.append(arg_core)
@@ -192,8 +174,19 @@ class Elaborator:
             term, sort, _ = self._telescope(ctx, raw)
             return term, VUniv(sort)
         if cls is parse.RUniv:
-            sort = self._universe_sort(raw.layer, raw.level, raw.span)
-            return core.Univ(sort), VUniv(self._successor_sort(sort, raw.span))
+            layer, level, count = raw.layer, raw.level, self.config.universes
+            if not 0 <= level < count:
+                raise Diagnostic(
+                    LEVEL, raw.span,
+                    f"universe level {level} out of range (configured count {count})",
+                )
+            sort = Sort(layer, level)
+            if level + 1 >= count:
+                raise Diagnostic(
+                    LEVEL, raw.span,
+                    f"the top universe {sort} has no classifying universe at count {count}",
+                )
+            return core.Univ(sort), VUniv(Sort(layer, level + 1))
         if cls is parse.RBuiltin:
             former = raw.former
             if former is core.Id or former is core.Refl:

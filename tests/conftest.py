@@ -79,20 +79,21 @@ def fails_fast_on_recursion(probe):
     return run
 
 
-def on_a_large_stack(fn, *args):
+def on_a_large_stack(fn, *args, limit=20_000):
     """``fn(*args)`` on a thread with a 64 MiB stack, under a recursion
-    limit of 20 000, as the ``tt2`` script runs its kernel; the limit is
-    restored after."""
-    result, limit = [], sys.getrecursionlimit()
+    limit of ``limit``, as the ``tt2`` script runs its kernel; the old limit
+    is restored after.  A limit a little above an input's depth fails a
+    walk that takes two frames per level of it."""
+    result, old_limit = [], sys.getrecursionlimit()
     thread = threading.Thread(target=lambda: result.append(fn(*args)))
     threading.stack_size(64 << 20)
-    sys.setrecursionlimit(20_000)
+    sys.setrecursionlimit(limit)
     try:
         thread.start()
         thread.join()
     finally:
         threading.stack_size(0)
-        sys.setrecursionlimit(limit)
+        sys.setrecursionlimit(old_limit)
     assert result, f"{fn.__name__} raised on the large stack"
     return result[0]
 

@@ -12,7 +12,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from conftest import REPO_ROOT, fails_fast_on_recursion
+from conftest import REPO_ROOT, fails_fast_on_recursion, on_a_large_stack
 from test_conv import SPINE_ETA_SOURCE
 
 from tt2 import cli, parse, pretty
@@ -204,6 +204,29 @@ def test_check_of_3000_nested_pairs_passes(tmp_path):
     assert result.stdout == pair + "\n"
 
 
+def _main_at_one_frame_per_level(depth, argv, capsys):
+    """The output of ``cli.main(argv)`` in-process, on a large stack under a
+    recursion limit of ``depth`` plus 100: an input ``depth`` levels deep
+    fails there if any layer takes two frames per level."""
+    status = on_a_large_stack(cli.main, argv, limit=depth + 100)
+    out, err = capsys.readouterr()
+    assert status == 0, err
+    return out
+
+
+def test_check_of_3000_nested_pairs_takes_one_frame_per_level(tmp_path, capsys):
+    # The script runs its kernel on a stack far deeper than 3 000 levels,
+    # so only an in-process run under a tight limit sees a second frame.
+    depth = 3000
+    src = tmp_path / "pairs.tt"
+    ty = "(Unit × " * depth + "Unit" + ")" * depth
+    pair = "(star , " * depth + "star" + ")" * depth
+    src.write_text(f"def T : U0 := {ty}\ndef p : T := {pair}\n")
+    out = _main_at_one_frame_per_level(depth, ["check", str(src), "--dump-core"], capsys)
+    assert out.splitlines()[-1] == f"def p : T := {pair}"
+    assert _main_at_one_frame_per_level(depth, ["eval", str(src), "--term", "p"], capsys) == pair + "\n"
+
+
 def _arrows(count):
     return "U0 -> " * count + "U0"
 
@@ -319,6 +342,14 @@ def test_eval_of_deeply_nested_successors_prints_the_normal_form(tmp_path):
     result = run_cli("eval", str(src), "--term", "n")
     assert result.returncode == 0, result.stderr
     assert result.stdout == "suc (" * (depth - 1) + "suc zero" + ")" * (depth - 1) + "\n"
+
+
+def test_eval_of_deeply_nested_successors_takes_one_frame_per_level(tmp_path, capsys):
+    depth = 900
+    src = tmp_path / "deep.tt"
+    src.write_text("def n : Nat := " + "suc (" * depth + "zero" + ")" * depth + "\n")
+    out = _main_at_one_frame_per_level(depth, ["eval", str(src), "--term", "n"], capsys)
+    assert out == "suc (" * (depth - 1) + "suc zero" + ")" * (depth - 1) + "\n"
 
 
 def test_diagnostic_format_is_file_line_col():

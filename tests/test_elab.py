@@ -106,6 +106,19 @@ def test_universe_levels_are_bounded(elab):
     assert type_str(elab, "U1") == "U2"
 
 
+@pytest.mark.parametrize("src, message", [
+    ("U7", "universe level 7 out of range (configured count 3)"),
+    ("US7", "universe level 7 out of range (configured count 3)"),
+    ("U2", "the top universe U2 has no classifying universe at count 3"),
+    ("US2", "the top universe US2 has no classifying universe at count 3"),
+])
+def test_universe_level_diagnostics(base_sig, src, message):
+    elab = Elaborator(base_sig, Config(universes=3))
+    with pytest.raises(Diagnostic) as exc:
+        elab.infer(Context(), parse.parse_term(src))
+    assert (exc.value.code, exc.value.span, exc.value.message) == ("LEVEL", (0, len(src)), message)
+
+
 def test_subsumption(elab):
     assert elab.subsume(Sort(FIB, 0), Sort(STRICT, 0))
     assert not elab.subsume(Sort(STRICT, 0), Sort(FIB, 0))
@@ -166,8 +179,10 @@ def test_a_name_resolves_to_its_innermost_binder(elab):
     ctx = Context()
     for name, ty in (("x", conv.VNat(FIB)), ("x", conv.VUnit()), (None, conv.VStar())):
         ctx = ctx.extend(name, ty, conv.fresh(len(ctx.env)))
-    assert ctx.lookup("x") == (1, conv.VUnit()) and ctx.lookup("y") is None
-    assert ctx.extend("y", conv.VNat(FIB), conv.fresh(3)).lookup("x")[0] == 2
+    x = parse.parse_term("x")
+    assert elab.infer(ctx, x) == (Var(1), conv.VUnit())
+    assert err(elab.infer, ctx, parse.parse_term("y")) == "UNBOUND"
+    assert elab.infer(ctx.extend("y", conv.VNat(FIB), conv.fresh(3)), x)[0] == Var(2)
 
 
 @pytest.mark.parametrize("src, message", [

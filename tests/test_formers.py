@@ -3,6 +3,8 @@ back and compared either by a case of its own or through the table, each
 row has its core class's fields, and each former, built as an open term,
 normalizes as the small-step oracle says."""
 
+from pathlib import Path
+
 import pytest
 
 from smallstep_oracle import normalize
@@ -37,6 +39,29 @@ def test_each_row_has_its_core_class_fields():
             # an eliminator's frame holds all but the scrutinee, its last field
             fields = fields[:-1]
         assert built.__match_args__ == fields, term_cls.__name__
+
+
+# Every value class but the neutral one, and every eliminator frame, by the
+# name of its core class with one letter in front.
+VALUE_CLASSES = [c for c in conv.Value.__subclasses__() if c is not conv.VNeutral]
+FRAME_CLASSES = [conv.FFst, conv.FSnd, conv.FNatElim, conv.FSumElim, conv.FEmptyElim, conv.FJ]
+
+
+def test_each_value_and_frame_class_has_its_core_class_fields():
+    assert len(VALUE_CLASSES) == 16 and set(FRAME_CLASSES) == conv.FRAMES
+    lines = Path(conv.__file__).read_text(encoding="utf-8").splitlines()
+    first_lines = set()
+    for cls in VALUE_CLASSES + FRAME_CLASSES:
+        fields = getattr(core, cls.__name__[1:]).__match_args__
+        if cls in FRAME_CLASSES:
+            fields = fields[:-1]
+        assert cls.__match_args__ == cls.__slots__ == fields, cls.__name__
+        # each generated __init__ is profiled at its own class statement
+        code = cls.__init__.__code__
+        assert code.co_filename == conv.__file__, cls.__name__
+        assert lines[code.co_firstlineno - 1].startswith(f"class {cls.__name__}("), cls.__name__
+        first_lines.add(code.co_firstlineno)
+    assert len(first_lines) == 22
 
 
 @pytest.mark.parametrize("layer", [FIB, STRICT], ids=lambda layer: layer.name)
