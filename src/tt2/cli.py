@@ -5,6 +5,8 @@ signature, ``eval`` prints the normal form of a definition, ``gen`` emits
 semi-simplicial scaffolding, ``delta`` prints monotone-map tables.
 Exit codes: 0 success, 1 diagnostics or generation failure, 2 usage
 errors.  Diagnostics go to stderr; requested artifacts go to stdout.
+Running out of stack or memory is a ``DEPTH`` or ``MEMORY`` diagnostic
+that names the phase: parse, check, compute (``eval``'s nf) or print.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import conv, core, parse, pretty
-from .diagnostics import DEPTH, Diagnostic, ENCODING
+from .diagnostics import Diagnostic, ENCODING, EXHAUSTED, exhausted
 from .elab import MAX_UNIVERSES, Config, elaborate_signature
 from .prelude import initial_signature
 
@@ -133,6 +135,8 @@ def _load(name: str, sig: core.Signature, args, config: Config) -> Optional[tupl
             decls = parse.parse_file(source)
         except Diagnostic as diag:
             diagnostics = [diag.detached()]
+        except EXHAUSTED as exc:
+            diagnostics = [exhausted(exc, (0, 0), repr(name), "parse")]
         else:
             sig, diagnostics = elaborate_signature(decls, sig, config)
     for diag in diagnostics:
@@ -162,10 +166,9 @@ def _cmd_check(args, config: Config) -> int:
                 head = f"{entry.kind.value} {entry.name} : {pretty.pretty(entry.ty, sig)}"
                 if entry.body is not None:
                     head += f" := {pretty.pretty(entry.body, sig)}"
-            except RecursionError:
+            except EXHAUSTED as exc:
                 source, name, span = origins.get(entry.name, ("", "<prelude>", (0, 0)))
-                diag = Diagnostic(DEPTH, span, f"{entry.name!r} nests too deeply to print")
-                _emit_diagnostic(diag, source, name, args)
+                _emit_diagnostic(exhausted(exc, span, repr(entry.name), "print"), source, name, args)
                 failures += 1
                 continue
             print(head)
@@ -189,11 +192,14 @@ def _cmd_eval(args, config: Config) -> int:
         what = "an axiom" if entry.kind is core.DeclKind.AXIOM else "a postulate"
         print(f"tt2: {args.term!r} is {what} and has no body", file=sys.stderr)
         return 1
+    phase = "compute"
     try:
-        text = pretty.pretty(conv.nf(sig, core.Context(), entry.body), sig)
-    except RecursionError:
+        normal_form = conv.nf(sig, core.Context(), entry.body)
+        phase = "print"
+        text = pretty.pretty(normal_form, sig)
+    except EXHAUSTED as exc:
         span = next((d.span for d in decls if d.name == args.term), (0, 0))
-        diag = Diagnostic(DEPTH, span, f"the normal form of {args.term!r} nests too deeply to compute")
+        diag = exhausted(exc, span, f"the normal form of {args.term!r}", phase)
         _emit_diagnostic(diag, source, args.file, args)
         return 1
     print(text)

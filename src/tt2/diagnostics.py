@@ -20,6 +20,9 @@ SYNTAX = "SYNTAX"
 ILLEGAL_CHAR = "ILLEGAL_CHAR"
 ENCODING = "ENCODING"
 DEPTH = "DEPTH"
+MEMORY = "MEMORY"
+
+EXHAUSTED = (RecursionError, MemoryError)  # running out of stack or memory
 
 
 class Diagnostic(Node, Exception):
@@ -40,6 +43,16 @@ class Diagnostic(Node, Exception):
         line, col = offset_to_line_col(source, self.span[0])
         return {"code": self.code, "span": list(self.span), "message": self.message,
                 "file": filename, "line": line, "col": col}
+
+
+def exhausted(exc: BaseException, span: Span, subject: str, phase: str) -> Diagnostic:
+    """The diagnostic for ``subject`` running out of stack (``DEPTH``) or
+    memory (``MEMORY``) while it went through ``phase``: ``parse``,
+    ``check``, ``compute`` or ``print``.  ``exc`` is one of ``EXHAUSTED``,
+    and the diagnostic keeps no reference to it or its frames."""
+    if isinstance(exc, RecursionError):
+        return Diagnostic(DEPTH, span, f"{subject} nests too deeply to {phase}")
+    return Diagnostic(MEMORY, span, f"{subject} needs more memory than there is to {phase}")
 
 
 def offset_to_line_col(source: str, offset: int) -> tuple[int, int]:

@@ -22,8 +22,8 @@ from .core import (
     sort_join, sort_leq,
 )
 from .diagnostics import (
-    CANNOT_INFER, DEPTH, Diagnostic, DUPLICATE, FIBRANCY, HOLE, LEVEL,
-    NOT_A_TYPE, SORT_MISMATCH, TYPE_MISMATCH, UNBOUND,
+    CANNOT_INFER, Diagnostic, DUPLICATE, EXHAUSTED, FIBRANCY, HOLE, LEVEL,
+    NOT_A_TYPE, SORT_MISMATCH, TYPE_MISMATCH, UNBOUND, exhausted,
 )
 
 
@@ -62,7 +62,8 @@ class Elaborator:
     def _show(self, ctx: Context, v: Value) -> str:
         """``v`` as surface syntax under ``ctx``.  A binder that a later one
         of the same name shadows is printed under a name taken neither in
-        scope nor in the signature; the innermost keeps its written name."""
+        scope nor in the signature; the innermost keeps its written name.
+        A term too large to print is a fixed text, so its diagnostic stays."""
         names = [n if n is not None else "_" for n in ctx.names]
         taken = set(names)
         for level, name in enumerate(names):
@@ -72,7 +73,10 @@ class Elaborator:
                     k += 1
                 names[level] = f"{name}{k}"
                 taken.add(names[level])
-        return pretty.pretty(conv.quote(self.sig, len(ctx.env), v), self.sig, tuple(names))
+        try:
+            return pretty.pretty(conv.quote(self.sig, len(ctx.env), v), self.sig, tuple(names))
+        except EXHAUSTED:
+            return "(a term too large to print)"
 
     def ensure_type(self, ctx: Context, raw: parse.Raw) -> tuple[Term, Sort]:
         tm, ty = self.infer(ctx, raw)
@@ -451,8 +455,6 @@ def elaborate_signature(
             sig.add(SigEntry(decl.name, ty_core, body_core, kind))
         except Diagnostic as diag:
             diagnostics.append(diag.detached())
-        except RecursionError:
-            diagnostics.append(Diagnostic(
-                DEPTH, decl.span, f"{decl.name!r} nests too deeply to check",
-            ))
+        except EXHAUSTED as exc:
+            diagnostics.append(exhausted(exc, decl.span, repr(decl.name), "check"))
     return sig, diagnostics

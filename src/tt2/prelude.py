@@ -14,9 +14,10 @@ with kind ``AXIOM``, so their names are taken and counted from the start.
 An axiom's statement is written, parsed and elaborated (as a type, in an
 empty signature) only when its ``ty`` is first read, and kept: like the
 signature's value caches, the type is a monotone memo.  A ``RecursionError``
-in a first read reaches the reader, whose declaration gets ``DEPTH``, and
-the next read tries again.  Most files name no axiom, and the univalence
-statements are by far the largest part of the prelude.
+or ``MemoryError`` in a first read reaches the reader, whose declaration
+gets ``DEPTH`` or ``MEMORY``, and the next read tries again.  Most files
+name no axiom, and the univalence statements are by far the largest part
+of the prelude.
 """
 
 from __future__ import annotations

@@ -127,7 +127,12 @@ class _CorePrinter:
         if cls is core.Pair:
             return f"({self.show(t.fst, names, TERM)} , {self.show(t.snd, names, TERM)})"
         if cls is core.Suc:
-            return _wrap(f"suc {self.show(t.pred, names, ATOM)}", prec > APP)
+            # A numeral is printed in a loop, its base once.
+            n = 0
+            while t.__class__ is core.Suc:
+                t, n = t.pred, n + 1
+            text = "suc (" * (n - 1) + "suc " + self.show(t, names, ATOM) + ")" * (n - 1)
+            return _wrap(text, prec > APP)
         # Any other built-in: its keyword, then its fields in ``SUB`` order,
         # a field under k binders as a k-argument lambda.
         kw = SPELLING.get((cls, None)) or SPELLING[cls, t.layer]

@@ -15,10 +15,11 @@ import pytest
 from conftest import REPO_ROOT, fails_fast_on_recursion, on_a_large_stack
 from test_conv import SPINE_ETA_SOURCE
 
-from tt2 import cli, parse, pretty
+from tt2 import cli, conv, parse, pretty
 from tt2.diagnostics import offset_to_line_col
-from tt2.elab import Config, elaborate_signature
+from tt2.elab import Config, Elaborator, elaborate_signature
 from tt2.prelude import initial_signature, prelude_source
+from tt2.sstgen import GenPlan, gen_sst
 
 
 def run_cli(*argv, cwd=REPO_ROOT):
@@ -414,10 +415,10 @@ def test_a_kept_parse_diagnostic_holds_no_frames(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags, line", [
-    ((), "good.tt:1:1: error[DEPTH]: the normal form of 'a' nests too deeply to compute"),
+    ((), "good.tt:1:1: error[DEPTH]: the normal form of 'a' nests too deeply to print"),
     (("--json-diagnostics",), json.dumps({
         "code": "DEPTH", "span": [0, 19],
-        "message": "the normal form of 'a' nests too deeply to compute",
+        "message": "the normal form of 'a' nests too deeply to print",
         "file": "good.tt", "line": 1, "col": 1,
     })),
 ])
@@ -434,6 +435,63 @@ def test_eval_of_a_normal_form_too_deep_to_print_is_a_coded_diagnostic(
     assert cli.main([*flags, "eval", "good.tt", "--term", "a"]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", line + "\n")
+
+
+# Each phase that runs out of stack or memory: what is patched to raise,
+# the error, the command, and a line of the diagnostic it ends in.
+@pytest.mark.parametrize("owner, attr, error, argv, line", [
+    (conv, "nf", RecursionError, ["eval", "good.tt", "--term", "a"],
+     "good.tt:1:1: error[DEPTH]: the normal form of 'a' nests too deeply to compute"),
+    (conv, "nf", RecursionError, ["--json-diagnostics", "eval", "good.tt", "--term", "a"],
+     json.dumps({"code": "DEPTH", "span": [0, 19],
+                 "message": "the normal form of 'a' nests too deeply to compute",
+                 "file": "good.tt", "line": 1, "col": 1})),
+    (parse, "parse_file", MemoryError, ["check", "good.tt"],
+     "good.tt:1:1: error[MEMORY]: 'good.tt' needs more memory than there is to parse"),
+    (Elaborator, "ensure_type", MemoryError, ["check", "good.tt"],
+     "good.tt:2:1: error[MEMORY]: 'p' needs more memory than there is to check"),
+    (conv, "nf", MemoryError, ["eval", "good.tt", "--term", "a"],
+     "good.tt:1:1: error[MEMORY]: the normal form of 'a' needs more memory than there is to compute"),
+    (pretty, "pretty", MemoryError, ["eval", "good.tt", "--term", "a"],
+     "good.tt:1:1: error[MEMORY]: the normal form of 'a' needs more memory than there is to print"),
+    (pretty, "pretty", MemoryError, ["check", "good.tt", "--dump-core"],
+     "good.tt:2:1: error[MEMORY]: 'p' needs more memory than there is to print"),
+], ids=["compute", "compute-json", "memory-parse", "memory-check", "memory-compute",
+        "memory-print", "memory-dump-core"])
+def test_running_out_of_stack_or_memory_is_a_coded_diagnostic_that_names_its_phase(
+    tmp_path, monkeypatch, capsys, owner, attr, error, argv, line
+):
+    def runs_out(*args):
+        raise error
+
+    (tmp_path / "good.tt").write_text(FAILING_INPUTS["good.tt"])
+    monkeypatch.setattr(owner, attr, runs_out)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("TT2_COLOR", "0")
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert line in captured.err.splitlines()
+    assert ("DEPTH" in captured.err) == (error is RecursionError)
+
+
+def test_a_check_that_runs_out_of_memory_ends_in_a_coded_diagnostic(tmp_path):
+    # SST-11 under a 40 MiB address-space limit, as ``ulimit -v 40960``
+    # sets it: the script runs out of memory, says so with MEMORY and
+    # exits 1, with no traceback.
+    import resource
+    limit = 40 << 20
+    (tmp_path / "sst11.tt").write_text(gen_sst(GenPlan(11, cap=11)), encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "tt2", "check", "sst11.tt"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={"PATH": "/usr/bin:/bin", "TT2_COLOR": "0", "PYTHONPATH": str(REPO_ROOT / "src"),
+             "PYTHONDONTWRITEBYTECODE": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert result.returncode == 1, result.stderr
+    assert "error[MEMORY]" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_diagnostics_are_colored_on_a_terminal_unless_tt2_color_is_0(monkeypatch, capsys):

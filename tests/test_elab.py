@@ -6,7 +6,7 @@ import cProfile
 import gc
 
 import pytest
-from conftest import REPO_ROOT, call_count, on_a_large_stack
+from conftest import REPO_ROOT, call_count, fails_fast_on_recursion, on_a_large_stack
 
 from smallstep_oracle import children
 from termgen import TermGen
@@ -197,6 +197,25 @@ def test_a_name_resolves_to_its_innermost_binder(elab):
 def test_a_shadowed_binder_is_printed_under_a_fresh_name(base_sig, config, src, message):
     _, diags = elaborate_signature(parse.parse_file(src), base_sig, config)
     assert [(d.code, d.message) for d in diags] == [("TYPE_MISMATCH", message)]
+
+
+@pytest.mark.parametrize("error", [RecursionError, MemoryError])
+def test_a_mismatch_too_large_to_print_keeps_its_code_and_span(base_sig, config, monkeypatch, error):
+    # Running out while one side of the message prints leaves a fixed text
+    # for that side; the declaration keeps its TYPE_MISMATCH at its span.
+    printed = []
+
+    def first_print_runs_out(*args):
+        printed.append(args)
+        if len(printed) == 1:
+            raise error
+        return real_pretty(*args)
+
+    real_pretty = pretty.pretty
+    monkeypatch.setattr(pretty, "pretty", first_print_runs_out)
+    _, diags = elaborate_signature(parse.parse_file("def t : Nat := star\n"), base_sig, config)
+    assert [(d.code, d.span, d.message) for d in diags] == [
+        ("TYPE_MISMATCH", (15, 19), "expected (a term too large to print), got Unit")]
 
 
 _TWICE = "def twice (A : U0) (f : A -> A -> A) (x : A) : A := (f x) x\n"
@@ -458,6 +477,21 @@ def test_printer_binder_choice_matches_naive_occurrence(config, manifest):
 def test_printer_shows_an_index_past_its_names_as_free():
     assert pretty.pretty(Var(2)) == "?v2"
     assert pretty.pretty(Lam(Var(3)), None, ("a",)) == "\\v0. ?v1"
+
+
+@pytest.mark.parametrize("layer", [FIB, STRICT])
+@fails_fast_on_recursion
+def test_a_numeral_prints_in_a_constant_number_of_calls(layer):
+    # a chain of successors is walked in a loop, its base printed once
+    numeral = core.Zero(layer)
+    for _ in range(1_000):
+        numeral = core.Suc(layer, numeral)
+    profile = cProfile.Profile()
+    profile.enable()
+    text = pretty.pretty(Lam(core.App(Var(0), (numeral,))))
+    profile.disable()
+    assert text == "\\v0. v0 (" + "suc (" * 999 + "suc zero" + ")" * 999 + ")"
+    assert call_count(profile, pretty._CorePrinter.show) == 5  # λ, application, v0, suc, zero
 
 
 def test_printed_core_rechecks_to_identical_core(config, manifest):
