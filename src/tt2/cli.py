@@ -6,7 +6,8 @@ semi-simplicial scaffolding, ``delta`` prints monotone-map tables.
 Exit codes: 0 success, 1 diagnostics or generation failure, 2 usage
 errors.  Diagnostics go to stderr; requested artifacts go to stdout.
 Running out of stack or memory is a ``DEPTH`` or ``MEMORY`` diagnostic
-that names the phase: parse, check, compute (``eval``'s nf) or print.
+that names the phase: parse (which covers reading and decoding the
+file), check, compute (``eval``'s nf) or print.
 """
 
 from __future__ import annotations
@@ -88,76 +89,60 @@ def _emit_diagnostic(diag: Diagnostic, source: str, filename: str, args) -> None
     print(text, file=sys.stderr)
 
 
-def _resolve(path: str, include: list[str]) -> Optional[Path]:
-    p = Path(path)
-    if p.is_file():
-        return p
-    for base in include:
-        candidate = Path(base) / path
+def _resolve(path: str, include: list[str]) -> Path:
+    """The first of ``path`` and ``path`` under each include directory that
+    is a file, else ``path`` itself, which then fails to read."""
+    for candidate in (Path(path), *(Path(base) / path for base in include)):
         if candidate.is_file():
             return candidate
-    return None
+    return Path(path)
 
 
-def _read_source(path: Path) -> tuple[str, Optional[Diagnostic]]:
-    """Decode an input file as UTF-8.  A file that is not valid UTF-8 is
-    decoded with replacement characters and comes with an ENCODING
-    diagnostic at the first bad byte."""
-    data = path.read_bytes()
-    try:
-        return data.decode("utf-8"), None
-    except UnicodeDecodeError as exc:
-        at = len(data[:exc.start].decode("utf-8"))
-        diag = Diagnostic(
-            ENCODING, (at, at + 1),
-            f"input is not valid UTF-8 (byte 0x{data[exc.start]:02x} at offset {exc.start})",
-        )
-        return data.decode("utf-8", errors="replace"), diag
-
-
-def _load(name: str, sig: core.Signature, args, config: Config) -> Optional[tuple]:
-    """Resolve, decode, parse and elaborate the file ``name`` into ``sig``
-    and print its diagnostics.  Returns the grown signature, the file's
-    declarations (none if it did not parse), its source and the number of
-    diagnostics; or None, after saying so, if the file cannot be read."""
-    path = _resolve(name, args.include)
-    if path is not None:
+def _load(names: list[str], args, config: Config) -> Optional[tuple]:
+    """Read, decode, parse and elaborate the files ``names`` in order into
+    one fresh signature, printing each file's diagnostics.  Returns the
+    signature, the number of diagnostics, the number of postulates and the
+    source, file name and span of each declaration by name; or None, after
+    saying so, if a file cannot be read.  A file that is not valid UTF-8 is
+    decoded with replacement characters, not parsed, and comes with an
+    ENCODING diagnostic at the first bad byte."""
+    sig, failures, postulates, origins = initial_signature(config), 0, 0, {}
+    for name in names:
+        source, decls = "", []
         try:
-            source, bad_bytes = _read_source(path)
-        except OSError:  # a file that exists but cannot be read
-            path = None
-    if path is None:
-        print(f"tt2: cannot read {name!r}", file=sys.stderr)
-        return None
-    decls, diagnostics = [], [bad_bytes]
-    if bad_bytes is None:
-        try:
+            data = _resolve(name, args.include).read_bytes()
+            source = data.decode("utf-8")
             decls = parse.parse_file(source)
+        except OSError:  # missing, a directory or unreadable
+            print(f"tt2: cannot read {name!r}", file=sys.stderr)
+            return None
+        except UnicodeDecodeError as exc:
+            at = len(data[:exc.start].decode("utf-8"))
+            source = data.decode("utf-8", errors="replace")
+            diagnostics = [Diagnostic(
+                ENCODING, (at, at + 1),
+                f"input is not valid UTF-8 (byte 0x{data[exc.start]:02x} at offset {exc.start})",
+            )]
         except Diagnostic as diag:
             diagnostics = [diag.detached()]
         except EXHAUSTED as exc:
             diagnostics = [exhausted(exc, (0, 0), repr(name), "parse")]
         else:
             sig, diagnostics = elaborate_signature(decls, sig, config)
-    for diag in diagnostics:
-        _emit_diagnostic(diag, source, name, args)
-    return sig, decls, source, len(diagnostics)
+        failures += len(diagnostics)
+        for diag in diagnostics:
+            _emit_diagnostic(diag, source, name, args)
+        for d in decls:
+            postulates += d.kind == "postulate"
+            origins.setdefault(d.name, (source, name, d.span))
+    return sig, failures, postulates, origins
 
 
 def _cmd_check(args, config: Config) -> int:
-    sig = initial_signature(config)
-    failures = 0
-    postulates = 0
-    origins = {}  # declaration name -> (source, file name, span), for --dump-core
-    for name in args.files:
-        loaded = _load(name, sig, args, config)
-        if loaded is None:
-            return 2
-        sig, decls, source, failed = loaded
-        failures += failed
-        postulates += sum(1 for d in decls if d.kind == "postulate")
-        for d in decls:
-            origins.setdefault(d.name, (source, name, d.span))
+    loaded = _load(args.files, args, config)
+    if loaded is None:
+        return 2
+    sig, failures, postulates, origins = loaded
     if postulates:
         print(f"tt2: {postulates} postulate(s) admitted", file=sys.stderr)
     if args.dump_core:
@@ -178,11 +163,11 @@ def _cmd_check(args, config: Config) -> int:
 
 
 def _cmd_eval(args, config: Config) -> int:
-    loaded = _load(args.file, initial_signature(config), args, config)
+    loaded = _load([args.file], args, config)
     if loaded is None:
         return 2
-    sig, decls, source, failed = loaded
-    if failed:
+    sig, failures, _, origins = loaded
+    if failures:
         return 1
     entry = sig.lookup(args.term)
     if entry is None:
@@ -198,9 +183,9 @@ def _cmd_eval(args, config: Config) -> int:
         phase = "print"
         text = pretty.pretty(normal_form, sig)
     except EXHAUSTED as exc:
-        span = next((d.span for d in decls if d.name == args.term), (0, 0))
+        source, name, span = origins[args.term]
         diag = exhausted(exc, span, f"the normal form of {args.term!r}", phase)
-        _emit_diagnostic(diag, source, args.file, args)
+        _emit_diagnostic(diag, source, name, args)
         return 1
     print(text)
     return 0

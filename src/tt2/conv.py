@@ -55,9 +55,11 @@ Three rules keep the walkers cheap:
   application against the function's Π-telescope as a term, under an
   environment it extends with each argument's value, and evaluates the
   rest of the telescope once, where the chain ends.  A domain is only
-  evaluated when ``evaluates_to`` cannot show, without building a value,
-  that it is the type of an argument written as a bound variable: the
-  same variable or postulate head applied to the same argument objects.
+  evaluated when ``evaluates_to`` cannot show, from the values its head and
+  arguments already have, that it is the type of an argument written as a
+  bound variable: a head, variable or constant, whose value is a
+  spineless neutral with the same head, applied to the same argument
+  objects.
   On such a hit the argument is taken as its variable, with no check
   against the domain (``Elaborator._conform`` is not called).
 """
@@ -328,22 +330,20 @@ def evaluate(sig: Signature, env: tuple[Value, ...], t: Term) -> Value:
 def evaluates_to(sig: Signature, env: list[Value], t: Term, v: Value) -> bool:
     """Whether ``evaluate(sig, tuple(env), t)`` would be a neutral with the
     head of ``v`` and the very argument objects of its spine, found without
-    building a value.
+    building the value of ``t``.
 
     It holds only where ``t`` is an application chain of bound variables,
-    possibly with no arguments, whose head is a bound variable holding a
-    spineless neutral or a constant with no body.  False says only that
-    this cheap test does not apply, and the caller then evaluates ``t``.
-    True implies that ``v`` converts with the value of ``t``, since
-    ``convert`` finds two neutrals with equal heads and identical spine
-    entries equal.  An environment holds values, never frames, so the
-    entry that is an argument's very value is that application's.
-
-    The constant rule, ``head == t.name`` for a constant with no body (a
-    level never equals a name), assumes that a postulate or an axiom
-    evaluates to the bare neutral of its own name.  Values that keep a
-    defined constant as a head, with its unfolding beside it, break that
-    assumption: under them a defined head would need its own rule."""
+    possibly with no arguments, whose head, a bound variable or a constant,
+    has for its value a spineless neutral with the head of ``v``.  A
+    constant's value is read as ``evaluate`` reads it, from
+    ``sig.body_values`` first, so a postulate or an axiom is its own bare
+    neutral and a definition is its unfolding: ``def Y := X1`` has ``X1``'s.
+    False says only that this cheap test does not apply, and the caller
+    then evaluates ``t``.  True implies that ``v`` converts with the value
+    of ``t``, since ``convert`` finds two neutrals with equal heads and
+    identical spine entries equal.  An environment holds values, never
+    frames, so the entry that is an argument's very value is that
+    application's."""
     if v.__class__ is not VNeutral:
         return False
     spine = v.spine
@@ -362,12 +362,13 @@ def evaluates_to(sig: Signature, env: list[Value], t: Term, v: Value) -> bool:
         if t.index >= depth:
             return False
         fn = env[~t.index]
-        return (fn.__class__ is VNeutral and not fn.spine
-                and (fn.head is head or fn.head == head))
-    if cls is Const:
-        entry = sig.lookup(t.name)
-        return head == t.name and entry is not None and entry.body is None
-    return False
+    elif cls is Const:
+        fn = sig.body_values.get(t.name)
+        if fn is None:
+            fn = evaluate(sig, (), t)
+    else:
+        return False
+    return fn.__class__ is VNeutral and not fn.spine and (fn.head is head or fn.head == head)
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ class _Spanned(Raw, uncompared=("span",)):
 
 class RUniv(_Spanned):
     layer: Layer
-    level: int
+    level: int  # or infinity, where it has more digits than int() converts
 
 
 class RPi(_Spanned):
@@ -393,11 +393,12 @@ class _Parser:
                         continue
                     val = RBuiltin((start, start + len(text)), former, layer, ())
                 elif kind == "UNIV":  # U<level> or US<level>
-                    span = (start, start + len(text))
-                    if text[1] == "S":
-                        val = RUniv(span, STRICT, int(text[2:]))
-                    else:
-                        val = RUniv(span, FIB, int(text[1:]))
+                    strict = text[1] == "S"
+                    try:
+                        level = int(text[1 + strict:])
+                    except ValueError:  # too many digits to convert
+                        level = float("inf")
+                    val = RUniv((start, start + len(text)), STRICT if strict else FIB, level)
                 elif kind == "UNDERSCORE":
                     val = RHole((start, start + 1))
                 else:
@@ -495,5 +496,7 @@ def parse_term(source: str) -> Raw:
 
 def parse_file(source: str) -> list[RawDecl]:
     """Parse a whole surface file; total on text (declarations or a
-    Diagnostic, never divergence)."""
+    Diagnostic, never divergence).  A universe level of any length parses;
+    one too long to read as an int is out of range, a ``LEVEL`` diagnostic
+    when the declaration is elaborated."""
     return _Parser(scan(source)).parse_file()

@@ -76,11 +76,6 @@ def _axioms(config: Config) -> list[tuple[str, Callable[[], str]]]:
     return axioms
 
 
-def prelude_source(config: Config) -> str:
-    """Surface text of the built-in axioms for the configured hierarchy."""
-    return "".join(write() + "\n" for _, write in _axioms(config))
-
-
 class _Axiom:
     """A signature entry whose type is elaborated when first read."""
 

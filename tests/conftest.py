@@ -10,7 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from tt2.elab import Config
-from tt2.prelude import initial_signature
+from tt2.prelude import _axioms, initial_signature
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -108,6 +108,12 @@ def python_calls(profile):
     """How many Python-level calls the finished ``cProfile.Profile`` saw:
     every entry with a code object, so no built-in function counts."""
     return sum(e.callcount for e in profile.getstats() if isinstance(e.code, types.CodeType))
+
+
+def prelude_source(config: Config) -> str:
+    """Surface text of the built-in axioms for the configured hierarchy,
+    one declaration a line, in the order the prelude declares them."""
+    return "".join(write() + "\n" for _, write in _axioms(config))
 
 
 @pytest.fixture(scope="session")

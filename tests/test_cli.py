@@ -12,13 +12,12 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from conftest import REPO_ROOT, fails_fast_on_recursion, on_a_large_stack
+from conftest import REPO_ROOT, fails_fast_on_recursion, on_a_large_stack, prelude_source
 from test_conv import SPINE_ETA_SOURCE
 
 from tt2 import cli, conv, parse, pretty
 from tt2.diagnostics import offset_to_line_col
 from tt2.elab import Config, Elaborator, elaborate_signature
-from tt2.prelude import initial_signature, prelude_source
 from tt2.sstgen import GenPlan, gen_sst
 
 
@@ -406,11 +405,11 @@ def test_a_kept_parse_diagnostic_holds_no_frames(tmp_path, capsys):
     gc.collect()
     gc.disable()
     try:
-        loaded = cli._load("syntax.tt", initial_signature(Config()), args, Config())
+        loaded = cli._load(["syntax.tt"], args, Config())
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert loaded[1:] == ([], FAILING_INPUTS["syntax.tt"], 1)
+    assert loaded[1:] == (1, 0, {})
     assert '"code": "SYNTAX"' in capsys.readouterr().err
 
 
@@ -473,6 +472,60 @@ def test_running_out_of_stack_or_memory_is_a_coded_diagnostic_that_names_its_pha
     assert captured.out == ""
     assert line in captured.err.splitlines()
     assert ("DEPTH" in captured.err) == (error is RecursionError)
+
+
+class _Undecodable(bytes):
+    def decode(self, *args, **kwargs):
+        raise MemoryError
+
+
+# Reading and decoding a file belong to its parse phase: running out of
+# memory in either is the same MEMORY diagnostic, at the file's start.
+@pytest.mark.parametrize("fails", ["read", "decode"])
+@pytest.mark.parametrize("argv, line", [
+    (["check", "good.tt"],
+     "good.tt:1:1: error[MEMORY]: 'good.tt' needs more memory than there is to parse"),
+    (["--json-diagnostics", "check", "good.tt"], json.dumps({
+        "code": "MEMORY", "span": [0, 0],
+        "message": "'good.tt' needs more memory than there is to parse",
+        "file": "good.tt", "line": 1, "col": 1,
+    })),
+    (["eval", "good.tt", "--term", "a"],
+     "good.tt:1:1: error[MEMORY]: 'good.tt' needs more memory than there is to parse"),
+], ids=["check", "check-json", "eval"])
+def test_running_out_of_memory_while_reading_a_file_is_a_parse_diagnostic(
+    tmp_path, monkeypatch, capsys, fails, argv, line
+):
+    read_bytes = Path.read_bytes
+
+    def runs_out(path):
+        if fails == "read":
+            raise MemoryError
+        return _Undecodable(read_bytes(path))
+
+    (tmp_path / "good.tt").write_text(FAILING_INPUTS["good.tt"])
+    monkeypatch.setattr(Path, "read_bytes", runs_out)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("TT2_COLOR", "0")
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert line in captured.err.splitlines()
+    assert "Traceback" not in captured.err
+
+
+# A universe level with more digits than int() converts, through the
+# script's entry point (test_elab.py::test_a_level_too_long_to_read_is_out_of_range).
+@pytest.mark.parametrize("former, digits", [("U", 4301), ("US", 4301), ("U", 5000), ("US", 5000)])
+def test_a_level_too_long_to_read_is_a_level_diagnostic(tmp_path, monkeypatch, capsys, former, digits):
+    universe = former + "7" * digits
+    (tmp_path / "long.tt").write_text(f"def a : U1 := {universe}\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("TT2_COLOR", "0")
+    assert cli.main(["check", "long.tt"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[0] == (
+        "long.tt:1:15: error[LEVEL]: universe level inf out of range (configured count 3)")
 
 
 def test_a_check_that_runs_out_of_memory_ends_in_a_coded_diagnostic(tmp_path):

@@ -574,6 +574,17 @@ def t : Id Nat (f zero) (f (suc zero)) := refl Nat (f zero)
     assert [d.code for d in diags] == ["TYPE_MISMATCH"]
 
 
+def test_an_argument_never_converts_with_a_frame_at_its_position(config):
+    # f star against fst f: one head and a spine entry each, of different
+    # kinds.  Compared as values, star would equal anything, by Unit eta.
+    src = "postulate f : Unit -> Nat\n"
+    sig, diags = elaborate_signature(parse.parse_file(src), initial_signature(config), config)
+    assert not diags
+    applied = conv.VNeutral("f", (conv.VStar(),))
+    projected = conv.VNeutral("f", (conv.FST,))
+    assert conv.convert(sig, (), applied, projected, None) is False
+
+
 # Frames other than applications, in neutral spines that conversion and
 # read-back meet: ``e1`` and ``e2`` hold by Unit eta at the type of a
 # projection and of a J frame, ``e3`` compares two ex falso motives, and
@@ -877,6 +888,8 @@ EVALUATES_TO_HITS = {
     "variable head": (_env(3), _chain(Var(2), 1, 0), _applied(_family, 1, 2)),
     # X1 a0 a1 with X1 a postulate: env [a0, a1]
     "postulate head": (_env(2), _chain(Const("X1"), 1, 0), _applied(_const("X1"), 0, 1)),
+    # Y a0 a1 with Y := X1: Y's value is X1's neutral
+    "defined head": (_env(2), _chain(Const("Y"), 1, 0), _applied(_const("X1"), 0, 1)),
     # uip a: an axiom of the prelude, whatever a's type
     "axiom head": (_env(1), _chain(Const("uip"), 0), _applied(_const("uip"), 0)),
     # (a0 : X0): no arguments, with X0 a postulate or a bound variable
@@ -886,8 +899,6 @@ EVALUATES_TO_HITS = {
 
 # As above, and whether the domain's value converts with the argument's type.
 EVALUATES_TO_MISSES = {
-    # Y unfolds to X1, so the types convert, but Y has a body
-    "defined head": (_env(2), _chain(Const("Y"), 1, 0), _applied(_const("X1"), 0, 1), True),
     # f a0 a1 written g a1, with g bound to f a0: env [f, a0, a1, f a0];
     # the values convert, but the head's spine is not empty
     "head with a spine": (

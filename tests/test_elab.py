@@ -119,6 +119,20 @@ def test_universe_level_diagnostics(base_sig, src, message):
     assert (exc.value.code, exc.value.span, exc.value.message) == ("LEVEL", (0, len(src)), message)
 
 
+# A level with more digits than int() converts (4 300 unless the
+# interpreter is told otherwise) is out of range like any level at or above
+# the count, with a message as short; the next declaration still checks.
+@pytest.mark.parametrize("former, digits", [("U", 4301), ("US", 4301), ("U", 5000), ("US", 5000)])
+def test_a_level_too_long_to_read_is_out_of_range(base_sig, former, digits):
+    universe = former + "7" * digits
+    source = f"def a : U1 := {universe}\ndef b : U1 := U0\n"
+    sig, diags = elaborate_signature(parse.parse_file(source), base_sig, Config(universes=3))
+    assert [(d.code, d.span, d.message) for d in diags] == [
+        ("LEVEL", (14, 14 + len(universe)), "universe level inf out of range (configured count 3)"),
+    ]
+    assert sig.lookup("a") is None and sig.lookup("b") is not None
+
+
 def test_subsumption(elab):
     assert elab.subsume(Sort(FIB, 0), Sort(STRICT, 0))
     assert not elab.subsume(Sort(STRICT, 0), Sort(FIB, 0))

@@ -7,7 +7,7 @@ import random
 import tracemalloc
 
 import pytest
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, prelude_source
 from hypothesis import given, settings, strategies as st
 
 from tt2 import core, parse
@@ -15,7 +15,6 @@ from tt2.core import FIB, STRICT
 from tt2.diagnostics import Diagnostic
 from tt2.elab import elaborate_signature
 from tt2.parse import lex, parse_file, parse_term
-from tt2.prelude import prelude_source
 from tt2.pretty import APP, ATOM, SIGMA, TERM, _wrap
 from tt2.sstgen import GenPlan, gen_segal_scaffold, gen_sst
 

@@ -7,12 +7,12 @@ import sys
 
 import pytest
 
-from conftest import call_count
+from conftest import call_count, prelude_source
 
 from tt2 import parse, prelude
 from tt2.core import DeclKind, InternalError, is_scope_closed
 from tt2.elab import Config, Elaborator, elaborate_signature
-from tt2.prelude import initial_signature, prelude_source
+from tt2.prelude import initial_signature
 
 
 def _eager(config):

@@ -214,6 +214,23 @@ def test_universe_retarget():
     assert recheck(Config(universes=4), text) == []
 
 
+def test_a_spine_is_retargeted_and_says_so_in_its_header(config, capsys):
+    text = gen_spine(GenPlan(2, universe=1))
+    assert text.startswith("-- tt2 gen spine --levels 2 --universe 1\n")
+    assert "def Spine2 : U1 := " in text
+    assert recheck(config, text) == []
+    assert cli.main(["gen", "spine", "--levels", "2", "--universe", "1"]) == 0
+    assert capsys.readouterr().out == text
+
+
+def test_a_negative_universe_and_a_retargeted_segal_are_refused():
+    with pytest.raises(ValueError, match="universe index must be non-negative"):
+        GenPlan(2, universe=-1)
+    # Segal scaffolding states its map against the stdlib's level-0 isEquiv
+    with pytest.raises(LevelCapExceeded, match="level-0 isEquiv"):
+        gen_segal_scaffold(GenPlan(2, universe=1))
+
+
 def test_generation_is_deterministic():
     for plan in (GenPlan(3), GenPlan(4)):
         assert gen_sst(plan) == gen_sst(plan)

@@ -6,12 +6,11 @@ tokens, or the same diagnostic (code, span and message), as the lexer that
 import hashlib
 import random
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, prelude_source
 
 from tt2.diagnostics import Diagnostic
 from tt2.elab import Config
 from tt2.parse import lex
-from tt2.prelude import prelude_source
 from tt2.sstgen import GenPlan, gen_segal_scaffold, gen_spine, gen_sst
 
 # Spliced into the mutations: comment openers and closers, a comment that
