@@ -60,18 +60,20 @@ class Elaborator:
         return sort_leq(got, want, self.config.collapse_fibrant_universes)
 
     def _show(self, ctx: Context, v: Value) -> str:
-        """``v`` as surface syntax under ``ctx``.  A binder that a later one
-        of the same name shadows is printed under a name taken neither in
-        scope nor in the signature; the innermost keeps its written name.
-        A term too large to print is a fixed text, so its diagnostic stays."""
-        names = [n if n is not None else "_" for n in ctx.names]
+        """``v`` as surface syntax under ``ctx``.  A binder written ``_``,
+        and one that a later one of the same name shadows, is printed under
+        a name taken neither in scope nor in the signature (``x1``, ``x2``,
+        … for ``_``); the innermost keeps its written name.  A term too
+        large to print is a fixed text, so its diagnostic stays."""
+        names = list(ctx.names)
         taken = set(names)
         for level, name in enumerate(names):
-            if name != "_" and ctx.levels[name] != level:
-                k = 1
-                while f"{name}{k}" in taken or self.sig.lookup(f"{name}{k}") is not None:
+            anonymous = name is None or name == "_"
+            if anonymous or ctx.levels[name] != level:
+                base, k = "x" if anonymous else name, 1
+                while f"{base}{k}" in taken or self.sig.lookup(f"{base}{k}") is not None:
                     k += 1
-                names[level] = f"{name}{k}"
+                names[level] = f"{base}{k}"
                 taken.add(names[level])
         try:
             return pretty.pretty(conv.quote(self.sig, len(ctx.env), v), self.sig, tuple(names))

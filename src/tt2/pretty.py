@@ -4,6 +4,8 @@ Core output is valid surface syntax: re-parsing and re-checking a printed
 term against its original type reproduces the term, which the test suite
 uses as a stability check.  Precedence levels match the parser: lambda and
 arrow bind loosest, then the pair former, then application, then atoms.
+A Π or Σ binder is named only if dependent, found in one walk per outermost
+Π or Σ chain, so a term with neither is never walked.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ def _wrap(text: str, needed: bool) -> str:
 
 def _dependent_binders(t: Term) -> set[int]:
     """The ids of the Π and Σ nodes in ``t`` whose bound variable occurs in
-    their codomain or second component, found in one walk of ``t``.
+    their codomain or second component, found in one walk of ``t``.  The
+    printer walks each outermost chain, since that property is the node's own.
 
     ``owners[k]`` is the Π or Σ that binds level ``k`` on the current path,
     or None.  A stack entry is a node, its parent's scope length and the
@@ -69,10 +72,12 @@ def _dependent_binders(t: Term) -> set[int]:
 
 
 class _CorePrinter:
-    def __init__(self, sig: Optional[Signature], names: tuple[str, ...], dependent: set[int]):
+    def __init__(self, sig: Optional[Signature], names: tuple[str, ...]):
         self.entries = sig.entries if sig is not None else {}
         self.names = set(names)
-        self.dependent = dependent
+        # the dependent binders of the outermost Π or Σ chain being printed,
+        # one walk of it that its nested chains read; None between chains
+        self.dependent: Optional[set[int]] = None
         self.counter = 0
 
     def fresh_name(self) -> str:
@@ -98,6 +103,9 @@ class _CorePrinter:
             # that printing by recursion gives them: a dependent binder's
             # domain after everything to its right.
             pi = cls is core.Pi
+            outermost = self.dependent is None
+            if outermost:
+                self.dependent = _dependent_binders(t)
             parts, pending = [], []
             while t.__class__ is cls:
                 dom, cod = (t.dom, t.cod) if pi else (t.fst, t.snd)
@@ -113,6 +121,8 @@ class _CorePrinter:
             parts.append(self.show(t, names, TERM if pi else SIGMA))
             for i, x, dom, outer in reversed(pending):
                 parts[i] = f"({x} : {self.show(dom, outer, TERM)})"
+            if outermost:
+                self.dependent = None
             return _wrap((" -> " if pi else " × ").join(parts), prec > (TERM if pi else SIGMA))
         if cls is core.Lam:
             x = self.fresh_name()
@@ -154,4 +164,4 @@ def pretty(t: Term, sig: Optional[Signature] = None,
            names: tuple[str, ...] = ()) -> str:
     """Render a core term as surface syntax, avoiding capture of
     signature-level names."""
-    return _CorePrinter(sig, names, _dependent_binders(t)).show(t, names, TERM)
+    return _CorePrinter(sig, names).show(t, names, TERM)

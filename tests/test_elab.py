@@ -207,6 +207,14 @@ def test_a_name_resolves_to_its_innermost_binder(elab):
     ("def u (A : U0) (x : A) (A : U0) (y : A) (A : U0) : A := x", "expected A, got A1"),
     ("def u (A : U0) (x : A) (A : U0) (y : A) (A : U0) : A := y", "expected A, got A2"),
     ("def u (x : Nat) (x : Unit) : Nat := x", "expected Nat, got Unit"),
+    # a binder written _ is named too, so it does not read as a hole
+    ("postulate P : Nat -> U0\npostulate p0 : P zero\ndef f : (n : Nat) -> P n := \\_. p0",
+     "expected P x1, got P zero"),
+    ("postulate Q : Nat -> Nat -> U0\npostulate q : Q zero zero\n"
+     "def f : (n : Nat) -> (m : Nat) -> Q n m := \\_ _. q", "expected Q x1 x2, got Q zero zero"),
+    ("postulate Q : Nat -> Nat -> U0\npostulate q : Q zero zero\npostulate x1 : Nat\n"
+     "def f : (n : Nat) -> (m : Nat) -> (k : Nat) -> Q n k := \\_ x2 _. q",
+     "expected Q x3 x4, got Q zero zero"),
 ])
 def test_a_shadowed_binder_is_printed_under_a_fresh_name(base_sig, config, src, message):
     _, diags = elaborate_signature(parse.parse_file(src), base_sig, config)
@@ -450,7 +458,7 @@ def _occurs(t, index):
     return False
 
 
-def test_printer_binder_choice_matches_naive_occurrence(config, manifest):
+def test_printer_binder_choice_matches_naive_occurrence(config, manifest, monkeypatch):
     sig = initial_signature(config)
     for entry in manifest.accept_entries():
         sig, diags = elaborate_signature(parse.parse_file(manifest.source(entry)), sig, config)
@@ -467,12 +475,16 @@ def test_printer_binder_choice_matches_naive_occurrence(config, manifest):
     open_ = Pi(Var(0), Var(1))
     terms.append(Pi(Univ(Sort(FIB, 0)), core.Sigma(open_, Pi(
         Univ(Sort(FIB, 0)), core.Sigma(closed, Pi(open_, closed))))))
+    # two outermost chains, equal but not shared, each with a dependent binder
+    terms.append(core.Pair(closed, Pi(Univ(Sort(FIB, 0)), Pi(Var(0), Var(1)))))
     gen = TermGen(11)
     for _ in range(200):
         terms.extend(gen.sample(40))
     checked = dependent = 0
+    whole = []
     for term in terms:
         found = pretty._dependent_binders(term)
+        whole.append(found)
         stack, seen = [term], set()
         while stack:
             t = stack.pop()
@@ -486,6 +498,12 @@ def test_printer_binder_choice_matches_naive_occurrence(config, manifest):
                 dependent += id(t) in found
             stack.extend(sub for sub, _ in children(t))
     assert checked > dependent > 100
+    # Each outermost chain is walked alone; the text is the one printed when
+    # every chain reads the set of a walk of the whole term.
+    texts = [pretty.pretty(term) for term in terms]
+    for term, found, text in zip(terms, whole, texts):
+        monkeypatch.setattr(pretty, "_dependent_binders", lambda _, found=found: found)
+        assert pretty.pretty(term) == text
 
 
 def test_printer_shows_an_index_past_its_names_as_free():
@@ -506,6 +524,22 @@ def test_a_numeral_prints_in_a_constant_number_of_calls(layer):
     profile.disable()
     assert text == "\\v0. v0 (" + "suc (" * 999 + "suc zero" + ")" * 999 + ")"
     assert call_count(profile, pretty._CorePrinter.show) == 5  # λ, application, v0, suc, zero
+    assert call_count(profile, pretty._dependent_binders) == 0  # no Π or Σ to walk
+
+
+def test_the_printer_walks_each_outermost_chain_once(base_sig, config):
+    # two outermost chains, the eliminator's base and the body of its step
+    # below two λs; the B -> B nested in the first is found by its walk
+    src = "def m : Nat -> U1 := \\n. natelim (\\_. U1) ((B : U0) × (B -> B)) (\\_ r. (C : U0) -> C -> r) n\n"
+    sig, diags = elaborate_signature(parse.parse_file(src), base_sig, config)
+    assert not diags
+    normal = conv.nf(sig, Context(), sig.lookup("m").body)
+    profile = cProfile.Profile()
+    profile.enable()
+    text = pretty.pretty(normal, sig)
+    profile.disable()
+    assert text == "\\v0. natelim (\\v1. U1) ((v2 : U0) × (v2 -> v2)) (\\v3 v4. (v5 : U0) -> v5 -> v4) v0"
+    assert call_count(profile, pretty._dependent_binders) == 2
 
 
 def test_printed_core_rechecks_to_identical_core(config, manifest):
