@@ -102,7 +102,8 @@ def _load(names: list[str], args, config: Config) -> Optional[tuple]:
     """Read, decode, parse and elaborate the files ``names`` in order into
     one fresh signature, printing each file's diagnostics.  Returns the
     signature, the number of diagnostics, the number of postulates and the
-    source, file name and span of each declaration by name; or None, after
+    source, file name and raw declaration of each declaration by name, whose
+    span is computed only for a diagnostic; or None, after
     saying so, if a file cannot be read.  A file that is not valid UTF-8 is
     decoded with replacement characters, not parsed, and comes with an
     ENCODING diagnostic at the first bad byte."""
@@ -134,7 +135,7 @@ def _load(names: list[str], args, config: Config) -> Optional[tuple]:
             _emit_diagnostic(diag, source, name, args)
         for d in decls:
             postulates += d.kind == "postulate"
-            origins.setdefault(d.name, (source, name, d.span))
+            origins.setdefault(d.name, (source, name, d))
     return sig, failures, postulates, origins
 
 
@@ -152,7 +153,8 @@ def _cmd_check(args, config: Config) -> int:
                 if entry.body is not None:
                     head += f" := {pretty.pretty(entry.body, sig)}"
             except EXHAUSTED as exc:
-                source, name, span = origins.get(entry.name, ("", "<prelude>", (0, 0)))
+                source, name, decl = origins.get(entry.name, ("", "<prelude>", None))
+                span = (0, 0) if decl is None else decl.span
                 _emit_diagnostic(exhausted(exc, span, repr(entry.name), "print"), source, name, args)
                 failures += 1
                 continue
@@ -183,8 +185,8 @@ def _cmd_eval(args, config: Config) -> int:
         phase = "print"
         text = pretty.pretty(normal_form, sig)
     except EXHAUSTED as exc:
-        source, name, span = origins[args.term]
-        diag = exhausted(exc, span, f"the normal form of {args.term!r}", phase)
+        source, name, decl = origins[args.term]
+        diag = exhausted(exc, decl.span, f"the normal form of {args.term!r}", phase)
         _emit_diagnostic(diag, source, name, args)
         return 1
     print(text)

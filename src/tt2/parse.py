@@ -1,23 +1,27 @@
 """Lexer and precedence-climbing parser for the surface language.
 
-The lexer is one ``finditer`` scan over a pattern with no whitespace
-prefix: its alternatives are a ``--`` comment, ``{-``, ``:=``, ``->``, a
-word, and last any one character other than whitespace, so whitespace is
-what the scan steps over between matches.  One dict lookup maps the text
-of a match to its kind and its word, the one ``str`` that every token of
-that text shares.  The dict holds the punctuation and keywords; a word it
-lacks is sorted into universe or identifier and added to it, for this
-source only.  Line comments are dropped in the same loop.  At ``{-`` a
-depth-counting scan skips the nested block comment, and the scan restarts
-where the comment ends.  A character that fits no token is an
-``ILLEGAL_CHAR``.
+The lexer works in bulk passes over the whole source.  First each comment,
+``--`` to the end of its line or a nested ``{- -}`` found by a
+depth-counting search, is replaced by as many spaces, so that no offset
+moves and what is left is tokens and whitespace.  Then one ``findall``
+takes the text of every token: ``:=``, ``->``, a word, or any one
+character other than whitespace.  One dict maps a token's text to its
+``(kind, word)`` pair, whose word is the one ``str`` that every token of
+that text shares.  The dict holds the punctuation and keywords; only the
+distinct texts it lacks are looked at, each sorted into universe or
+identifier and added to it for this source only, or found to be outside
+the grammar.  The first problem in source order is raised: a character
+outside the grammar is an ``ILLEGAL_CHAR``, and an unterminated block
+comment, blanked to the end of the source, comes after every token.
 
-``scan`` is this lexer.  Its token is a plain ``(kind, text, start)``
-triple, read by position, whose span is ``(start, start + len(text))``.
-The parser builds that span only for a diagnostic or for a node that keeps
-one; an ``RVar`` keeps just the start and the shared word.  ``lex``, the
-public token list that ``tests/golden/tokens.sha256`` pins, is derived from
-``scan``'s tokens, each start widened to its span.
+``scan`` returns a ``Tokens`` table: one shared pair per token, with no
+offset, no ``re.Match`` and no tuple of its own.  Offsets are computed
+only when a span is read: the table's first ``starts`` call finds every
+token's start with one ``finditer`` pass over the blanked source.  Raw
+nodes keep token indices and a reference to the table, and their ``start``
+and ``span`` read offsets through it, so a file that parses and checks
+with no diagnostic never computes one.  ``lex``, the public token list
+that ``tests/golden/tokens.sha256`` pins, pairs each token with its span.
 
 Precedence, loosest to tightest: lambda bodies extend right, then ``->``
 (right associative), then the pair former ``×`` (right associative), then
@@ -32,9 +36,9 @@ arguments as a tuple, and a parenthesised chain that heads more arguments,
 as in ``(f a) b``, is continued, so no ``RApp`` has an ``RApp`` head.
 While an application is open, a run of names is read into its arguments
 in one inner loop, not one pass of the state machine per name.  A
-composite node's span runs from its first child's start, or its opening
-token's, to its last child's end; a name's are read as its start and the
-length of its word, not through ``RVar.span``.  A declaration comes out
+composite node keeps the index of its first token, its first child's or
+its opening one, and of its last child's last token, or of its ``)``; a
+name keeps the index of its own token.  A declaration comes out
 finished: the frames that close binder groups and lambdas fold its
 telescope into its type, as Π binders, and into its body, as lambdas.
 
@@ -66,25 +70,45 @@ from .diagnostics import Diagnostic, ILLEGAL_CHAR, SYNTAX, Span
 
 class Raw(Node, frozen=True):
     """A raw term.  Its ``span`` is its ``(start, end)`` in the source,
-    which ``==`` does not compare."""
+    which ``==`` does not compare.  A parsed node keeps token indices and its
+    file's ``Tokens``, which turn them into offsets when a span is read; a
+    node built directly keeps offsets."""
 
 
-class RVar(Raw, uncompared=("start",)):
-    """A name.  It keeps its start offset and the token's shared string, and
-    its span ends where the name does."""
+class RVar(Raw, uncompared=("at", "tokens")):
+    """A name: the index of its token in ``tokens`` and the token's shared
+    word, or, built with no ``tokens``, its start offset and the word.  Its
+    span ends where the name does."""
 
-    start: int
+    at: int
     name: str
+    tokens: Optional[Tokens] = None
+
+    @property
+    def start(self) -> int:
+        return self.at if self.tokens is None else self.tokens.starts()[self.at]
 
     @property
     def span(self) -> Span:
-        return (self.start, self.start + len(self.name))
+        start = self.start
+        return (start, start + len(self.name))
 
 
-class _Spanned(Raw, uncompared=("span",)):
-    """A raw term other than a name, which keeps its span."""
+def _span(at: tuple) -> Span:
+    """The span of ``at``: a span already, or ``(first, last, tokens)``."""
+    return at if len(at) == 2 else at[2].span(at[0], at[1])
 
-    span: Span
+
+class _Spanned(Raw, uncompared=("at",)):
+    """A raw term other than a name.  ``at`` is ``(first, last, tokens)``,
+    the indices of its first and last tokens in its file's ``Tokens``, or,
+    built directly, its span."""
+
+    at: tuple
+
+    @property
+    def span(self) -> Span:
+        return _span(self.at)
 
 
 class RUniv(_Spanned):
@@ -136,13 +160,28 @@ class RHole(_Spanned):
 
 
 class RawDecl(Node, frozen=True):
-    """A declaration, its telescope folded into ``ty`` and ``body``."""
+    """A declaration, its telescope folded into ``ty`` and ``body``.  ``at``
+    is as a ``_Spanned`` node's, and ``==`` compares its span."""
 
     kind: str  # "def" | "postulate"
     name: str
     ty: Raw
     body: Optional[Raw]
-    span: Span
+    at: tuple
+
+    @property
+    def span(self) -> Span:
+        return _span(self.at)
+
+
+# What ``match`` binds, ``repr`` shows and a declaration's ``==`` compares:
+# offsets, read through ``start`` or ``span``, in place of token indices and
+# their table.
+for _cls in (RVar, RUniv, RPi, RSigma, RLam, RApp, RPair, RBuiltin, RHole, RawDecl):
+    _cls.__match_args__ = tuple(
+        ("start" if _cls is RVar else "span") if f == "at" else f
+        for f in _cls.__match_args__ if f != "tokens")
+RawDecl._compared = RawDecl.__match_args__
 
 
 # ---------------------------------------------------------------------------
@@ -175,76 +214,113 @@ _BINDERS = {"IDENT", "UNDERSCORE"}
 # ---------------------------------------------------------------------------
 # Lexer
 
-# One scan takes every token: a line comment, ``{-``, ``:=``, ``->``, a word,
-# or any one character that is not whitespace.  The text of a token gives
-# its kind and its shared string through ``_KINDS``; a miss is a new word,
-# ``{-``, a comment or a character outside the grammar.
-_SCAN = re.compile(r"--[^\n]*|\{-|:=|->|[A-Za-z][A-Za-z0-9_']*|[^ \t\r\n]")
+# With its comments blanked, a source is tokens and whitespace: a token is
+# ``:=``, ``->``, a word, or any one character that is not whitespace.  The
+# text of a token gives its kind and its shared string through ``_KINDS``;
+# a miss is a new word or a character outside the grammar.
+_TOKEN = re.compile(r":=|->|[A-Za-z][A-Za-z0-9_']*|[^ \t\r\n]")
 _KINDS = {text: (kind, text) for text, kind in {
     ":=": "ASSIGN", "->": "ARROW", "(": "LPAREN", ")": "RPAREN", ",": "COMMA",
     ":": "COLON", ".": "DOT", "\\": "LAMBDA", "λ": "LAMBDA", "×": "TIMES",
     "_": "UNDERSCORE", **{kw: kw for kw in KEYWORDS},
 }.items()}
+_EOF = ("EOF", "")
 _UNIV = re.compile(r"US?[0-9]+")
 _LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_COMMENT = re.compile(r"--[^\n]*|\{-")
 _NESTING = re.compile(r"\{-|-\}")
 
 
-# A token: its kind (a punctuation name, a keyword, ``IDENT``, ``UNIV`` or
-# ``EOF``), its text and its start offset.
-Token = tuple[str, str, int]
+class Tokens:
+    """A source's tokens.  ``pairs[i]`` is the i-th token's ``(kind, word)``:
+    a punctuation name, a keyword, ``IDENT``, ``UNIV`` or ``EOF``, and the
+    one ``str`` that every token of that text shares, in one pair that they
+    share too.  No offset is kept: ``starts`` computes every token's start
+    from ``text``, the source with its comments blanked, on its first call."""
+
+    __slots__ = ("pairs", "text", "_starts")
+
+    def __init__(self, pairs: list[tuple[str, str]], text: str):
+        self.pairs, self.text, self._starts = pairs, text, None
+
+    def starts(self) -> list[int]:
+        if self._starts is None:
+            self._starts = [m.start() for m in _TOKEN.finditer(self.text)]
+            self._starts.append(len(self.text))
+        return self._starts
+
+    def span(self, first: int, last: int) -> Span:
+        """From the start of token ``first`` to the end of token ``last``."""
+        starts = self.starts()
+        return (starts[first], starts[last] + len(self.pairs[last][1]))
 
 
-def scan(source: str) -> list[Token]:
+def _blank_comments(source: str) -> tuple[str, Optional[int]]:
+    """``source`` with each comment replaced by as many spaces, so that no
+    offset moves, and the start of an unterminated block comment, blanked
+    to the end, or None."""
+    m = _COMMENT.search(source)
+    if m is None:
+        return source, None
+    parts, i = [], 0
+    while m is not None:
+        start, end = m.span()
+        if source[start] == "{":  # skip to its matching ``-}``
+            depth = 1
+            while depth:
+                mark = _NESTING.search(source, end)
+                if mark is None:
+                    parts += (source[i:start], " " * (len(source) - start))
+                    return "".join(parts), start
+                depth += 1 if mark[0] == "{-" else -1
+                end = mark.end()
+        parts += (source[i:start], " " * (end - start))
+        i = end
+        m = _COMMENT.search(source, i)
+    parts.append(source[i:])
+    return "".join(parts), None
+
+
+def scan(source: str) -> Tokens:
     """Tokenize; comments (`--` line, `{- -}` nested block) and whitespace
-    are skipped.  Raises a Diagnostic on characters outside the grammar."""
-    tokens: list[Token] = []
-    append = tokens.append
+    are skipped.  Raises a Diagnostic at the first problem in the source: a
+    character outside the grammar or an unterminated block comment."""
+    text, unterminated = _blank_comments(source)
+    texts = _TOKEN.findall(text)
     words = _KINDS.copy()  # grows by the words of this source
-    word_of = words.get
-    i = 0
-    while True:
-        for m in _SCAN.finditer(source, i):
-            text = m[0]
-            word = word_of(text)
-            if word is None:
-                if text[0] in _LETTERS:
-                    word = words[text] = ("UNIV" if _UNIV.fullmatch(text) else "IDENT", text)
-                elif text == "{-":
-                    break
-                elif text[:2] == "--":
-                    continue
-                else:
-                    start = m.start()
-                    raise Diagnostic(ILLEGAL_CHAR, (start, start + 1), f"illegal character {text!r}")
-            append((word[0], word[1], m.start()))
+    illegal = set()
+    for word in set(texts).difference(words):
+        if word[0] in _LETTERS:
+            words[word] = ("UNIV" if _UNIV.fullmatch(word) else "IDENT", word)
         else:
-            append(("EOF", "", len(source)))
-            return tokens
-        # a block comment: skip to its matching ``-}``, then scan on
-        start, i, depth = m.start(), m.end(), 1
-        while depth:
-            mark = _NESTING.search(source, i)
-            if mark is None:
-                raise Diagnostic(SYNTAX, (start, len(source)), "unterminated block comment")
-            depth += 1 if mark.group() == "{-" else -1
-            i = mark.end()
+            illegal.add(word)
+    tokens = Tokens(list(map(words.get, texts)), text)
+    if illegal:  # the first of them, which precedes any unterminated comment
+        at = next(i for i, word in enumerate(texts) if word in illegal)
+        start = tokens.starts()[at]
+        raise Diagnostic(ILLEGAL_CHAR, (start, start + 1), f"illegal character {texts[at]!r}")
+    if unterminated is not None:
+        raise Diagnostic(SYNTAX, (unterminated, len(source)), "unterminated block comment")
+    tokens.pairs.append(_EOF)
+    return tokens
 
 
 def lex(source: str) -> list[tuple[str, str, Span]]:
     """``scan``'s tokens, each as ``(kind, text, span)``."""
-    return [(kind, text, (start, start + len(text))) for kind, text, start in scan(source)]
+    tokens = scan(source)
+    return [(kind, text, (start, start + len(text)))
+            for (kind, text), start in zip(tokens.pairs, tokens.starts())]
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
-# Stack frames are (_PAREN, its token, terms before the last comma), (_GROUP,
-# names, earlier groups), (_BUILTIN, its token, arguments so far), (_APP,
-# function, arguments so far), (_LAM, its token, names) and (_PI_GROUPS or
-# _SIGMA_GROUPS, groups, None).  The left operand of ``->`` or ``×`` is a
-# group of one binder named ``_``.  Openers (from _LAM on) end with their
-# term; sigma-level ones also end at ``->``.
+# Stack frames are (_PAREN, index of its token, terms before the last comma),
+# (_GROUP, names, earlier groups), (_BUILTIN, index of its token, arguments
+# so far), (_APP, function, arguments so far), (_LAM, index of its token,
+# names) and (_PI_GROUPS or _SIGMA_GROUPS, groups, None).  The left operand
+# of ``->`` or ``×`` is a group of one binder named ``_``.  Openers (from
+# _LAM on) end with their term; sigma-level ones also end at ``->``.
 _ROOT, _PAREN, _GROUP, _BUILTIN, _APP = range(5)
 _LAM, _PI_GROUPS, _SIGMA_GROUPS = range(5, 8)
 # What the term loop does next: start an operand, read an atom, or use one.
@@ -256,13 +332,13 @@ _WRITTEN = {"IDENT": "a name", "COLON": "':'", "ASSIGN": "':='", "RPAREN": "')'"
             "EOF": "end of input"}
 
 
-def _fail(tok: Token, expected: str) -> Diagnostic:
-    _, text, start = tok
+def _fail(tokens: Tokens, pos: int, expected: str) -> Diagnostic:
+    text = tokens.pairs[pos][1]
     found = repr(text) if text else "end of input"
-    return Diagnostic(SYNTAX, (start, start + len(text)), f"expected {expected}, found {found}")
+    return Diagnostic(SYNTAX, tokens.span(pos, pos), f"expected {expected}, found {found}")
 
 
-def _group_colon(toks: list[Token], pos: int) -> int:
+def _group_colon(toks: list[tuple[str, str]], pos: int) -> int:
     """The index of the ``:`` of a binder group whose ``(`` is at ``pos``, or 0."""
     j = pos + 1
     while toks[j][0] in _BINDERS:
@@ -270,33 +346,35 @@ def _group_colon(toks: list[Token], pos: int) -> int:
     return j if j > pos + 1 and toks[j][0] == "COLON" else 0
 
 
-def _close(frame: tuple, body: Raw) -> Raw:
+def _close(frame: tuple, body: Raw, tokens: Tokens) -> Raw:
     """Finish an opener frame with the term that follows it."""
     tag, head, names = frame
-    end = body.start + len(body.name) if body.__class__ is RVar else body.span[1]
+    last = body.at if body.__class__ is RVar else body.at[1]
     if tag == _LAM:
+        at = (head, last, tokens)
         for name in reversed(names):
-            body = RLam((head[2], end), name, body)
+            body = RLam(at, name, body)
         return body
     former = RPi if tag == _PI_GROUPS else RSigma
     for name, ty in reversed(head):
-        start = ty.start if ty.__class__ is RVar else ty.span[0]
-        body = former((start, end), None if name == "_" else name, ty, body)
+        first = ty.at if ty.__class__ is RVar else ty.at[0]
+        body = former((first, last, tokens), None if name == "_" else name, ty, body)
     return body
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: Tokens):
         self.tokens = tokens
+        self.toks = tokens.pairs
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> tuple[str, str]:
+        return self.toks[self.pos]
 
-    def expect(self, kind: str) -> Token:
+    def expect(self, kind: str) -> tuple[str, str]:
         tok = self.peek()
         if tok[0] != kind:
-            raise _fail(tok, _WRITTEN[kind])
+            raise _fail(self.tokens, self.pos, _WRITTEN[kind])
         self.pos += 1
         return tok
 
@@ -309,23 +387,22 @@ class _Parser:
         return decls
 
     def parse_decl(self) -> RawDecl:
-        tok = self.peek()
-        kind = tok[0]
+        first = self.pos
+        kind = self.peek()[0]
         if kind not in ("def", "postulate"):
-            raise _fail(tok, "'def' or 'postulate'")
+            raise _fail(self.tokens, first, "'def' or 'postulate'")
         self.pos += 1
-        name = self.expect("IDENT")
+        name = self.expect("IDENT")[1]
         telescope = []
         while self.peek()[0] == "LPAREN":
             telescope.extend(self.parse_binder_group())
         self.expect("COLON")
-        ty = _close((_PI_GROUPS, telescope, None), self.term())
+        ty = _close((_PI_GROUPS, telescope, None), self.term(), self.tokens)
         body = None
         if kind == "def":
             self.expect("ASSIGN")
-            body = _close((_LAM, tok, [name for name, _ in telescope]), self.term())
-        _, text, start = self.tokens[self.pos - 1]
-        return RawDecl(kind, name[1], ty, body, (tok[2], start + len(text)))
+            body = _close((_LAM, first, [name for name, _ in telescope]), self.term(), self.tokens)
+        return RawDecl(kind, name, ty, body, (first, self.pos - 1, self.tokens))
 
     def parse_binder_group(self) -> list[tuple[str, Raw]]:
         self.pos += 1  # the caller saw the "("
@@ -334,7 +411,7 @@ class _Parser:
             names.append(self.peek()[1])
             self.pos += 1
         if not names:
-            raise _fail(self.peek(), "binder name")
+            raise _fail(self.tokens, self.pos, "binder name")
         self.expect("COLON")
         ty = self.term()
         self.expect("RPAREN")
@@ -348,76 +425,79 @@ class _Parser:
         One loop over an explicit stack: a frame is pushed for each
         construct still waiting for a subterm and popped when that subterm
         ends, so no nesting costs a Python call."""
-        toks = self.tokens
+        tokens = self.tokens
+        toks = self.toks
         pos = self.pos
         stack: list[tuple] = [(_ROOT, None, None)]
         state, lam_ok = _START, True  # lambdas start only terms, not operands
         while True:
             if state == _START:
-                tok = toks[pos]
-                if tok[0] == "LAMBDA" and lam_ok:
+                kind = toks[pos][0]
+                if kind == "LAMBDA" and lam_ok:
+                    lam = pos
                     pos += 1
                     names = []
                     while toks[pos][0] in _BINDERS:
                         names.append(toks[pos][1])
                         pos += 1
                     if not names:
-                        raise _fail(toks[pos], "lambda binder")
+                        raise _fail(tokens, pos, "lambda binder")
                     if toks[pos][0] != "DOT":
-                        raise _fail(toks[pos], "'.'")
+                        raise _fail(tokens, pos, "'.'")
                     pos += 1
-                    stack.append((_LAM, tok, names))
+                    stack.append((_LAM, lam, names))
                     continue
-                colon = tok[0] == "LPAREN" and _group_colon(toks, pos)
+                colon = kind == "LPAREN" and _group_colon(toks, pos)
                 if colon:
                     stack.append((_GROUP, [t[1] for t in toks[pos + 1:colon]], []))
                     pos, lam_ok = colon + 1, True
                     continue
                 state = _ATOM
             if state == _ATOM:
-                tok = toks[pos]
-                kind, text, start = tok
+                at = pos
+                kind, text = toks[pos]
                 pos += 1
                 if kind == "IDENT":
-                    val = RVar(start, text)
+                    val = RVar(at, text, tokens)
                 elif kind == "LPAREN":
-                    stack.append((_PAREN, tok, []))
+                    stack.append((_PAREN, at, []))
                     state, lam_ok = _START, True
                     continue
                 elif kind in _FORMERS:
                     former, layer = _FORMERS[kind]
                     if former.SUB:
-                        stack.append((_BUILTIN, tok, []))
+                        stack.append((_BUILTIN, at, []))
                         if toks[pos][0] not in _ATOM_STARTERS:
-                            raise _fail(toks[pos], f"argument of {kind}")
+                            raise _fail(tokens, pos, f"argument of {kind}")
                         continue
-                    val = RBuiltin((start, start + len(text)), former, layer, ())
+                    val = RBuiltin((at, at, tokens), former, layer, ())
                 elif kind == "UNIV":  # U<level> or US<level>
                     strict = text[1] == "S"
                     try:
                         level = int(text[1 + strict:])
                     except ValueError:  # too many digits to convert
                         level = float("inf")
-                    val = RUniv((start, start + len(text)), STRICT if strict else FIB, level)
+                    val = RUniv((at, at, tokens), STRICT if strict else FIB, level)
                 elif kind == "UNDERSCORE":
-                    val = RHole((start, start + 1))
+                    val = RHole((at, at, tokens))
                 else:
-                    raise _fail(tok, "a term")
+                    raise _fail(tokens, at, "a term")
                 state = _DONE
             # An atom has ended: it is a built-in's argument, an argument in
             # an application, or the head of an application.
             tag, head, args = stack[-1]
             if tag == _BUILTIN:
                 args.append(val)
-                former, layer = _FORMERS[head[0]]
+                keyword = toks[head][0]
+                former, layer = _FORMERS[keyword]
                 if len(args) < len(former.SUB):
                     if toks[pos][0] not in _ATOM_STARTERS:
-                        raise _fail(toks[pos], f"argument of {head[0]}")
+                        raise _fail(tokens, pos, f"argument of {keyword}")
                     state = _ATOM
                     continue
                 stack.pop()
-                end = val.start + len(val.name) if val.__class__ is RVar else val.span[1]
-                val = RBuiltin((head[2], end), former, layer, tuple(args))
+                last = val.at if val.__class__ is RVar else val.at[1]
+                val = RBuiltin((head, last, tokens), former, layer, tuple(args))
                 continue
             tok = toks[pos]
             kind = tok[0]
@@ -429,7 +509,7 @@ class _Parser:
                     head, args = (val.fn, list(val.args)) if val.__class__ is RApp else (val, [])
                     stack.append((_APP, head, args))
                 while kind == "IDENT":  # a run of names, without the state machine
-                    args.append(RVar(tok[2], tok[1]))
+                    args.append(RVar(pos, tok[1], tokens))
                     pos += 1
                     tok = toks[pos]
                     kind = tok[0]
@@ -438,21 +518,21 @@ class _Parser:
                     continue
                 stack.pop()
                 last = args[-1]
-                end = last.start + len(last.name) if last.__class__ is RVar else last.span[1]
-                start = head.start if head.__class__ is RVar else head.span[0]
-                val = RApp((start, end), head, tuple(args))
+                last = last.at if last.__class__ is RVar else last.at[1]
+                first = head.at if head.__class__ is RVar else head.at[0]
+                val = RApp((first, last, tokens), head, tuple(args))
             # The application has ended: it is an operand of ``×`` or ``->``.
             if kind == "TIMES" or kind == "ARROW":
                 if kind == "ARROW":
                     while stack[-1][0] >= _SIGMA_GROUPS:
-                        val = _close(stack.pop(), val)
+                        val = _close(stack.pop(), val, tokens)
                 stack.append((_PI_GROUPS if kind == "ARROW" else _SIGMA_GROUPS, [("_", val)], None))
                 pos += 1
                 state, lam_ok = _START, False
                 continue
             # The term has ended: close its openers, then the frame it is in.
             while stack[-1][0] >= _LAM:
-                val = _close(stack.pop(), val)
+                val = _close(stack.pop(), val, tokens)
             tag, head, parts = stack.pop()
             if tag == _ROOT:
                 self.pos = pos
@@ -464,12 +544,12 @@ class _Parser:
                 state, lam_ok = _START, True
                 continue
             if kind != "RPAREN":
-                raise _fail(toks[pos], "')'")
+                raise _fail(tokens, pos, "')'")
             pos += 1
             if tag == _PAREN:
-                end = toks[pos - 1][2] + 1  # just past the ')'
+                at = (head, pos - 1, tokens)  # to the ')'
                 for part in reversed(parts):
-                    val = RPair((head[2], end), part, val)
+                    val = RPair(at, part, val)
                 continue
             # A binder group: more groups may follow, then ``->`` or ``×``.
             for name in head:
@@ -481,7 +561,7 @@ class _Parser:
                 continue
             kind = toks[pos][0]
             if kind != "ARROW" and kind != "TIMES":
-                raise _fail(toks[pos], "'->' or '×' after binder")
+                raise _fail(tokens, pos, "'->' or '×' after binder")
             stack.append((_PI_GROUPS if kind == "ARROW" else _SIGMA_GROUPS, parts, None))
             pos += 1
             state, lam_ok = _START, False

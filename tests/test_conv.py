@@ -565,6 +565,28 @@ def y : P (snd p r) := x
     assert [(d.code, offset_to_line_col(src, d.span[0]), d.message) for d in diags] == diagnostics
 
 
+# The type of a spine's ``snd`` frame is the second component's type at the
+# spine's own first projection.  Conversion alone cannot tell: every first
+# component it could be given is a stuck neutral, and no verdict reads
+# which one.  So the spine type is read directly, and converted with the
+# type that it must be.
+def test_the_type_of_a_second_projection_reads_the_first(config):
+    src = """postulate A : U0
+postulate B : A -> U0
+postulate p : (x : A) × B x
+postulate f : Nat -> (x : A) × B x
+"""
+    sig, diags = elaborate_signature(parse.parse_file(src), initial_signature(config), config)
+    assert not diags
+    for head, prefix in (("p", ()), ("f", (conv.VZero(FIB),))):
+        spine = prefix + (conv.SND,)
+        ty = conv._spine_type(sig, (), conv.VNeutral(head, spine), len(spine))
+        first = conv.VNeutral(head, prefix + (conv.FST,))
+        assert conv.convert(sig, (), ty, conv.VNeutral("B", (first,)), None) is True
+        assert pretty.pretty(conv.quote(sig, 0, ty), sig) == (
+            "B (fst p)" if head == "p" else "B (fst (f zero))")
+
+
 def test_spine_arguments_that_differ_stay_unequal(config):
     src = """
 postulate f : Nat -> Nat

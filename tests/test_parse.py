@@ -10,7 +10,7 @@ import pytest
 from conftest import REPO_ROOT, prelude_source
 from hypothesis import given, settings, strategies as st
 
-from tt2 import core, parse
+from tt2 import cli, core, parse
 from tt2.core import FIB, STRICT
 from tt2.diagnostics import Diagnostic
 from tt2.elab import elaborate_signature
@@ -463,3 +463,23 @@ def test_a_run_of_names_around_a_group_is_one_application():
                       parse.RApp((7, 10), parse.RVar(7, "g"), (parse.RVar(9, "c"),)),
                       parse.RVar(12, "d"), parse.RVar(14, "e"))
     assert [arg.span for arg in t.args] == [(2, 3), (4, 5), (7, 10), (12, 13), (14, 15)]
+
+
+def test_a_file_with_no_diagnostic_computes_no_offset(monkeypatch, config, base_sig):
+    # Token offsets are computed only when a span is read, and nothing
+    # reads one on the way to a clean check: parsing, elaboration and
+    # ``tt2 check`` all pass with the offset pass made to fail.
+    def refuse(tokens):
+        raise AssertionError("a token offset was computed")
+
+    monkeypatch.setattr(parse.Tokens, "starts", refuse)
+    with pytest.raises(AssertionError):  # a diagnostic does read one
+        parse_file("def a : U0 := @")
+    sig = base_sig
+    for source in ((REPO_ROOT / "stdlib" / "equiv.tt").read_text(encoding="utf-8"),
+                   gen_segal_scaffold(GenPlan(3))):
+        sig, diags = elaborate_signature(parse_file(source), sig, config)
+        assert not diags
+    assert sig.lookup("SegalCondition3") is not None
+    monkeypatch.chdir(REPO_ROOT)
+    assert cli.main(["check", "stdlib/basics.tt", "stdlib/uip_use.tt"]) == 0

@@ -6,6 +6,7 @@ tokens, or the same diagnostic (code, span and message), as the lexer that
 import hashlib
 import random
 
+import scan_reference
 from conftest import REPO_ROOT, prelude_source
 
 from tt2.diagnostics import Diagnostic
@@ -57,3 +58,78 @@ def test_token_streams_match_the_golden_hash():
     assert outcomes == {"tokens", "SYNTAX", "ILLEGAL_CHAR"}
     expected = (REPO_ROOT / "tests" / "golden" / "tokens.sha256").read_text().split()[0]
     assert digest.hexdigest() == expected
+
+
+def lex_outcome(lexer, source: str):
+    """The tokens ``lexer`` gives ``source``, or its diagnostic's code,
+    span and message."""
+    try:
+        return lexer(source)
+    except Diagnostic as diag:
+        return (diag.code, diag.span, diag.message)
+
+
+# Inserted by the mutations below: comment openers and closers, a comment
+# that looks like an arrow, an empty block comment, characters outside the
+# grammar, the Unicode spellings of λ and ×, and a CRLF line end.
+_INSERTS = ["--", "-->", "{-", "-}", "{--}", "@", "\x0b", "λ", "×", "\r\n"]
+SCAN_MUTATIONS = 600
+
+
+def scan_inputs() -> list[str]:
+    """The stdlib files, SST-1..7 and Segal-2..5, then ``SCAN_MUTATIONS``
+    seeded mutations of windows of them: tokens deleted, duplicated or
+    spliced in from another input, and pieces of ``_INSERTS`` put in at
+    token boundaries or anywhere.  The first mutation has an illegal
+    character before an unterminated ``{-``."""
+    pool = [path.read_text(encoding="utf-8")
+            for path in sorted((REPO_ROOT / "stdlib").rglob("*.tt"))]
+    pool += [gen_sst(GenPlan(n)) for n in range(1, 8)]
+    pool += [gen_segal_scaffold(GenPlan(n)) for n in range(2, 6)]
+    spans = [[span for _, _, span in scan_reference.lex(source)] for source in pool]
+    rng = random.Random(34)
+
+    def window(k: int) -> str:
+        """Up to 60 tokens of ``pool[k]``, with the text around them."""
+        cut = spans[k]
+        i = rng.randrange(len(cut))
+        j = min(len(cut) - 1, i + rng.randrange(1, 60))
+        return pool[k][cut[i][0]:cut[j][1]]
+
+    mutated = []
+    for _ in range(SCAN_MUTATIONS):
+        text = window(rng.randrange(len(pool)))
+        for _ in range(rng.randint(1, 4)):
+            tokens = lex_outcome(scan_reference.lex, text)
+            cut = [span for _, _, span in tokens[:-1]] if tokens.__class__ is list else []
+            edit = rng.choice(["delete", "duplicate", "splice", "insert", "insert"]) if cut else "insert"
+            if edit == "insert":
+                at = rng.choice([start for start, _ in cut] + [rng.randrange(len(text) + 1)])
+                text = text[:at] + rng.choice(_INSERTS) + text[at:]
+                continue
+            start, end = rng.choice(cut)
+            if edit == "delete":
+                text = text[:start] + text[end:]
+            elif edit == "duplicate":
+                text = text[:end] + " " + text[start:end] + text[end:]
+            else:
+                text = text[:start] + window(rng.randrange(len(pool))) + text[start:]
+        mutated.append(text)
+    # an illegal character, then a block comment that never ends
+    mutated[0] = window(0) + " @ {- " + window(1).replace("-}", "")
+    return pool + mutated
+
+
+def test_lex_matches_the_reference_scanner():
+    inputs = scan_inputs()
+    outcomes = set()
+    for source in inputs:
+        expected = lex_outcome(scan_reference.lex, source)
+        assert lex_outcome(lex, source) == expected, source
+        outcomes.add("tokens" if expected.__class__ is list else expected[0])
+    assert outcomes == {"tokens", "SYNTAX", "ILLEGAL_CHAR"}
+    # the first problem in source order wins: the illegal character, not
+    # the comment that follows it and never ends
+    crafted = inputs[-SCAN_MUTATIONS]
+    at = crafted.index(" @ {- ") + 1
+    assert lex_outcome(lex, crafted)[:2] == ("ILLEGAL_CHAR", (at, at + 1))
