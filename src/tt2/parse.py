@@ -17,11 +17,14 @@ comment, blanked to the end of the source, comes after every token.
 ``scan`` returns a ``Tokens`` table: one shared pair per token, with no
 offset, no ``re.Match`` and no tuple of its own.  Offsets are computed
 only when a span is read: the table's first ``starts`` call finds every
-token's start with one ``finditer`` pass over the blanked source.  Raw
-nodes keep token indices and a reference to the table, and their ``start``
-and ``span`` read offsets through it, so a file that parses and checks
-with no diagnostic never computes one.  ``lex``, the public token list
-that ``tests/golden/tokens.sha256`` pins, pairs each token with its span.
+token's start with one ``finditer`` pass over the blanked source.  A raw
+node holds no offset: it keeps ``first`` and ``last``, the indices of its
+first and last tokens, and ``tokens``, its file's table.  A name's one
+token is both, so it keeps a single index.  ``span`` and a name's
+``start`` read offsets through the table, so a file that parses and
+checks with no diagnostic never computes one.  ``lex``, the public token
+list that ``tests/golden/tokens.sha256`` pins, pairs each token with its
+span.
 
 Precedence, loosest to tightest: lambda bodies extend right, then ``->``
 (right associative), then the pair former ``×`` (right associative), then
@@ -36,9 +39,9 @@ arguments as a tuple, and a parenthesised chain that heads more arguments,
 as in ``(f a) b``, is continued, so no ``RApp`` has an ``RApp`` head.
 While an application is open, a run of names is read into its arguments
 in one inner loop, not one pass of the state machine per name.  A
-composite node keeps the index of its first token, its first child's or
-its opening one, and of its last child's last token, or of its ``)``; a
-name keeps the index of its own token.  A declaration comes out
+composite node starts at its first child's first token or at its opening
+one, and ends at its last child's last token or at its ``)``.  A
+declaration runs from its keyword to its last token, and comes out
 finished: the frames that close binder groups and lambdas fold its
 telescope into its type, as Π binders, and into its body, as lambdas.
 
@@ -68,47 +71,37 @@ from .diagnostics import Diagnostic, ILLEGAL_CHAR, SYNTAX, Span
 # Raw terms
 
 
-class Raw(Node, frozen=True):
-    """A raw term.  Its ``span`` is its ``(start, end)`` in the source,
-    which ``==`` does not compare.  A parsed node keeps token indices and its
-    file's ``Tokens``, which turn them into offsets when a span is read; a
-    node built directly keeps offsets."""
+class Raw(Node, frozen=True, uncompared=("first", "tokens")):
+    """A raw term.  ``first`` and ``last`` are the indices of its first and
+    last tokens in ``tokens``, its file's table, and ``==`` compares none of
+    them.  Its ``span``, its ``(start, end)`` in the source, is read through
+    the table only when asked for."""
+
+    first: int
+    tokens: Tokens
+
+    @property
+    def span(self) -> Span:
+        return self.tokens.span(self.first, self.last)
 
 
-class RVar(Raw, uncompared=("at", "tokens")):
-    """A name: the index of its token in ``tokens`` and the token's shared
-    word, or, built with no ``tokens``, its start offset and the word.  Its
-    span ends where the name does."""
+class RVar(Raw):
+    """A name: its one token is its first and its last, and ``name`` is that
+    token's shared word."""
 
-    at: int
     name: str
-    tokens: Optional[Tokens] = None
+    last = Raw.first  # the same slot, read under a second name
 
     @property
     def start(self) -> int:
-        return self.at if self.tokens is None else self.tokens.starts()[self.at]
-
-    @property
-    def span(self) -> Span:
-        start = self.start
-        return (start, start + len(self.name))
+        return self.tokens.starts()[self.first]
 
 
-def _span(at: tuple) -> Span:
-    """The span of ``at``: a span already, or ``(first, last, tokens)``."""
-    return at if len(at) == 2 else at[2].span(at[0], at[1])
+class _Spanned(Raw, uncompared=("last",)):
+    """A raw term other than a name, or a declaration.  It keeps the index
+    of its last token: its own, its last child's last or its ``)``."""
 
-
-class _Spanned(Raw, uncompared=("at",)):
-    """A raw term other than a name.  ``at`` is ``(first, last, tokens)``,
-    the indices of its first and last tokens in its file's ``Tokens``, or,
-    built directly, its span."""
-
-    at: tuple
-
-    @property
-    def span(self) -> Span:
-        return _span(self.at)
+    last: int
 
 
 class RUniv(_Spanned):
@@ -159,29 +152,23 @@ class RHole(_Spanned):
     pass
 
 
-class RawDecl(Node, frozen=True):
-    """A declaration, its telescope folded into ``ty`` and ``body``.  ``at``
-    is as a ``_Spanned`` node's, and ``==`` compares its span."""
+class RawDecl(_Spanned):
+    """A declaration, its telescope folded into ``ty`` and ``body``, from its
+    keyword to its last token.  ``==`` compares its span."""
 
     kind: str  # "def" | "postulate"
     name: str
     ty: Raw
     body: Optional[Raw]
-    at: tuple
-
-    @property
-    def span(self) -> Span:
-        return _span(self.at)
 
 
 # What ``match`` binds, ``repr`` shows and a declaration's ``==`` compares:
 # offsets, read through ``start`` or ``span``, in place of token indices and
 # their table.
-for _cls in (RVar, RUniv, RPi, RSigma, RLam, RApp, RPair, RBuiltin, RHole, RawDecl):
-    _cls.__match_args__ = tuple(
-        ("start" if _cls is RVar else "span") if f == "at" else f
-        for f in _cls.__match_args__ if f != "tokens")
-RawDecl._compared = RawDecl.__match_args__
+RVar.__match_args__ = ("start", "name")
+for _cls in (RUniv, RPi, RSigma, RLam, RApp, RPair, RBuiltin, RHole):
+    _cls.__match_args__ = ("span", *_cls.__match_args__[3:])
+RawDecl.__match_args__ = RawDecl._compared = (*RawDecl.__match_args__[3:], "span")
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +336,14 @@ def _group_colon(toks: list[tuple[str, str]], pos: int) -> int:
 def _close(frame: tuple, body: Raw, tokens: Tokens) -> Raw:
     """Finish an opener frame with the term that follows it."""
     tag, head, names = frame
-    last = body.at if body.__class__ is RVar else body.at[1]
+    last = body.last
     if tag == _LAM:
-        at = (head, last, tokens)
         for name in reversed(names):
-            body = RLam(at, name, body)
+            body = RLam(head, tokens, last, name, body)
         return body
     former = RPi if tag == _PI_GROUPS else RSigma
     for name, ty in reversed(head):
-        first = ty.at if ty.__class__ is RVar else ty.at[0]
-        body = former((first, last, tokens), None if name == "_" else name, ty, body)
+        body = former(ty.first, tokens, last, None if name == "_" else name, ty, body)
     return body
 
 
@@ -402,7 +387,7 @@ class _Parser:
         if kind == "def":
             self.expect("ASSIGN")
             body = _close((_LAM, first, [name for name, _ in telescope]), self.term(), self.tokens)
-        return RawDecl(kind, name, ty, body, (first, self.pos - 1, self.tokens))
+        return RawDecl(first, self.tokens, self.pos - 1, kind, name, ty, body)
 
     def parse_binder_group(self) -> list[tuple[str, Raw]]:
         self.pos += 1  # the caller saw the "("
@@ -458,7 +443,7 @@ class _Parser:
                 kind, text = toks[pos]
                 pos += 1
                 if kind == "IDENT":
-                    val = RVar(at, text, tokens)
+                    val = RVar(at, tokens, text)
                 elif kind == "LPAREN":
                     stack.append((_PAREN, at, []))
                     state, lam_ok = _START, True
@@ -470,16 +455,16 @@ class _Parser:
                         if toks[pos][0] not in _ATOM_STARTERS:
                             raise _fail(tokens, pos, f"argument of {kind}")
                         continue
-                    val = RBuiltin((at, at, tokens), former, layer, ())
+                    val = RBuiltin(at, tokens, at, former, layer, ())
                 elif kind == "UNIV":  # U<level> or US<level>
                     strict = text[1] == "S"
                     try:
                         level = int(text[1 + strict:])
                     except ValueError:  # too many digits to convert
                         level = float("inf")
-                    val = RUniv((at, at, tokens), STRICT if strict else FIB, level)
+                    val = RUniv(at, tokens, at, STRICT if strict else FIB, level)
                 elif kind == "UNDERSCORE":
-                    val = RHole((at, at, tokens))
+                    val = RHole(at, tokens, at)
                 else:
                     raise _fail(tokens, at, "a term")
                 state = _DONE
@@ -496,8 +481,7 @@ class _Parser:
                     state = _ATOM
                     continue
                 stack.pop()
-                last = val.at if val.__class__ is RVar else val.at[1]
-                val = RBuiltin((head, last, tokens), former, layer, tuple(args))
+                val = RBuiltin(head, tokens, val.last, former, layer, tuple(args))
                 continue
             tok = toks[pos]
             kind = tok[0]
@@ -509,7 +493,7 @@ class _Parser:
                     head, args = (val.fn, list(val.args)) if val.__class__ is RApp else (val, [])
                     stack.append((_APP, head, args))
                 while kind == "IDENT":  # a run of names, without the state machine
-                    args.append(RVar(pos, tok[1], tokens))
+                    args.append(RVar(pos, tokens, tok[1]))
                     pos += 1
                     tok = toks[pos]
                     kind = tok[0]
@@ -517,10 +501,7 @@ class _Parser:
                     state = _ATOM
                     continue
                 stack.pop()
-                last = args[-1]
-                last = last.at if last.__class__ is RVar else last.at[1]
-                first = head.at if head.__class__ is RVar else head.at[0]
-                val = RApp((first, last, tokens), head, tuple(args))
+                val = RApp(head.first, tokens, args[-1].last, head, tuple(args))
             # The application has ended: it is an operand of ``×`` or ``->``.
             if kind == "TIMES" or kind == "ARROW":
                 if kind == "ARROW":
@@ -547,9 +528,8 @@ class _Parser:
                 raise _fail(tokens, pos, "')'")
             pos += 1
             if tag == _PAREN:
-                at = (head, pos - 1, tokens)  # to the ')'
-                for part in reversed(parts):
-                    val = RPair(at, part, val)
+                for part in reversed(parts):  # to the ')'
+                    val = RPair(head, tokens, pos - 1, part, val)
                 continue
             # A binder group: more groups may follow, then ``->`` or ``×``.
             for name in head:

@@ -193,12 +193,13 @@ def test_post_init_validates(build):
 
 
 def test_raw_equality_ignores_spans():
-    a, b = parse.RVar(0, "x"), parse.RVar(7, "x")
-    assert a == b and a.span == (0, 1)
-    assert a != parse.RVar(0, "y")
+    a, b = parse.parse_term("x"), parse.parse_term("       x")
+    assert a == b and a.span == (0, 1) and b.start == 7
+    assert a != parse.parse_term("y")
     assert parse.parse_term("f (x)") == parse.parse_term("f  x")
     # declarations compare their spans
-    assert parse.RawDecl("def", "d", a, None, (0, 1)) != parse.RawDecl("def", "d", a, None, (0, 2))
+    [d], [e] = parse.parse_file("postulate d : x"), parse.parse_file(" postulate d : x")
+    assert d.ty == e.ty and d.span == (0, 15) and d != e
 
 
 def test_term_equality():
@@ -258,7 +259,7 @@ def test_nodes_compare_but_do_not_hash():
     assert conv.VZero(FIB) != conv.VZero(STRICT)
     # no node hashes, frozen or not: a value, a term, a raw node, a sort, a
     # context, a configuration and a generator plan
-    for node in (conv.VNat(FIB), Pi(Var(0), Unit()), parse.RVar(0, "x"),
+    for node in (conv.VNat(FIB), Pi(Var(0), Unit()), parse.parse_term("x"),
                  Sort(FIB, 0), Context(), Config(), GenPlan(2)):
         with pytest.raises(TypeError):
             hash(node)
@@ -268,10 +269,10 @@ def test_nodes_compare_but_do_not_hash():
     (Pi(Var(0), Unit()), "dom"),
     (Var(0), "index"),
     (Unit(), "index"),
-    (parse.RVar(0, "x"), "span"),
+    (parse.parse_term("x"), "span"),
     (Sort(FIB, 0), "level"),
     (Context(), "names"),
-    (parse.RVar(0, "x"), "start"),
+    (parse.parse_term("x"), "start"),
 ])
 def test_frozen_fields_cannot_change(node, field):
     with pytest.raises(AttributeError):
@@ -314,7 +315,7 @@ def test_repr_names_every_field():
         "Pi(dom=Var(index=0), cod=Nat(layer=<Layer.FIB: 'fibrant'>))"
     )
     assert repr(Unit()) == "Unit()"
-    assert repr(parse.RVar(0, "x")) == "RVar(start=0, name='x')"
+    assert repr(parse.parse_term("x")) == "RVar(start=0, name='x')"
     assert repr(Context()) == "Context(names=(), types=(), env=(), levels={})"
 
 
@@ -331,12 +332,13 @@ def test_replace_changes_named_fields():
 def test_generated_methods_are_profiled_per_class():
     # pstats keys are (file, line, name): each class's generated __init__
     # has its own key, in the defining module.
+    tokens = parse.scan("x _")
     profile = cProfile.Profile()
     profile.enable()
     for _ in range(100):
-        parse.RVar(0, "x")
+        parse.RVar(0, tokens, "x")
     for _ in range(7):
-        parse.RHole((0, 1))
+        parse.RHole(1, tokens, 1)
     profile.disable()
     inits = {key: entry[1] for key, entry in pstats.Stats(profile).stats.items()
              if key[2] == "__init__"}

@@ -2,6 +2,7 @@
 table of built-ins against docs/surface.md, and the printer fixed point
 over the corpus."""
 
+import collections
 import cProfile
 import random
 import tracemalloc
@@ -68,8 +69,9 @@ def test_lex_gives_triples_and_the_parser_reads_universes_from_text():
         ("EOF", "", (18, 18)),
     ]
     [decl] = parse_file(source)
-    assert decl.ty == parse.RUniv((8, 11), STRICT, 1) and decl.ty.span == (8, 11)
-    assert decl.body == parse.RUniv((15, 18), FIB, 12) and decl.body.span == (15, 18)
+    tokens = parse.scan(source)
+    assert decl.ty == parse.RUniv(3, tokens, 3, STRICT, 1) and decl.ty.span == (8, 11)
+    assert decl.body == parse.RUniv(5, tokens, 5, FIB, 12) and decl.body.span == (15, 18)
 
 
 def test_lex_illegal_character():
@@ -137,9 +139,9 @@ def test_a_term_must_end_the_input():
 def test_an_application_chain_is_one_node():
     t = parse_term("f a (g b) c")
     assert t.__class__ is parse.RApp and t.span == (0, 11)
-    assert t.fn == parse.RVar(0, "f")
+    assert t.fn == parse_term("f")
     assert [arg.__class__ for arg in t.args] == [parse.RVar, parse.RApp, parse.RVar]
-    assert t.args[1].args == (parse.RVar(7, "b"),)
+    assert t.args[1].args == (parse_term("b"),)
     # a parenthesised chain that heads more arguments is continued
     t = parse_term("(f a) b")
     assert t == parse_term("f a b")
@@ -434,34 +436,61 @@ def test_150_nested_successors_check(config, base_sig):
 def test_composite_spans_run_from_their_first_child_to_their_last():
     # An application spans from its head's start to its last argument's
     # end, a Π or Σ from its domain's start to its codomain's end, and an
-    # argument written as a name spans its token.
+    # argument written as a name spans its token.  A λ runs from its ``\``,
+    # or from the declaration's keyword for a telescope's λ, to its body's
+    # end; a pair from its ``(`` to its ``)``; a built-in from its keyword to
+    # its last atom; a universe or a hole spans its own token; and a
+    # declaration runs from its keyword to its last token.  The last source
+    # is there for its holes, which no other source has.
     sources = [path.read_text(encoding="utf-8") for path in sorted((REPO_ROOT / "stdlib").rglob("*.tt"))]
-    sources += [gen_sst(GenPlan(6)), gen_segal_scaffold(GenPlan(5))]
-    apps = binders = names = 0
+    sources += [gen_sst(GenPlan(6)), gen_segal_scaffold(GenPlan(5)),
+                "postulate f : Nat -> Nat\ndef h : Nat := f _\ndef k : _ := (_, (_))"]
+    seen = collections.Counter()
+    names = 0
     for source in sources:
-        tokens = {span[0]: (kind, text, span) for kind, text, span in lex(source)}
-        for node in raw_nodes(t for d in parse_file(source) for t in (d.ty, d.body) if t is not None):
-            cls = node.__class__
-            if cls is parse.RApp:
-                apps += 1
-                assert node.span == (node.fn.span[0], node.args[-1].span[1])
-                for arg in node.args:
-                    if arg.__class__ is parse.RVar:
-                        names += 1
-                        assert tokens[arg.start] == ("IDENT", arg.name, arg.span)
-            elif cls is parse.RPi or cls is parse.RSigma:
-                binders += 1
-                first, last = (node.dom, node.cod) if cls is parse.RPi else (node.fst, node.snd)
-                assert node.span == (first.span[0], last.span[1])
-    assert apps > 400 and binders > 500 and names > 2_000
+        toks = lex(source)
+        tokens = {span[0]: (kind, text, span) for kind, text, span in toks}
+        # the kinds of the token that ends at an offset and of the one after it
+        ending = {span[1]: kind for kind, _, span in toks[:-1]}
+        after = {span[1]: toks[i + 1][0] for i, (_, _, span) in enumerate(toks[:-1])}
+        for decl in parse_file(source):
+            seen[parse.RawDecl] += 1
+            start, end = decl.span
+            assert tokens[start][0] == decl.kind and after[end] in ("def", "postulate", "EOF")
+            for node in raw_nodes(t for t in (decl.ty, decl.body) if t is not None):
+                cls = node.__class__
+                seen[cls] += 1
+                start, end = node.span
+                if cls is parse.RApp:
+                    assert node.span == (node.fn.span[0], node.args[-1].span[1])
+                    for arg in node.args:
+                        if arg.__class__ is parse.RVar:
+                            names += 1
+                            assert tokens[arg.start] == ("IDENT", arg.name, arg.span)
+                elif cls is parse.RPi or cls is parse.RSigma:
+                    first, last = (node.dom, node.cod) if cls is parse.RPi else (node.fst, node.snd)
+                    assert node.span == (first.span[0], last.span[1])
+                elif cls is parse.RLam:
+                    assert tokens[start][0] == "LAMBDA" or (start, "def") == (decl.span[0], decl.kind)
+                    assert end == node.body.span[1]
+                elif cls is parse.RPair:
+                    assert tokens[start][0] == "LPAREN" and ending[end] == "RPAREN"
+                    assert start < node.fst.span[0] and node.snd.span[1] < end
+                elif cls is parse.RBuiltin:
+                    assert tokens[start][0] == parse.SPELLING[node.former, node.layer]
+                    assert end == (node.args[-1].span[1] if node.args else tokens[start][2][1])
+                elif cls is parse.RUniv or cls is parse.RHole:
+                    kind = "UNIV" if cls is parse.RUniv else "UNDERSCORE"
+                    assert tokens[start][::2] == (kind, node.span)
+    assert min(seen[cls] for cls in (parse.RApp, parse.RPi, parse.RLam, parse.RBuiltin)) > 200
+    assert min(seen[cls] for cls in (parse.RSigma, parse.RUniv, parse.RawDecl)) > 100
+    assert seen[parse.RPair] > 20 and seen[parse.RHole] == 4 and names > 2_000
 
 
 def test_a_run_of_names_around_a_group_is_one_application():
     t = parse_term("f a b (g c) d e")
-    assert t.__class__ is parse.RApp and t.span == (0, 15) and t.fn == parse.RVar(0, "f")
-    assert t.args == (parse.RVar(2, "a"), parse.RVar(4, "b"),
-                      parse.RApp((7, 10), parse.RVar(7, "g"), (parse.RVar(9, "c"),)),
-                      parse.RVar(12, "d"), parse.RVar(14, "e"))
+    assert t.__class__ is parse.RApp and t.span == (0, 15) and t.fn == parse_term("f")
+    assert t.args == tuple(map(parse_term, ("a", "b", "g c", "d", "e")))
     assert [arg.span for arg in t.args] == [(2, 3), (4, 5), (7, 10), (12, 13), (14, 15)]
 
 
