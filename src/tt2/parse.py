@@ -165,10 +165,10 @@ class RawDecl(_Spanned):
 # What ``match`` binds, ``repr`` shows and a declaration's ``==`` compares:
 # offsets, read through ``start`` or ``span``, in place of token indices and
 # their table.
-RVar.__match_args__ = ("start", "name")
+RVar.__match_args__ = ("start", *RVar._compared)
 for _cls in (RUniv, RPi, RSigma, RLam, RApp, RPair, RBuiltin, RHole):
-    _cls.__match_args__ = ("span", *_cls.__match_args__[3:])
-RawDecl.__match_args__ = RawDecl._compared = (*RawDecl.__match_args__[3:], "span")
+    _cls.__match_args__ = ("span", *_cls._compared)
+RawDecl.__match_args__ = RawDecl._compared = (*RawDecl._compared, "span")
 
 
 # ---------------------------------------------------------------------------

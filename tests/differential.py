@@ -4,9 +4,11 @@
     python tests/differential.py --totality N [--seed S] [--script CMD]
 
 The inputs are seeded mutations of the stdlib files, of SST-1..4 and of
-``equiv.tt`` followed by Segal-2 or Segal-3.  Each input takes one to three
+``equiv.tt`` followed by Segal-2 or Segal-3.  Each input takes one to four
 token edits: a deletion, a duplication, a swap with a nearby token, a splice
 of a run of tokens from any source, or a name replaced by another word.
+Tokens are read by the reference lexer of ``scan_reference.py``.  ``mutate``
+is also the mutator of ``test_tokens.py``, which adds inserted pieces.
 
 ``--base`` compares the working tree with a base tree: a directory that
 holds ``src/tt2``, or a revision, which ``git archive`` extracts into a
@@ -35,19 +37,16 @@ import io
 import json
 import os
 import random
-import re
 import shlex
 import subprocess
 import sys
 import tarfile
 import tempfile
+from collections.abc import Sequence
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 
-# A token, as the surface lexer takes one once comments are blanked.
-TOKEN = re.compile(r":=|->|[A-Za-z][A-Za-z0-9_']*|[^ \t\r\n]")
-NAME = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
 EDITS = ("delete", "duplicate", "swap", "splice", "rename")
 # Words a renamed token may become besides the names of its own source.
 OTHER_WORDS = ("zz", "U0", "US1", "Nat", "refl", "J", "def", "postulate", "fst")
@@ -68,46 +67,73 @@ def sources() -> list[tuple[str, str]]:
     return found
 
 
-def mutate(rng: random.Random, text: str, donors: list[str]) -> tuple[str, list[str]]:
-    """``text`` after one to three token edits, and the edits' names."""
-    edits = []
-    for _ in range(rng.randint(1, 3)):
-        spans = [m.span() for m in TOKEN.finditer(text)]
-        if not spans:
+def tokens_of(text: str) -> list:
+    """``text``'s tokens as ``(kind, text, span)``, ``EOF`` included, as the
+    reference lexer of ``scan_reference.py`` reads them, or [] if it does not lex."""
+    import scan_reference
+    from tt2.diagnostics import Diagnostic
+
+    try:
+        return scan_reference.lex(text)
+    except Diagnostic:
+        return []
+
+
+def window(rng: random.Random, donor: tuple[str, list]) -> str:
+    """A run of up to 60 tokens of ``donor``, a text and its tokens, with
+    the text between them."""
+    text, tokens = donor
+    i = rng.randrange(len(tokens))
+    j = min(len(tokens) - 1, i + rng.randrange(1, 60))
+    return text[tokens[i][2][0]:tokens[j][2][1]]
+
+
+def mutate(rng: random.Random, text: str, donors: list[tuple[str, list]],
+           edits: Sequence[str] = EDITS, inserts: Sequence[str] = ()) -> tuple[str, list[str]]:
+    """``text`` after one to four edits drawn from ``edits``, and the edits'
+    names.  Each edit but an insert acts on a token: a deletion, a
+    duplication, a swap with a token up to 8 further on, a splice of a
+    ``window`` of a donor before it, or a name, any one, replaced by another
+    word.  An insert puts one of ``inserts`` at a token's start or anywhere;
+    it is the only edit of a text that does not lex, and without ``inserts``
+    such a text takes no more edits."""
+    done = []
+    for _ in range(rng.randint(1, 4)):
+        tokens = tokens_of(text)[:-1]
+        if not tokens and not inserts:
             break
-        edit = rng.choice(EDITS)
-        i = rng.randrange(len(spans))
-        a, b = spans[i]
+        edit = rng.choice(edits) if tokens else "insert"
+        done.append(edit)
+        if edit == "insert":
+            at = rng.choice([span[0] for _, _, span in tokens] + [rng.randrange(len(text) + 1)])
+            text = text[:at] + rng.choice(inserts) + text[at:]
+            continue
+        i = rng.randrange(len(tokens))
+        a, b = tokens[i][2]
         if edit == "delete":
             text = text[:a] + text[b:]
         elif edit == "duplicate":
             text = text[:b] + " " + text[a:b] + text[b:]
-        elif edit == "swap":
-            j = min(len(spans) - 1, i + rng.randint(1, 8))
-            c, d = spans[j]
-            if j != i:
-                text = text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
         elif edit == "splice":
-            donor = rng.choice(donors)
-            run = [m.span() for m in TOKEN.finditer(donor)]
-            j = rng.randrange(len(run))
-            k = min(len(run), j + rng.randint(1, 12)) - 1
-            text = text[:a] + donor[run[j][0]:run[k][1]] + " " + text[a:]
+            text = text[:a] + window(rng, rng.choice(donors)) + text[a:]
+        elif edit == "swap":
+            c, d = tokens[min(len(tokens) - 1, i + rng.randint(1, 8))][2]
+            if a < c:
+                text = text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
         else:
-            names = list(NAME.finditer(text))
-            m = rng.choice(names) if names else None
-            if m is not None:
-                word = rng.choice([rng.choice(names)[0], rng.choice(OTHER_WORDS)])
-                text = text[:m.start()] + word + text[m.end():]
-        edits.append(edit)
-    return text, edits
+            names = [token for token in tokens if token[0] == "IDENT"]
+            if names:
+                a, b = rng.choice(names)[2]
+                word = rng.choice([rng.choice(names)[1], rng.choice(OTHER_WORDS)])
+                text = text[:a] + word + text[b:]
+    return text, done
 
 
 def draw(count: int, seed: int) -> list[tuple[str, list[str], str]]:
     """``count`` seeded inputs, each ``(source label, edits, text)``."""
     rng = random.Random(seed)
     found = sources()
-    donors = [text for _, text in found]
+    donors = [(text, tokens_of(text)) for _, text in found]
     inputs = []
     for _ in range(count):
         label, text = rng.choice(found)

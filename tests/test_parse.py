@@ -482,6 +482,7 @@ def test_composite_spans_run_from_their_first_child_to_their_last():
                 elif cls is parse.RUniv or cls is parse.RHole:
                     kind = "UNIV" if cls is parse.RUniv else "UNDERSCORE"
                     assert tokens[start][::2] == (kind, node.span)
+    assert seen[parse.RApp] > 400 and seen[parse.RPi] + seen[parse.RSigma] > 500
     assert min(seen[cls] for cls in (parse.RApp, parse.RPi, parse.RLam, parse.RBuiltin)) > 200
     assert min(seen[cls] for cls in (parse.RSigma, parse.RUniv, parse.RawDecl)) > 100
     assert seen[parse.RPair] > 20 and seen[parse.RHole] == 4 and names > 2_000

@@ -6,6 +6,7 @@ tokens, or the same diagnostic (code, span and message), as the lexer that
 import hashlib
 import random
 
+import differential
 import scan_reference
 from conftest import REPO_ROOT, prelude_source
 
@@ -73,50 +74,29 @@ def lex_outcome(lexer, source: str):
 # that looks like an arrow, an empty block comment, characters outside the
 # grammar, the Unicode spellings of λ and ×, and a CRLF line end.
 _INSERTS = ["--", "-->", "{-", "-}", "{--}", "@", "\x0b", "λ", "×", "\r\n"]
+_EDITS = ("delete", "duplicate", "splice", "insert", "insert")
 SCAN_MUTATIONS = 600
 
 
 def scan_inputs() -> list[str]:
     """The stdlib files, SST-1..7 and Segal-2..5, then ``SCAN_MUTATIONS``
-    seeded mutations of windows of them: tokens deleted, duplicated or
-    spliced in from another input, and pieces of ``_INSERTS`` put in at
-    token boundaries or anywhere.  The first mutation has an illegal
-    character before an unterminated ``{-``."""
+    seeded mutations of windows of them, drawn by ``differential.mutate``:
+    tokens deleted, duplicated or spliced in from another input, and pieces
+    of ``_INSERTS`` put in at token boundaries or anywhere.  The first
+    mutation has an illegal character before an unterminated ``{-``."""
     pool = [path.read_text(encoding="utf-8")
             for path in sorted((REPO_ROOT / "stdlib").rglob("*.tt"))]
     pool += [gen_sst(GenPlan(n)) for n in range(1, 8)]
     pool += [gen_segal_scaffold(GenPlan(n)) for n in range(2, 6)]
-    spans = [[span for _, _, span in scan_reference.lex(source)] for source in pool]
+    donors = [(source, differential.tokens_of(source)) for source in pool]
     rng = random.Random(34)
-
-    def window(k: int) -> str:
-        """Up to 60 tokens of ``pool[k]``, with the text around them."""
-        cut = spans[k]
-        i = rng.randrange(len(cut))
-        j = min(len(cut) - 1, i + rng.randrange(1, 60))
-        return pool[k][cut[i][0]:cut[j][1]]
-
     mutated = []
     for _ in range(SCAN_MUTATIONS):
-        text = window(rng.randrange(len(pool)))
-        for _ in range(rng.randint(1, 4)):
-            tokens = lex_outcome(scan_reference.lex, text)
-            cut = [span for _, _, span in tokens[:-1]] if tokens.__class__ is list else []
-            edit = rng.choice(["delete", "duplicate", "splice", "insert", "insert"]) if cut else "insert"
-            if edit == "insert":
-                at = rng.choice([start for start, _ in cut] + [rng.randrange(len(text) + 1)])
-                text = text[:at] + rng.choice(_INSERTS) + text[at:]
-                continue
-            start, end = rng.choice(cut)
-            if edit == "delete":
-                text = text[:start] + text[end:]
-            elif edit == "duplicate":
-                text = text[:end] + " " + text[start:end] + text[end:]
-            else:
-                text = text[:start] + window(rng.randrange(len(pool))) + text[start:]
-        mutated.append(text)
+        text = differential.window(rng, rng.choice(donors))
+        mutated.append(differential.mutate(rng, text, donors, _EDITS, _INSERTS)[0])
     # an illegal character, then a block comment that never ends
-    mutated[0] = window(0) + " @ {- " + window(1).replace("-}", "")
+    mutated[0] = (differential.window(rng, donors[0]) + " @ {- "
+                  + differential.window(rng, donors[1]).replace("-}", ""))
     return pool + mutated
 
 
